@@ -7,8 +7,9 @@ experiments.
 """
 
 from .core_model import (CharPoly, SymbolMatrix, SystemParams, build_matrices,
-                         build_symbol, char_poly, char_poly_value,
-                         factor_check_gamma2_zero, transform_initial_data)
+                         build_symbol, char_poly, char_poly_coeffs,
+                         char_poly_value, factor_check_gamma2_zero,
+                         symbol_stack, transform_initial_data)
 from .decay_lab import (DecayFit, Experiment, FrequencyPartition, Profile,
                         build_initial_state, fit_pointwise_rate,
                         optimality_probe, packet_decay_time, run_decay,
@@ -25,7 +26,8 @@ from .propagator import (EnergyRecord, FourierState, PutzerWorkspace,
                          putzer_workspace)
 from .spectral import (AsymptoticCoeffs, BranchRate, CardanoClass,
                        GapCertificate, Spectrum, branch_continuation,
-                       cardano_classify, eigenvalues, eigenvalues_hp, gap_scan,
-                       high_freq_expansion, low_freq_expansion)
+                       cardano_classify, eigenvalues, eigenvalues_batch,
+                       eigenvalues_hp, gap_scan, high_freq_expansion,
+                       low_freq_expansion)
 
 __version__ = "0.1.0"

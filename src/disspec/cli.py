@@ -1,6 +1,6 @@
 """Batch command-line front end.
 
-Usage:  disspec --config run.json [--out DIR] [--seed N] [--threads N]
+Usage:  disspec --config run.json [--out DIR] [--seed N]
 
 The JSON config carries the command and all command-specific options under a
 strict schema (unknown keys are rejected).  Exit codes: 0 success, 2 for
@@ -239,7 +239,7 @@ def _branch_table(coeffs) -> list[dict]:
             for b in coeffs]
 
 
-def dispatch(config: dict, out_dir: Path, seed: int = 0, threads: int = 1) -> dict:
+def dispatch(config: dict, out_dir: Path, seed: int = 0) -> dict:
     """Run one validated config; returns a summary dict (also written to disk)."""
     config = validate_config(config)
     cmd = config["command"]
@@ -289,8 +289,7 @@ def dispatch(config: dict, out_dir: Path, seed: int = 0, threads: int = 1) -> di
 
     if cmd == "gap":
         cert = gap_scan(params, config["nu"], config["N"],
-                        initial_points=config.get("initial_points", 129),
-                        threads=threads)
+                        initial_points=config.get("initial_points", 129))
         payload = {"params": params.to_dict(), "nu": cert.nu, "N": cert.N,
                    "gap": cert.gap, "refinement_depth": cert.refinement_depth,
                    "grid": list(map(float, cert.grid)),
@@ -347,7 +346,7 @@ def dispatch(config: dict, out_dir: Path, seed: int = 0, threads: int = 1) -> di
         exp = Experiment(params=params, profile=_profile_from(config["profile"]),
                          times=_times_from(config["times"]),
                          j_orders=tuple(config["j_orders"]),
-                         grid=_grid_from(config.get("grid")), seed=seed)
+                         grid=_grid_from(config.get("grid")))
         window = tuple(config["fit_window"]) if "fit_window" in config else None
         fits = run_decay(exp, fit_window=window)
         fit_payload = {
@@ -375,7 +374,7 @@ def dispatch(config: dict, out_dir: Path, seed: int = 0, threads: int = 1) -> di
         exp = Experiment(params=params, profile=_profile_from(config["profile"]),
                          times=_times_from(config["times"]),
                          j_orders=(config.get("j", 0),),
-                         grid=_grid_from(config.get("grid")), seed=seed)
+                         grid=_grid_from(config.get("grid")))
         part = FrequencyPartition(nu=config["partition"]["nu"],
                                   N=config["partition"]["N"])
         rep = three_region_synthesis(exp, part, ell=config.get("ell", 1),
@@ -449,8 +448,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for frequency scans")
     args = parser.parse_args(argv)
 
     level = os.environ.get("DISSPEC_LOG", "WARNING").upper()
@@ -466,16 +463,8 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        summary = dispatch(config, out_dir, seed=args.seed, threads=args.threads)
-    except (PreconditionError,) as e:
-        payload = e.payload()
-        print(json.dumps(payload))
-        try:
-            artifacts.write_json(out_dir / "error.json", payload)
-        except OSError:
-            pass
-        return 2
-    except CertificateRefused as e:
+        summary = dispatch(config, out_dir, seed=args.seed)
+    except (PreconditionError, CertificateRefused) as e:
         payload = e.payload()
         print(json.dumps(payload))
         try:

@@ -36,7 +36,9 @@ __all__ = [
     "CharPoly",
     "build_matrices",
     "build_symbol",
+    "symbol_stack",
     "char_poly",
+    "char_poly_coeffs",
     "char_poly_value",
     "factor_check_gamma2_zero",
     "transform_initial_data",
@@ -137,11 +139,21 @@ class SymbolMatrix:
     Phi: np.ndarray
 
 
+def _symbol(A: np.ndarray, L: np.ndarray, xi) -> np.ndarray:
+    xi = np.asarray(xi, dtype=float)
+    return -(L.astype(complex) + 1j * xi[..., None, None] * A)
+
+
 def build_symbol(params: SystemParams, xi: float) -> SymbolMatrix:
     """Assemble Phi(i xi) = -L - i xi A."""
     A, L = build_matrices(params)
-    Phi = -(L.astype(complex) + 1j * xi * A)
-    return SymbolMatrix(xi=float(xi), A=A, L=L, Phi=Phi)
+    return SymbolMatrix(xi=float(xi), A=A, L=L, Phi=_symbol(A, L, xi))
+
+
+def symbol_stack(params: SystemParams, xi) -> np.ndarray:
+    """Phi(i xi) for every entry of ``xi`` at once: shape xi.shape + (6, 6)."""
+    A, L = build_matrices(params)
+    return _symbol(A, L, xi)
 
 
 @dataclass(frozen=True)
@@ -171,6 +183,16 @@ def char_poly(params: SystemParams, zeta: complex) -> CharPoly:
     forms when the corresponding gamma vanishes); the regime tag records
     which special case applies.
     """
+    return CharPoly(coeffs=char_poly_coeffs(params, zeta), regime=params.regime,
+                    zeta=complex(zeta))
+
+
+def char_poly_coeffs(params: SystemParams, zeta) -> np.ndarray:
+    """The coefficients of :func:`char_poly` for every entry of ``zeta``.
+
+    Shape zeta.shape + (7,), ascending degree; the leading coefficient is 1.
+    """
+    zeta = np.asarray(zeta, dtype=complex)
     a, k, l = params.a, params.k, params.l
     g1, g2 = params.gamma1, params.gamma2
     z2 = zeta * zeta
@@ -184,8 +206,7 @@ def char_poly(params: SystemParams, zeta: complex) -> CharPoly:
     c1 = g1 * k**2 * lz**2 + k**2 * l**2 * g2 - a**2 * k**2 * l**2 * g2 * z2 + a**2 * g2 * z2 * z2
     c0 = -(a**2) * k**2 * z2 * lz**2
 
-    coeffs = np.array([c0, c1, c2, c3, c4, c5, c6], dtype=complex)
-    return CharPoly(coeffs=coeffs, regime=params.regime, zeta=complex(zeta))
+    return np.stack(np.broadcast_arrays(c0, c1, c2, c3, c4, c5, c6), axis=-1)
 
 
 def char_poly_value(params: SystemParams, zeta: complex, lam: complex) -> complex:

@@ -5,13 +5,23 @@ P_0 = I, P_j = prod_{k<=j} (Phi - lambda_k I), and r solving the triangular
 chain r_1' = lambda_1 r_1, r_j' = lambda_j r_j + r_{j-1}, r(0) = e_1.
 
 For pairwise well-separated eigenvalues the r_j are divided differences of
-exp(. t) and are evaluated by the Newton table; exact repeats use the
-confluent (Hermite) entries t^m e^{lambda t}/m!.  Ambiguously clustered
-spectra fall back to direct integration of the chain (adaptive RK for
-moderate |lambda| t, high-precision bidiagonal exponential beyond), which
-has no cancellation problem.  The scaling-and-squaring Pade exponential
-(scipy) serves as the independent oracle in the tests and is never used on
-the Putzer path.
+exp(. t) over lambda_1..lambda_j.  One Newton table over the six nodes in
+their given order yields all six at once: the table's entry of level j - 1
+is r_j, so a (frequency, time) cell costs 6 exponentials and 15 divisions.
+Exact repeats use the confluent (Hermite) entries t^m e^{lambda t}/m!,
+which needs equal nodes to sit next to each other; the Putzer order below
+guarantees that for the solver's eigenvalues, and a caller-supplied order
+with separated equal nodes takes the chain integration instead.
+Ambiguously clustered spectra fall back to direct integration of the chain
+(adaptive RK for moderate |lambda| t, high-precision bidiagonal exponential
+beyond), which has no cancellation problem.  The scaling-and-squaring Pade
+exponential (scipy) serves as the independent oracle in the tests and is
+never used on the Putzer path.
+
+The frequency axis is a batch dimension: a grid of frequencies gets one
+batched eigen solve, one batched matmul per step of the P chain, and one
+table evaluation for all frequencies and times.  The single-frequency
+entry points (putzer_r, putzer_workspace) are n = 1 calls of the same code.
 
 All eigenvalue orderings here are descending real part, ties by ascending
 imaginary part; the assembled exponential is order-invariant (tested).
@@ -23,9 +33,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core_model import SystemParams, build_symbol, SymbolMatrix
+from .core_model import SystemParams, SymbolMatrix, symbol_stack
 from .errors import PreconditionError, SolverError, TailMassError
-from .spectral import eigenvalues
+from .spectral import eigenvalues, eigenvalues_batch
 
 __all__ = [
     "putzer_r",
@@ -93,48 +103,50 @@ def _snap_tol(scale: float, t: float) -> float:
     return max(1e-13 * scale, _SNAP_ST / max(t, 1.0))
 
 
-def _safe_exp(z: np.ndarray) -> np.ndarray:
-    """exp with explicit underflow-to-zero; overflow (Re z > 700) is an error."""
-    z = np.asarray(z, dtype=complex)
+def _safe_exp(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp into ``out`` with explicit underflow-to-zero; overflow (Re z > 700)
+    is an error."""
     re = z.real
     if np.any(re > 700.0):
         raise SolverError(f"exp overflow: Re(lambda t) = {re.max():.3g} > 700 "
                           "(growing mode propagated too far)")
     with np.errstate(under="ignore"):
-        out = np.exp(z)
-    return np.where(re < _EXP_FLOOR, 0.0 + 0.0j, out)
+        np.exp(z, out=out)
+    out[re < _EXP_FLOOR] = 0.0
+    return out
 
 
-def _r_table(lam: np.ndarray, t) -> np.ndarray:
-    """Divided-difference (Newton/Hermite) table evaluation of r.
+def _r_table(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Newton/Hermite table of r_1..r_6 for every row of nodes and every time.
 
-    lam : 6 eigenvalues, equal entries must be adjacent for the Hermite rule
-          (guaranteed after sorting since equals compare identically).
-    t   : scalar or array; returns shape (6,) + shape(t).
+    lam : (m, 6) nodes per row; equal nodes must be adjacent for the
+          Hermite rule.
+    t   : (nt,) times.
+    Returns r of shape (m, nt, 6).
+
+    The table is built in place in the result.  After level d, entry i
+    holds the divided difference over lam_{i-d}..lam_i, so entry d is final
+    and equals r_{d+1}.  Where the end nodes of a level coincide, all nodes
+    between them do too, and the entry is the confluent t^d e^{lam t}/d!:
+    the entry below it times t/d.
     """
-    t = np.asarray(t, dtype=float)
-    n = len(lam)
-    # nodes sorted per prefix: r_j is symmetric in its first j nodes, so
-    # for each prefix length we may sort nodes to make equal ones adjacent
-    r = np.empty((n,) + t.shape, dtype=complex)
-    for j in range(1, n + 1):
-        nodes = np.sort_complex(lam[:j])
-        # Newton table over `nodes`; T[i] holds f[nodes_i..nodes_{i+d}]
-        T = [_safe_exp(np.multiply.outer(nodes[i], t)) for i in range(j)]
-        fact = 1.0
-        powt = np.ones_like(t)
-        for d in range(1, j):
-            powt = powt * t
-            fact *= d
-            for i in range(j - d):
-                dz = nodes[i + d] - nodes[i]
-                if dz == 0:
-                    T[i] = _safe_exp(np.multiply.outer(nodes[i], t)) * powt / fact
-                else:
-                    T[i] = (T[i + 1] - T[i]) / dz
-            T = T[: j - d]
-        r[j - 1] = T[0]
+    r = np.empty((len(lam), len(t), 6), dtype=complex)
+    for i in range(6):
+        _safe_exp(lam[:, i, None] * t[None, :], out=r[:, :, i])
+    for d in range(1, 6):
+        for i in range(5, d - 1, -1):
+            dz = lam[:, i] - lam[:, i - d]
+            conf = dz == 0.0
+            ri = r[:, :, i]
+            hermite = ri[conf] * (t / d)
+            ri -= r[:, :, i - 1]
+            np.divide(ri, dz[:, None], out=ri, where=~conf[:, None])
+            ri[conf] = hermite
     return r
+
+
+def _equal_nodes_adjacent(lam: np.ndarray) -> bool:
+    return len(np.unique(lam)) == 1 + np.count_nonzero(lam[1:] != lam[:-1])
 
 
 def _r_ode_chain(lam: np.ndarray, t: float) -> np.ndarray:
@@ -178,9 +190,10 @@ def putzer_r(lambdas: np.ndarray, t: float) -> np.ndarray:
 
     Dispatch: exact repeats (below 1e-13 relative) collapse onto the
     confluent (Hermite) table entries; with all remaining pairwise gaps
-    >= 1e-3 the float divided-difference table applies; anything in between
-    integrates the chain directly (the nodes are then resolvable but the
-    table would cancel catastrophically).  The wider, time-aware cluster
+    >= 1e-3 and equal nodes adjacent in the given order, the float
+    divided-difference table applies; anything else integrates the chain
+    directly (near clusters are resolvable there while the table would
+    cancel catastrophically).  The wider, time-aware cluster
     snapping lives in the matrix assembly, which rebuilds its P chain on the
     snapped nodes; here the nodes are honored as given.
     """
@@ -196,8 +209,9 @@ def putzer_r(lambdas: np.ndarray, t: float) -> np.ndarray:
     lam = _snap_clusters(lam, 1e-13 * scale)
     gaps = np.abs(lam[:, None] - lam[None, :])[np.triu_indices(len(lam), 1)]
     unequal = gaps[gaps > 0]
-    if unequal.size == 0 or unequal.min() >= _GAP_AMBIGUOUS:
-        return _r_table(lam, t)
+    if ((unequal.size == 0 or unequal.min() >= _GAP_AMBIGUOUS)
+            and _equal_nodes_adjacent(lam)):
+        return _r_table(lam[None], np.array([t]))[0, 0]
     if scale * t <= 500.0:
         return _r_ode_chain(lam, t)
     return _r_chain_mp(lam, t)
@@ -216,6 +230,19 @@ class PutzerWorkspace:
     cayley_residual: float
 
 
+def _p_chain(Phi: np.ndarray, lam: np.ndarray, count: int = 6) -> np.ndarray:
+    """P_0..P_{count-1} for a stack of symbols: shape (n, count, 6, 6).
+
+    P_0 = I and P_j = P_{j-1} (Phi - lambda_j I), one batched matmul per j.
+    """
+    eye = np.eye(6)
+    P = np.empty((len(Phi), count, 6, 6), dtype=complex)
+    P[:, 0] = eye
+    for j in range(1, count):
+        np.matmul(P[:, j - 1], Phi - lam[:, j - 1, None, None] * eye, out=P[:, j])
+    return P
+
+
 def putzer_workspace(symbol: SymbolMatrix, params: SystemParams | None = None,
                      lambdas: np.ndarray | None = None) -> PutzerWorkspace:
     """Build the P_j products for one symbol matrix."""
@@ -223,14 +250,10 @@ def putzer_workspace(symbol: SymbolMatrix, params: SystemParams | None = None,
         if params is None:
             raise PreconditionError("need params to solve for eigenvalues")
         lambdas = eigenvalues(params, symbol.xi).eigenvalues
-    Phi = symbol.Phi
-    eye = np.eye(6, dtype=complex)
-    P = [eye]
-    for lam in lambdas:
-        P.append(P[-1] @ (Phi - lam * eye))
-    resid = float(np.linalg.norm(P[6], 2))
-    return PutzerWorkspace(lambdas=np.asarray(lambdas, dtype=complex),
-                           P=tuple(P), cayley_residual=resid)
+    lam = np.asarray(lambdas, dtype=complex)
+    P = _p_chain(symbol.Phi[None], lam[None], count=7)[0]
+    return PutzerWorkspace(lambdas=lam, P=tuple(P),
+                           cayley_residual=float(np.linalg.norm(P[6], 2)))
 
 
 def _assemble_exp(Phi: np.ndarray, lambdas: np.ndarray, t: float) -> np.ndarray:
@@ -244,13 +267,7 @@ def _assemble_exp(Phi: np.ndarray, lambdas: np.ndarray, t: float) -> np.ndarray:
     lam = _snap_clusters(np.asarray(lambdas, complex), _snap_tol(scale, t),
                          trace=complex(np.trace(Phi)))
     r = putzer_r(lam, t)
-    eye = np.eye(6, dtype=complex)
-    out = np.zeros((6, 6), dtype=complex)
-    Pj = eye
-    for j in range(6):
-        out += r[j] * Pj
-        Pj = Pj @ (Phi - lam[j] * eye)
-    return out
+    return np.einsum("j,jab->ab", r, _p_chain(Phi[None], lam[None])[0])
 
 
 def matrix_exp(symbol: SymbolMatrix, t: float,
@@ -315,31 +332,22 @@ def default_grid(xi_min_pos: float = 1e-4, xi_max: float = 40.0,
 class SymbolPropagator:
     """Per-grid cache of Putzer data for fast repeated propagation.
 
-    Precomputes eigenvalues and P_j matrices for every frequency once;
-    ``apply`` then evolves any state matrix by any time step.  Frequencies
-    whose spectra are ambiguously clustered (absolute gap below 1e-3) are
-    flagged and handled per-frequency through :func:`putzer_r`; the rest run
-    through a vectorized divided-difference table.
+    Construction makes one batched eigen solve over the grid (rows in
+    Putzer order, so exactly equal eigenvalues are adjacent), builds the
+    symbol stack by broadcasting, and the P_j chain with one batched matmul
+    per j.  ``r_many`` then evaluates one Newton/Hermite table for all
+    frequencies and times, and ``apply`` evolves any state matrix by any
+    time step.  Frequencies whose spectra are ambiguously clustered
+    (absolute gap below 1e-3) are flagged and handled per-frequency through
+    :func:`putzer_r`.
     """
 
     def __init__(self, params: SystemParams, grid: np.ndarray):
         self.params = params
         self.grid = np.asarray(grid, dtype=float)
-        n = len(self.grid)
-        self.lambdas = np.empty((n, 6), dtype=complex)
-        self.P = np.empty((n, 6, 6, 6), dtype=complex)  # (freq, j, 6, 6)
-        self.Phi = np.empty((n, 6, 6), dtype=complex)
-        eye = np.eye(6, dtype=complex)
-        for i, xi in enumerate(self.grid):
-            lam = eigenvalues(params, xi).eigenvalues
-            self.lambdas[i] = lam
-            Phi = build_symbol(params, xi).Phi
-            self.Phi[i] = Phi
-            Pj = eye
-            self.P[i, 0] = eye
-            for j in range(1, 6):
-                Pj = Pj @ (Phi - lam[j - 1] * eye)
-                self.P[i, j] = Pj
+        self.lambdas, _ = eigenvalues_batch(params, self.grid)
+        self.Phi = symbol_stack(params, self.grid)
+        self.P = _p_chain(self.Phi, self.lambdas)                 # (freq, j, 6, 6)
         gaps = np.abs(self.lambdas[:, :, None] - self.lambdas[:, None, :])
         iu = np.triu_indices(6, 1)
         pair_gaps = gaps[:, iu[0], iu[1]]
@@ -352,33 +360,13 @@ class SymbolPropagator:
         """r_j(t) for the non-ambiguous frequencies: shape (nfreq, ntimes, 6).
 
         Rows of ambiguous frequencies are left as zeros; callers route those
-        through the per-time assembly instead.
+        through the per-time assembly instead.  The table runs over every row
+        and the rare ambiguous ones are cleared afterwards, so no second
+        array of the result's size is made.
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        n, nt = len(self.grid), len(times)
-        out = np.zeros((n, nt, 6), dtype=complex)
-        ok = ~self.ambiguous
-        lam = self.lambdas[ok]                                    # (m, 6)
-        if lam.size:
-            # vectorized Newton/Hermite table over prefixes
-            for j in range(1, 7):
-                nodes = np.sort_complex(lam[:, :j])               # (m, j)
-                T = [_safe_exp(nodes[:, i:i + 1] * times[None, :])
-                     for i in range(j)]                           # list of (m, nt)
-                fact = 1.0
-                powt = np.ones_like(times)
-                for d in range(1, j):
-                    powt = powt * times
-                    fact *= d
-                    for i in range(j - d):
-                        dz = nodes[:, i + d] - nodes[:, i]        # (m,)
-                        conf = dz == 0.0
-                        base = _safe_exp(nodes[:, i:i + 1] * times[None, :]) * (powt / fact)[None, :]
-                        with np.errstate(divide="ignore", invalid="ignore"):
-                            newt = (T[i + 1] - T[i]) / dz[:, None]
-                        T[i] = np.where(conf[:, None], base, newt)
-                    T = T[: j - d]
-                out[ok, :, j - 1] = T[0]
+        out = _r_table(self.lambdas, times)
+        out[self.ambiguous] = 0.0
         return out
 
     def _exp_ambiguous(self, i: int, t: float) -> np.ndarray:

@@ -1,10 +1,16 @@
 """Eigenvalues of the symbol across frequencies and their asymptotic laws.
 
-Provides the per-frequency eigenvalue solver (companion matrix plus one
-Newton polish), the low/high-frequency expansion tables of the real parts,
-the Cardano classification of the cubic that governs the zero-frequency
-limit when gamma1 = 0, and certified spectral-gap scans on middle-frequency
-bands.
+Provides the eigenvalue solver, the low/high-frequency expansion tables of
+the real parts, the Cardano classification of the cubic that governs the
+zero-frequency limit when gamma1 = 0, and certified spectral-gap scans on
+middle-frequency bands.
+
+The solver treats the frequency axis as a batch dimension: one call solves
+a whole array of frequencies with one batched companion-matrix eigvals call
+(plus one Newton polish per isolated root, vectorized), one batched
+eigvals call of the symbol stack for the rows past symbol scale 64, and a
+vectorized residual certificate.  The single-frequency :func:`eigenvalues`
+is the n = 1 view of that solve and returns bit-identical roots.
 
 The expansion tables are *numerically grounded*: every coefficient returned
 here has been validated against eigenvalue fits (see tests).  Where commonly
@@ -24,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_model import SystemParams, build_matrices, build_symbol, char_poly
+from .core_model import SystemParams, build_matrices, char_poly_coeffs, symbol_stack
 from .errors import (CertificateRefused, PreconditionError, RegimeError,
                      SolverError, UnsupportedRegimeError)
 
@@ -35,6 +41,7 @@ __all__ = [
     "CardanoClass",
     "GapCertificate",
     "eigenvalues",
+    "eigenvalues_batch",
     "branch_continuation",
     "low_freq_expansion",
     "high_freq_expansion",
@@ -65,66 +72,115 @@ class Spectrum:
 
 
 def _putzer_order(lam: np.ndarray) -> np.ndarray:
-    idx = np.lexsort((lam.imag, -lam.real))
-    return lam[idx]
+    """Sort each row (last axis) into the fixed Putzer order."""
+    idx = np.lexsort((lam.imag, -lam.real), axis=-1)
+    return np.take_along_axis(lam, idx, axis=-1)
 
 
 def _cluster_tags(lam: np.ndarray, tol_scale: float = 1e-7) -> np.ndarray:
-    n = len(lam)
-    tags = np.ones(n, dtype=int)
-    for j in range(n):
-        tol = tol_scale * (1.0 + abs(lam[j]))
-        tags[j] = int(np.sum(np.abs(lam - lam[j]) <= tol))
-    return tags
+    tol = tol_scale * (1.0 + np.abs(lam))
+    return np.sum(np.abs(lam[..., None, :] - lam[..., :, None]) <= tol[..., :, None],
+                  axis=-1)
 
 
-def eigenvalues(params: SystemParams, xi: float) -> Spectrum:
-    """Roots of the characteristic polynomial at zeta = i xi.
+def _polyval_rows(coeffs: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Horner evaluation of each row's ascending coefficients at that row's
+    points, with the operation order of np.polyval."""
+    y = np.zeros_like(lam)
+    for d in range(coeffs.shape[-1] - 1, -1, -1):
+        y = y * lam + coeffs[:, d, None]
+    return y
 
-    Companion-matrix solve via numpy's polynomial root finder, then one
-    Newton polish step per root against the closed-form polynomial.  Past
-    a symbol norm of ~64 the polynomial-coefficient representation can no
-    longer resolve real parts near zero (evaluation noise ~ eps |lambda|^6
-    divided by p'), so the solve switches to the backward-stable matrix
-    eigenvalue routine and skips the polish; residuals still satisfy the
-    same certificate.
+
+def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """np.roots of every row of ascending (m, 7) coefficients.
+
+    Rows share one batched eigvals call per companion size.  Vanishing
+    low-order coefficients (the constant term at xi = 0) are deflated as
+    np.roots does: the companion shrinks and the roots 0 are appended.
     """
-    if not np.isfinite(xi):
-        raise PreconditionError(f"frequency must be finite, got {xi!r}")
-    poly = char_poly(params, 1j * xi)
-    scale = abs(xi) * max(1.0, params.a, params.k) + (
+    lam = np.zeros((len(coeffs), 6), dtype=complex)
+    n_zero = np.argmax(coeffs != 0, axis=1)
+    for z in set(n_zero.tolist()):
+        rows = n_zero == z
+        size = 6 - z
+        C = np.zeros((int(rows.sum()), size, size), dtype=complex)
+        C[:, 1:, :-1] = np.eye(size - 1)
+        C[:, 0, :] = -coeffs[rows, z:6][:, ::-1] / coeffs[rows, 6:]
+        lam[rows, :size] = np.linalg.eigvals(C)
+    return lam
+
+
+def eigenvalues_batch(params: SystemParams, xi) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of Phi(i xi) at every frequency of ``xi`` in one solve.
+
+    Returns ``(lam, resid)``, both of shape (n, 6): each row in Putzer
+    order and its residuals |p(lambda)|.  Rows with symbol scale <= 64 are
+    roots of the characteristic polynomial (one batched companion solve,
+    then one Newton step for isolated roots with a safely nonzero p');
+    rows above it are eigenvalues of the Phi stack, unpolished.  Raises
+    :class:`SolverError` when any residual exceeds 1e-8 (1 + |lambda|^6)
+    or either side is not finite.
+    """
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if xi.ndim != 1 or not np.all(np.isfinite(xi)):
+        raise PreconditionError(f"frequencies must be a finite 1-d array, got {xi!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        # huge frequencies overflow here; the certificate below refuses them
+        coeffs = char_poly_coeffs(params, 1j * xi)
+    scale = np.abs(xi) * max(1.0, params.a, params.k) + (
         1.0 + params.l * params.k + params.gamma1 + params.gamma2)
-    if scale <= 64.0:
-        lam = np.roots(poly.coeffs[::-1])
+    lam = np.empty((len(xi), 6), dtype=complex)
+    low = scale <= 64.0
+    if low.any():
+        c = coeffs[low]
+        r = _companion_roots(c)
         # one Newton step for well-separated roots only: at a (near-)multiple
         # root the step is noise-driven and, worse, destroys the cluster
         # mean, which the companion solve keeps trace-faithful
-        gaps = np.abs(lam[:, None] - lam[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        isolated = gaps.min(axis=1) > 1e-3 * max(1.0, np.abs(lam).max())
-        dp = poly.derivative(lam)
-        p = poly(lam)
+        gaps = np.abs(r[:, :, None] - r[:, None, :])
+        gaps[:, np.arange(6), np.arange(6)] = np.inf
+        isolated = gaps.min(axis=2) > 1e-3 * np.maximum(1.0, np.abs(r).max(axis=1))[:, None]
+        dp = _polyval_rows(c[:, 1:] * np.arange(1, 7), r)
+        p = _polyval_rows(c, r)
         safe = isolated & (np.abs(dp) > 1e-12 * (1.0 + np.abs(p)))
-        lam = np.where(safe, lam - p / np.where(safe, dp, 1.0), lam)
-    else:
-        from .core_model import build_symbol
-        lam = np.linalg.eigvals(build_symbol(params, xi).Phi)
+        lam[low] = np.where(safe, r - p / np.where(safe, dp, 1.0), r)
+    if not low.all():
+        lam[~low] = np.linalg.eigvals(symbol_stack(params, xi[~low]))
     lam = _putzer_order(lam)
 
-    resid = np.abs(poly(lam))
-    bound = 1e-8 * (1.0 + np.abs(lam) ** 6)
-    if np.any(resid > bound):
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = np.abs(_polyval_rows(coeffs, lam))
+        bound = 1e-8 * (1.0 + np.abs(lam) ** 6)
+    # NaN residuals and an overflowed bound fail too (|lambda| past ~1e51)
+    bad = ~(resid <= bound) | ~np.isfinite(bound)
+    if bad.any():
         # report the offending polynomial, as promised
+        i = int(np.flatnonzero(bad.any(axis=1))[0])
         raise SolverError(
-            f"eigenvalue solve did not converge at xi={xi}: residuals {resid}, "
-            f"coefficients {poly.coeffs}"
+            f"eigenvalue solve did not converge at xi={xi[i]}: residuals {resid[i]}, "
+            f"coefficients {coeffs[i]}"
         )
+    return lam, resid
+
+
+def eigenvalues(params: SystemParams, xi: float) -> Spectrum:
+    """Eigenvalues at one frequency: the n = 1 view of :func:`eigenvalues_batch`.
+
+    Companion-matrix solve of the characteristic polynomial, then one
+    Newton polish step per isolated root.  Past a symbol norm of ~64 the
+    polynomial-coefficient representation can no longer resolve real parts
+    near zero (evaluation noise ~ eps |lambda|^6 divided by p'), so the
+    solve switches to the backward-stable matrix eigenvalue routine and
+    skips the polish; residuals still satisfy the same certificate.
+    """
+    lam, resid = eigenvalues_batch(params, [xi])
     return Spectrum(
         xi=float(xi),
-        eigenvalues=lam,
-        multiplicity_tags=_cluster_tags(lam),
-        max_real_part=float(lam.real.max()),
-        residuals=resid,
+        eigenvalues=lam[0],
+        multiplicity_tags=_cluster_tags(lam[0]),
+        max_real_part=float(lam[0].real.max()),
+        residuals=resid[0],
     )
 
 
@@ -167,18 +223,11 @@ def branch_continuation(params: SystemParams, grid: np.ndarray) -> np.ndarray:
     """
     from scipy.optimize import linear_sum_assignment
 
-    grid = np.asarray(grid, dtype=float)
-    out = np.empty((len(grid), 6), dtype=complex)
-    prev = None
-    for i, xi in enumerate(grid):
-        lam = eigenvalues(params, xi).eigenvalues
-        if prev is None:
-            out[i] = lam
-        else:
-            cost = np.abs(prev[:, None] - lam[None, :])
-            _, cols = linear_sum_assignment(cost)
-            out[i] = lam[cols]
-        prev = out[i]
+    out, _ = eigenvalues_batch(params, grid)
+    for i in range(1, len(out)):
+        cost = np.abs(out[i - 1][:, None] - out[i][None, :])
+        _, cols = linear_sum_assignment(cost)
+        out[i] = out[i][cols]
     return out
 
 
@@ -474,40 +523,22 @@ _REFUSAL_LEVEL = -1e-10
 
 
 def gap_scan(params: SystemParams, nu: float, N: float,
-             initial_points: int = 129, threads: int = 1) -> GapCertificate:
+             initial_points: int = 129) -> GapCertificate:
     """Adaptively refined scan of max Re lambda over [nu, N].
 
     The grid is uniformly doubled until either the mesh is finer than
     (N - nu) / 2^14 or the certified bound changes by less than 1e-4
     relative between refinements.  Any scanned frequency with
     max Re lambda >= -1e-10 refuses the certificate with that witness.
-    Frequencies are independent; threads > 1 scans them in a worker pool
-    and merges deterministically by grid order.
+    Each refinement level is one batched eigen solve.
     """
     if not (0.0 < nu < N):
         raise PreconditionError(f"need 0 < nu < N, got nu={nu}, N={N}")
-    if params.gamma2 == 0.0:
-        # run anyway: the scan itself produces the refusal witness promised
-        # for this regime
-        pass
     if initial_points < 2:
         raise PreconditionError("initial_points must be at least 2")
 
     def scan(grid: np.ndarray) -> np.ndarray:
-        if threads > 1 and len(grid) > 64:
-            from concurrent.futures import ThreadPoolExecutor
-
-            def worker(chunk):
-                return [eigenvalues(params, xi).max_real_part for xi in chunk]
-
-            chunks = np.array_split(grid, threads * 4)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(worker, chunks))
-            return np.concatenate([np.asarray(p) for p in parts])
-        out = np.empty(len(grid))
-        for i, xi in enumerate(grid):
-            out[i] = eigenvalues(params, xi).max_real_part
-        return out
+        return eigenvalues_batch(params, grid)[0].real.max(axis=1)
 
     grid = np.linspace(nu, N, initial_points)
     max_re = scan(grid)

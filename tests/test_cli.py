@@ -58,6 +58,15 @@ class TestCommands:
         artifacts.write_csv(path, header, rows)
         assert path.read_bytes() == first
 
+    def test_spectrum_past_double_range_exit_1(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, {
+            "command": "spectrum", "params": PARAMS,
+            "xi_min": 0.0, "xi_max": 1e300, "n_points": 5})
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["error"] == "SolverError"
+        assert not (out / "spectrum.csv").exists()
+
     def test_classify_verdict(self, tmp_path):
         code, out = run_cli(tmp_path, {
             "command": "classify",

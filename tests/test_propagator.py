@@ -6,6 +6,7 @@ from disspec import (FourierState, PreconditionError, SolverError,
                      SystemParams, TailMassError, build_symbol, default_grid,
                      energy_audit, evolve, matrix_exp, plancherel_norm,
                      putzer_r, putzer_workspace)
+from disspec import propagator as propagator_module
 from disspec.decay_lab import _conservative_vector
 from disspec.propagator import SymbolPropagator, _r_ode_chain
 
@@ -35,6 +36,31 @@ class TestPutzerR:
         r = putzer_r(lam, 2.0)
         r_ode = _r_ode_chain(lam, 2.0)
         assert np.max(np.abs(r - r_ode)) <= 1e-10
+
+    def test_non_adjacent_equal_nodes_take_ode_chain(self, monkeypatch):
+        # undamped at xi = 0: the sextic has the exact double root 0
+        p = SystemParams(1, 1, 1, 0, 0)
+        sym = build_symbol(p, 0.0)
+        putzer_order = putzer_workspace(sym, params=p).lambdas
+        zeros = np.flatnonzero(putzer_order == 0.0)
+        assert len(zeros) == 2 and zeros[1] == zeros[0] + 1
+        lam = putzer_order[np.r_[zeros[0], np.setdiff1d(np.arange(6), zeros), zeros[1]]]
+        calls = []
+
+        def spy(nodes, t):
+            calls.append(t)
+            return _r_ode_chain(nodes, t)
+
+        monkeypatch.setattr(propagator_module, "_r_ode_chain", spy)
+        t = 1.7
+        r = putzer_r(lam, t)
+        assert calls == [t]
+        P = putzer_workspace(sym, lambdas=lam).P
+        E = sum(r[j] * P[j] for j in range(6))
+        assert np.max(np.abs(E - expm(sym.Phi * t))) <= 1e-10
+        # the same nodes in Putzer order stay on the table
+        putzer_r(putzer_order, t)
+        assert calls == [t]
 
     def test_negative_time_rejected(self):
         with pytest.raises(PreconditionError):
@@ -265,3 +291,42 @@ class TestVectorizedPropagator:
         prop = SymbolPropagator(p, grid)
         nrm = prop.operator_norms(np.geomspace(0.01, 100, 12))
         assert np.all(nrm <= 1.0 + 1e-9)
+
+    def test_single_pass_table_matches_expm(self):
+        # xi = 0 of the undamped system has the exact double root 0, which
+        # sits adjacent in Putzer order and takes the confluent entries
+        times = np.array([0.0, 0.4, 3.0, 11.0])
+        for p in ((1, 1, 0.5, 1, 1), (2, 1, 1, 0, 1), (1, 1, 1, 1, 0), (1, 1, 1, 0, 0)):
+            params = SystemParams(*p)
+            grid = np.array([-7.0, -0.3, 0.0, 0.02, 1.0, 25.0])
+            prop = SymbolPropagator(params, grid)
+            assert not prop.ambiguous.any()
+            if params.regime == "undamped":
+                assert np.sum(prop.lambdas[2] == 0.0) == 2
+            E = np.einsum("ntj,njab->ntab", prop.r_many(times), prop.P)
+            for i in range(len(grid)):
+                for q, t in enumerate(times):
+                    assert np.max(np.abs(E[i, q] - expm(prop.Phi[i] * t))) <= 1e-10
+
+    def test_no_per_frequency_solves(self, monkeypatch):
+        import disspec.core_model as core_model
+        import disspec.spectral as spectral
+
+        calls = {"eigenvalues": 0, "build_symbol": 0, "eigenvalues_batch": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (spectral, propagator_module):
+            monkeypatch.setattr(mod, "eigenvalues",
+                                counting("eigenvalues", spectral.eigenvalues))
+        monkeypatch.setattr(core_model, "build_symbol",
+                            counting("build_symbol", core_model.build_symbol))
+        monkeypatch.setattr(propagator_module, "eigenvalues_batch",
+                            counting("eigenvalues_batch", spectral.eigenvalues_batch))
+        prop = SymbolPropagator(SystemParams(1, 1, 0.5, 1, 1), default_grid())
+        assert prop.lambdas.shape == (4097, 6)
+        assert calls == {"eigenvalues": 0, "build_symbol": 0, "eigenvalues_batch": 1}

@@ -1,0 +1,56 @@
+"""Property tests of the structural invariants across the four damping regimes."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from disspec import SymbolPropagator, SystemParams, eigenvalues, eigenvalues_batch
+
+PROPERTY = settings(max_examples=40, derandomize=True, deadline=None)
+
+_speed = st.floats(0.3, 2.5)
+_damping = st.floats(0.05, 2.0)
+
+
+@st.composite
+def params(draw):
+    regime = draw(st.sampled_from(
+        ["both_damped", "gamma1_zero", "gamma2_zero", "undamped"]))
+    g1 = 0.0 if regime in ("gamma1_zero", "undamped") else draw(_damping)
+    g2 = 0.0 if regime in ("gamma2_zero", "undamped") else draw(_damping)
+    p = SystemParams(draw(_speed), draw(_speed), draw(_speed), g1, g2)
+    assert p.regime == regime
+    return p
+
+
+frequencies = st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=8)
+
+
+@PROPERTY
+@given(params(), frequencies)
+def test_batched_equals_scalar(p, xi):
+    lam, resid = eigenvalues_batch(p, xi)
+    for i, x in enumerate(xi):
+        s = eigenvalues(p, x)
+        assert np.array_equal(s.eigenvalues, lam[i])
+        assert np.array_equal(s.residuals, resid[i])
+        assert s.max_real_part == lam[i].real.max()
+
+
+@PROPERTY
+@given(params(), frequencies)
+def test_trace_identity(p, xi):
+    # sum lambda = trace Phi = -(gamma1 + gamma2), to rounding on the scale
+    # of the symbol's norm; the companion route's root errors reach ~2.4e3
+    # eps * scale on 16k random rows, the matrix route's ~20
+    lam, _ = eigenvalues_batch(p, xi)
+    scale = 1.0 + np.abs(xi) * max(1.0, p.a, p.k) + p.l * p.k + p.gamma1 + p.gamma2
+    err = np.abs(lam.sum(axis=1) + p.gamma1 + p.gamma2)
+    assert np.all(err <= 1e4 * np.finfo(float).eps * scale)
+
+
+@PROPERTY
+@given(params(), frequencies, st.lists(st.floats(0.0, 50.0), min_size=1, max_size=4))
+def test_semigroup_is_a_contraction(p, xi, times):
+    nrm = SymbolPropagator(p, np.unique(xi)).operator_norms(times)
+    assert np.all(nrm <= 1.0 + 1e-10)

@@ -2,13 +2,64 @@ import numpy as np
 import pytest
 
 from disspec import (CertificateRefused, PreconditionError, RegimeError,
-                     SystemParams, UnsupportedRegimeError, branch_continuation,
-                     cardano_classify, char_poly, eigenvalues, eigenvalues_hp,
-                     gap_scan, high_freq_expansion, low_freq_expansion)
+                     SolverError, SystemParams, UnsupportedRegimeError,
+                     branch_continuation, build_symbol, cardano_classify,
+                     char_poly, default_grid, eigenvalues, eigenvalues_batch,
+                     eigenvalues_hp, gap_scan, high_freq_expansion,
+                     low_freq_expansion)
 
 
 def lam_at(params, xi):
     return eigenvalues(params, xi).eigenvalues
+
+
+def scalar_oracle(params, xi):
+    """One frequency at a time: np.roots plus one Newton polish of isolated
+    roots below symbol scale 64, the symbol's eigvals above, Putzer order."""
+    poly = char_poly(params, 1j * xi)
+    scale = abs(xi) * max(1.0, params.a, params.k) + (
+        1.0 + params.l * params.k + params.gamma1 + params.gamma2)
+    if scale <= 64.0:
+        lam = np.roots(poly.coeffs[::-1])
+        gaps = np.abs(lam[:, None] - lam[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        isolated = gaps.min(axis=1) > 1e-3 * max(1.0, np.abs(lam).max())
+        dp = poly.derivative(lam)
+        p = poly(lam)
+        safe = isolated & (np.abs(dp) > 1e-12 * (1.0 + np.abs(p)))
+        lam = np.where(safe, lam - p / np.where(safe, dp, 1.0), lam)
+    else:
+        lam = np.linalg.eigvals(build_symbol(params, xi).Phi)
+    return lam[np.lexsort((lam.imag, -lam.real))]
+
+
+class TestBatchedSolve:
+    # both dampings, gamma1 = 0, gamma2 = 0, undamped (xi = 0 deflates one
+    # resp. two vanishing coefficients), and the defective triple point
+    REGIMES = [(1, 1, 0.5, 1, 1), (2, 1, 1, 0, 1), (1.3, 0.8, 1.1, 1, 0),
+               (1, 1, 1, 0, 0), (1, 1, np.sqrt(8.0), 0, np.sqrt(27.0))]
+
+    @pytest.mark.parametrize("p", REGIMES)
+    def test_bit_identical_to_scalar_oracle(self, p):
+        params = SystemParams(*p)
+        # xi = 0, the geometric and linear parts, and rows past scale 64
+        grid = default_grid(xi_max=100.0, n_geo=64, n_lin=200)
+        lam, resid = eigenvalues_batch(params, grid)
+        ref = np.array([scalar_oracle(params, x) for x in grid])
+        assert np.array_equal(lam, ref)
+        assert np.array_equal(resid, np.abs(
+            [char_poly(params, 1j * x)(row) for x, row in zip(grid, ref)]))
+
+    @pytest.mark.parametrize("xi", [1e60, 1e300])
+    def test_overflowing_certificate_refused(self, xi):
+        # |lambda|^6 overflows the residual bound past ~1e51 (and the
+        # residual itself turns NaN); neither may pass vacuously
+        with pytest.raises(SolverError):
+            eigenvalues(SystemParams(1, 1, 0.5, 1, 1), xi)
+
+    def test_non_finite_frequency_rejected(self):
+        with pytest.raises(PreconditionError):
+            eigenvalues_batch(SystemParams(1, 1, 0.5, 1, 1), [0.0, np.nan])
 
 
 class TestEigenvalues:
