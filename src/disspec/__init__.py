@@ -22,8 +22,8 @@ from .lyapunov import (AuditReport, FunctionalValues, LyapunovConstants,
                        sandwich_fit, search_constants)
 from .propagator import (EnergyRecord, FourierState, PutzerWorkspace,
                          SymbolPropagator, default_grid, energy_audit, evolve,
-                         matrix_exp, plancherel_norm, putzer_r,
-                         putzer_workspace)
+                         matrix_exp, plancherel_norm, plancherel_norms,
+                         putzer_r, putzer_workspace)
 from .spectral import (AsymptoticCoeffs, BranchRate, CardanoClass,
                        GapCertificate, Spectrum, branch_continuation,
                        cardano_classify, eigenvalues, eigenvalues_batch,

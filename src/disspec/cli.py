@@ -58,9 +58,9 @@ _GRID_SCHEMA = {
     "type": "object",
     "properties": {
         "xi_min_pos": {"type": "number"},
-        "xi_max": {"type": "number"},
-        "n_geo": {"type": "integer"},
-        "n_lin": {"type": "integer"},
+        "xi_max": {"type": "number", "exclusiveMinimum": 1},
+        "n_geo": {"type": "integer", "minimum": 1},
+        "n_lin": {"type": "integer", "minimum": 1},
     },
     "additionalProperties": False,
 }

@@ -29,9 +29,9 @@ import numpy as np
 from .core_model import SystemParams, build_symbol
 from .errors import PreconditionError, RegimeError
 from .lyapunov import audit_inequality, sandwich_fit, search_constants
-from .propagator import FourierState, SymbolPropagator, default_grid, plancherel_norm
-from .spectral import (eigenvalues, eigenvalues_batch, gap_scan, high_freq_expansion,
-                       low_freq_expansion)
+from .propagator import FourierState, SymbolPropagator, default_grid, plancherel_norms
+from .spectral import (_cluster_tags, eigenvalues, eigenvalues_batch, gap_scan,
+                       high_freq_expansion, low_freq_expansion)
 
 __all__ = [
     "Profile",
@@ -208,17 +208,14 @@ def run_decay(exp: Experiment, fit_window: tuple[float, float] | None = None,
     params = exp.params
     state0 = build_initial_state(params, exp.profile, exp.grid)
     prop = SymbolPropagator(params, exp.grid)
-    traj = prop.propagate_many(state0.values, exp.times)  # (nt, nfreq, 6)
+    density = prop.density(state0.values, exp.times)      # (nfreq, nt)
 
     if fit_window is None:
         fit_window = (exp.times[-1] / 10.0, exp.times[-1])
 
     fits: dict[int, DecayFit] = {}
     for j in exp.j_orders:
-        norms = np.empty(len(exp.times))
-        for i, t in enumerate(exp.times):
-            st = FourierState(params=params, grid=exp.grid, values=traj[i], t=t)
-            norms[i] = math.sqrt(plancherel_norm(st, j))
+        norms = np.sqrt(plancherel_norms(exp.grid, density, j))
         increase = np.max(norms[1:] / np.maximum(norms[:-1], 1e-300)) - 1.0
         if increase > monotonicity_rtol:
             raise PreconditionError(
@@ -303,8 +300,7 @@ def packet_decay_time(params: SystemParams, xi0: float, width: float = 2.0,
     state = build_initial_state(params, prof, grid)
     prop = SymbolPropagator(params, grid)
     times = np.geomspace(1e-2, t_max, n_times)
-    traj = prop.propagate_many(state.values, times)
-    n2 = np.trapezoid(np.sum(np.abs(traj) ** 2, axis=2), grid, axis=1)
+    n2 = plancherel_norms(grid, prop.density(state.values, times), 0, check_tail=False)
     ratio = n2 / n2[0]
     below = np.flatnonzero(ratio <= level)
     if below.size == 0:
@@ -368,13 +364,13 @@ def three_region_synthesis(exp: Experiment, part: FrequencyPartition,
 
     state0 = build_initial_state(params, exp.profile, exp.grid)
     prop = SymbolPropagator(params, exp.grid)
-    traj = prop.propagate_many(state0.values, exp.times)
+    density = prop.density(state0.values, exp.times)
     amp0 = np.linalg.norm(state0.values, axis=1)
     low, mid, high = _region_masks(exp.grid, part)
 
     # measured regional integrals of xi^{2j} |U_hat|^2
     w = np.abs(exp.grid) ** (2 * j)
-    integ = w[None, :] * np.sum(np.abs(traj) ** 2, axis=2)
+    integ = w[None, :] * np.ascontiguousarray(density.T)
 
     def region_integral(mask):
         return np.trapezoid(np.where(mask, integ, 0.0), exp.grid, axis=1)
@@ -412,9 +408,8 @@ def three_region_synthesis(exp: Experiment, part: FrequencyPartition,
 
     # middle region: gap certificate + multiplicity scan
     cert = gap_scan(params, part.nu, part.N, initial_points=257)
-    m = 0
-    for x in np.linspace(part.nu, part.N, 33):
-        m = max(m, int(eigenvalues(params, x).multiplicity_tags.max()) - 1)
+    scan, _ = eigenvalues_batch(params, np.linspace(part.nu, part.N, 33))
+    m = int(_cluster_tags(scan).max()) - 1
     out["gap"] = cert.gap
     out["m_detected"] = m
     if "mid" in opnorm:

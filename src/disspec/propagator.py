@@ -20,8 +20,14 @@ never used on the Putzer path.
 
 The frequency axis is a batch dimension: a grid of frequencies gets one
 batched eigen solve, one batched matmul per step of the P chain, and one
-table evaluation for all frequencies and times.  The single-frequency
-entry points (putzer_r, putzer_workspace) are n = 1 calls of the same code.
+table evaluation per distinct spectrum for all times (r depends only on the
+nodes and t, and a symmetric grid repeats each spectrum at +-xi).  The
+table is node-major, (6, spectra, times) contiguous planes, and is
+contracted with the data by one batched matmul per chunk of rows, so
+Plancherel norms are reduced chunk by chunk (:meth:`SymbolPropagator.density`,
+:func:`plancherel_norms`) without ever holding the (times, frequencies, 6)
+trajectory.  The single-frequency entry points (putzer_r,
+putzer_workspace) are n = 1 calls of the same code.
 
 All eigenvalue orderings here are descending real part, ties by ascending
 imaginary part; the assembled exponential is order-invariant (tested).
@@ -48,6 +54,7 @@ __all__ = [
     "energy_audit",
     "EnergyRecord",
     "plancherel_norm",
+    "plancherel_norms",
     "SymbolPropagator",
 ]
 
@@ -63,6 +70,8 @@ _GAP_AMBIGUOUS = 1e-3
 _SNAP_ST = 4e-5
 #: Re(lambda) * t below this underflows e^{lambda t} to exactly zero
 _EXP_FLOOR = -745.0
+#: r-table bytes per chunk of the SymbolPropagator contraction
+_CHUNK_BYTES = 2 ** 20
 
 
 def _snap_clusters(lam: np.ndarray, tol: float,
@@ -122,24 +131,30 @@ def _r_table(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
     lam : (m, 6) nodes per row; equal nodes must be adjacent for the
           Hermite rule.
     t   : (nt,) times.
-    Returns r of shape (m, nt, 6).
+    Returns r of shape (6, m, nt), node-major: r[j] is the contiguous
+    (m, nt) plane of r_{j+1}.
 
     The table is built in place in the result.  After level d, entry i
     holds the divided difference over lam_{i-d}..lam_i, so entry d is final
     and equals r_{d+1}.  Where the end nodes of a level coincide, all nodes
     between them do too, and the entry is the confluent t^d e^{lam t}/d!:
-    the entry below it times t/d.
+    the entry below it times t/d.  Levels without such rows take the plain
+    divide.
     """
-    r = np.empty((len(lam), len(t), 6), dtype=complex)
+    r = np.empty((6, len(lam), len(t)), dtype=complex)
     for i in range(6):
-        _safe_exp(lam[:, i, None] * t[None, :], out=r[:, :, i])
+        _safe_exp(lam[:, i, None] * t[None, :], out=r[i])
     for d in range(1, 6):
         for i in range(5, d - 1, -1):
             dz = lam[:, i] - lam[:, i - d]
             conf = dz == 0.0
-            ri = r[:, :, i]
+            ri = r[i]
+            if not conf.any():
+                ri -= r[i - 1]
+                ri /= dz[:, None]
+                continue
             hermite = ri[conf] * (t / d)
-            ri -= r[:, :, i - 1]
+            ri -= r[i - 1]
             np.divide(ri, dz[:, None], out=ri, where=~conf[:, None])
             ri[conf] = hermite
     return r
@@ -211,7 +226,7 @@ def putzer_r(lambdas: np.ndarray, t: float) -> np.ndarray:
     unequal = gaps[gaps > 0]
     if ((unequal.size == 0 or unequal.min() >= _GAP_AMBIGUOUS)
             and _equal_nodes_adjacent(lam)):
-        return _r_table(lam[None], np.array([t]))[0, 0]
+        return _r_table(lam[None], np.array([t]))[:, 0, 0]
     if scale * t <= 500.0:
         return _r_ode_chain(lam, t)
     return _r_chain_mp(lam, t)
@@ -323,6 +338,8 @@ def default_grid(xi_min_pos: float = 1e-4, xi_max: float = 40.0,
     """Symmetric frequency grid, geometric near zero and linear beyond 1."""
     if not (0 < xi_min_pos < 1.0 < xi_max):
         raise PreconditionError("need 0 < xi_min_pos < 1 < xi_max")
+    if not all(float(n).is_integer() and n >= 1 for n in (n_geo, n_lin)):
+        raise PreconditionError(f"need integer n_geo, n_lin >= 1, got {n_geo}, {n_lin}")
     geo = np.geomspace(xi_min_pos, 1.0, n_geo)
     lin = np.linspace(1.0, xi_max, n_lin + 1)[1:]
     pos = np.concatenate([geo, lin])
@@ -335,53 +352,82 @@ class SymbolPropagator:
     Construction makes one batched eigen solve over the grid (rows in
     Putzer order, so exactly equal eigenvalues are adjacent), builds the
     symbol stack by broadcasting, and the P_j chain with one batched matmul
-    per j.  ``r_many`` then evaluates one Newton/Hermite table for all
-    frequencies and times, and ``apply`` evolves any state matrix by any
-    time step.  Frequencies whose spectra are ambiguously clustered
-    (absolute gap below 1e-3) are flagged and handled per-frequency through
-    :func:`putzer_r`.
+    per j.  The r functions depend only on the nodes and t, so the rows are
+    reduced to their distinct spectra once (``nodes``, with ``row`` mapping
+    each frequency to its spectrum; on a symmetric grid +-xi share one).
+    Every evaluation runs one Newton/Hermite table over the distinct
+    spectra, node-major as (6, spectra, times), and contracts it with the
+    data by one batched matmul per chunk, U_n(t) = Q_n^T r(t) with
+    Q_n[j] = P_j U_n(0).  A chunk is a run of spectra whose table slice
+    holds about ``_CHUNK_BYTES``, so neither the whole table nor a (times,
+    frequencies, 6) trajectory is made unless asked for; ``density``
+    reduces each chunk to sum_a |U_a|^2 at once.  Frequencies
+    whose spectra are ambiguously clustered (absolute gap below 1e-3) are
+    flagged and handled per-frequency through :func:`putzer_r`.
     """
 
     def __init__(self, params: SystemParams, grid: np.ndarray):
         self.params = params
         self.grid = np.asarray(grid, dtype=float)
         self.lambdas, _ = eigenvalues_batch(params, self.grid)
+        self.nodes, self.row = np.unique(self.lambdas, axis=0, return_inverse=True)
         self.Phi = symbol_stack(params, self.grid)
         self.P = _p_chain(self.Phi, self.lambdas)                 # (freq, j, 6, 6)
-        gaps = np.abs(self.lambdas[:, :, None] - self.lambdas[:, None, :])
+        gaps = np.abs(self.nodes[:, :, None] - self.nodes[:, None, :])
         iu = np.triu_indices(6, 1)
         pair_gaps = gaps[:, iu[0], iu[1]]
         min_nonzero = np.where(pair_gaps == 0.0, np.inf, pair_gaps).min(axis=1)
         # ambiguous: some unequal pair closer than the table tolerance;
         # those frequencies are assembled per time with t-aware snapping
-        self.ambiguous = np.isfinite(min_nonzero) & (min_nonzero < _GAP_AMBIGUOUS)
+        self._ambiguous_nodes = np.isfinite(min_nonzero) & (min_nonzero < _GAP_AMBIGUOUS)
+        self.ambiguous = self._ambiguous_nodes[self.row]
+
+    def _table(self, times: np.ndarray, spectra: slice = slice(None)) -> np.ndarray:
+        """r of the distinct spectra in ``spectra``: (6, spectra, ntimes),
+        node-major; rows of ambiguous spectra are zero."""
+        r = _r_table(self.nodes[spectra], times)
+        r[:, self._ambiguous_nodes[spectra]] = 0.0
+        return r
 
     def r_many(self, times: np.ndarray) -> np.ndarray:
         """r_j(t) for the non-ambiguous frequencies: shape (nfreq, ntimes, 6).
 
-        Rows of ambiguous frequencies are left as zeros; callers route those
-        through the per-time assembly instead.  The table runs over every row
-        and the rare ambiguous ones are cleared afterwards, so no second
-        array of the result's size is made.
+        Rows of ambiguous frequencies are zeros; callers route those
+        through the per-time assembly instead.
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        out = _r_table(self.lambdas, times)
-        out[self.ambiguous] = 0.0
-        return out
+        return np.moveaxis(self._table(times), 0, -1)[self.row]
 
     def _exp_ambiguous(self, i: int, t: float) -> np.ndarray:
         return _assemble_exp(self.Phi[i], self.lambdas[i], t)
+
+    def _states(self, values0: np.ndarray, times: np.ndarray):
+        """Yield (rows, U) chunk by chunk: U[k, a, q] is component a of the
+        state at frequency rows[k] and time times[q].
+
+        A chunk is a run of distinct spectra: its slice of the table, then
+        one batched matmul Q_n^T r(t) for the frequencies that share them.
+        """
+        Qt = np.einsum("njab,nb->naj", self.P, values0)            # Q_n^T
+        step = max(1, _CHUNK_BYTES // (96 * len(times)))
+        starts = np.arange(0, len(self.nodes) + step, step)
+        by_spectrum = np.argsort(self.row, kind="stable")
+        bounds = np.searchsorted(self.row[by_spectrum], starts)
+        for s, lo, hi in zip(starts[:-1], bounds[:-1], bounds[1:]):
+            rows = by_spectrum[lo:hi]
+            table = self._table(times, slice(s, s + step)).transpose(1, 0, 2)
+            U = Qt[rows] @ table[self.row[rows] - s]                # (c, 6, nt)
+            for k in np.flatnonzero(self.ambiguous[rows]):
+                i = rows[k]
+                for q, t in enumerate(times):
+                    U[k, :, q] = self._exp_ambiguous(i, t) @ values0[i]
+            yield rows, U
 
     def apply(self, values: np.ndarray, dt: float) -> np.ndarray:
         """Propagate a (nfreq, 6) state matrix by time dt."""
         if dt == 0.0:
             return values.copy()
-        r = self.r_many(np.array([dt]))[:, 0, :]                   # (n, 6)
-        Q = np.einsum("njab,nb->nja", self.P, values)              # (n, 6, 6)
-        out = np.einsum("nj,nja->na", r, Q)
-        for i in np.nonzero(self.ambiguous)[0]:
-            out[i] = self._exp_ambiguous(i, dt) @ values[i]
-        return out
+        return self.propagate_many(values, np.array([dt]))[0]
 
     def propagate_many(self, values0: np.ndarray, times: np.ndarray) -> np.ndarray:
         """States at several absolute times from one initial state.
@@ -390,19 +436,29 @@ class SymbolPropagator:
         own clock (pass absolute offsets).
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        r = self.r_many(times)                                     # (n, nt, 6)
-        Q = np.einsum("njab,nb->nja", self.P, values0)             # (n, 6, 6)
-        out = np.einsum("ntj,nja->tna", r, Q)
-        for i in np.nonzero(self.ambiguous)[0]:
-            for q, t in enumerate(times):
-                out[q, i] = self._exp_ambiguous(i, t) @ values0[i]
+        out = np.empty((len(times), len(self.grid), 6), dtype=complex)
+        for rows, U in self._states(values0, times):
+            out[:, rows] = U.transpose(2, 0, 1)
+        return out
+
+    def density(self, values0: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """sum_a |U_a(t)|^2 per frequency and time: shape (nfreq, ntimes).
+
+        The Plancherel integrand of :func:`plancherel_norms`, reduced chunk
+        by chunk without holding the trajectory.
+        """
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        out = np.empty((len(self.grid), len(times)))
+        for rows, U in self._states(values0, times):
+            sq = np.square(U.view(float), out=U.view(float)).sum(axis=1)
+            out[rows] = sq[:, 0::2] + sq[:, 1::2]
         return out
 
     def operator_norms(self, times: np.ndarray) -> np.ndarray:
         """2-norm of e^{Phi t} per frequency and time: shape (nfreq, ntimes)."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        r = self.r_many(times)                                     # (n, nt, 6)
-        E = np.einsum("ntj,njab->ntab", r, self.P)                 # (n, nt, 6, 6)
+        n = len(self.grid)
+        E = (self.r_many(times) @ self.P.reshape(n, 6, 36)).reshape(n, len(times), 6, 6)
         nrm = np.linalg.norm(E, ord=2, axis=(2, 3))
         for i in np.nonzero(self.ambiguous)[0]:
             for q, t in enumerate(times):
@@ -456,23 +512,37 @@ def energy_audit(state: FourierState, dt: float,
     return rec0, rec1, residual
 
 
-def plancherel_norm(state: FourierState, j: int,
-                    tail_rtol: float = 1e-12, check_tail: bool = True) -> float:
-    """Squared Sobolev seminorm: trapezoid of |xi|^{2j} |U_hat|^2 over the grid.
+def plancherel_norms(grid: np.ndarray, density: np.ndarray, j: int,
+                     tail_rtol: float = 1e-12, check_tail: bool = True) -> np.ndarray:
+    """Squared Sobolev seminorms at several times: trapezoid of
+    |xi|^{2j} density over the grid.
 
-    Refuses (with the edge values) when the integrand at the grid edges
-    exceeds ``tail_rtol`` times its peak, since the missing tail mass would
-    then pollute the value.
+    density : (nfreq, ntimes) values of sum_a |U_a|^2, as returned by
+              :meth:`SymbolPropagator.density`.
+    Returns shape (ntimes,).  Refuses (with the edge values of the first
+    offending time) when the integrand at a grid edge exceeds ``tail_rtol``
+    times its peak at that time, since the missing tail mass would then
+    pollute the value.
     """
     if j < 0 or int(j) != j:
         raise PreconditionError(f"derivative order must be a nonnegative integer, got {j}")
-    integrand = np.abs(state.grid) ** (2 * j) * np.sum(np.abs(state.values) ** 2, axis=1)
-    peak = float(integrand.max())
-    if check_tail and peak > 0.0:
-        edges = (float(integrand[0]), float(integrand[-1]))
-        if max(edges) > tail_rtol * peak:
+    # (ntimes, nfreq), so each time's sum runs over a contiguous row
+    integrand = np.abs(grid) ** (2 * j) * np.ascontiguousarray(density.T)
+    if check_tail:
+        peak = integrand.max(axis=1)
+        edge = np.maximum(integrand[:, 0], integrand[:, -1])
+        bad = np.flatnonzero((peak > 0.0) & (edge > tail_rtol * peak))
+        if bad.size:
+            q = bad[0]
             raise TailMassError(
-                f"integrand tail at grid edge = {max(edges):.3e} exceeds "
-                f"{tail_rtol:.0e} x peak ({peak:.3e}); widen the grid",
-                edge_values=edges)
-    return float(np.trapezoid(integrand, state.grid))
+                f"integrand tail at grid edge = {edge[q]:.3e} exceeds "
+                f"{tail_rtol:.0e} x peak ({peak[q]:.3e}); widen the grid",
+                edge_values=(float(integrand[q, 0]), float(integrand[q, -1])))
+    return np.trapezoid(integrand, grid, axis=-1)
+
+
+def plancherel_norm(state: FourierState, j: int,
+                    tail_rtol: float = 1e-12, check_tail: bool = True) -> float:
+    """Squared Sobolev seminorm of one state: :func:`plancherel_norms` at one time."""
+    density = np.sum(np.abs(state.values) ** 2, axis=1)[:, None]
+    return float(plancherel_norms(state.grid, density, j, tail_rtol, check_tail)[0])

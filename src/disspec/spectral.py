@@ -118,7 +118,9 @@ def eigenvalues_batch(params: SystemParams, xi) -> tuple[np.ndarray, np.ndarray]
     order and its residuals |p(lambda)|.  Rows with symbol scale <= 64 are
     roots of the characteristic polynomial (one batched companion solve,
     then one Newton step for isolated roots with a safely nonzero p');
-    rows above it are eigenvalues of the Phi stack, unpolished.  Raises
+    the polynomial depends on xi only through xi^2, so each distinct xi^2
+    is solved once and rows at +-xi are bitwise equal.  Rows above scale
+    64 are eigenvalues of the Phi stack, unpolished, one solve per row.  Raises
     :class:`SolverError` when any residual exceeds 1e-8 (1 + |lambda|^6)
     or either side is not finite.
     """
@@ -133,7 +135,10 @@ def eigenvalues_batch(params: SystemParams, xi) -> tuple[np.ndarray, np.ndarray]
     lam = np.empty((len(xi), 6), dtype=complex)
     low = scale <= 64.0
     if low.any():
-        c = coeffs[low]
+        # equal xi^2 give equal coefficients: solve one row per value
+        _, first, inverse = np.unique(xi[low] ** 2, return_index=True,
+                                      return_inverse=True)
+        c = coeffs[np.flatnonzero(low)[first]]
         r = _companion_roots(c)
         # one Newton step for well-separated roots only: at a (near-)multiple
         # root the step is noise-driven and, worse, destroys the cluster
@@ -144,7 +149,7 @@ def eigenvalues_batch(params: SystemParams, xi) -> tuple[np.ndarray, np.ndarray]
         dp = _polyval_rows(c[:, 1:] * np.arange(1, 7), r)
         p = _polyval_rows(c, r)
         safe = isolated & (np.abs(dp) > 1e-12 * (1.0 + np.abs(p)))
-        lam[low] = np.where(safe, r - p / np.where(safe, dp, 1.0), r)
+        lam[low] = np.where(safe, r - p / np.where(safe, dp, 1.0), r)[inverse]
     if not low.all():
         lam[~low] = np.linalg.eigvals(symbol_stack(params, xi[~low]))
     lam = _putzer_order(lam)

@@ -123,6 +123,22 @@ class TestCommands:
         hdr = json.loads((out / "state.json").read_text())
         assert hdr["t"] == 2.0
 
+    @pytest.mark.parametrize("grid", [{"n_geo": -5}, {"n_lin": 0},
+                                      {"xi_max": 1.0}, {"n_geo": 2.5}])
+    def test_evolve_bad_grid_exit_2(self, tmp_path, grid):
+        code, out = run_cli(tmp_path, {
+            "command": "evolve", "params": PARAMS,
+            "profile": {"kind": "gaussian", "width": 1.0, "component": "z"},
+            "t": 2.0, "grid": grid})
+        assert code == 2
+        assert json.loads((out / "error.json").read_text())["error"] == "SchemaError"
+
+    def test_default_grid_rejects_bad_sizes(self):
+        from disspec import PreconditionError, default_grid
+        for kwargs in ({"n_geo": -5}, {"n_lin": 0}, {"n_geo": 2.5}):
+            with pytest.raises(PreconditionError):
+                default_grid(**kwargs)
+
     def test_lyapunov_audit_command(self, tmp_path):
         code, out = run_cli(tmp_path, {
             "command": "lyapunov-audit", "params": PARAMS,

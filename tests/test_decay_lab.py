@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from disspec import (Experiment, FrequencyPartition, PreconditionError,
-                     Profile, RegimeError, SystemParams, build_initial_state,
+from disspec import (Experiment, FourierState, FrequencyPartition,
+                     PreconditionError, Profile, RegimeError, SymbolPropagator,
+                     SystemParams, TailMassError, build_initial_state,
                      default_grid, fit_pointwise_rate, optimality_probe,
-                     run_decay, three_region_synthesis)
+                     plancherel_norm, run_decay, three_region_synthesis)
 from disspec.decay_lab import packet_decay_time
 
 
@@ -78,6 +79,57 @@ class TestRunDecay:
         fits = run_decay(exp, fit_window=(1.0, 1e3))
         ratios = fits[0].norms / fits[0].norms[0]
         assert np.all(ratios <= 1.0 + 1e-6)
+
+
+class TestFusedNorms:
+    """run_decay reduces the density straight to norms, never the trajectory."""
+
+    @staticmethod
+    def readme_decay():
+        # the README `decay` config: default grid, 40 times, j = 0, 1, 2
+        return Experiment(params=SystemParams(1, 1, 0.5, 1, 1),
+                          profile=Profile(kind="gaussian", width=1.0, component="z"),
+                          times=np.geomspace(1.0, 1e4, 40), j_orders=(0, 1, 2))
+
+    def test_matches_per_time_plancherel_loop(self):
+        exp = self.readme_decay()
+        fits = run_decay(exp, fit_window=(1e2, 1e4))
+        state0 = build_initial_state(exp.params, exp.profile, exp.grid)
+        traj = SymbolPropagator(exp.params, exp.grid).propagate_many(
+            state0.values, exp.times)
+        for j in exp.j_orders:
+            ref = np.array([np.sqrt(plancherel_norm(
+                FourierState(params=exp.params, grid=exp.grid, values=traj[i], t=t), j))
+                for i, t in enumerate(exp.times)])
+            assert np.max(np.abs(fits[j].norms - ref) / ref) <= 1e-13
+
+    def test_narrow_grid_refused_with_edge_values(self):
+        p = SystemParams(1, 1, 0.5, 1, 1)
+        grid = np.linspace(-1.0, 1.0, 201)
+        exp = Experiment(params=p, profile=Profile(kind="gaussian", width=1.0),
+                         times=np.geomspace(1.0, 10.0, 5), j_orders=(0, 1), grid=grid)
+        with pytest.raises(TailMassError) as info:
+            run_decay(exp)
+        # the first offending (j, t) is j = 0 at the first time
+        state0 = build_initial_state(p, exp.profile, grid)
+        u = SymbolPropagator(p, grid).propagate_many(state0.values, exp.times[:1])[0]
+        integrand = np.sum(np.abs(u) ** 2, axis=1)
+        assert info.value.edge_values == pytest.approx(
+            (integrand[0], integrand[-1]), rel=1e-12)
+
+    def test_norm_increase_refused(self, monkeypatch):
+        true_density = SymbolPropagator.density
+
+        def growing(self, values0, times):
+            return true_density(self, values0, times) * (1.0 + times)
+
+        monkeypatch.setattr(SymbolPropagator, "density", growing)
+        exp = Experiment(params=SystemParams(1, 1, 0.5, 1, 1),
+                         profile=Profile(kind="gaussian", width=1.0),
+                         times=np.geomspace(1.0, 10.0, 5), j_orders=(0,),
+                         grid=small_grid())
+        with pytest.raises(PreconditionError, match="increased"):
+            run_decay(exp)
 
 
 class TestPointwiseRates:

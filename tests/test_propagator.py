@@ -4,8 +4,8 @@ from scipy.linalg import expm
 
 from disspec import (FourierState, PreconditionError, SolverError,
                      SystemParams, TailMassError, build_symbol, default_grid,
-                     energy_audit, evolve, matrix_exp, plancherel_norm,
-                     putzer_r, putzer_workspace)
+                     eigenvalues_batch, energy_audit, evolve, matrix_exp,
+                     plancherel_norm, putzer_r, putzer_workspace)
 from disspec import propagator as propagator_module
 from disspec.decay_lab import _conservative_vector
 from disspec.propagator import SymbolPropagator, _r_ode_chain
@@ -330,3 +330,85 @@ class TestVectorizedPropagator:
         prop = SymbolPropagator(SystemParams(1, 1, 0.5, 1, 1), default_grid())
         assert prop.lambdas.shape == (4097, 6)
         assert calls == {"eigenvalues": 0, "build_symbol": 0, "eigenvalues_batch": 1}
+
+
+class TestSharedTable:
+    """One r table per distinct spectrum, contracted chunk by chunk."""
+
+    # the regimes of test_spectral.TestBatchedSolve; the defective point's
+    # xi = 0 carries a 3x3 Jordan block and takes the ambiguous route
+    REGIMES = [(1, 1, 0.5, 1, 1), (2, 1, 1, 0, 1), (1.3, 0.8, 1.1, 1, 0),
+               (1, 1, 1, 0, 0), (1, 1, np.sqrt(8.0), 0, np.sqrt(27.0))]
+
+    @staticmethod
+    def data(n, seed=5):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(n, 6)) + 1j * rng.normal(size=(n, 6))
+
+    @pytest.mark.parametrize("p", REGIMES)
+    def test_propagate_many_matches_expm(self, p):
+        params = SystemParams(*p)
+        grid = np.array([-7.0, -0.3, 0.0, 0.02, 0.3, 1.0, 7.0, 25.0])
+        prop = SymbolPropagator(params, grid)
+        assert prop.ambiguous[2] == (params.l == np.sqrt(8.0))
+        times = np.array([0.4, 3.0, 11.0])
+        vals = self.data(len(grid))
+        traj = prop.propagate_many(vals, times)
+        for i in range(len(grid)):
+            for q, t in enumerate(times):
+                ref = expm(prop.Phi[i] * t) @ vals[i]
+                assert np.max(np.abs(traj[q, i] - ref)) <= 1e-10
+
+    @pytest.mark.parametrize("p", [REGIMES[0], REGIMES[-1]])
+    def test_density_is_squared_trajectory(self, p, monkeypatch):
+        params = SystemParams(*p)
+        grid = default_grid(xi_max=8.0, n_geo=64, n_lin=64)
+        prop = SymbolPropagator(params, grid)
+        assert prop.ambiguous.any() == (params.l == np.sqrt(8.0))
+        vals = self.data(len(grid))
+        times = np.geomspace(0.1, 50.0, 9)
+        ref = np.sum(np.abs(prop.propagate_many(vals, times)) ** 2, axis=2).T
+        # several chunks, each with its own slice of the table
+        monkeypatch.setattr(propagator_module, "_CHUNK_BYTES", 96 * len(times) * 7)
+        dens = prop.density(vals, times)
+        assert dens.shape == (len(grid), len(times))
+        assert np.max(np.abs(dens - ref) / ref) <= 1e-13
+
+    def test_one_table_row_per_spectrum(self, monkeypatch):
+        import disspec.spectral as spectral
+
+        companion = spectral._companion_roots
+        solved = []
+
+        def spy(coeffs):
+            solved.append(len(coeffs))
+            return companion(coeffs)
+
+        monkeypatch.setattr(spectral, "_companion_roots", spy)
+        p = SystemParams(1, 1, 0.5, 1, 1)
+        grid = default_grid()
+        prop = SymbolPropagator(p, grid)
+        # one companion solve per distinct xi^2, one table row per spectrum
+        assert solved == [2049]
+        assert prop.nodes.shape == (2049, 6)
+        assert np.array_equal(prop.nodes[prop.row], prop.lambdas)
+        # +-xi rows (all below symbol scale 64, so companion-route) agree bitwise
+        lam, _ = eigenvalues_batch(p, grid)
+        assert np.array_equal(lam, lam[::-1])
+        r = prop.r_many(np.geomspace(0.01, 100.0, 5))
+        assert np.array_equal(r, r[::-1])
+
+    def test_density_memory_below_one_trajectory(self):
+        import tracemalloc
+
+        grid = default_grid()
+        prop = SymbolPropagator(SystemParams(1, 1, 0.5, 1, 1), grid)
+        vals = np.exp(-0.5 * grid**2)[:, None] * np.ones(6, dtype=complex)
+        times = np.geomspace(1.0, 1e4, 40)
+        tracemalloc.start()
+        try:
+            prop.density(vals, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * len(grid) * 6 * 16        # 15.7 MB
