@@ -12,6 +12,7 @@ internal errors.  DISSPEC_LOG controls logging verbosity.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -200,18 +201,29 @@ _COMMAND_SCHEMAS = {
 }
 
 
-def validate_config(config: dict) -> dict:
+@functools.cache
+def _validator(cmd: str):
+    """The validator of one command's schema; the schema itself is checked
+    against its meta-schema once, here."""
     import jsonschema
 
+    schema = _COMMAND_SCHEMAS[cmd]
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def validate_config(config: dict) -> dict:
     if not isinstance(config, dict) or "command" not in config:
         raise SchemaError("config must be an object with a 'command' key")
     cmd = config["command"]
     if cmd not in _COMMAND_SCHEMAS:
         raise SchemaError(f"unknown command {cmd!r}; known: {sorted(_COMMAND_SCHEMAS)}")
-    try:
-        jsonschema.validate(config, _COMMAND_SCHEMAS[cmd])
-    except jsonschema.ValidationError as e:
-        raise SchemaError(f"config invalid for command {cmd!r}: {e.message}") from e
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_validator(cmd).iter_errors(config))
+    if error is not None:
+        raise SchemaError(f"config invalid for command {cmd!r}: {error.message}") from error
     return config
 
 

@@ -10,13 +10,17 @@ their given order yields all six at once: the table's entry of level j - 1
 is r_j, so a (frequency, time) cell costs 6 exponentials and 15 divisions.
 Exact repeats use the confluent (Hermite) entries t^m e^{lambda t}/m!,
 which needs equal nodes to sit next to each other; the Putzer order below
-guarantees that for the solver's eigenvalues, and a caller-supplied order
-with separated equal nodes takes the chain integration instead.
-Ambiguously clustered spectra fall back to direct integration of the chain
-(adaptive RK for moderate |lambda| t, high-precision bidiagonal exponential
-beyond), which has no cancellation problem.  The scaling-and-squaring Pade
-exponential (scipy) serves as the independent oracle in the tests and is
-never used on the Putzer path.
+guarantees that for the solver's eigenvalues.  Every other node set
+(ambiguously clustered spectra, and a caller-supplied order with separated
+equal nodes) takes one double-precision route: r is the first column of
+exp(t J), J lower bidiagonal with the nodes on its diagonal, computed for a
+whole batch of (nodes, time) rows at once by shifted scaling and squaring
+with the diagonal and first subdiagonal recomputed exactly at every level
+(:func:`_r_bidiag`), which stays accurate for clusters of any width and at
+large |lambda| t.
+The scaling-and-squaring Pade exponential (scipy) and a 50-digit
+evaluation of the same bidiagonal exponential (mpmath) serve as the
+independent oracles in the tests and are never used on the Putzer path.
 
 The frequency axis is a batch dimension: a grid of frequencies gets one
 batched eigen solve, one batched matmul per step of the P chain, and one
@@ -60,7 +64,7 @@ __all__ = [
 
 #: below this absolute gap the float divided-difference table is unreliable
 #: for higher-order clusters (calibrated: a 3-cluster at gap 1e-4 already
-#: loses ~8 digits); such spectra take the ODE-chain route instead
+#: loses ~8 digits); such spectra take the bidiagonal exponential instead
 _GAP_AMBIGUOUS = 1e-3
 #: snapping a cluster of diameter s to its mean costs at most
 #: ~(s t)^2/2 * e^{Re lambda t}, so clusters with s t below this are merged;
@@ -70,59 +74,66 @@ _GAP_AMBIGUOUS = 1e-3
 _SNAP_ST = 4e-5
 #: Re(lambda) * t below this underflows e^{lambda t} to exactly zero
 _EXP_FLOOR = -745.0
-#: r-table bytes per chunk of the SymbolPropagator contraction
+#: r-table bytes per chunk of the SymbolPropagator contraction; the P chains
+#: of the ambiguous (frequency, time) pairs are built in slices of this size
 _CHUNK_BYTES = 2 ** 20
+#: the bidiagonal exponential scales its matrix to 1-norm <= _TAYLOR_NORM,
+#: where the degree-14 Taylor remainder 0.5^15/15! ~ 2e-17 is below rounding
+_TAYLOR_NORM = 0.5
+_TAYLOR_DEGREE = 14
+#: the subdiagonal of exp([[a, 0], [c, b]]) is c e^{(a+b)/2} sinh(d)/d with
+#: d = (b - a)/2; past |d| = 1 the plain quotient (e^b - e^a)/(b - a) has no
+#: cancellation, while sinh(d) overflows for large Re d
+_SINH_MAX = 1.0
 
 
-def _snap_clusters(lam: np.ndarray, tol: float,
-                   trace: complex | None = None) -> np.ndarray:
+def _snap_clusters(lam: np.ndarray, tol, trace=None) -> np.ndarray:
     """Snap transitively-linked clusters (link distance <= tol) to their mean.
 
-    When the matrix trace is supplied, the sum defect (trace minus node sum)
-    is folded into the snapped members: cluster means are then exact to the
-    accuracy of the non-clustered nodes, which matters at defective points
-    where the individual cluster members carry O(eps^(1/m)) noise.
+    lam   : (m, n) nodes per row.
+    tol   : scalar or (m,) link distance per row.
+    trace : None or (m,) matrix traces.  When supplied, each row's sum
+            defect (trace minus node sum) is folded into its snapped
+            members: cluster means are then exact to the accuracy of the
+            non-clustered nodes, which matters at defective points where the
+            individual cluster members carry O(eps^(1/m)) noise.
     """
-    lam = lam.copy()
-    n = len(lam)
-    group = np.arange(n)
-
-    def find(i):
-        while group[i] != i:
-            group[i] = group[group[i]]
-            i = group[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(lam[i] - lam[j]) <= tol:
-                group[find(i)] = find(j)
-    snapped = np.zeros(n, dtype=bool)
-    for root in set(find(i) for i in range(n)):
-        members = np.array([find(i) == root for i in range(n)])
-        if members.sum() > 1:
-            lam[members] = lam[members].mean()
-            snapped |= members
-    if trace is not None and snapped.any():
-        lam[snapped] += (trace - lam.sum()) / snapped.sum()
-    return lam
+    lam = np.asarray(lam, dtype=complex)
+    tol = np.asarray(tol, dtype=float)[..., None, None]
+    link = np.abs(lam[:, :, None] - lam[:, None, :]) <= tol
+    while True:                                   # transitive closure
+        closed = np.matmul(link, link, dtype=np.uint8) > 0
+        if np.array_equal(closed, link):
+            break
+        link = closed
+    size = link.sum(axis=2)
+    snapped = size > 1
+    out = np.where(snapped, np.sum(link * lam[:, None, :], axis=2) / size, lam)
+    if trace is not None:
+        count = snapped.sum(axis=1)
+        defect = (np.asarray(trace) - out.sum(axis=1)) / np.maximum(count, 1)
+        out += snapped * defect[:, None]
+    return out
 
 
-def _snap_tol(scale: float, t: float) -> float:
-    return max(1e-13 * scale, _SNAP_ST / max(t, 1.0))
+def _snap_tol(scale, t):
+    return np.maximum(1e-13 * scale, _SNAP_ST / np.maximum(t, 1.0))
 
 
 def _safe_exp(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     """exp into ``out`` with explicit underflow-to-zero; overflow (Re z > 700)
     is an error."""
-    re = z.real
+    _check_overflow(z.real)
+    with np.errstate(under="ignore"):
+        np.exp(z, out=out)
+    out[z.real < _EXP_FLOOR] = 0.0
+    return out
+
+
+def _check_overflow(re: np.ndarray) -> None:
     if np.any(re > 700.0):
         raise SolverError(f"exp overflow: Re(lambda t) = {re.max():.3g} > 700 "
                           "(growing mode propagated too far)")
-    with np.errstate(under="ignore"):
-        np.exp(z, out=out)
-    out[re < _EXP_FLOOR] = 0.0
-    return out
 
 
 def _r_table(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -164,40 +175,66 @@ def _equal_nodes_adjacent(lam: np.ndarray) -> bool:
     return len(np.unique(lam)) == 1 + np.count_nonzero(lam[1:] != lam[:-1])
 
 
-def _r_ode_chain(lam: np.ndarray, t: float) -> np.ndarray:
-    """Adaptive integration of the triangular chain (cancellation-free)."""
-    from scipy.integrate import solve_ivp
+def _r_bidiag(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """r_1..r_n at one time per row, for nodes in any order and clustering.
 
-    n = len(lam)
-    J = np.diag(lam) + np.diag(np.ones(n - 1), -1).astype(complex)
+    lam : (m, n) nodes per row.
+    t   : (m,) times.
+    Returns r of shape (n, m), node-major like :func:`_r_table`.
 
-    def rhs(_, y):
-        yc = y[:n] + 1j * y[n:]
-        d = J @ yc
-        return np.concatenate([d.real, d.imag])
-
-    y0 = np.zeros(2 * n)
-    y0[0] = 1.0
-    sol = solve_ivp(rhs, (0.0, t), y0, method="DOP853", rtol=1e-12, atol=1e-14)
-    if not sol.success:
-        raise SolverError(f"r-chain integration failed: {sol.message}")
-    y = sol.y[:, -1]
-    return y[:n] + 1j * y[n:]
-
-
-def _r_chain_mp(lam: np.ndarray, t: float) -> np.ndarray:
-    """High-precision evaluation of the same chain for large |lambda| t."""
-    import mpmath as mp
-
-    n = len(lam)
-    with mp.workdps(50):
-        J = mp.zeros(n)
-        for i in range(n):
-            J[i, i] = mp.mpc(lam[i]) * t
-            if i:
-                J[i, i - 1] = t
-        E = mp.expm(J)
-        return np.array([complex(E[i, 0]) for i in range(n)])
+    r is the first column of exp(t J), J lower bidiagonal with the nodes on
+    its diagonal and ones below it (McCurdy, Ng & Parlett 1984).  With
+    y = lambda t and S = diag(t^j), t J = S Y S^-1 where Y has diagonal y and
+    a unit subdiagonal, so r_{j+1} = t^j exp(Y)[j, 0].  Y is shifted by
+    mu = max Re y, which bounds every intermediate by one, scaled by 2^-s to
+    1-norm <= _TAYLOR_NORM, exponentiated by a Taylor polynomial and squared
+    s times.  The diagonal and the first subdiagonal are recomputed exactly
+    at every level (Al-Mohy & Higham 2009, Code Fragment 2.1), so the
+    squarings lose neither the small entries of decaying nodes nor the
+    differences of clustered ones.  Rows with Re(lambda t) > 700 refuse;
+    rows with mu below _EXP_FLOOR are exactly zero.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    t = np.asarray(t, dtype=float)
+    m, n = lam.shape
+    y = lam * t[:, None]
+    mu = y.real.max(axis=1)
+    _check_overflow(mu)
+    b = y - mu[:, None]
+    s = np.ceil(np.log2((np.abs(b).max(axis=1) + 1.0) / _TAYLOR_NORM)).astype(int)
+    h = np.ldexp(1.0, -s)[:, None, None]
+    diag = np.arange(n)
+    # Horner on X = 2^-s (Y - mu): E <- I + X E / k, X E by its two diagonals
+    E = np.zeros((m, n, n), dtype=complex)
+    E[:, diag, diag] = 1.0
+    for k in range(_TAYLOR_DEGREE, 0, -1):
+        XE = b[:, :, None] * h * E
+        XE[:, 1:] += h * E[:, :-1]
+        XE /= k
+        XE[:, diag, diag] += 1.0
+        E = XE
+    with np.errstate(under="ignore"):
+        for k in range(s.max() + 1):
+            rows = np.flatnonzero(s >= k)
+            if k:
+                E[rows] = E[rows] @ E[rows]
+            # exact diagonal and first subdiagonal of exp(c (Y - mu)),
+            # c = 2^(k - s) the scale each row has reached
+            c = np.ldexp(1.0, k - s[rows])[:, None]
+            z = b[rows] * c
+            ez = np.exp(z)
+            d = 0.5 * (z[:, 1:] - z[:, :-1])
+            far = np.abs(d) > _SINH_MAX
+            near = np.where(far, 1.0, d)
+            sinhc = np.divide(np.sinh(near), near, out=np.ones_like(near),
+                              where=near != 0.0)
+            sub = np.where(far, (ez[:, 1:] - ez[:, :-1]) / np.where(far, 2.0 * d, 1.0),
+                           np.exp(0.5 * (z[:, 1:] + z[:, :-1])) * sinhc)
+            E[rows[:, None], diag, diag] = ez
+            E[rows[:, None], diag[1:], diag[:-1]] = c * sub
+        scale = np.where(mu < _EXP_FLOOR, 0.0, np.exp(mu))
+    r = E[:, :, 0] * (scale[:, None] * t[:, None] ** diag)
+    return np.ascontiguousarray(r.T)
 
 
 def putzer_r(lambdas: np.ndarray, t: float) -> np.ndarray:
@@ -206,9 +243,10 @@ def putzer_r(lambdas: np.ndarray, t: float) -> np.ndarray:
     Dispatch: exact repeats (below 1e-13 relative) collapse onto the
     confluent (Hermite) table entries; with all remaining pairwise gaps
     >= 1e-3 and equal nodes adjacent in the given order, the float
-    divided-difference table applies; anything else integrates the chain
-    directly (near clusters are resolvable there while the table would
-    cancel catastrophically).  The wider, time-aware cluster
+    divided-difference table applies.  Anything else (near clusters, where
+    the table would cancel catastrophically, and equal nodes apart in the
+    given order) takes the double-precision bidiagonal exponential
+    :func:`_r_bidiag` as its n = 1 call.  The wider, time-aware cluster
     snapping lives in the matrix assembly, which rebuilds its P chain on the
     snapped nodes; here the nodes are honored as given.
     """
@@ -221,15 +259,13 @@ def putzer_r(lambdas: np.ndarray, t: float) -> np.ndarray:
         r[0] = 1.0
         return r
     scale = max(1.0, float(np.abs(lam).max()))
-    lam = _snap_clusters(lam, 1e-13 * scale)
+    lam = _snap_clusters(lam[None], 1e-13 * scale)[0]
     gaps = np.abs(lam[:, None] - lam[None, :])[np.triu_indices(len(lam), 1)]
     unequal = gaps[gaps > 0]
     if ((unequal.size == 0 or unequal.min() >= _GAP_AMBIGUOUS)
             and _equal_nodes_adjacent(lam)):
         return _r_table(lam[None], np.array([t]))[:, 0, 0]
-    if scale * t <= 500.0:
-        return _r_ode_chain(lam, t)
-    return _r_chain_mp(lam, t)
+    return _r_bidiag(lam[None], np.array([t]))[:, 0]
 
 
 @dataclass(frozen=True)
@@ -271,18 +307,26 @@ def putzer_workspace(symbol: SymbolMatrix, params: SystemParams | None = None,
                            cayley_residual=float(np.linalg.norm(P[6], 2)))
 
 
-def _assemble_exp(Phi: np.ndarray, lambdas: np.ndarray, t: float) -> np.ndarray:
-    """Snap, rebuild the P chain on the snapped nodes, and assemble.
+def _assemble_exp(Phi: np.ndarray, lambdas: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """e^{t Phi} for a batch of (symbol, nodes, time) triples: (m, 6, 6).
 
-    The r functions and the P products must use identical nodes; since the
-    snap tolerance depends on t, clustered spectra rebuild their (cheap)
-    6-step matrix chain here.
+    Each triple snaps its clusters at its own t-aware tolerance, with the
+    trace correction, and its r functions (one :func:`_r_bidiag` call for
+    the batch) and P chain use the same snapped nodes.  The P chains are
+    built in slices of about ``_CHUNK_BYTES``.
     """
-    scale = max(1.0, float(np.abs(lambdas).max()))
-    lam = _snap_clusters(np.asarray(lambdas, complex), _snap_tol(scale, t),
-                         trace=complex(np.trace(Phi)))
-    r = putzer_r(lam, t)
-    return np.einsum("j,jab->ab", r, _p_chain(Phi[None], lam[None])[0])
+    t = np.asarray(t, dtype=float)
+    scale = np.maximum(1.0, np.abs(lambdas).max(axis=1))
+    lam = _snap_clusters(lambdas, _snap_tol(scale, t),
+                         trace=np.trace(Phi, axis1=1, axis2=2))
+    r = _r_bidiag(lam, t).T[:, None, :]                        # (m, 1, 6)
+    out = np.empty((len(t), 6, 6), dtype=complex)
+    step = max(1, _CHUNK_BYTES // (6 * 36 * 16))
+    for lo in range(0, len(t), step):
+        sl = slice(lo, lo + step)
+        P = _p_chain(Phi[sl], lam[sl]).reshape(-1, 6, 36)
+        out[sl] = (r[sl] @ P).reshape(-1, 6, 6)
+    return out
 
 
 def matrix_exp(symbol: SymbolMatrix, t: float,
@@ -295,10 +339,10 @@ def matrix_exp(symbol: SymbolMatrix, t: float,
         workspace = putzer_workspace(symbol, params=params)
     lam = workspace.lambdas
     scale = max(1.0, float(np.abs(lam).max()))
-    snapped = _snap_clusters(lam, _snap_tol(scale, t),
-                             trace=complex(np.trace(symbol.Phi)))
+    snapped = _snap_clusters(lam[None], _snap_tol(scale, t),
+                             trace=np.trace(symbol.Phi)[None])[0]
     if not np.array_equal(snapped, lam):
-        return _assemble_exp(symbol.Phi, lam, t)
+        return _assemble_exp(symbol.Phi[None], lam[None], np.array([t]))[0]
     r = putzer_r(lam, t)
     out = np.zeros((6, 6), dtype=complex)
     for j in range(6):
@@ -361,9 +405,11 @@ class SymbolPropagator:
     Q_n[j] = P_j U_n(0).  A chunk is a run of spectra whose table slice
     holds about ``_CHUNK_BYTES``, so neither the whole table nor a (times,
     frequencies, 6) trajectory is made unless asked for; ``density``
-    reduces each chunk to sum_a |U_a|^2 at once.  Frequencies
-    whose spectra are ambiguously clustered (absolute gap below 1e-3) are
-    flagged and handled per-frequency through :func:`putzer_r`.
+    reduces each chunk to sum_a |U_a|^2 at once.  Frequencies whose
+    spectra are ambiguously clustered (absolute gap below 1e-3) are
+    flagged; each of their (frequency, time) pairs snaps its clusters at
+    its own t-aware tolerance, and all pairs of a chunk are assembled by
+    one batched call of the bidiagonal route and the batched P chain.
     """
 
     def __init__(self, params: SystemParams, grid: np.ndarray):
@@ -384,7 +430,10 @@ class SymbolPropagator:
 
     def _table(self, times: np.ndarray, spectra: slice = slice(None)) -> np.ndarray:
         """r of the distinct spectra in ``spectra``: (6, spectra, ntimes),
-        node-major; rows of ambiguous spectra are zero."""
+        node-major; rows of ambiguous spectra are zero.  Every evaluation
+        passes here first, so non-finite times are refused here."""
+        if not np.all(np.isfinite(times)):
+            raise PreconditionError(f"times must be finite, got {times}")
         r = _r_table(self.nodes[spectra], times)
         r[:, self._ambiguous_nodes[spectra]] = 0.0
         return r
@@ -398,15 +447,14 @@ class SymbolPropagator:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         return np.moveaxis(self._table(times), 0, -1)[self.row]
 
-    def _exp_ambiguous(self, i: int, t: float) -> np.ndarray:
-        return _assemble_exp(self.Phi[i], self.lambdas[i], t)
-
     def _states(self, values0: np.ndarray, times: np.ndarray):
         """Yield (rows, U) chunk by chunk: U[k, a, q] is component a of the
         state at frequency rows[k] and time times[q].
 
         A chunk is a run of distinct spectra: its slice of the table, then
         one batched matmul Q_n^T r(t) for the frequencies that share them.
+        The chunk's ambiguous (frequency, time) pairs are assembled by one
+        :func:`_assemble_exp` call.
         """
         Qt = np.einsum("njab,nb->naj", self.P, values0)            # Q_n^T
         step = max(1, _CHUNK_BYTES // (96 * len(times)))
@@ -417,11 +465,18 @@ class SymbolPropagator:
             rows = by_spectrum[lo:hi]
             table = self._table(times, slice(s, s + step)).transpose(1, 0, 2)
             U = Qt[rows] @ table[self.row[rows] - s]                # (c, 6, nt)
-            for k in np.flatnonzero(self.ambiguous[rows]):
-                i = rows[k]
-                for q, t in enumerate(times):
-                    U[k, :, q] = self._exp_ambiguous(i, t) @ values0[i]
+            amb = np.flatnonzero(self.ambiguous[rows])
+            if amb.size:
+                E = self._exp_pairs(rows[amb], times)
+                U[amb] = np.einsum("kqab,kb->kaq", E, values0[rows[amb]])
             yield rows, U
+
+    def _exp_pairs(self, rows: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """e^{t Phi} of every (frequency, time) pair of ``rows`` and ``times``
+        by one :func:`_assemble_exp` call: shape (rows, times, 6, 6)."""
+        i = np.repeat(rows, len(times))
+        E = _assemble_exp(self.Phi[i], self.lambdas[i], np.tile(times, len(rows)))
+        return E.reshape(len(rows), len(times), 6, 6)
 
     def apply(self, values: np.ndarray, dt: float) -> np.ndarray:
         """Propagate a (nfreq, 6) state matrix by time dt."""
@@ -460,9 +515,9 @@ class SymbolPropagator:
         n = len(self.grid)
         E = (self.r_many(times) @ self.P.reshape(n, 6, 36)).reshape(n, len(times), 6, 6)
         nrm = np.linalg.norm(E, ord=2, axis=(2, 3))
-        for i in np.nonzero(self.ambiguous)[0]:
-            for q, t in enumerate(times):
-                nrm[i, q] = np.linalg.norm(self._exp_ambiguous(i, t), 2)
+        amb = np.flatnonzero(self.ambiguous)
+        if amb.size:
+            nrm[amb] = np.linalg.norm(self._exp_pairs(amb, times), ord=2, axis=(2, 3))
         return nrm
 
 

@@ -1,10 +1,16 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import disspec
 from disspec import artifacts
-from disspec.cli import dispatch, main, render_report, validate_config
+from disspec.cli import _COMMAND_SCHEMAS, dispatch, main, render_report, validate_config
 from disspec.errors import SchemaError
 
 PARAMS = {"a": 1.0, "k": 1.0, "l": 0.5, "gamma1": 1.0, "gamma2": 1.0}
@@ -41,6 +47,30 @@ class TestSchema:
     def test_empty_config_exit_code(self, tmp_path):
         code, _ = run_cli(tmp_path, {})
         assert code == 2
+
+    @pytest.mark.parametrize("cmd", sorted(_COMMAND_SCHEMAS))
+    def test_command_schema_passes_meta_schema(self, cmd):
+        import jsonschema
+
+        schema = _COMMAND_SCHEMAS[cmd]
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    @pytest.mark.parametrize("config", [
+        {"command": "classify", "params": G10_PARAMS, "extra_knob": 1},
+        {"command": "classify", "params": {**G10_PARAMS, "a": "one"}},
+        {"command": "evolve", "params": PARAMS, "profile": {"kind": "box"},
+         "t": -1.0, "grid": {"n_geo": 0}},
+        {"command": "gap", "params": PARAMS},
+    ])
+    def test_message_is_jsonschema_best_match(self, config):
+        import jsonschema
+
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(config, _COMMAND_SCHEMAS[config["command"]])
+        with pytest.raises(SchemaError) as got:
+            validate_config(config)
+        assert str(got.value) == (f"config invalid for command {config['command']!r}: "
+                                  f"{expected.value.message}")
 
 
 class TestCommands:
@@ -122,6 +152,42 @@ class TestCommands:
         assert len(header) == 13
         hdr = json.loads((out / "state.json").read_text())
         assert hdr["t"] == 2.0
+
+    def test_defective_evolve_imports_no_fallback(self, tmp_path):
+        # the clustered xi = 0 row takes the double-precision bidiagonal
+        # route, which needs neither an ODE solver nor 50-digit arithmetic
+        config = {"command": "evolve",
+                  "params": {"a": 1.0, "k": 1.0, "l": math.sqrt(8.0),
+                             "gamma1": 0.0, "gamma2": math.sqrt(27.0)},
+                  "profile": {"kind": "gaussian", "width": 1.0, "component": "z"},
+                  "t": 200.0, "grid": {"xi_max": 8.0, "n_geo": 96, "n_lin": 96}}
+        script = ("import json, sys\n"
+                  "from pathlib import Path\n"
+                  "from disspec import cli\n"
+                  "cli.dispatch(json.loads(sys.argv[1]), Path(sys.argv[2]))\n"
+                  "print(json.dumps([m for m in ('scipy.integrate', 'mpmath')"
+                  " if m in sys.modules]))\n")
+        src = str(Path(disspec.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(config),
+                               str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+        assert (tmp_path / "out" / "state.csv").exists()
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("params", [PARAMS, {"a": 1.0, "k": 1.0, "l": math.sqrt(8.0),
+                                                 "gamma1": 0.0, "gamma2": math.sqrt(27.0)}])
+    def test_evolve_non_finite_time_exit_2(self, tmp_path, params, t):
+        # JSON parsing accepts NaN and Infinity, and both pass "minimum": 0
+        code, out = run_cli(tmp_path, {
+            "command": "evolve", "params": params,
+            "profile": {"kind": "gaussian", "width": 1.0, "component": "z"},
+            "t": t, "grid": {"xi_max": 8.0, "n_geo": 16, "n_lin": 16}})
+        assert code == 2
+        assert json.loads((out / "error.json").read_text())["error"] == "PreconditionError"
 
     @pytest.mark.parametrize("grid", [{"n_geo": -5}, {"n_lin": 0},
                                       {"xi_max": 1.0}, {"n_geo": 2.5}])

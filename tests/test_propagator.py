@@ -8,7 +8,30 @@ from disspec import (FourierState, PreconditionError, SolverError,
                      plancherel_norm, putzer_r, putzer_workspace)
 from disspec import propagator as propagator_module
 from disspec.decay_lab import _conservative_vector
-from disspec.propagator import SymbolPropagator, _r_ode_chain
+from disspec.propagator import _EXP_FLOOR, SymbolPropagator, _r_bidiag
+
+
+def r_chain_mp(lam, t):
+    """Oracle: first column of the 50-digit exponential of t J, J lower
+    bidiagonal with the nodes on the diagonal and ones below it."""
+    import mpmath as mp
+
+    n = len(lam)
+    with mp.workdps(50):
+        J = mp.zeros(n)
+        for i in range(n):
+            J[i, i] = mp.mpc(lam[i]) * t
+            if i:
+                J[i, i - 1] = t
+        E = mp.expm(J)
+        return np.array([complex(E[i, 0]) for i in range(n)])
+
+
+def defective_nodes():
+    """Putzer-order eigenvalues at xi = 0 of (1, 1, sqrt 8, 0, sqrt 27),
+    whose symbol carries a 3x3 Jordan block."""
+    p = SystemParams(1.0, 1.0, np.sqrt(8.0), 0.0, np.sqrt(27.0))
+    return putzer_workspace(build_symbol(p, 0.0), params=p).lambdas
 
 
 class TestPutzerR:
@@ -25,19 +48,25 @@ class TestPutzerR:
         r = putzer_r(lam, t)
         assert r[1] == pytest.approx(t * np.exp(lam0 * t), rel=1e-12)
 
-    def test_distinct_matches_ode_chain(self):
+    def test_distinct_matches_mp_oracle(self):
         lam = np.array([-1.0, -2.0, -3.0, -4.0, -5.0, -6.0], dtype=complex)
         r = putzer_r(lam, 1.0)
-        r_ode = _r_ode_chain(lam, 1.0)
-        assert np.max(np.abs(r - r_ode)) <= 1e-9
+        assert np.max(np.abs(r - r_chain_mp(lam, 1.0))) <= 1e-9
 
-    def test_near_double_routes_through_chain(self):
+    def test_near_double_routes_through_chain(self, monkeypatch):
+        calls = []
+
+        def spy(nodes, t):
+            calls.append(t)
+            return _r_bidiag(nodes, t)
+
+        monkeypatch.setattr(propagator_module, "_r_bidiag", spy)
         lam = np.array([-1 + 1j, -1 + 1j + 1e-8, -2.0, -3.0, 0.5j, -0.5j])
         r = putzer_r(lam, 2.0)
-        r_ode = _r_ode_chain(lam, 2.0)
-        assert np.max(np.abs(r - r_ode)) <= 1e-10
+        assert len(calls) == 1
+        assert np.max(np.abs(r - r_chain_mp(lam, 2.0))) <= 1e-10
 
-    def test_non_adjacent_equal_nodes_take_ode_chain(self, monkeypatch):
+    def test_non_adjacent_equal_nodes_take_bidiag(self, monkeypatch):
         # undamped at xi = 0: the sextic has the exact double root 0
         p = SystemParams(1, 1, 1, 0, 0)
         sym = build_symbol(p, 0.0)
@@ -48,10 +77,10 @@ class TestPutzerR:
         calls = []
 
         def spy(nodes, t):
-            calls.append(t)
-            return _r_ode_chain(nodes, t)
+            calls.append(float(t[0]))
+            return _r_bidiag(nodes, t)
 
-        monkeypatch.setattr(propagator_module, "_r_ode_chain", spy)
+        monkeypatch.setattr(propagator_module, "_r_bidiag", spy)
         t = 1.7
         r = putzer_r(lam, t)
         assert calls == [t]
@@ -73,6 +102,50 @@ class TestPutzerR:
         lam_neg = np.array([-10.0, -1.0, -2.0, -3.0, -4.0, -5.0], dtype=complex)
         r = putzer_r(lam_neg, 200.0)  # e^{-2000} underflows to exactly 0
         assert np.isfinite(r).all()
+
+
+class TestBidiagKernel:
+    """_r_bidiag against the 50-digit bidiagonal exponential."""
+
+    def test_random_clusters_match_mp_oracle(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            center = complex(-abs(rng.normal()), rng.normal())
+            spread = 10.0 ** rng.uniform(-10, 0)
+            lam = center + spread * (rng.normal(size=6) + 1j * rng.normal(size=6))
+            t = rng.uniform(0.05, 10.0) / max(1.0, np.abs(lam).max())
+            ref = r_chain_mp(lam, t)
+            r = _r_bidiag(lam[None], np.array([t]))[:, 0]
+            assert np.max(np.abs(r - ref)) <= 1e-12 * max(1.0, np.abs(ref).max())
+
+    @pytest.mark.parametrize("t", [50.0, 200.0, 1e3, 1e4])
+    def test_defective_point_large_times(self, t):
+        # the sinh-only subdiagonal turns into NaN here at t = 1e4
+        lam = defective_nodes()
+        ref = r_chain_mp(lam, t)
+        r = _r_bidiag(lam[None], np.array([t]))[:, 0]
+        assert np.isfinite(r).all()
+        assert np.max(np.abs(r - ref)) <= 1e-10 * max(1.0, np.abs(ref).max())
+
+    def test_batch_rows_are_independent(self):
+        rng = np.random.default_rng(12)
+        lam = -np.abs(rng.normal(size=(5, 6))) + 1j * rng.normal(size=(5, 6))
+        t = np.array([0.0, 0.3, 7.0, 200.0, 1e4])
+        r = _r_bidiag(lam, t)
+        for i in range(len(t)):
+            one = _r_bidiag(lam[i:i + 1], t[i:i + 1])[:, 0]
+            assert np.max(np.abs(one - r[:, i])) <= 1e-14 * max(1.0, np.abs(one).max())
+
+    def test_edge_values(self):
+        lam = np.array([[-1.0, -2.0, 0.5j, -0.5j, -3.0, -3.0 + 1e-9]])
+        r = _r_bidiag(lam, np.array([0.0]))
+        assert np.array_equal(r[:, 0], np.eye(6)[0])
+        with pytest.raises(SolverError):
+            _r_bidiag(lam + 1.0, np.array([701.0]))
+        low = np.full((1, 6), -1.0 + 0.2j)
+        low[0, ::2] -= 1e-7
+        r = _r_bidiag(low, np.array([-_EXP_FLOOR + 1.0]))
+        assert np.array_equal(r, np.zeros((6, 1)))
 
 
 class TestMatrixExp:
@@ -412,3 +485,41 @@ class TestSharedTable:
         finally:
             tracemalloc.stop()
         assert peak < 40 * len(grid) * 6 * 16        # 15.7 MB
+
+
+class TestUndampedGrid:
+    """(1, 1, 1, 0, 0) on the default grid: 436 ambiguous frequencies, all
+    evaluated by the batched bidiagonal route."""
+
+    p = SystemParams(1, 1, 1, 0, 0)
+
+    def test_density_is_conserved(self):
+        import time
+
+        grid = default_grid()
+        rng = np.random.default_rng(9)
+        vals = rng.normal(size=(len(grid), 6)) + 1j * rng.normal(size=(len(grid), 6))
+        times = np.geomspace(0.01, 1e4, 40)
+        t0 = time.perf_counter()
+        prop = SymbolPropagator(self.p, grid)
+        dens = prop.density(vals, times)
+        elapsed = time.perf_counter() - t0
+        assert prop.ambiguous.sum() == 436
+        # the undamped semigroup is unitary: no decay at any frequency
+        dens0 = np.sum(np.abs(vals) ** 2, axis=1)[:, None]
+        assert np.max(np.abs(dens - dens0) / dens0) <= 1e-9
+        assert elapsed < 5.0
+
+    def test_ambiguous_rows_match_expm(self):
+        grid = default_grid()
+        amb = np.flatnonzero(SymbolPropagator(self.p, grid).ambiguous)
+        sample = grid[amb[::29]]
+        prop = SymbolPropagator(self.p, sample)
+        assert prop.ambiguous.all()
+        vals = TestSharedTable.data(len(sample))
+        times = np.geomspace(0.01, 1e4, 7)
+        traj = prop.propagate_many(vals, times)
+        for i in range(len(sample)):
+            for q, t in enumerate(times):
+                ref = expm(prop.Phi[i] * t) @ vals[i]
+                assert np.max(np.abs(traj[q, i] - ref)) <= 1e-9
