@@ -193,11 +193,18 @@ def char_poly_coeffs(params: SystemParams, zeta) -> np.ndarray:
     Shape zeta.shape + (7,), ascending degree; the leading coefficient is 1.
     """
     zeta = np.asarray(zeta, dtype=complex)
-    a, k, l = params.a, params.k, params.l
-    g1, g2 = params.gamma1, params.gamma2
-    z2 = zeta * zeta
-    lz = l * l - z2
+    coeffs = _sextic_coeffs(params.a, params.k, params.l,
+                            params.gamma1, params.gamma2, zeta * zeta)
+    return np.stack(np.broadcast_arrays(*coeffs), axis=-1)
 
+
+def _sextic_coeffs(a, k, l, g1, g2, z2) -> tuple:
+    """c_0..c_6 of det(lambda I - Phi(zeta)) from z2 = zeta^2.
+
+    Generic over the number type: floats with numpy arrays for
+    :func:`char_poly_coeffs`, mpmath numbers for the high-precision roots.
+    """
+    lz = l * l - z2
     c6 = 1.0
     c5 = g1 + g2
     c4 = (k**2 + 1.0) * lz + g1 * g2 + 1.0 - a**2 * z2
@@ -205,8 +212,7 @@ def char_poly_coeffs(params: SystemParams, zeta) -> np.ndarray:
     c2 = g1 * g2 * (k**2 * l**2 - z2) + lz * (k**2 * lz + (k**2 - a**2 * (k**2 + 1.0) * z2))
     c1 = g1 * k**2 * lz**2 + k**2 * l**2 * g2 - a**2 * k**2 * l**2 * g2 * z2 + a**2 * g2 * z2 * z2
     c0 = -(a**2) * k**2 * z2 * lz**2
-
-    return np.stack(np.broadcast_arrays(c0, c1, c2, c3, c4, c5, c6), axis=-1)
+    return c0, c1, c2, c3, c4, c5, c6
 
 
 def char_poly_value(params: SystemParams, zeta: complex, lam: complex) -> complex:

@@ -259,18 +259,18 @@ def fit_pointwise_rate(params: SystemParams, xi_grid, t_grid=None,
             return x2 / (1.0 + x2 + x ** (2 - slow_pow))
         return np.ones_like(x)
 
-    rates = np.empty(len(xi_grid))
-    for i, x in enumerate(xi_grid):
-        prop = SymbolPropagator(params, np.array([x]))
-        if t_grid is not None:
-            T = float(np.max(t_grid))
-        else:
-            rho = max(float(shape(np.array([x]))[0]), 1e-12)
-            T = min(t_factor / rho, t_cap)
-        nrm = prop.operator_norms(np.array([T]))[0, 0]
-        rates[i] = -2.0 * math.log(max(nrm, 1e-300)) / T
-
     shp = shape(xi_grid)
+    if t_grid is not None:
+        T = np.full(len(xi_grid), float(np.max(t_grid)))
+    else:
+        T = np.minimum(t_factor / np.maximum(shp, 1e-12), t_cap)
+    # one propagator and one norm table over the distinct end times; each
+    # frequency reads its own
+    ends, which = np.unique(T, return_inverse=True)
+    nrm = SymbolPropagator(params, xi_grid).operator_norms(ends)
+    nrm = nrm[np.arange(len(xi_grid)), which]
+    rates = -2.0 * np.log(np.maximum(nrm, 1e-300)) / T
+
     ratio = rates / shp
     return {
         "xi": xi_grid,

@@ -1,8 +1,11 @@
 """Exact-in-time evolution of the Fourier modes via Putzer's algorithm.
 
-e^{t Phi} is assembled without eigenvectors as sum_j r_{j+1}(t) P_j with
-P_0 = I, P_j = prod_{k<=j} (Phi - lambda_k I), and r solving the triangular
-chain r_1' = lambda_1 r_1, r_j' = lambda_j r_j + r_{j-1}, r(0) = e_1.
+e^{t Phi} X is assembled without eigenvectors as sum_j r_{j+1}(t) Q_j with
+the Q chain Q_0 = X, Q_j = (Phi - lambda_j I) Q_{j-1} built on the data
+block X itself, and r solving the triangular chain r_1' = lambda_1 r_1,
+r_j' = lambda_j r_j + r_{j-1}, r(0) = e_1.  The factors commute, so X = I
+gives the classical P chain P_j = prod_{k<=j} (Phi - lambda_k I); the
+matrix exponential and operator norms are that case of the same path.
 
 For pairwise well-separated eigenvalues the r_j are divided differences of
 exp(. t) over lambda_1..lambda_j.  One Newton table over the six nodes in
@@ -10,28 +13,28 @@ their given order yields all six at once: the table's entry of level j - 1
 is r_j, so a (frequency, time) cell costs 6 exponentials and 15 divisions.
 Exact repeats use the confluent (Hermite) entries t^m e^{lambda t}/m!,
 which needs equal nodes to sit next to each other; the Putzer order below
-guarantees that for the solver's eigenvalues.  Every other node set
-(ambiguously clustered spectra, and a caller-supplied order with separated
-equal nodes) takes one double-precision route: r is the first column of
-exp(t J), J lower bidiagonal with the nodes on its diagonal, computed for a
-whole batch of (nodes, time) rows at once by shifted scaling and squaring
-with the diagonal and first subdiagonal recomputed exactly at every level
-(:func:`_r_bidiag`), which stays accurate for clusters of any width and at
-large |lambda| t.
+guarantees that for the solver's eigenvalues.  One rule (:func:`_ambiguous`)
+sends every other node set (an unequal pair closer than _GAP_AMBIGUOUS, or
+equal nodes apart in the given order) to one double-precision route: r is
+the first column of exp(t J), J lower bidiagonal with the nodes on its
+diagonal, computed for a whole batch of (nodes, time) rows at once by
+shifted scaling and squaring with the diagonal and first subdiagonal
+recomputed exactly at every level (:func:`_r_bidiag`), which stays accurate
+for clusters of any width and at large |lambda| t.
 The scaling-and-squaring Pade exponential (scipy) and a 50-digit
 evaluation of the same bidiagonal exponential (mpmath) serve as the
 independent oracles in the tests and are never used on the Putzer path.
 
 The frequency axis is a batch dimension: a grid of frequencies gets one
-batched eigen solve, one batched matmul per step of the P chain, and one
-table evaluation per distinct spectrum for all times (r depends only on the
-nodes and t, and a symmetric grid repeats each spectrum at +-xi).  The
-table is node-major, (6, spectra, times) contiguous planes, and is
-contracted with the data by one batched matmul per chunk of rows, so
-Plancherel norms are reduced chunk by chunk (:meth:`SymbolPropagator.density`,
-:func:`plancherel_norms`) without ever holding the (times, frequencies, 6)
-trajectory.  The single-frequency entry points (putzer_r,
-putzer_workspace) are n = 1 calls of the same code.
+batched eigen solve and one table evaluation per distinct spectrum for all
+times (r depends only on the nodes and t, and a symmetric grid repeats each
+spectrum at +-xi).  The table is node-major, (6, spectra, times) contiguous
+planes, and is contracted with the Q chains of the data by one batched
+matmul per chunk of rows, so Plancherel norms are reduced chunk by chunk
+(:meth:`SymbolPropagator.density`, :func:`plancherel_norms`) without ever
+holding the (times, frequencies, 6) trajectory.  The single-frequency entry
+points (putzer_r, putzer_workspace, matrix_exp) are n = 1 calls of the
+same code.
 
 All eigenvalue orderings here are descending real part, ties by ascending
 imaginary part; the assembled exponential is order-invariant (tested).
@@ -74,8 +77,9 @@ _GAP_AMBIGUOUS = 1e-3
 _SNAP_ST = 4e-5
 #: Re(lambda) * t below this underflows e^{lambda t} to exactly zero
 _EXP_FLOOR = -745.0
-#: r-table bytes per chunk of the SymbolPropagator contraction; the P chains
-#: of the ambiguous (frequency, time) pairs are built in slices of this size
+#: bytes of r table plus Q chains and states per chunk of the SymbolPropagator
+#: contraction; the Q chains of the ambiguous (frequency, time) pairs are
+#: built in slices of this size
 _CHUNK_BYTES = 2 ** 20
 #: the bidiagonal exponential scales its matrix to 1-norm <= _TAYLOR_NORM,
 #: where the degree-14 Taylor remainder 0.5^15/15! ~ 2e-17 is below rounding
@@ -171,10 +175,6 @@ def _r_table(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
     return r
 
 
-def _equal_nodes_adjacent(lam: np.ndarray) -> bool:
-    return len(np.unique(lam)) == 1 + np.count_nonzero(lam[1:] != lam[:-1])
-
-
 def _r_bidiag(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
     """r_1..r_n at one time per row, for nodes in any order and clustering.
 
@@ -237,35 +237,32 @@ def _r_bidiag(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(r.T)
 
 
+def _ambiguous(lam: np.ndarray) -> np.ndarray:
+    """(m,) rows of nodes the Newton/Hermite table cannot take: some unequal
+    pair closer than _GAP_AMBIGUOUS (the divided differences would cancel),
+    or equal nodes that are not adjacent (the Hermite rule needs them so)."""
+    gaps = np.abs(lam[:, :, None] - lam[:, None, :])
+    close = ((gaps > 0.0) & (gaps < _GAP_AMBIGUOUS)).any(axis=(1, 2))
+    distinct = (~np.tril(gaps == 0.0, -1).any(axis=2)).sum(axis=1)
+    runs = 1 + np.count_nonzero(lam[:, 1:] != lam[:, :-1], axis=1)
+    return close | (distinct != runs)
+
+
 def putzer_r(lambdas: np.ndarray, t: float) -> np.ndarray:
     """The six chain functions r_1(t)..r_6(t) for the given eigenvalue order.
 
-    Dispatch: exact repeats (below 1e-13 relative) collapse onto the
-    confluent (Hermite) table entries; with all remaining pairwise gaps
-    >= 1e-3 and equal nodes adjacent in the given order, the float
-    divided-difference table applies.  Anything else (near clusters, where
-    the table would cancel catastrophically, and equal nodes apart in the
-    given order) takes the double-precision bidiagonal exponential
-    :func:`_r_bidiag` as its n = 1 call.  The wider, time-aware cluster
-    snapping lives in the matrix assembly, which rebuilds its P chain on the
-    snapped nodes; here the nodes are honored as given.
+    Rows the table can take (:func:`_ambiguous`) use the Newton/Hermite
+    table; every other node set takes the double-precision bidiagonal
+    exponential :func:`_r_bidiag` as its n = 1 call.  The nodes are honored
+    as given: the time-aware cluster snapping lives in :func:`_exp_bidiag`.
     """
-    lam = np.asarray(lambdas, dtype=complex)
+    lam = np.asarray(lambdas, dtype=complex)[None]
     t = float(t)
     if t < 0 or not np.isfinite(t):
         raise PreconditionError(f"time must be finite and >= 0, got {t}")
-    if t == 0.0:
-        r = np.zeros(len(lam), dtype=complex)
-        r[0] = 1.0
-        return r
-    scale = max(1.0, float(np.abs(lam).max()))
-    lam = _snap_clusters(lam[None], 1e-13 * scale)[0]
-    gaps = np.abs(lam[:, None] - lam[None, :])[np.triu_indices(len(lam), 1)]
-    unequal = gaps[gaps > 0]
-    if ((unequal.size == 0 or unequal.min() >= _GAP_AMBIGUOUS)
-            and _equal_nodes_adjacent(lam)):
-        return _r_table(lam[None], np.array([t]))[:, 0, 0]
-    return _r_bidiag(lam[None], np.array([t]))[:, 0]
+    if _ambiguous(lam)[0]:
+        return _r_bidiag(lam, np.array([t]))[:, 0]
+    return _r_table(lam, np.array([t]))[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -281,17 +278,20 @@ class PutzerWorkspace:
     cayley_residual: float
 
 
-def _p_chain(Phi: np.ndarray, lam: np.ndarray, count: int = 6) -> np.ndarray:
-    """P_0..P_{count-1} for a stack of symbols: shape (n, count, 6, 6).
+def _q_chain(Phi: np.ndarray, lam: np.ndarray, X: np.ndarray,
+             count: int = 6) -> np.ndarray:
+    """Q_0..Q_{count-1} for a stack of symbols and data blocks.
 
-    P_0 = I and P_j = P_{j-1} (Phi - lambda_j I), one batched matmul per j.
+    Phi : (n, 6, 6), lam : (n, 6), X : (n, 6, c).
+    Q_0 = X and Q_j = (Phi - lambda_j I) Q_{j-1}: shape (n, count, 6, c).
+    The factors commute, so X = I gives the P chain P_j.
     """
-    eye = np.eye(6)
-    P = np.empty((len(Phi), count, 6, 6), dtype=complex)
-    P[:, 0] = eye
+    Q = np.empty((len(Phi), count) + X.shape[1:], dtype=complex)
+    Q[:, 0] = X
     for j in range(1, count):
-        np.matmul(P[:, j - 1], Phi - lam[:, j - 1, None, None] * eye, out=P[:, j])
-    return P
+        np.matmul(Phi, Q[:, j - 1], out=Q[:, j])
+        Q[:, j] -= lam[:, j - 1, None, None] * Q[:, j - 1]
+    return Q
 
 
 def putzer_workspace(symbol: SymbolMatrix, params: SystemParams | None = None,
@@ -302,52 +302,63 @@ def putzer_workspace(symbol: SymbolMatrix, params: SystemParams | None = None,
             raise PreconditionError("need params to solve for eigenvalues")
         lambdas = eigenvalues(params, symbol.xi).eigenvalues
     lam = np.asarray(lambdas, dtype=complex)
-    P = _p_chain(symbol.Phi[None], lam[None], count=7)[0]
+    P = _q_chain(symbol.Phi[None], lam[None], np.eye(6)[None], count=7)[0]
     return PutzerWorkspace(lambdas=lam, P=tuple(P),
                            cayley_residual=float(np.linalg.norm(P[6], 2)))
 
 
-def _assemble_exp(Phi: np.ndarray, lambdas: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """e^{t Phi} for a batch of (symbol, nodes, time) triples: (m, 6, 6).
+def _putzer_sum(Q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """sum_j r_{j+1} Q_j by one batched matmul.
 
-    Each triple snaps its clusters at its own t-aware tolerance, with the
-    trace correction, and its r functions (one :func:`_r_bidiag` call for
-    the batch) and P chain use the same snapped nodes.  The P chains are
-    built in slices of about ``_CHUNK_BYTES``.
+    Q : (k, 6, 6, c) chains from :func:`_q_chain`, r : (k, 6, nt).
+    Returns (k, 6, c, nt).
+    """
+    k, _, _, c = Q.shape
+    return (np.moveaxis(Q, 1, -1).reshape(k, 6 * c, 6) @ r).reshape(k, 6, c, -1)
+
+
+def _exp_bidiag(Phi: np.ndarray, lambdas: np.ndarray, t: np.ndarray,
+                X: np.ndarray) -> np.ndarray:
+    """e^{t Phi} X for a batch of (symbol, nodes, time, data) quadruples.
+
+    Phi : (m, 6, 6), lambdas : (m, 6), t : (m,), X : (m, 6, c).
+    Returns (m, 6, c).  Each quadruple snaps its clusters at its own
+    t-aware tolerance, with the trace correction, and its r functions (one
+    :func:`_r_bidiag` call for the batch) and Q chain use the same snapped
+    nodes.  The Q chains are built in slices of about ``_CHUNK_BYTES``.
     """
     t = np.asarray(t, dtype=float)
     scale = np.maximum(1.0, np.abs(lambdas).max(axis=1))
     lam = _snap_clusters(lambdas, _snap_tol(scale, t),
                          trace=np.trace(Phi, axis1=1, axis2=2))
-    r = _r_bidiag(lam, t).T[:, None, :]                        # (m, 1, 6)
-    out = np.empty((len(t), 6, 6), dtype=complex)
-    step = max(1, _CHUNK_BYTES // (6 * 36 * 16))
+    r = _r_bidiag(lam, t).T[:, :, None]                        # (m, 6, 1)
+    out = np.empty(X.shape, dtype=complex)
+    step = max(1, _CHUNK_BYTES // (6 * X[0].size * 16))
     for lo in range(0, len(t), step):
         sl = slice(lo, lo + step)
-        P = _p_chain(Phi[sl], lam[sl]).reshape(-1, 6, 36)
-        out[sl] = (r[sl] @ P).reshape(-1, 6, 6)
+        out[sl] = _putzer_sum(_q_chain(Phi[sl], lam[sl], X[sl]), r[sl])[..., 0]
     return out
 
 
 def matrix_exp(symbol: SymbolMatrix, t: float,
                params: SystemParams | None = None,
                workspace: PutzerWorkspace | None = None) -> np.ndarray:
-    """e^{Phi(i xi) t} assembled as sum_j r_{j+1}(t) P_j."""
-    if t < 0:
-        raise PreconditionError(f"time must be >= 0, got {t}")
+    """e^{Phi(i xi) t} = sum_j r_{j+1}(t) P_j, by the propagator's path.
+
+    The P_j are the Q chain of the identity block.  Nodes the table can
+    take (:func:`_ambiguous`) use it with the workspace's chain; ambiguous
+    nodes take :func:`_exp_bidiag` with X = I.
+    """
+    t = float(t)
+    if t < 0 or not np.isfinite(t):
+        raise PreconditionError(f"time must be finite and >= 0, got {t}")
     if workspace is None:
         workspace = putzer_workspace(symbol, params=params)
-    lam = workspace.lambdas
-    scale = max(1.0, float(np.abs(lam).max()))
-    snapped = _snap_clusters(lam[None], _snap_tol(scale, t),
-                             trace=np.trace(symbol.Phi)[None])[0]
-    if not np.array_equal(snapped, lam):
-        return _assemble_exp(symbol.Phi[None], lam[None], np.array([t]))[0]
-    r = putzer_r(lam, t)
-    out = np.zeros((6, 6), dtype=complex)
-    for j in range(6):
-        out += r[j] * workspace.P[j]
-    return out
+    lam = workspace.lambdas[None]
+    if _ambiguous(lam)[0]:
+        return _exp_bidiag(symbol.Phi[None], lam, np.array([t]), np.eye(6)[None])[0]
+    r = _r_table(lam, np.array([t])).transpose(1, 0, 2)
+    return _putzer_sum(np.stack(workspace.P[:6])[None], r)[0, :, :, 0]
 
 
 @dataclass(frozen=True)
@@ -394,22 +405,19 @@ class SymbolPropagator:
     """Per-grid cache of Putzer data for fast repeated propagation.
 
     Construction makes one batched eigen solve over the grid (rows in
-    Putzer order, so exactly equal eigenvalues are adjacent), builds the
-    symbol stack by broadcasting, and the P_j chain with one batched matmul
-    per j.  The r functions depend only on the nodes and t, so the rows are
-    reduced to their distinct spectra once (``nodes``, with ``row`` mapping
-    each frequency to its spectrum; on a symmetric grid +-xi share one).
-    Every evaluation runs one Newton/Hermite table over the distinct
-    spectra, node-major as (6, spectra, times), and contracts it with the
-    data by one batched matmul per chunk, U_n(t) = Q_n^T r(t) with
-    Q_n[j] = P_j U_n(0).  A chunk is a run of spectra whose table slice
-    holds about ``_CHUNK_BYTES``, so neither the whole table nor a (times,
-    frequencies, 6) trajectory is made unless asked for; ``density``
-    reduces each chunk to sum_a |U_a|^2 at once.  Frequencies whose
-    spectra are ambiguously clustered (absolute gap below 1e-3) are
-    flagged; each of their (frequency, time) pairs snaps its clusters at
-    its own t-aware tolerance, and all pairs of a chunk are assembled by
-    one batched call of the bidiagonal route and the batched P chain.
+    Putzer order, so exactly equal eigenvalues are adjacent) and builds the
+    symbol stack by broadcasting.  The r functions depend only on the nodes
+    and t, so the rows are reduced to their distinct spectra once (``nodes``,
+    with ``row`` mapping each frequency to its spectrum; on a symmetric grid
+    +-xi share one).  Every evaluation applies e^{t Phi} to a data block of
+    shape (nfreq, 6) or (nfreq, 6, c) chunk by chunk: a run of spectra gets
+    its slice of one Newton/Hermite table, node-major as (6, spectra,
+    times), its frequencies get the Q chains of their data, and one batched
+    matmul sums r_{j+1} Q_j.  A chunk's table and states hold about
+    ``_CHUNK_BYTES``, so no (frequencies, 6, 6, 6) chain, whole table or
+    (times, frequencies, 6) trajectory is made unless asked for.  The
+    (frequency, time) pairs of ambiguous spectra (:func:`_ambiguous`, flagged
+    in ``ambiguous``) take one :func:`_exp_bidiag` call per chunk.
     """
 
     def __init__(self, params: SystemParams, grid: np.ndarray):
@@ -418,14 +426,7 @@ class SymbolPropagator:
         self.lambdas, _ = eigenvalues_batch(params, self.grid)
         self.nodes, self.row = np.unique(self.lambdas, axis=0, return_inverse=True)
         self.Phi = symbol_stack(params, self.grid)
-        self.P = _p_chain(self.Phi, self.lambdas)                 # (freq, j, 6, 6)
-        gaps = np.abs(self.nodes[:, :, None] - self.nodes[:, None, :])
-        iu = np.triu_indices(6, 1)
-        pair_gaps = gaps[:, iu[0], iu[1]]
-        min_nonzero = np.where(pair_gaps == 0.0, np.inf, pair_gaps).min(axis=1)
-        # ambiguous: some unequal pair closer than the table tolerance;
-        # those frequencies are assembled per time with t-aware snapping
-        self._ambiguous_nodes = np.isfinite(min_nonzero) & (min_nonzero < _GAP_AMBIGUOUS)
+        self._ambiguous_nodes = _ambiguous(self.nodes)
         self.ambiguous = self._ambiguous_nodes[self.row]
 
     def _table(self, times: np.ndarray, spectra: slice = slice(None)) -> np.ndarray:
@@ -441,42 +442,36 @@ class SymbolPropagator:
     def r_many(self, times: np.ndarray) -> np.ndarray:
         """r_j(t) for the non-ambiguous frequencies: shape (nfreq, ntimes, 6).
 
-        Rows of ambiguous frequencies are zeros; callers route those
-        through the per-time assembly instead.
+        Rows of ambiguous frequencies are zeros; the propagation methods
+        route those through :func:`_exp_bidiag` instead.
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
         return np.moveaxis(self._table(times), 0, -1)[self.row]
 
     def _states(self, values0: np.ndarray, times: np.ndarray):
-        """Yield (rows, U) chunk by chunk: U[k, a, q] is component a of the
-        state at frequency rows[k] and time times[q].
-
-        A chunk is a run of distinct spectra: its slice of the table, then
-        one batched matmul Q_n^T r(t) for the frequencies that share them.
-        The chunk's ambiguous (frequency, time) pairs are assembled by one
-        :func:`_assemble_exp` call.
+        """Yield (rows, U) chunk by chunk: U[k, a, ..., q] is component a of
+        the state at frequency rows[k] and time times[q]; the middle axis
+        is the column of a (nfreq, 6, c) block and absent for (nfreq, 6).
         """
-        Qt = np.einsum("njab,nb->naj", self.P, values0)            # Q_n^T
-        step = max(1, _CHUNK_BYTES // (96 * len(times)))
+        X = values0 if values0.ndim == 3 else values0[..., None]
+        nt = len(times)
+        # bytes per spectrum: its table row plus its rows' Q chains and states
+        rows_per = len(self.row) / len(self.nodes)
+        step = max(1, int(_CHUNK_BYTES / (96 * (nt + X.shape[2] * (nt + 6) * rows_per))))
         starts = np.arange(0, len(self.nodes) + step, step)
         by_spectrum = np.argsort(self.row, kind="stable")
         bounds = np.searchsorted(self.row[by_spectrum], starts)
         for s, lo, hi in zip(starts[:-1], bounds[:-1], bounds[1:]):
             rows = by_spectrum[lo:hi]
             table = self._table(times, slice(s, s + step)).transpose(1, 0, 2)
-            U = Qt[rows] @ table[self.row[rows] - s]                # (c, 6, nt)
+            Q = _q_chain(self.Phi[rows], self.lambdas[rows], X[rows])
+            U = _putzer_sum(Q, table[self.row[rows] - s])       # (k, 6, c, nt)
             amb = np.flatnonzero(self.ambiguous[rows])
             if amb.size:
-                E = self._exp_pairs(rows[amb], times)
-                U[amb] = np.einsum("kqab,kb->kaq", E, values0[rows[amb]])
-            yield rows, U
-
-    def _exp_pairs(self, rows: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """e^{t Phi} of every (frequency, time) pair of ``rows`` and ``times``
-        by one :func:`_assemble_exp` call: shape (rows, times, 6, 6)."""
-        i = np.repeat(rows, len(times))
-        E = _assemble_exp(self.Phi[i], self.lambdas[i], np.tile(times, len(rows)))
-        return E.reshape(len(rows), len(times), 6, 6)
+                i = np.repeat(rows[amb], nt)
+                E = _exp_bidiag(self.Phi[i], self.lambdas[i], np.tile(times, amb.size), X[i])
+                U[amb] = np.moveaxis(E.reshape(amb.size, nt, *X.shape[1:]), 1, -1)
+            yield rows, U.reshape(len(rows), *values0.shape[1:], nt)
 
     def apply(self, values: np.ndarray, dt: float) -> np.ndarray:
         """Propagate a (nfreq, 6) state matrix by time dt."""
@@ -487,38 +482,41 @@ class SymbolPropagator:
     def propagate_many(self, values0: np.ndarray, times: np.ndarray) -> np.ndarray:
         """States at several absolute times from one initial state.
 
-        Returns shape (ntimes, nfreq, 6); times measured from the state's
-        own clock (pass absolute offsets).
+        values0 is (nfreq, 6) or a block (nfreq, 6, c).  Returns shape
+        (ntimes,) + values0.shape; times measured from the state's own
+        clock (pass absolute offsets).
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        out = np.empty((len(times), len(self.grid), 6), dtype=complex)
+        out = np.empty((len(times),) + values0.shape, dtype=complex)
         for rows, U in self._states(values0, times):
-            out[:, rows] = U.transpose(2, 0, 1)
+            out[:, rows] = np.moveaxis(U, -1, 0)
         return out
 
     def density(self, values0: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """sum_a |U_a(t)|^2 per frequency and time: shape (nfreq, ntimes).
+        """sum_a |U_a(t)|^2 per frequency (and block column) and time.
 
-        The Plancherel integrand of :func:`plancherel_norms`, reduced chunk
-        by chunk without holding the trajectory.
+        Shape (nfreq, ntimes), or (nfreq, c, ntimes) for a (nfreq, 6, c)
+        block.  The Plancherel integrand of :func:`plancherel_norms`,
+        reduced chunk by chunk without holding the trajectory.
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        out = np.empty((len(self.grid), len(times)))
+        out = np.empty((len(self.grid),) + values0.shape[2:] + (len(times),))
         for rows, U in self._states(values0, times):
             sq = np.square(U.view(float), out=U.view(float)).sum(axis=1)
-            out[rows] = sq[:, 0::2] + sq[:, 1::2]
+            out[rows] = sq[..., 0::2] + sq[..., 1::2]
         return out
 
     def operator_norms(self, times: np.ndarray) -> np.ndarray:
-        """2-norm of e^{Phi t} per frequency and time: shape (nfreq, ntimes)."""
+        """2-norm of e^{Phi t} per frequency and time: shape (nfreq, ntimes).
+
+        The propagation of the identity block, reduced chunk by chunk.
+        """
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        n = len(self.grid)
-        E = (self.r_many(times) @ self.P.reshape(n, 6, 36)).reshape(n, len(times), 6, 6)
-        nrm = np.linalg.norm(E, ord=2, axis=(2, 3))
-        amb = np.flatnonzero(self.ambiguous)
-        if amb.size:
-            nrm[amb] = np.linalg.norm(self._exp_pairs(amb, times), ord=2, axis=(2, 3))
-        return nrm
+        eye = np.broadcast_to(np.eye(6, dtype=complex), (len(self.grid), 6, 6))
+        out = np.empty((len(self.grid), len(times)))
+        for rows, U in self._states(eye, times):
+            out[rows] = np.linalg.norm(U, ord=2, axis=(1, 2))
+        return out
 
 
 def evolve(state: FourierState, t_target: float) -> FourierState:

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_model import SystemParams, build_matrices, char_poly_coeffs, symbol_stack
+from .core_model import (SystemParams, _sextic_coeffs, build_matrices, char_poly_coeffs,
+                         symbol_stack)
 from .errors import (CertificateRefused, PreconditionError, RegimeError,
                      SolverError, UnsupportedRegimeError)
 
@@ -194,26 +195,16 @@ def eigenvalues_hp(params: SystemParams, xi: float, dps: int = 50) -> np.ndarray
 
     Needed where branch real parts sit below the double-precision noise
     floor of the companion solve (e.g. the xi^-4 branches past xi ~ 100).
-    The coefficients are rebuilt in working precision (double-rounded
-    coefficients would themselves drown those real parts).  Returns the six
+    The coefficients come from the formula of :func:`char_poly_coeffs`,
+    evaluated in working precision (double-rounded coefficients would
+    themselves drown those real parts).  Returns the six
     roots in the standard ordering.
     """
     import mpmath as mp
 
     with mp.workdps(dps):
-        a, k, l = mp.mpf(params.a), mp.mpf(params.k), mp.mpf(params.l)
-        g1, g2 = mp.mpf(params.gamma1), mp.mpf(params.gamma2)
-        z2 = (mp.mpc(0, xi)) ** 2
-        lz = l * l - z2
-        coeffs = [
-            mp.mpf(1),
-            g1 + g2,
-            (k**2 + 1) * lz + g1 * g2 + 1 - a**2 * z2,
-            g1 * (k**2 + 1) * lz + g2 * ((k**2 * l**2 + 1) - (1 + a**2) * z2),
-            g1 * g2 * (k**2 * l**2 - z2) + lz * (k**2 * lz + (k**2 - a**2 * (k**2 + 1) * z2)),
-            g1 * k**2 * lz**2 + k**2 * l**2 * g2 - a**2 * k**2 * l**2 * g2 * z2 + a**2 * g2 * z2 * z2,
-            -(a**2) * k**2 * z2 * lz**2,
-        ]
+        mp_params = map(mp.mpf, (params.a, params.k, params.l, params.gamma1, params.gamma2))
+        coeffs = _sextic_coeffs(*mp_params, mp.mpc(0, xi) ** 2)[::-1]
         roots = mp.polyroots(coeffs, maxsteps=400, extraprec=120)
         lam = np.array([complex(r) for r in roots])
     return _putzer_order(lam)

@@ -195,9 +195,7 @@ class TestAudit:
         rng = np.random.default_rng(8)
         states = unit_states(16, rng)
         times = np.linspace(0.0, 5.0, 60)
-        r = prop.r_many(times)[0]
-        Q = np.einsum("jab,sb->jsa", prop.P[0], states)
-        traj = np.einsum("tj,jsa->tsa", r, Q)
+        traj = prop.propagate_many(states.T[None], times)[:, 0].transpose(0, 2, 1)
         L1 = _functionals_arrays(traj, 1.0, self.p, c)[3]
         assert np.all(np.diff(L1, axis=0) <= 1e-10)
 
@@ -229,6 +227,44 @@ class TestSandwichAndGronwall:
             c0=rep.c0_feasible)
         assert c1 > 0 and c3 > 0
         assert worst <= 1.0 + 1e-9
+
+
+class TestAmbiguousFrequency:
+    """(1, 1, 7/sqrt 3, 1, 23/3): the zero-frequency cubic is
+    (Z + 3)^2 (Z + 8/3), so the spectrum at xi = 1e-5 is ambiguously
+    clustered and takes the bidiagonal route."""
+
+    p = SystemParams(1, 1, 7 / np.sqrt(3), 1, 23 / 3)
+    xi = 1e-5
+
+    def test_frequency_is_ambiguous(self):
+        assert SymbolPropagator(self.p, np.array([self.xi])).ambiguous.all()
+
+    def test_audit_propagates_the_states(self, monkeypatch):
+        trajectories = []
+        propagate = SymbolPropagator.propagate_many
+
+        def spy(prop, values0, times):
+            out = propagate(prop, values0, times)
+            trajectories.append(out)
+            return out
+
+        monkeypatch.setattr(SymbolPropagator, "propagate_many", spy)
+        c = search_constants(self.p)
+        rep = audit_inequality(self.p, c, [self.xi], n_random=20)
+        assert len(trajectories) == 1
+        # unit states at the first sample, t = 2 h = 2e-3 (gamma2 = 23/3
+        # takes at most 2% off); the zero state would give 0 here
+        norms = np.linalg.norm(trajectories[0][0, 0], axis=0)
+        assert np.all((0.9 < norms) & (norms <= 1.0 + 1e-12))
+        assert rep.per_frequency_violation[0] != 0.0
+
+    def test_gronwall_ratio_is_evaluated(self):
+        c = search_constants(self.p)
+        rep = audit_inequality(self.p, c, [0.1, 1.0], n_random=20)
+        worst, _ = gronwall_check(self.p, c, [self.xi], np.linspace(0, 20, 40),
+                                  c0=rep.c0_feasible)
+        assert 0.5 < worst <= 1.0 + 1e-9
 
 
 @pytest.mark.slow

@@ -91,6 +91,17 @@ class TestPutzerR:
         putzer_r(putzer_order, t)
         assert calls == [t]
 
+    def test_one_ambiguity_rule(self):
+        from disspec.propagator import _ambiguous
+
+        base = np.array([-1.0, -2.0, -3.0, -4.0, -5.0, -6.0], dtype=complex)
+        near, adjacent, apart = base.copy(), base.copy(), base.copy()
+        near[1] = -1.0 + 1e-4
+        adjacent[1] = -1.0
+        apart[2] = -1.0
+        rows = np.array([base, near, adjacent, apart])
+        assert _ambiguous(rows).tolist() == [False, True, False, True]
+
     def test_negative_time_rejected(self):
         with pytest.raises(PreconditionError):
             putzer_r(np.arange(6).astype(complex), -1.0)
@@ -343,6 +354,26 @@ class TestPointwiseRateShape:
         scaled = out["rate"] * xi**2
         assert scaled.max() / scaled.min() < 3.0
 
+    def test_one_solve_matches_expm(self, monkeypatch):
+        from disspec import fit_pointwise_rate
+
+        calls = []
+        batch = propagator_module.eigenvalues_batch
+
+        def spy(params, xi):
+            calls.append(len(xi))
+            return batch(params, xi)
+
+        monkeypatch.setattr(propagator_module, "eigenvalues_batch", spy)
+        p = SystemParams(1, 1, 0.5, 1, 1)
+        xi = np.geomspace(0.01, 100, 12)
+        out = fit_pointwise_rate(p, xi)
+        assert calls == [12]
+        for x, rate in zip(xi, out["rate"]):
+            T = 20.0 * (1.0 + x * x) / (x * x)
+            ref = -2.0 * np.log(np.linalg.norm(expm(build_symbol(p, x).Phi * T), 2)) / T
+            assert abs(rate - ref) <= 1e-9 * abs(ref)
+
 
 class TestVectorizedPropagator:
     def test_matches_scalar_matrix_exp(self):
@@ -376,10 +407,11 @@ class TestVectorizedPropagator:
             assert not prop.ambiguous.any()
             if params.regime == "undamped":
                 assert np.sum(prop.lambdas[2] == 0.0) == 2
-            E = np.einsum("ntj,njab->ntab", prop.r_many(times), prop.P)
+            eye = np.broadcast_to(np.eye(6, dtype=complex), (len(grid), 6, 6))
+            E = prop.propagate_many(eye, times)
             for i in range(len(grid)):
                 for q, t in enumerate(times):
-                    assert np.max(np.abs(E[i, q] - expm(prop.Phi[i] * t))) <= 1e-10
+                    assert np.max(np.abs(E[q, i] - expm(prop.Phi[i] * t))) <= 1e-10
 
     def test_no_per_frequency_solves(self, monkeypatch):
         import disspec.core_model as core_model
@@ -432,6 +464,36 @@ class TestSharedTable:
                 ref = expm(prop.Phi[i] * t) @ vals[i]
                 assert np.max(np.abs(traj[q, i] - ref)) <= 1e-10
 
+    @pytest.mark.parametrize("p", REGIMES)
+    def test_block_propagate_many_matches_expm(self, p):
+        params = SystemParams(*p)
+        grid = np.array([-7.0, -0.3, 0.0, 0.02, 0.3, 1.0, 7.0, 25.0])
+        prop = SymbolPropagator(params, grid)
+        assert prop.ambiguous[2] == (params.l == np.sqrt(8.0))
+        times = np.array([0.4, 3.0, 11.0])
+        block = self.data(3 * len(grid)).reshape(len(grid), 6, 3)
+        traj = prop.propagate_many(block, times)
+        assert traj.shape == (len(times), len(grid), 6, 3)
+        for i in range(len(grid)):
+            for q, t in enumerate(times):
+                ref = expm(prop.Phi[i] * t) @ block[i]
+                assert np.max(np.abs(traj[q, i] - ref)) <= 1e-10
+        dens = prop.density(block, times)
+        ref = np.sum(np.abs(traj) ** 2, axis=2).transpose(1, 2, 0)
+        assert np.max(np.abs(dens - ref) / ref) <= 1e-13
+
+    def test_operator_norms_match_expm(self):
+        params = SystemParams(*self.REGIMES[-1])
+        grid = np.array([-2.0, 0.0, 0.3, 5.0])
+        prop = SymbolPropagator(params, grid)
+        assert prop.ambiguous.tolist() == [False, True, False, False]
+        times = np.array([0.0, 0.5, 8.6, 50.0])
+        nrm = prop.operator_norms(times)
+        for i in range(len(grid)):
+            for q, t in enumerate(times):
+                ref = np.linalg.norm(expm(prop.Phi[i] * t), 2)
+                assert abs(nrm[i, q] - ref) <= 1e-10
+
     @pytest.mark.parametrize("p", [REGIMES[0], REGIMES[-1]])
     def test_density_is_squared_trajectory(self, p, monkeypatch):
         params = SystemParams(*p)
@@ -470,6 +532,18 @@ class TestSharedTable:
         assert np.array_equal(lam, lam[::-1])
         r = prop.r_many(np.geomspace(0.01, 100.0, 5))
         assert np.array_equal(r, r[::-1])
+
+    def test_no_stored_chain(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            prop = SymbolPropagator(SystemParams(1, 1, 0.5, 1, 1), default_grid())
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(prop.grid) == 4097
+        assert retained < 4097 * 6 * 6 * 6 * 16        # one P chain, 14.2 MB
 
     def test_density_memory_below_one_trajectory(self):
         import tracemalloc
@@ -523,3 +597,37 @@ class TestUndampedGrid:
             for q, t in enumerate(times):
                 ref = expm(prop.Phi[i] * t) @ vals[i]
                 assert np.max(np.abs(traj[q, i] - ref)) <= 1e-9
+
+
+class TestTracerContract:
+    """perfbench/tracer.py wraps these SymbolPropagator methods by name and
+    reads ``grid`` and ``ambiguous`` off the instance; a missing one passes
+    every other test but ends the traced benchmark run in a KeyError."""
+
+    @staticmethod
+    def tracer():
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_wrapped_methods_exist(self):
+        tracer = self.tracer()
+        methods = tracer.CLASS_METHODS["propagator"]["SymbolPropagator"]
+        assert "r_many" in methods
+        for name in methods:
+            assert callable(vars(SymbolPropagator).get(name)), name
+
+    def test_info_reads_the_instance(self):
+        tracer = self.tracer()
+        grid = np.array([-1.0, 0.0, 1.0])
+        prop = SymbolPropagator(SystemParams(1, 1, 1, 0, 0), grid)
+        assert isinstance(prop.grid, np.ndarray) and isinstance(prop.ambiguous, np.ndarray)
+        info = tracer._INFO["propagator.SymbolPropagator.init"]
+        assert info(None, (prop,), {}, None) == (3, int(prop.ambiguous.sum()))
+        cells = tracer._INFO["propagator.SymbolPropagator.r_many"]
+        assert cells(None, (prop, np.ones(4)), {}, None) == 12
