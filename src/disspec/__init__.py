@@ -9,7 +9,8 @@ experiments.
 from .core_model import (CharPoly, SymbolMatrix, SystemParams, build_matrices,
                          build_symbol, char_poly, char_poly_coeffs,
                          char_poly_value, factor_check_gamma2_zero,
-                         symbol_stack, transform_initial_data)
+                         real_symbol_stack, symbol_stack,
+                         transform_initial_data)
 from .decay_lab import (DecayFit, Experiment, FrequencyPartition, Profile,
                         build_initial_state, fit_pointwise_rate,
                         optimality_probe, packet_decay_time, run_decay,

@@ -37,6 +37,7 @@ __all__ = [
     "build_matrices",
     "build_symbol",
     "symbol_stack",
+    "real_symbol_stack",
     "char_poly",
     "char_poly_coeffs",
     "char_poly_value",
@@ -154,6 +155,29 @@ def symbol_stack(params: SystemParams, xi) -> np.ndarray:
     """Phi(i xi) for every entry of ``xi`` at once: shape xi.shape + (6, 6)."""
     A, L = build_matrices(params)
     return _symbol(A, L, xi)
+
+
+#: the diagonal of S in :func:`real_symbol_stack`, in component order
+_REAL_SIMILARITY = np.array([1.0, 1.0j, -1.0j, 1.0, -1.0j, 1.0])
+
+
+def real_symbol_stack(params: SystemParams, xi) -> np.ndarray:
+    """S^-1 Phi(i xi) S with S = diag(1, i, -i, 1, -i, 1), for every entry
+    of ``xi``: shape xi.shape + (6, 6), real.
+
+    The similarity moves the factor i of i xi A onto the off-diagonal
+    couplings, so the matrix is exactly real for every parameter set and
+    has the eigenvalues of Phi(i xi), in exact conjugate pairs.  Each entry
+    is the symbol's entry times one of 1, -1, i, -i: no rounding enters.
+    """
+    A, L = build_matrices(params)
+    s = _REAL_SIMILARITY
+    # S^-1 = conj(S); L and A share no nonzero entry, so the sum below
+    # adds only exact zeros
+    L_s = (s.conj()[:, None] * L * s).real
+    A_s = (s.conj()[:, None] * (1j * A) * s).real
+    xi = np.asarray(xi, dtype=float)
+    return -(L_s + xi[..., None, None] * A_s)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ matrix exponential and operator norms are that case of the same path.
 For pairwise well-separated eigenvalues the r_j are divided differences of
 exp(. t) over lambda_1..lambda_j.  One Newton table over the six nodes in
 their given order yields all six at once: the table's entry of level j - 1
-is r_j, so a (frequency, time) cell costs 6 exponentials and 15 divisions.
+is r_j, so a (frequency, time) cell costs 6 exponentials and 15 divisions,
+and one exponential less per exactly conjugate pair of nodes, whose second
+member takes the conjugate of the first's.
 Exact repeats use the confluent (Hermite) entries t^m e^{lambda t}/m!,
 which needs equal nodes to sit next to each other; the Putzer order below
 guarantees that for the solver's eigenvalues.  One rule (:func:`_ambiguous`)
@@ -140,6 +142,30 @@ def _check_overflow(re: np.ndarray) -> None:
                           "(growing mode propagated too far)")
 
 
+def _conjugate_mirror(lam: np.ndarray) -> np.ndarray:
+    """(m, 6) index of the node whose exponentials give this node's by
+    conjugation, or -1.
+
+    In Putzer order a conjugate pair sits in one run of exactly equal real
+    parts, at mirror positions lo + hi - i of the run lo..hi.  A node with
+    Im < 0 points at its mirror when that node is exactly its conjugate;
+    the mirror then lies after it and has Im > 0.  Rows in any other order
+    simply fail the check.
+    """
+    m, n = lam.shape
+    idx = np.arange(n)
+    starts = np.ones((m, n), dtype=bool)
+    starts[:, 1:] = lam.real[:, 1:] != lam.real[:, :-1]
+    ends = np.ones((m, n), dtype=bool)
+    ends[:, :-1] = starts[:, 1:]
+    lo = np.maximum.accumulate(np.where(starts, idx, 0), axis=1)
+    hi = np.minimum.accumulate(np.where(ends, idx, n - 1)[:, ::-1], axis=1)[:, ::-1]
+    mirror = lo + hi - idx
+    partner = np.take_along_axis(lam, mirror, axis=1)
+    exact = (lam.imag < 0.0) & (mirror > idx) & (partner == lam.conj())
+    return np.where(exact, mirror, -1)
+
+
 def _r_table(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Newton/Hermite table of r_1..r_6 for every row of nodes and every time.
 
@@ -149,16 +175,37 @@ def _r_table(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
     Returns r of shape (6, m, nt), node-major: r[j] is the contiguous
     (m, nt) plane of r_{j+1}.
 
-    The table is built in place in the result.  After level d, entry i
-    holds the divided difference over lam_{i-d}..lam_i, so entry d is final
-    and equals r_{d+1}.  Where the end nodes of a level coincide, all nodes
-    between them do too, and the entry is the confluent t^d e^{lam t}/d!:
-    the entry below it times t/d.  Levels without such rows take the plain
-    divide.
+    The table is built in place in the result.  Its level 0 holds
+    e^{lam_i t}; exp(conj z) is conj(exp z) bit for bit, so a node that is
+    exactly the conjugate of its mirror node (:func:`_conjugate_mirror`)
+    takes the conjugate of that node's row instead of its own
+    exponentials, and only nodes without such a partner call exp.  After
+    level d, entry i holds the divided difference over lam_{i-d}..lam_i,
+    so entry d is final and equals r_{d+1}.  Where the end nodes of a level
+    coincide, all nodes between them do too, and the entry is the
+    confluent t^d e^{lam t}/d!: the entry below it times t/d.  Levels
+    without such rows take the plain divide.
     """
     r = np.empty((6, len(lam), len(t)), dtype=complex)
-    for i in range(6):
-        _safe_exp(lam[:, i, None] * t[None, :], out=r[i])
+    mirror = _conjugate_mirror(lam)
+    # mirrors lie after their nodes, so each is filled before it is read
+    for i in range(5, -1, -1):
+        own = mirror[:, i] < 0
+        if own.all():
+            _safe_exp(lam[:, i, None] * t[None, :], out=r[i])
+            continue
+        z = lam[own, i, None] * t[None, :]
+        r[i, own] = _safe_exp(z, out=np.empty_like(z))
+        rows = np.flatnonzero(~own)
+        e = np.conjugate(r[mirror[rows, i], rows])
+        # conj signs a zero imaginary part, where exp(lam t) has the floor's
+        # +0 or, at t = 0 or in underflow, exp's own: set those cells anew
+        q, c = np.nonzero(e.imag == 0.0)
+        z = lam[rows[q], i] * t[c]
+        live = z.real >= _EXP_FLOOR
+        e[q, c] = 0.0
+        e[q[live], c[live]] = _safe_exp(z[live], out=np.empty_like(z[live]))
+        r[i, rows] = e
     for d in range(1, 6):
         for i in range(5, d - 1, -1):
             dz = lam[:, i] - lam[:, i - d]

@@ -8,9 +8,16 @@ middle-frequency bands.
 The solver treats the frequency axis as a batch dimension: one call solves
 a whole array of frequencies with one batched companion-matrix eigvals call
 (plus one Newton polish per isolated root, vectorized), one batched
-eigvals call of the symbol stack for the rows past symbol scale 64, and a
-vectorized residual certificate.  The single-frequency :func:`eigenvalues`
-is the n = 1 view of that solve and returns bit-identical roots.
+eigvals call of the real similar symbol S^-1 Phi S for the rows past symbol
+scale 64, and a vectorized residual certificate.  The single-frequency
+:func:`eigenvalues` is the n = 1 view of that solve and returns
+bit-identical roots.
+
+Both matrices are real at real frequencies: the characteristic polynomial
+has real coefficients in xi^2, and S = diag(1, i, -i, 1, -i, 1) makes the
+symbol real (:func:`core_model.real_symbol_stack`).  So each spectrum is
+closed under conjugation exactly, complex roots coming in pairs that are
+conjugate bit for bit, which the propagator's r table exploits.
 
 The expansion tables are *numerically grounded*: every coefficient returned
 here has been validated against eigenvalue fits (see tests).  Where commonly
@@ -31,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core_model import (SystemParams, _sextic_coeffs, build_matrices, char_poly_coeffs,
-                         symbol_stack)
+                         real_symbol_stack)
 from .errors import (CertificateRefused, PreconditionError, RegimeError,
                      SolverError, UnsupportedRegimeError)
 
@@ -94,20 +101,22 @@ def _polyval_rows(coeffs: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
-    """np.roots of every row of ascending (m, 7) coefficients.
+    """np.roots of every row of real ascending (m, 7) coefficients.
 
-    Rows share one batched eigvals call per companion size.  Vanishing
-    low-order coefficients (the constant term at xi = 0) are deflated as
-    np.roots does: the companion shrinks and the roots 0 are appended.
+    Rows share one batched real eigvals call per companion size, so complex
+    roots come in exact conjugate pairs.  Vanishing low-order coefficients
+    (the constant term at xi = 0) are deflated as np.roots does: the
+    companion shrinks and the roots 0 are appended.
     """
     lam = np.zeros((len(coeffs), 6), dtype=complex)
     n_zero = np.argmax(coeffs != 0, axis=1)
     for z in set(n_zero.tolist()):
         rows = n_zero == z
         size = 6 - z
-        C = np.zeros((int(rows.sum()), size, size), dtype=complex)
+        C = np.zeros((int(rows.sum()), size, size))
         C[:, 1:, :-1] = np.eye(size - 1)
         C[:, 0, :] = -coeffs[rows, z:6][:, ::-1] / coeffs[rows, 6:]
+        # a float result when every root of the batch is real
         lam[rows, :size] = np.linalg.eigvals(C)
     return lam
 
@@ -117,13 +126,16 @@ def eigenvalues_batch(params: SystemParams, xi) -> tuple[np.ndarray, np.ndarray]
 
     Returns ``(lam, resid)``, both of shape (n, 6): each row in Putzer
     order and its residuals |p(lambda)|.  Rows with symbol scale <= 64 are
-    roots of the characteristic polynomial (one batched companion solve,
-    then one Newton step for isolated roots with a safely nonzero p');
-    the polynomial depends on xi only through xi^2, so each distinct xi^2
-    is solved once and rows at +-xi are bitwise equal.  Rows above scale
-    64 are eigenvalues of the Phi stack, unpolished, one solve per row.  Raises
-    :class:`SolverError` when any residual exceeds 1e-8 (1 + |lambda|^6)
-    or either side is not finite.
+    roots of the characteristic polynomial (one batched solve of the real
+    companion matrices, then one Newton step for isolated roots with a
+    safely nonzero p'); the polynomial depends on xi only through xi^2, so
+    each distinct xi^2 is solved once and rows at +-xi are bitwise equal.
+    Rows above scale 64 are eigenvalues of the real similar matrix
+    S^-1 Phi S, unpolished, one solve per row.  Every row is closed under
+    conjugation exactly: the real solves return exact conjugate pairs, and
+    the polish and the Putzer sort keep them.  Raises :class:`SolverError`
+    when any residual exceeds 1e-8 (1 + |lambda|^6) or either side is not
+    finite.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.ndim != 1 or not np.all(np.isfinite(xi)):
@@ -140,7 +152,8 @@ def eigenvalues_batch(params: SystemParams, xi) -> tuple[np.ndarray, np.ndarray]
         _, first, inverse = np.unique(xi[low] ** 2, return_index=True,
                                       return_inverse=True)
         c = coeffs[np.flatnonzero(low)[first]]
-        r = _companion_roots(c)
+        # z2 = -xi^2 is real, so every coefficient has imaginary part 0
+        r = _companion_roots(c.real)
         # one Newton step for well-separated roots only: at a (near-)multiple
         # root the step is noise-driven and, worse, destroys the cluster
         # mean, which the companion solve keeps trace-faithful
@@ -152,7 +165,7 @@ def eigenvalues_batch(params: SystemParams, xi) -> tuple[np.ndarray, np.ndarray]
         safe = isolated & (np.abs(dp) > 1e-12 * (1.0 + np.abs(p)))
         lam[low] = np.where(safe, r - p / np.where(safe, dp, 1.0), r)[inverse]
     if not low.all():
-        lam[~low] = np.linalg.eigvals(symbol_stack(params, xi[~low]))
+        lam[~low] = np.linalg.eigvals(real_symbol_stack(params, xi[~low]))
     lam = _putzer_order(lam)
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -173,12 +186,14 @@ def eigenvalues_batch(params: SystemParams, xi) -> tuple[np.ndarray, np.ndarray]
 def eigenvalues(params: SystemParams, xi: float) -> Spectrum:
     """Eigenvalues at one frequency: the n = 1 view of :func:`eigenvalues_batch`.
 
-    Companion-matrix solve of the characteristic polynomial, then one
+    Real companion-matrix solve of the characteristic polynomial, then one
     Newton polish step per isolated root.  Past a symbol norm of ~64 the
     polynomial-coefficient representation can no longer resolve real parts
     near zero (evaluation noise ~ eps |lambda|^6 divided by p'), so the
-    solve switches to the backward-stable matrix eigenvalue routine and
-    skips the polish; residuals still satisfy the same certificate.
+    solve switches to the backward-stable eigenvalue routine on the real
+    matrix S^-1 Phi S, similar to the symbol, and skips the polish;
+    residuals still satisfy the same certificate.  Either way the complex
+    eigenvalues come in exactly conjugate pairs.
     """
     lam, resid = eigenvalues_batch(params, [xi])
     return Spectrum(

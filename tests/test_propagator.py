@@ -8,7 +8,8 @@ from disspec import (FourierState, PreconditionError, SolverError,
                      plancherel_norm, putzer_r, putzer_workspace)
 from disspec import propagator as propagator_module
 from disspec.decay_lab import _conservative_vector
-from disspec.propagator import _EXP_FLOOR, SymbolPropagator, _r_bidiag
+from disspec.propagator import (_EXP_FLOOR, SymbolPropagator, _conjugate_mirror,
+                                _r_bidiag, _r_table)
 
 
 def r_chain_mp(lam, t):
@@ -157,6 +158,96 @@ class TestBidiagKernel:
         low[0, ::2] -= 1e-7
         r = _r_bidiag(low, np.array([-_EXP_FLOOR + 1.0]))
         assert np.array_equal(r, np.zeros((6, 1)))
+
+
+def six_exp_table(lam, t):
+    """Oracle for _r_table: the exponentials of all six nodes (with the
+    floor's zeros), then the same Newton/Hermite levels, written as masks."""
+    r = np.empty((6, len(lam), len(t)), dtype=complex)
+    for i in range(6):
+        z = lam[:, i, None] * t
+        with np.errstate(under="ignore"):
+            r[i] = np.exp(z)
+        r[i][z.real < _EXP_FLOOR] = 0.0
+    for d in range(1, 6):
+        for i in range(5, d - 1, -1):
+            dz = lam[:, i] - lam[:, i - d]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                divided = (r[i] - r[i - 1]) / dz[:, None]
+            r[i] = np.where((dz == 0.0)[:, None], r[i] * (t / d), divided)
+    return r
+
+
+def bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestConjugateMirror:
+    """_r_table takes the conjugate of a node's exponentials for its exact
+    conjugate mirror node and must equal the six-exp table bit for bit."""
+
+    # the regimes of test_spectral.TestBatchedSolve
+    REGIMES = [(1, 1, 0.5, 1, 1), (2, 1, 1, 0, 1), (1.3, 0.8, 1.1, 1, 0),
+               (1, 1, 1, 0, 0), (1, 1, np.sqrt(8.0), 0, np.sqrt(27.0))]
+    #: t = 0 and the floor (Re(lambda t) < -745) give zero imaginary parts
+    TIMES = np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 30)])
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Count the cells that _r_table hands to _safe_exp."""
+        safe_exp = propagator_module._safe_exp
+        cells = []
+
+        def counting(z, out):
+            cells.append(z.size)
+            return safe_exp(z, out)
+
+        monkeypatch.setattr(propagator_module, "_safe_exp", counting)
+        return cells
+
+    @pytest.mark.parametrize("p", REGIMES)
+    def test_default_grid_nodes_bitwise(self, p):
+        lam, _ = eigenvalues_batch(SystemParams(*p), default_grid())
+        nodes = np.unique(lam, axis=0)
+        assert (_conjugate_mirror(nodes) >= 0).any()
+        assert bitwise_equal(_r_table(nodes, self.TIMES), six_exp_table(nodes, self.TIMES))
+
+    def test_random_nodes_mirror_nothing(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        lam = -np.abs(rng.normal(size=(50, 6))) + 1j * rng.normal(size=(50, 6))
+        lam = lam[np.arange(50)[:, None], np.lexsort((lam.imag, -lam.real), axis=1)]
+        assert np.all(_conjugate_mirror(lam) == -1)
+        cells = self.spy(monkeypatch)
+        r = _r_table(lam, self.TIMES)
+        assert sum(cells) == r.size
+        assert bitwise_equal(r, six_exp_table(lam, self.TIMES))
+
+    def test_only_exact_mirrors_in_order(self):
+        # a conjugate pair at the mirror positions of its run is mirrored;
+        # the same pair in reverse order and a pair whose real parts are a
+        # rounding apart (two runs) are not
+        pair = np.array([-0.5 - 2.0j, -0.5 + 2.0j])
+        rows = np.array([
+            [0.0, *pair, -1.0 - 1.0j, -1.0 + 1.0j, -2.0],
+            [0.0, *pair[::-1], -1.0 - 1.0j, -1.0 + 1.0j, -2.0],
+            [0.0, pair[0], np.nextafter(pair[1].real, 0) + 2.0j, -1.0, -2.0, -3.0],
+            [-0.1 - 1.0j, -0.1 + 1.0j, -0.1 - 3.0j, -0.1 + 3.0j, -1.0, -2.0],
+        ])
+        mirror = _conjugate_mirror(rows)
+        assert mirror.tolist()[0] == [-1, 2, -1, 4, -1, -1]
+        assert mirror.tolist()[1] == [-1, -1, -1, 4, -1, -1]
+        assert np.all(mirror[2] == -1)
+        # run 0..3 in ascending imaginary order is not the solver's order
+        # (-3j first), so only pairs at mirror positions count
+        assert mirror.tolist()[3] == [-1, -1, -1, -1, -1, -1]
+        assert bitwise_equal(_r_table(rows, self.TIMES), six_exp_table(rows, self.TIMES))
+
+    def test_default_grid_exponentiates_at_most_60_percent(self, monkeypatch):
+        prop = SymbolPropagator(SystemParams(1, 1, 0.5, 1, 1), default_grid())
+        cells = self.spy(monkeypatch)
+        times = np.geomspace(1.0, 1e4, 40)
+        prop.r_many(times)
+        assert sum(cells) <= 0.6 * 6 * len(prop.nodes) * len(times)
 
 
 class TestMatrixExp:

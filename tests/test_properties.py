@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disspec import SymbolPropagator, SystemParams, eigenvalues, eigenvalues_batch
+from disspec import (SymbolPropagator, SystemParams, eigenvalues, eigenvalues_batch,
+                     real_symbol_stack, symbol_stack)
 
 PROPERTY = settings(max_examples=40, derandomize=True, deadline=None)
 
@@ -24,6 +25,8 @@ def params(draw):
 
 
 frequencies = st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=8)
+#: reaching past symbol scale 64 (scale >= |xi|), the matrix route's rows
+wide_frequencies = st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=8)
 
 
 @PROPERTY
@@ -54,3 +57,35 @@ def test_trace_identity(p, xi):
 def test_semigroup_is_a_contraction(p, xi, times):
     nrm = SymbolPropagator(p, np.unique(xi)).operator_norms(times)
     assert np.all(nrm <= 1.0 + 1e-10)
+
+
+@PROPERTY
+@given(params(), wide_frequencies)
+def test_spectra_are_conjugate_closed(p, xi):
+    # both routes solve real matrices, so complex roots pair up bit for bit
+    lam, _ = eigenvalues_batch(p, xi)
+    for row in lam:
+        assert np.array_equal(np.sort_complex(row), np.sort_complex(row.conj()))
+
+
+@PROPERTY
+@given(params(), wide_frequencies)
+def test_similar_symbol_is_real(p, xi):
+    S = np.array([1, 1j, -1j, 1, -1j, 1])
+    similar = S.conj()[:, None] * symbol_stack(p, xi) * S
+    assert np.all(similar.imag == 0.0)
+    assert np.array_equal(similar.real, real_symbol_stack(p, xi))
+
+
+@PROPERTY
+@given(params(), wide_frequencies, st.floats(0.0, 20.0), st.floats(0.0, 20.0))
+def test_semigroup_law(p, xi, s, t):
+    # e^{(s+t) Phi} = e^{s Phi} e^{t Phi}: the identity block propagated to
+    # s + t against the block e^{t Phi} propagated by s
+    prop = SymbolPropagator(p, np.unique(xi))
+    eye = np.broadcast_to(np.eye(6, dtype=complex), (len(prop.grid), 6, 6))
+    whole = prop.propagate_many(eye, [s + t])[0]
+    split = prop.propagate_many(prop.propagate_many(eye, [t])[0], [s])[0]
+    nrm = np.linalg.norm(whole, ord=2, axis=(1, 2))
+    err = np.linalg.norm(whole - split, ord=2, axis=(1, 2))
+    assert np.all(err <= 1e-10 * nrm)

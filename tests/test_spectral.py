@@ -14,13 +14,14 @@ def lam_at(params, xi):
 
 
 def scalar_oracle(params, xi):
-    """One frequency at a time: np.roots plus one Newton polish of isolated
-    roots below symbol scale 64, the symbol's eigvals above, Putzer order."""
+    """One frequency at a time: np.roots of the real coefficients plus one
+    Newton polish of isolated roots below symbol scale 64, eigvals of the
+    real S^-1 Phi S above, Putzer order."""
     poly = char_poly(params, 1j * xi)
     scale = abs(xi) * max(1.0, params.a, params.k) + (
         1.0 + params.l * params.k + params.gamma1 + params.gamma2)
     if scale <= 64.0:
-        lam = np.roots(poly.coeffs[::-1])
+        lam = np.roots(poly.coeffs.real[::-1]).astype(complex)
         gaps = np.abs(lam[:, None] - lam[None, :])
         np.fill_diagonal(gaps, np.inf)
         isolated = gaps.min(axis=1) > 1e-3 * max(1.0, np.abs(lam).max())
@@ -29,7 +30,9 @@ def scalar_oracle(params, xi):
         safe = isolated & (np.abs(dp) > 1e-12 * (1.0 + np.abs(p)))
         lam = np.where(safe, lam - p / np.where(safe, dp, 1.0), lam)
     else:
-        lam = np.linalg.eigvals(build_symbol(params, xi).Phi)
+        S = np.diag([1, 1j, -1j, 1, -1j, 1])
+        similar = np.linalg.inv(S) @ build_symbol(params, xi).Phi @ S
+        lam = np.linalg.eigvals(similar.real).astype(complex)
     return lam[np.lexsort((lam.imag, -lam.real))]
 
 
