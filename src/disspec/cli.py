@@ -142,9 +142,9 @@ _COMMAND_SCHEMAS = {
         "properties": {
             "command": {"const": "lyapunov-audit"},
             "params": _PARAMS_SCHEMA,
-            "frequencies": {"type": "array", "items": {"type": "number"}},
+            "frequencies": {"type": "array", "minItems": 1, "items": {"type": "number"}},
             "horizon": {"type": "number"},
-            "n_random": {"type": "integer"},
+            "n_random": {"type": "integer", "minimum": 0},
             "seed": {"type": "integer"},
         },
         "required": ["command", "params"],

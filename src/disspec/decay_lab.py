@@ -28,7 +28,7 @@ import numpy as np
 
 from .core_model import SystemParams, build_symbol
 from .errors import PreconditionError, RegimeError
-from .lyapunov import audit_inequality, sandwich_fit, search_constants
+from .lyapunov import audit_inequality, lyapunov_sigma, sandwich_fit, search_constants
 from .propagator import FourierState, SymbolPropagator, default_grid, plancherel_norms
 from .spectral import (_cluster_tags, eigenvalues, eigenvalues_batch, gap_scan,
                        high_freq_expansion, low_freq_expansion)
@@ -245,14 +245,11 @@ def fit_pointwise_rate(params: SystemParams, xi_grid, t_grid=None,
     """
     xi_grid = np.atleast_1d(np.asarray(xi_grid, dtype=float))
     regime = params.regime
-    a = params.a
 
     def shape(x: np.ndarray) -> np.ndarray:
         x2 = x * x
         if regime == "both_damped":
-            if abs(a - 1.0) < 1e-12:
-                return x2 / (1.0 + x2)
-            return x2 / (1.0 + x2 + x2 * x2)
+            return x2 / lyapunov_sigma(params, x)[1]
         if regime == "gamma1_zero":
             hf = high_freq_expansion(params)
             slow_pow = min(b.xi_power for b in hf.high_freq)
@@ -488,13 +485,11 @@ def optimality_probe(params: SystemParams, xi_grid=None,
     audit = audit_inequality(params, consts, xi=[0.1, 1.0, 10.0], n_random=32)
     c1, c2 = sandwich_fit(params, consts, xi=[0.1, 1.0, 10.0], n_states=2000, seed=seed)
     c3 = max(audit.c0_feasible, 0.0) / c2
-    use_rho1 = abs(params.a - 1.0) < 1e-12
 
     emp = fit_pointwise_rate(params, xi_grid)
     spectral_rate = -2.0 * eigenvalues_batch(params, xi_grid)[0].real.max(axis=1)
 
-    x2 = xi_grid**2
-    rho = x2 / (1.0 + x2) if use_rho1 else x2 / (1.0 + x2 + x2 * x2)
+    rho = xi_grid**2 / lyapunov_sigma(params, xi_grid)[1]
     lyap_rate = c3 * rho
     ratio_emp = emp["rate"] / spectral_rate
     ratio_lyap = lyap_rate / spectral_rate

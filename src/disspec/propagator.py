@@ -479,9 +479,10 @@ class SymbolPropagator:
     def _table(self, times: np.ndarray, spectra: slice = slice(None)) -> np.ndarray:
         """r of the distinct spectra in ``spectra``: (6, spectra, ntimes),
         node-major; rows of ambiguous spectra are zero.  Every evaluation
-        passes here first, so non-finite times are refused here."""
-        if not np.all(np.isfinite(times)):
-            raise PreconditionError(f"times must be finite, got {times}")
+        passes here first, so negative and non-finite times are refused
+        here."""
+        if not np.all(np.isfinite(times) & (times >= 0)):
+            raise PreconditionError(f"times must be finite and >= 0, got {times}")
         r = _r_table(self.nodes[spectra], times)
         r[:, self._ambiguous_nodes[spectra]] = 0.0
         return r
@@ -495,10 +496,11 @@ class SymbolPropagator:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         return np.moveaxis(self._table(times), 0, -1)[self.row]
 
-    def _states(self, values0: np.ndarray, times: np.ndarray):
+    def states(self, values0: np.ndarray, times: np.ndarray):
         """Yield (rows, U) chunk by chunk: U[k, a, ..., q] is component a of
-        the state at frequency rows[k] and time times[q]; the middle axis
-        is the column of a (nfreq, 6, c) block and absent for (nfreq, 6).
+        the state at frequency rows[k] and time times[q] (a 1-d array); the
+        middle axis is the column of a (nfreq, 6, c) block and absent for
+        (nfreq, 6).  Every evaluation method reduces this stream.
         """
         X = values0 if values0.ndim == 3 else values0[..., None]
         nt = len(times)
@@ -535,7 +537,7 @@ class SymbolPropagator:
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
         out = np.empty((len(times),) + values0.shape, dtype=complex)
-        for rows, U in self._states(values0, times):
+        for rows, U in self.states(values0, times):
             out[:, rows] = np.moveaxis(U, -1, 0)
         return out
 
@@ -548,7 +550,7 @@ class SymbolPropagator:
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
         out = np.empty((len(self.grid),) + values0.shape[2:] + (len(times),))
-        for rows, U in self._states(values0, times):
+        for rows, U in self.states(values0, times):
             sq = np.square(U.view(float), out=U.view(float)).sum(axis=1)
             out[rows] = sq[..., 0::2] + sq[..., 1::2]
         return out
@@ -561,7 +563,7 @@ class SymbolPropagator:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         eye = np.broadcast_to(np.eye(6, dtype=complex), (len(self.grid), 6, 6))
         out = np.empty((len(self.grid), len(times)))
-        for rows, U in self._states(eye, times):
+        for rows, U in self.states(eye, times):
             out[rows] = np.linalg.norm(U, ord=2, axis=(1, 2))
         return out
 

@@ -214,6 +214,16 @@ class TestCommands:
         assert payload["violation_count"] == 0
         assert payload["c0_feasible"] > 0
 
+    @pytest.mark.parametrize("bad, error", [({"frequencies": []}, "SchemaError"),
+                                            ({"n_random": -3}, "SchemaError"),
+                                            ({"horizon": -1}, "PreconditionError")])
+    def test_lyapunov_audit_bad_input_exit_2(self, tmp_path, bad, error):
+        code, out = run_cli(tmp_path, {"command": "lyapunov-audit", "params": PARAMS,
+                                       "frequencies": [1.0], "n_random": 4, **bad})
+        assert code == 2
+        assert json.loads((out / "error.json").read_text())["error"] == error
+        assert not (out / "lyapunov_audit.json").exists()
+
     def test_synthesize_command(self, tmp_path):
         code, out = run_cli(tmp_path, {
             "command": "synthesize", "params": G10_PARAMS,

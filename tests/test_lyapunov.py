@@ -4,8 +4,9 @@ import pytest
 from disspec import (FourierState, PreconditionError, RegimeError,
                      SystemParams, audit_inequality, eval_functionals,
                      gronwall_check, search_constants)
-from disspec.lyapunov import (LyapunovConstants, _functionals_arrays,
-                              required_d0, sandwich_fit)
+from disspec.core_model import build_symbol
+from disspec.lyapunov import (LyapunovConstants, _functionals_arrays, _rates,
+                              _unit_states, lyapunov_sigma, required_d0, sandwich_fit)
 from disspec.propagator import SymbolPropagator
 
 
@@ -47,15 +48,34 @@ class TestFunctionals:
 class TestDerivativeIdentities:
     """The time derivatives of F, K, P along exact trajectories must satisfy
     the displayed identities (with the single longitudinal speed k); this is
-    the numerical arbiter for the speed-naming ambiguity."""
+    the numerical arbiter for the speed-naming ambiguity.  The audit's
+    closed-form rates (:func:`_rates`, polarization along Phi U) must give
+    the same identities to rounding."""
 
-    def _traj_derivative(self, params, xi, vec, func, h=1e-5):
+    def _traj_derivative(self, params, xi, vec, name, h=1e-5):
+        """(finite-difference rate, audit's exact rate, state) at t = 1 of
+        the functional ``name``: "E" (E_hat), "F", "K" or "P"."""
+        dummy = LyapunovConstants(1, 1, 1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1)
         prop = SymbolPropagator(params, np.array([xi]))
         ts = np.array([1.0 - 2 * h, 1.0 - h, 1.0, 1.0 + h, 1.0 + 2 * h])
         traj = prop.propagate_many(np.asarray(vec, complex)[None, :], ts)[:, 0, :]
-        vals = np.array([func(v) for v in traj])
+        vals = _functionals_arrays(traj, xi, params, dummy)[{"F": 0, "K": 1, "P": 2, "E": 5}[name]]
         d = (vals[0] - 8 * vals[1] + 8 * vals[3] - vals[4]) / (12 * h)
-        return d, traj[2]
+        v = traj[2]
+        exact = _rates(v, build_symbol(params, xi).Phi @ v, xi, params)["EFKP".index(name)]
+        return d, exact, v
+
+    @pytest.mark.parametrize("params", [
+        SystemParams(2, 3, 1.2, 0.7, 0.4),
+        SystemParams(1.5, 0.6, 0.9, 0.0, 1.1),
+    ])
+    def test_E_identity(self, params):
+        rng = np.random.default_rng(4)
+        vec = rng.normal(size=6) + 1j * rng.normal(size=6)
+        dE, exact, v = self._traj_derivative(params, 1.1, vec, "E")
+        rhs = -(params.gamma1 * abs(v[3]) ** 2 + params.gamma2 * abs(v[5]) ** 2)
+        assert dE == pytest.approx(rhs, rel=1e-6, abs=1e-8)
+        assert exact == pytest.approx(rhs, rel=1e-12)
 
     @pytest.mark.parametrize("params", [
         SystemParams(1, 1, 0.5, 1, 1),
@@ -68,12 +88,7 @@ class TestDerivativeIdentities:
         rng = np.random.default_rng(5)
         xi = 1.3
         vec = rng.normal(size=6) + 1j * rng.normal(size=6)
-        dummy = LyapunovConstants(1, 1, 1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1)
-
-        def K_of(v):
-            return _functionals_arrays(v, xi, params, dummy)[1]
-
-        dK, v = self._traj_derivative(params, xi, vec, K_of)
+        dK, exact, v = self._traj_derivative(params, xi, vec, "K")
         vv, u, z, y, phi, eta = v
         rhs = (-k * xi**2 * (abs(phi) ** 2 - abs(eta) ** 2)
                + np.real(1j * xi * l * k * u * np.conj(eta))
@@ -83,6 +98,7 @@ class TestDerivativeIdentities:
                - l * k * xi**2 * np.real(eta * np.conj(y))
                - np.real(l**2 * k * 1j * xi * np.conj(y) * u))
         assert dK == pytest.approx(rhs, rel=1e-6, abs=1e-8)
+        assert exact == pytest.approx(rhs, rel=1e-12)
 
     @pytest.mark.parametrize("params", [
         SystemParams(1, 1, 0.5, 1, 1),
@@ -94,12 +110,7 @@ class TestDerivativeIdentities:
         rng = np.random.default_rng(6)
         xi = 0.8
         vec = rng.normal(size=6) + 1j * rng.normal(size=6)
-        dummy = LyapunovConstants(1, 1, 1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1)
-
-        def F_of(v):
-            return _functionals_arrays(v, xi, params, dummy)[0]
-
-        dF, v = self._traj_derivative(params, xi, vec, F_of)
+        dF, exact, v = self._traj_derivative(params, xi, vec, "F")
         vv, u, z, y, phi, eta = v
         # the gamma1 xi^2 Re(v conj(y)) term is required: it comes from the
         # -gamma1 y part of y_t hitting the -xi^2 Re(v conj(y)) block of F
@@ -111,6 +122,7 @@ class TestDerivativeIdentities:
                + (1 - a**2) * l * xi**2 * np.real(y * np.conj(eta))
                + (a**2 - 1) * np.real(1j * xi**3 * u * np.conj(y)))
         assert dF == pytest.approx(rhs, rel=1e-6, abs=1e-8)
+        assert exact == pytest.approx(rhs, rel=1e-12)
 
     @pytest.mark.parametrize("params", [
         SystemParams(1, 1, 0.5, 1, 1),
@@ -122,12 +134,7 @@ class TestDerivativeIdentities:
         rng = np.random.default_rng(7)
         xi = 2.1
         vec = rng.normal(size=6) + 1j * rng.normal(size=6)
-        dummy = LyapunovConstants(1, 1, 1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1)
-
-        def P_of(v):
-            return _functionals_arrays(v, xi, params, dummy)[2]
-
-        dP, v = self._traj_derivative(params, xi, vec, P_of)
+        dP, exact, v = self._traj_derivative(params, xi, vec, "P")
         vv, u, z, y, phi, eta = v
         rhs = (-xi**2 * (abs(u) ** 2 - abs(vv) ** 2)
                - l**2 * abs(vv) ** 2 + l**2 * abs(eta) ** 2
@@ -136,6 +143,7 @@ class TestDerivativeIdentities:
                + l * np.real(y * np.conj(eta))
                + l * g2 * np.real(np.conj(vv) * eta))
         assert dP == pytest.approx(rhs, rel=1e-6, abs=1e-8)
+        assert exact == pytest.approx(rhs, rel=1e-12)
 
 
 class TestSearchConstants:
@@ -175,6 +183,16 @@ class TestAudit:
         assert rep.violation_count > 0
         assert rep.max_violation > rep.slack
 
+    def test_zero_frequency_bounds_no_c(self):
+        # weight 0 at xi = 0: its states must neither set c0 nor hide the
+        # other frequencies' bound
+        c = search_constants(self.p)
+        alone = audit_inequality(self.p, c, [1.0], n_random=10)
+        for xi in ([0.0, 1.0], [1.0, 0.0]):
+            rep = audit_inequality(self.p, c, xi, n_random=10)
+            assert rep.c0_feasible == alone.c0_feasible
+            assert rep.violation_count == 0
+
     def test_bad_ordering_rejected(self):
         bad = LyapunovConstants(d0=100, d1=0.5, d2=1, eps1=10, eps1p=0.1,
                                 eps2=0.1, eps2p=0.0, eps3=0.5, eps4=0.1)
@@ -200,6 +218,100 @@ class TestAudit:
         assert np.all(np.diff(L1, axis=0) <= 1e-10)
 
 
+def stencil_rate(params, consts, xi, states, times):
+    """The audit's former dL/dt, kept as an independent oracle: 4th-order
+    central differences of L along propagated trajectories.
+
+    The step is a quarter of the audit's former h = min(1e-3, 0.02 / (1 +
+    2 |xi| max(1, a, k))), whose h^4 truncation error reached 4e-4 of
+    dL/dt at xi = 10 for L2.  Returns the states at ``times``, (nt, c, 6),
+    dL/dt there, (nt, c), and the stencil's rounding allowance: 32 eps
+    max |L| / h, since L is up to 3e7 times dL/dt at xi = 10 for L2.
+    """
+    h = 0.25 * min(1e-3, 0.02 / (1.0 + 2.0 * abs(xi) * max(1.0, params.a, params.k)))
+    grid = (times[:, None] + np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h).ravel()
+    prop = SymbolPropagator(params, np.array([xi]))
+    traj = prop.propagate_many(states.T[None], grid)[:, 0].transpose(0, 2, 1)
+    which = 3 if lyapunov_sigma(params, xi)[0] == "L1" else 4
+    L = _functionals_arrays(traj, xi, params, consts)[which].reshape(len(times), 5, -1)
+    dL = (L[:, 0] - 8.0 * L[:, 1] + 8.0 * L[:, 3] - L[:, 4]) / (12.0 * h)
+    rounding = 32.0 * np.finfo(float).eps * np.abs(L).max() / h
+    return traj.reshape(len(times), 5, len(states), 6)[:, 2], dL, rounding
+
+
+class TestExactRate:
+    """The audit's closed-form dL/dt against the finite-difference oracle, to
+    1e-6 relative plus the oracle's rounding allowance."""
+
+    # unequal dampings, so a swapped gamma in the energy term shows
+    @pytest.mark.parametrize("params", [SystemParams(1, 1, 0.5, 1, 2),
+                                        SystemParams(2, 1, 0.5, 1.5, 1)])
+    @pytest.mark.parametrize("xi", [0.1, 1.0, 10.0])
+    def test_matches_stencil(self, params, xi):
+        c = search_constants(params)
+        n_random, seed = 20, 4
+        rep = audit_inequality(params, c, [xi], n_random=n_random, seed=seed)
+        # the audit's states: the basis, then its seeded random unit states
+        states = np.concatenate([np.eye(6), unit_states(n_random, np.random.default_rng(seed))])
+        times = np.linspace(2e-3, rep.horizon, 24)
+        U, dL, rounding = stencil_rate(params, c, xi, states, times)
+
+        kind, sigma = lyapunov_sigma(params, xi)
+        dE, dF, dK, dP = _rates(U, U @ build_symbol(params, xi).Phi.T, xi, params)
+        exact = c.d0 * sigma * dE + c.d1 * dF + c.d2 * dK + dP
+        np.testing.assert_allclose(exact, dL, rtol=1e-6, atol=rounding)
+        assert rep.weight_kind == kind
+        worst = dL.max()
+        assert abs(rep.per_frequency_violation[0] - worst) <= 1e-6 * abs(worst) + rounding
+        wE = (xi**2 if kind == "L1" else xi**2 / sigma) * 0.5 * np.sum(np.abs(U) ** 2, axis=-1)
+        c0 = np.min(-dL / wE)
+        assert abs(rep.c0_feasible - c0) <= 1e-6 * c0 + rounding / wE.min()
+
+
+class TestLowFrequency:
+    """At xi = 1e-5 the energy term d0 sigma E_hat dwarfs dL/dt, and the
+    rounding noise of a time stencil faked violations and negative c0."""
+
+    xi = [1e-5]
+
+    def audit(self, params):
+        return audit_inequality(params, search_constants(params), self.xi, n_random=20)
+
+    def test_clustered_spectrum(self):
+        rep = self.audit(SystemParams(1, 1, 7 / np.sqrt(3), 1, 23 / 3))
+        assert rep.violation_count == 0
+        assert rep.c0_feasible > 1.9
+
+    def test_L2_functional(self):
+        assert self.audit(SystemParams(2, 1, 0.5, 1, 1)).c0_feasible > 1.9
+
+    def test_unequal_speeds(self):
+        assert self.audit(SystemParams(1.3, 1.1, 0.7, 1, 2)).violation_count == 0
+
+
+class TestAuditInput:
+    p = SystemParams(1, 1, 0.5, 1, 1)
+
+    @pytest.mark.parametrize("kwargs", [{"xi": []}, {"n_random": -3},
+                                        {"horizon": 2e-3}, {"horizon": -1.0}])
+    def test_refused(self, kwargs):
+        args = {"xi": [1.0], **kwargs}
+        with pytest.raises(PreconditionError):
+            audit_inequality(self.p, search_constants(self.p), **args)
+
+    def test_memory_stays_chunked(self):
+        # the (times, frequencies, 6, states) trajectory alone would be 8 MB
+        import tracemalloc
+        c = search_constants(self.p)
+        tracemalloc.start()
+        try:
+            audit_inequality(self.p, c, np.geomspace(0.05, 20.0, 200), n_random=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
 class TestSandwichAndGronwall:
     p = SystemParams(1, 1, 0.5, 1, 1)
 
@@ -207,6 +319,27 @@ class TestSandwichAndGronwall:
         c = search_constants(self.p)
         c1, c2 = sandwich_fit(self.p, c, [0.1, 1.0, 10.0], n_states=10_000)
         assert 0 < c1 <= c2
+
+    def test_draws_match_per_frequency_loop(self):
+        # the batched draw keeps the stream of one (real, imag) pair of
+        # draws per frequency, bit for bit
+        loop_rng, rng = np.random.default_rng(9), np.random.default_rng(9)
+        loop = np.stack([unit_states(5, loop_rng) for _ in range(3)])
+        assert np.array_equal(_unit_states(rng, 3, 5), loop)
+
+    @pytest.mark.parametrize("params", [SystemParams(1, 1, 0.5, 1, 1),
+                                        SystemParams(2, 1, 0.5, 1, 1)])
+    def test_sandwich_matches_per_frequency_loop(self, params):
+        c = search_constants(params)
+        xi = [0.1, 1.0, 10.0]
+        rng = np.random.default_rng(7)
+        c1, c2 = np.inf, -np.inf
+        for x in xi:
+            L1, L2, E = _functionals_arrays(unit_states(50, rng), x, params, c)[3:]
+            sigma = (1.0 + x * x) if params.a == 1 else (1.0 + x * x + x**4)
+            ratio = (L1 if params.a == 1 else L2) / (sigma * E)
+            c1, c2 = min(c1, ratio.min()), max(c2, ratio.max())
+        assert sandwich_fit(params, c, xi, n_states=50, seed=7) == (c1, c2)
 
     def test_gronwall_bound_holds(self):
         c = search_constants(self.p)
@@ -241,21 +374,22 @@ class TestAmbiguousFrequency:
         assert SymbolPropagator(self.p, np.array([self.xi])).ambiguous.all()
 
     def test_audit_propagates_the_states(self, monkeypatch):
-        trajectories = []
-        propagate = SymbolPropagator.propagate_many
+        calls, chunks = [], []
+        stream = SymbolPropagator.states
 
         def spy(prop, values0, times):
-            out = propagate(prop, values0, times)
-            trajectories.append(out)
-            return out
+            calls.append(times)
+            for rows, U in stream(prop, values0, times):
+                chunks.append(U)
+                yield rows, U
 
-        monkeypatch.setattr(SymbolPropagator, "propagate_many", spy)
+        monkeypatch.setattr(SymbolPropagator, "states", spy)
         c = search_constants(self.p)
         rep = audit_inequality(self.p, c, [self.xi], n_random=20)
-        assert len(trajectories) == 1
-        # unit states at the first sample, t = 2 h = 2e-3 (gamma2 = 23/3
-        # takes at most 2% off); the zero state would give 0 here
-        norms = np.linalg.norm(trajectories[0][0, 0], axis=0)
+        assert len(calls) == 1 and len(chunks) == 1
+        # unit states at the first sample, t = 2e-3 (gamma2 = 23/3 takes at
+        # most 2% off); the zero state would give 0 here
+        norms = np.linalg.norm(chunks[0][0, :, :, 0], axis=0)
         assert np.all((0.9 < norms) & (norms <= 1.0 + 1e-12))
         assert rep.per_frequency_violation[0] != 0.0
 

@@ -487,6 +487,16 @@ class TestVectorizedPropagator:
         nrm = prop.operator_norms(np.geomspace(0.01, 100, 12))
         assert np.all(nrm <= 1.0 + 1e-9)
 
+    @pytest.mark.parametrize("method", ["propagate_many", "density", "operator_norms"])
+    def test_negative_time_rejected(self, method):
+        # e^{-t Phi} grows: ||e^{-Phi}|| = 2.67 at xi = 0.5 for these params
+        prop = SymbolPropagator(SystemParams(1, 1, 0.5, 1, 1), np.array([0.5, 1.0]))
+        args = (np.array([0.0, -1.0]),)
+        if method != "operator_norms":
+            args = (np.ones((2, 6), dtype=complex),) + args
+        with pytest.raises(PreconditionError, match="finite and >= 0"):
+            getattr(prop, method)(*args)
+
     def test_single_pass_table_matches_expm(self):
         # xi = 0 of the undamped system has the exact double root 0, which
         # sits adjacent in Putzer order and takes the confluent entries
