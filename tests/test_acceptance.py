@@ -208,10 +208,10 @@ def test_criterion_5_non_decay():
         lam = eigenvalues(p, xi).eigenvalues
         counts_ok &= int(np.sum(np.abs(lam.real) <= 1e-10)) == 2
     xi0 = 1.0
-    vec = _conservative_vector(p, xi0)
+    vec = _conservative_vector(p, [xi0])
     prop = SymbolPropagator(p, np.array([xi0]))
     times = np.linspace(0.5, 100.0, 80)
-    mods = np.linalg.norm(prop.propagate_many(vec[None, :], times)[:, 0, :], axis=1)
+    mods = np.linalg.norm(prop.propagate_many(vec, times)[:, 0, :], axis=1)
     range_ok = mods.min() >= 0.99 and mods.max() <= 1.0 + 1e-6
     ok = counts_ok and range_ok
     assert report(5, ok, f"two imaginary roots at all 60 frequencies: {counts_ok}; "

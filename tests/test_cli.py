@@ -97,6 +97,17 @@ class TestCommands:
         assert payload["error"] == "SolverError"
         assert not (out / "spectrum.csv").exists()
 
+    def test_spectrum_past_scale_cap_exit_1(self, tmp_path, capsys):
+        # finite but past the supported symbol scale: the solve's rounding
+        # would report max Re = +64 at 1e18
+        code, out = run_cli(tmp_path, {
+            "command": "spectrum", "params": PARAMS,
+            "xi_min": 0.0, "xi_max": 1e18, "n_points": 5})
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["error"] == "SolverError"
+        assert not (out / "spectrum.csv").exists()
+
     def test_classify_verdict(self, tmp_path):
         code, out = run_cli(tmp_path, {
             "command": "classify",

@@ -6,7 +6,10 @@ from disspec import (Experiment, FourierState, FrequencyPartition,
                      SystemParams, TailMassError, build_initial_state,
                      default_grid, fit_pointwise_rate, optimality_probe,
                      plancherel_norm, run_decay, three_region_synthesis)
-from disspec.decay_lab import packet_decay_time
+from disspec import decay_lab
+from disspec.core_model import build_symbol
+from disspec.decay_lab import _conservative_vector, packet_decay_time
+from disspec.spectral import eigenvalues
 
 
 def small_grid(xi_max=10.0):
@@ -40,6 +43,51 @@ class TestProfiles:
         with pytest.raises(RegimeError):
             build_initial_state(p, Profile(kind="conservative_mode", center=1.0),
                                 small_grid())
+
+
+def conservative_vector_oracle(params, xi):
+    """The scalar inverse iteration: one frequency, one eigen solve and one
+    symbol at a time."""
+    lam_target = 1j * params.k * np.sqrt(params.l**2 + xi**2)
+    spec = eigenvalues(params, xi)
+    lam = spec.eigenvalues[np.argmin(np.abs(spec.eigenvalues - lam_target))]
+    M = build_symbol(params, xi).Phi - (lam + 1e-13 * (1.0 + abs(lam))) * np.eye(6)
+    vec = np.full(6, 1.0 + 0.0j) / np.sqrt(6.0)
+    for _ in range(2):
+        vec = np.linalg.solve(M, vec)
+        vec /= np.linalg.norm(vec)
+    return vec
+
+
+class TestConservativeMode:
+    p = SystemParams(1, 1, 1, 1, 0)
+
+    @pytest.mark.parametrize("params", [SystemParams(1, 1, 1, 1, 0),
+                                        SystemParams(1.2, 0.9, 0.6, 1.0, 0.0)])
+    def test_batched_vectors_match_scalar_oracle(self, params):
+        xi = np.concatenate([[0.0], np.geomspace(1e-4, 40.0, 60)])
+        vec = _conservative_vector(params, xi)
+        ref = np.array([conservative_vector_oracle(params, x) for x in xi])
+        assert vec.shape == (len(xi), 6)
+        assert np.max(np.abs(vec - ref)) <= 1e-12
+
+    def test_negative_half_is_the_conjugate_of_the_nearest_mirror(self):
+        # an asymmetric grid: each negative point takes the conjugate of the
+        # point nearest to its mirror, ties to the lower index (-2.5 is as
+        # far from 2 as from 3 and takes 2)
+        rng = np.random.default_rng(3)
+        pos = rng.uniform(0, 6, 70)
+        grid = np.unique(np.concatenate([-rng.uniform(0, 6, 80), pos[np.abs(pos - 2.5) > 0.6],
+                                         [-2.5, -1.0, 0.0, 1.0, 2.0, 3.0]]))
+        prof = Profile(kind="conservative_mode", center=2.0, width=0.5)
+        st = build_initial_state(self.p, prof, grid)
+        amp = prof.amplitude(grid)
+        for i in np.flatnonzero((grid < 0) & (amp > 1e-14 * amp.max())):
+            mirror = np.argmin(np.abs(grid + grid[i]))
+            assert np.array_equal(st.values[i], np.conj(st.values[mirror]))
+        pos = grid >= 0
+        assert np.max(np.abs(st.values[pos] - amp[pos, None] * np.array(
+            [conservative_vector_oracle(self.p, x) for x in grid[pos]]))) <= 1e-12
 
 
 class TestExperimentValidation:
@@ -204,6 +252,38 @@ class TestSynthesis:
         slope_oracle = np.polyfit(np.log1p(rep["times"][sel]), np.log(oracle), 1)[0]
         assert slope_oracle == pytest.approx(-0.5, rel=0.10)
         assert slope == pytest.approx(slope_oracle, rel=0.05)
+
+    def test_two_propagators(self, monkeypatch):
+        # one for the data's density, one for the three thinned regions
+        built = []
+
+        class Spy(SymbolPropagator):
+            def __init__(self, params, grid):
+                built.append(len(grid))
+                super().__init__(params, grid)
+
+        monkeypatch.setattr(decay_lab, "SymbolPropagator", Spy)
+        exp = self.make_exp(SystemParams(1, 1, 0.5, 0, 1))
+        rep = three_region_synthesis(exp, FrequencyPartition(nu=0.05, N=50))
+        assert rep["bound_dominates"]
+        # the full grid, then 160 thinned points per region
+        assert sorted(built) == [3 * 160, len(exp.grid)]
+
+    def test_low_region_past_the_exponent_floor(self):
+        # c2_hat xi^2 t reaches 5625 in the low region and the middle region's
+        # gap * t passes 700 too: the operator norms underflow to 0, and the
+        # floored shapes keep every constant finite
+        exp = Experiment(params=SystemParams(1, 1, 0.5, 0, 1),
+                         profile=Profile(kind="gaussian", width=1.0),
+                         times=np.geomspace(1, 1e7, 15), j_orders=(0,),
+                         grid=default_grid(xi_max=60.0, n_geo=64, n_lin=128))
+        part = FrequencyPartition(nu=0.05, N=20)
+        rep = three_region_synthesis(exp, part)
+        assert rep["c2_hat"] * part.nu**2 * exp.times[-1] > 700
+        assert rep["gap"] * exp.times[-1] > 700
+        for key in ("c1_hat", "c5_hat", "c3_hat", "p_fitted"):
+            assert np.isfinite(rep[key])
+        assert rep["bound_dominates"] and "inconsistency" not in rep
 
     def test_partition_invariance_of_total(self):
         exp = self.make_exp(SystemParams(1, 1, 0.5, 0, 1))

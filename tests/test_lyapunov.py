@@ -341,6 +341,27 @@ class TestSandwichAndGronwall:
             c1, c2 = min(c1, ratio.min()), max(c2, ratio.max())
         assert sandwich_fit(params, c, xi, n_states=50, seed=7) == (c1, c2)
 
+    @pytest.mark.parametrize("params, xi", [(SystemParams(1, 1, 0.5, 1, 1), [0.1, 1.0, 10.0]),
+                                            (SystemParams(2, 1, 0.5, 1, 1), [0.1, 1.0, 5.0])])
+    def test_gronwall_is_exact_over_all_data(self, params, xi):
+        # the worst datum gives E(t)/E(0) = ||e^{t Phi}||_2^2; a sample of
+        # unit states can only fall short of it
+        from scipy.linalg import expm
+        xi = np.asarray(xi)
+        c = search_constants(params)
+        t_grid = np.linspace(0, 20, 40)
+        worst, (c1, c2, c3) = gronwall_check(params, c, xi, t_grid, c0=1.5)
+        assert (c1, c2) == sandwich_fit(params, c, xi, seed=5)
+        rho = xi**2 / lyapunov_sigma(params, xi)[1]
+        allowed = (c2 / c1) * np.exp(-c3 * rho[:, None] * t_grid)     # (nxi, nt)
+        exact = np.array([[np.linalg.norm(expm(build_symbol(params, x).Phi * t), 2) ** 2
+                           for t in t_grid] for x in xi])
+        assert worst == pytest.approx((exact / allowed).max(), rel=1e-9)
+        # E(t)/E(0) of 32 random unit states per frequency
+        states = _unit_states(np.random.default_rng(5), len(xi), 32)
+        E = SymbolPropagator(params, xi).density(states.transpose(0, 2, 1), t_grid)
+        assert worst >= (E / allowed[:, None]).max()
+
     def test_gronwall_bound_holds(self):
         c = search_constants(self.p)
         rep = audit_inequality(self.p, c, [0.1, 1.0, 10.0], n_random=30)

@@ -340,10 +340,10 @@ class TestEvolve:
     def test_conservative_eigenvector_modulus_constant(self):
         p = SystemParams(1, 1, 1, 1, 0)
         xi0 = 1.0
-        vec = _conservative_vector(p, xi0)
+        vec = _conservative_vector(p, [xi0])
         prop = SymbolPropagator(p, np.array([xi0]))
         times = np.linspace(0.5, 100.0, 40)
-        traj = prop.propagate_many(vec[None, :], times)
+        traj = prop.propagate_many(vec, times)
         mods = np.linalg.norm(traj[:, 0, :], axis=1)
         assert np.max(np.abs(mods - 1.0)) <= 1e-8
 

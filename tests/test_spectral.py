@@ -55,10 +55,25 @@ class TestBatchedSolve:
 
     @pytest.mark.parametrize("xi", [1e60, 1e300])
     def test_overflowing_certificate_refused(self, xi):
-        # |lambda|^6 overflows the residual bound past ~1e51 (and the
-        # residual itself turns NaN); neither may pass vacuously
+        # far past the 2^38 symbol-scale cap; here |lambda|^6 would also
+        # overflow the residual bound, which must not pass vacuously
         with pytest.raises(SolverError):
             eigenvalues(SystemParams(1, 1, 0.5, 1, 1), xi)
+
+    @pytest.mark.parametrize("xi", [1e14, 1e16, 1e18, 1e40])
+    def test_past_scale_cap_refused(self, xi):
+        # eps * scale drowns the O(1) real parts here: the parent solve
+        # reported max Re = -0.211 at 1e15, +64 at 1e18, +6e23 at 1e40
+        with pytest.raises(SolverError):
+            eigenvalues(SystemParams(1, 1, 0.5, 1, 1), xi)
+        with pytest.raises(SolverError):
+            eigenvalues_batch(SystemParams(1, 1, 0.5, 1, 1), [1.0, xi])
+
+    @pytest.mark.parametrize("xi", [1e6, 1e8, 1e10])
+    def test_below_scale_cap_solved(self, xi):
+        # the a = 1 high-frequency table: Re -> -gamma2/2 and Re delta_+- = -1/4
+        spec = eigenvalues(SystemParams(1, 1, 0.5, 1, 1), xi)
+        assert spec.max_real_part == pytest.approx(-0.25, abs=1e-4)
 
     def test_non_finite_frequency_rejected(self):
         with pytest.raises(PreconditionError):
