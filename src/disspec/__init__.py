@@ -28,7 +28,6 @@ from .propagator import (EnergyRecord, FourierState, PutzerWorkspace,
 from .spectral import (AsymptoticCoeffs, BranchRate, CardanoClass,
                        GapCertificate, Spectrum, branch_continuation,
                        cardano_classify, eigenvalues, eigenvalues_batch,
-                       eigenvalues_hp, gap_scan, high_freq_expansion,
-                       low_freq_expansion)
+                       gap_scan, high_freq_expansion, low_freq_expansion)
 
 __version__ = "0.1.0"

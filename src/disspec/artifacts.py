@@ -93,7 +93,7 @@ def append_jsonl(path, record: dict, wall_time_s: float | None = None) -> None:
 def read_jsonl(path):
     """Parse a run log; malformed lines are counted, not fatal."""
     records, skipped = [], 0
-    for line in Path(path).read_text().split("\n"):
+    for line in Path(path).read_text(encoding="utf-8").split("\n"):
         if not line.strip():
             continue
         try:

@@ -407,9 +407,11 @@ _EXPECTED_EXPONENT_TOL = 0.10
 
 def render_report(run_log: str) -> str:
     """Markdown summary of a JSONL run log, grouped by damping regime."""
-    if not Path(run_log).exists():
-        raise PreconditionError(f"run log not found: {run_log}")
-    records, skipped = artifacts.read_jsonl(run_log)
+    try:
+        records, skipped = artifacts.read_jsonl(run_log)
+    except (OSError, UnicodeDecodeError) as e:
+        # missing, a directory, unreadable or not UTF-8
+        raise PreconditionError(f"run log unreadable: {run_log}: {e}") from e
     groups: dict[str, list[dict]] = {}
     for rec in records:
         if rec.get("command") != "decay" or "fits" not in rec:

@@ -226,7 +226,7 @@ def _sextic_coeffs(a, k, l, g1, g2, z2) -> tuple:
     """c_0..c_6 of det(lambda I - Phi(zeta)) from z2 = zeta^2.
 
     Generic over the number type: floats with numpy arrays for
-    :func:`char_poly_coeffs`, mpmath numbers for the high-precision roots.
+    :func:`char_poly_coeffs`, mpmath numbers for 50-digit roots.
     """
     lz = l * l - z2
     c6 = 1.0

@@ -70,6 +70,12 @@ class Profile:
     center: float = 0.0
     component: str = "z"
 
+    def __post_init__(self):
+        # NaN passes the schema's exclusiveMinimum and would yield NaN data
+        if not (np.isfinite(self.width) and np.isfinite(self.center)):
+            raise PreconditionError(f"profile width and center must be finite, got "
+                                    f"width={self.width!r}, center={self.center!r}")
+
     def amplitude(self, grid: np.ndarray) -> np.ndarray:
         if self.kind == "gaussian":
             return np.exp(-0.5 * (self.width * grid) ** 2)

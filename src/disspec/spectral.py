@@ -6,18 +6,16 @@ zero-frequency limit when gamma1 = 0, and certified spectral-gap scans on
 middle-frequency bands.
 
 The solver treats the frequency axis as a batch dimension: one call solves
-a whole array of frequencies with one batched companion-matrix eigvals call
-(plus one Newton polish per isolated root, vectorized), one batched
-eigvals call of the real similar symbol S^-1 Phi S for the rows past symbol
-scale 64, and a vectorized residual certificate.  The single-frequency
-:func:`eigenvalues` is the n = 1 view of that solve and returns
-bit-identical roots.
+a whole array of frequencies with one batched eigvals call of the real
+similar symbol S^-1 Phi S, one matrix per distinct |xi|, followed by a
+vectorized residual certificate and the run-time invariants (dissipativity
+and the trace identity).  The single-frequency :func:`eigenvalues` is the
+n = 1 view of that solve and returns bit-identical roots.
 
-Both matrices are real at real frequencies: the characteristic polynomial
-has real coefficients in xi^2, and S = diag(1, i, -i, 1, -i, 1) makes the
-symbol real (:func:`core_model.real_symbol_stack`).  So each spectrum is
-closed under conjugation exactly, complex roots coming in pairs that are
-conjugate bit for bit, which the propagator's r table exploits.
+S = diag(1, i, -i, 1, -i, 1) makes the symbol real at real frequencies
+(:func:`core_model.real_symbol_stack`), so each spectrum is closed under
+conjugation exactly, complex roots coming in pairs that are conjugate bit
+for bit, which the propagator's r table exploits.
 
 The expansion tables are *numerically grounded*: every coefficient returned
 here has been validated against eigenvalue fits (see tests).  Where commonly
@@ -37,8 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_model import (SystemParams, _sextic_coeffs, build_matrices, char_poly_coeffs,
-                         real_symbol_stack)
+from .core_model import SystemParams, char_poly_coeffs, real_symbol_stack
 from .errors import (CertificateRefused, PreconditionError, RegimeError,
                      SolverError, UnsupportedRegimeError)
 
@@ -69,7 +66,8 @@ class Spectrum:
     Ordered by descending real part, ties broken by ascending imaginary
     part (the fixed ordering used by the propagator).  multiplicity_tags[j]
     is the size of the cluster containing eigenvalue j at relative
-    tolerance 1e-7.
+    tolerance 1e-7.  residuals[j] is |p(lambda_j)|, within the certificate
+    1e-8 (1 + |lambda_j|^6) of :func:`eigenvalues_batch`.
     """
 
     xi: float
@@ -100,105 +98,67 @@ def _polyval_rows(coeffs: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return y
 
 
-def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
-    """np.roots of every row of real ascending (m, 7) coefficients.
-
-    Rows share one batched real eigvals call per companion size, so complex
-    roots come in exact conjugate pairs.  Vanishing low-order coefficients
-    (the constant term at xi = 0) are deflated as np.roots does: the
-    companion shrinks and the roots 0 are appended.
-    """
-    lam = np.zeros((len(coeffs), 6), dtype=complex)
-    n_zero = np.argmax(coeffs != 0, axis=1)
-    for z in set(n_zero.tolist()):
-        rows = n_zero == z
-        size = 6 - z
-        C = np.zeros((int(rows.sum()), size, size))
-        C[:, 1:, :-1] = np.eye(size - 1)
-        C[:, 0, :] = -coeffs[rows, z:6][:, ::-1] / coeffs[rows, 6:]
-        # a float result when every root of the batch is real
-        lam[rows, :size] = np.linalg.eigvals(C)
-    return lam
-
-
 #: largest supported symbol scale |xi| max(1, a, k) + 1 + l k + gamma1 + gamma2
 _SCALE_CAP = 2.0**38
+
+#: invariant slack in units of eps * scale: the solve's worst dissipativity
+#: and trace errors on random parameter sets stay near 10 of these units
+_INVARIANT_ULPS = 1e4
 
 
 def eigenvalues_batch(params: SystemParams, xi) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of Phi(i xi) at every frequency of ``xi`` in one solve.
 
     Returns ``(lam, resid)``, both of shape (n, 6): each row in Putzer
-    order and its residuals |p(lambda)|.  Rows with symbol scale <= 64 are
-    roots of the characteristic polynomial (one batched solve of the real
-    companion matrices, then one Newton step for isolated roots with a
-    safely nonzero p'); the polynomial depends on xi only through xi^2, so
-    each distinct xi^2 is solved once and rows at +-xi are bitwise equal.
-    Rows above scale 64 are eigenvalues of the real similar matrix
-    S^-1 Phi S, unpolished, one solve per row.  Every row is closed under
-    conjugation exactly: the real solves return exact conjugate pairs, and
-    the polish and the Putzer sort keep them.  Raises :class:`SolverError`
-    when any row's symbol scale exceeds 2^38, where the solve's absolute
-    error eps * scale reaches ~1e-4 and real parts of order 1 become noise,
-    or when any residual exceeds 1e-8 (1 + |lambda|^6) or is not finite.
+    order and its residuals |p(lambda)|.  The eigenvalues are those of the
+    real similar matrix S^-1 Phi S (:func:`core_model.real_symbol_stack`),
+    one batched backward-stable solve.  The spectrum depends on xi only
+    through xi^2, so each distinct |xi| is solved once and rows at +-xi are
+    bitwise equal; every row is closed under conjugation exactly.
+
+    Raises :class:`SolverError` (a numerical breakdown) when any row's
+    symbol scale exceeds 2^38, where the solve's absolute error eps * scale
+    reaches ~1e-4 and real parts of order 1 become noise; when a residual
+    exceeds 1e-8 (1 + |lambda|^6) or is not finite; or when a row breaks
+    dissipativity (max Re lambda) or the trace identity
+    (|sum lambda + gamma1 + gamma2|) by more than 1e4 eps * scale.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.ndim != 1 or not np.all(np.isfinite(xi)):
         raise PreconditionError(f"frequencies must be a finite 1-d array, got {xi!r}")
-    scale = np.abs(xi) * max(1.0, params.a, params.k) + (
-        1.0 + params.l * params.k + params.gamma1 + params.gamma2)
+    u, inverse = np.unique(np.abs(xi), return_inverse=True)
+    g = params.gamma1 + params.gamma2
+    scale = u * max(1.0, params.a, params.k) + (1.0 + params.l * params.k + g)
     if np.any(scale > _SCALE_CAP):
-        i = int(np.argmax(scale > _SCALE_CAP))
-        raise SolverError(f"symbol scale {scale[i]:.3g} at xi={xi[i]} exceeds 2^38: "
+        raise SolverError(f"symbol scale {scale[-1]:.3g} at |xi|={u[-1]} exceeds 2^38: "
                           "rounding (eps * scale) would drown the real parts")
-    coeffs = char_poly_coeffs(params, 1j * xi)
-    lam = np.empty((len(xi), 6), dtype=complex)
-    low = scale <= 64.0
-    if low.any():
-        # equal xi^2 give equal coefficients: solve one row per value
-        _, first, inverse = np.unique(xi[low] ** 2, return_index=True,
-                                      return_inverse=True)
-        c = coeffs[np.flatnonzero(low)[first]]
-        # z2 = -xi^2 is real, so every coefficient has imaginary part 0
-        r = _companion_roots(c.real)
-        # one Newton step for well-separated roots only: at a (near-)multiple
-        # root the step is noise-driven and, worse, destroys the cluster
-        # mean, which the companion solve keeps trace-faithful
-        gaps = np.abs(r[:, :, None] - r[:, None, :])
-        gaps[:, np.arange(6), np.arange(6)] = np.inf
-        isolated = gaps.min(axis=2) > 1e-3 * np.maximum(1.0, np.abs(r).max(axis=1))[:, None]
-        dp = _polyval_rows(c[:, 1:] * np.arange(1, 7), r)
-        p = _polyval_rows(c, r)
-        safe = isolated & (np.abs(dp) > 1e-12 * (1.0 + np.abs(p)))
-        lam[low] = np.where(safe, r - p / np.where(safe, dp, 1.0), r)[inverse]
-    if not low.all():
-        lam[~low] = np.linalg.eigvals(real_symbol_stack(params, xi[~low]))
-    lam = _putzer_order(lam)
-
+    # a float result when every root of the batch is real
+    lam = _putzer_order(np.linalg.eigvals(real_symbol_stack(params, u)).astype(complex))
+    coeffs = char_poly_coeffs(params, 1j * u)
     resid = np.abs(_polyval_rows(coeffs, lam))
-    # NaN residuals fail too
-    bad = ~(resid <= 1e-8 * (1.0 + np.abs(lam) ** 6))
-    if bad.any():
-        # report the offending polynomial, as promised
-        i = int(np.flatnonzero(bad.any(axis=1))[0])
-        raise SolverError(
-            f"eigenvalue solve did not converge at xi={xi[i]}: residuals {resid[i]}, "
-            f"coefficients {coeffs[i]}"
-        )
-    return lam, resid
+    tol = _INVARIANT_ULPS * np.finfo(float).eps * scale
+    # NaN fails every check
+    checks = (
+        (~(resid <= 1e-8 * (1.0 + np.abs(lam) ** 6))).any(axis=1),
+        ~(lam.real.max(axis=1) <= tol),
+        ~(np.abs(lam.sum(axis=1) + g) <= tol),
+    )
+    for what, bad in zip(("residual certificate", "dissipativity", "trace identity"), checks):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise SolverError(
+                f"eigenvalue solve breaks the {what} at |xi|={u[i]} (tolerance "
+                f"{tol[i]:.3g}): eigenvalues {lam[i]}, residuals {resid[i]}, "
+                f"coefficients {coeffs[i]}")
+    return lam[inverse], resid[inverse]
 
 
 def eigenvalues(params: SystemParams, xi: float) -> Spectrum:
     """Eigenvalues at one frequency: the n = 1 view of :func:`eigenvalues_batch`.
 
-    Real companion-matrix solve of the characteristic polynomial, then one
-    Newton polish step per isolated root.  Past a symbol norm of ~64 the
-    polynomial-coefficient representation can no longer resolve real parts
-    near zero (evaluation noise ~ eps |lambda|^6 divided by p'), so the
-    solve switches to the backward-stable eigenvalue routine on the real
-    matrix S^-1 Phi S, similar to the symbol, and skips the polish;
-    residuals still satisfy the same certificate.  Either way the complex
-    eigenvalues come in exactly conjugate pairs.
+    The backward-stable eigenvalue routine on the real matrix S^-1 Phi S,
+    similar to the symbol, so the complex eigenvalues come in exactly
+    conjugate pairs and the residuals satisfy the same certificate.
     """
     lam, resid = eigenvalues_batch(params, [xi])
     return Spectrum(
@@ -208,26 +168,6 @@ def eigenvalues(params: SystemParams, xi: float) -> Spectrum:
         max_real_part=float(lam[0].real.max()),
         residuals=resid[0],
     )
-
-
-def eigenvalues_hp(params: SystemParams, xi: float, dps: int = 50) -> np.ndarray:
-    """Eigenvalues at zeta = i xi by high-precision polynomial rooting.
-
-    Needed where branch real parts sit below the double-precision noise
-    floor of the companion solve (e.g. the xi^-4 branches past xi ~ 100).
-    The coefficients come from the formula of :func:`char_poly_coeffs`,
-    evaluated in working precision (double-rounded coefficients would
-    themselves drown those real parts).  Returns the six
-    roots in the standard ordering.
-    """
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        mp_params = map(mp.mpf, (params.a, params.k, params.l, params.gamma1, params.gamma2))
-        coeffs = _sextic_coeffs(*mp_params, mp.mpc(0, xi) ** 2)[::-1]
-        roots = mp.polyroots(coeffs, maxsteps=400, extraprec=120)
-        lam = np.array([complex(r) for r in roots])
-    return _putzer_order(lam)
 
 
 def branch_continuation(params: SystemParams, grid: np.ndarray) -> np.ndarray:
@@ -302,8 +242,7 @@ def _minus_L_root_split(params: SystemParams) -> tuple[np.ndarray, dict]:
     (ground truth); the two printed cubic variants are evaluated against them
     for diagnostics only.
     """
-    _, L = build_matrices(params)
-    ev = np.linalg.eigvals(-L.astype(complex))
+    ev = eigenvalues_batch(params, [0.0])[0][0]
     kl = params.k * params.l
     known = np.array([0.0, 1j * kl, -1j * kl])
     remaining = list(ev)

@@ -1,0 +1,42 @@
+"""50-digit oracles shared by the tests; mpmath is a test dependency only."""
+
+import numpy as np
+
+from disspec.core_model import _sextic_coeffs
+from disspec.spectral import _putzer_order
+
+
+def r_chain_mp(lam, t):
+    """First column of the 50-digit exponential of t J, J lower
+    bidiagonal with the nodes on the diagonal and ones below it."""
+    import mpmath as mp
+
+    n = len(lam)
+    with mp.workdps(50):
+        J = mp.zeros(n)
+        for i in range(n):
+            J[i, i] = mp.mpc(lam[i]) * t
+            if i:
+                J[i, i - 1] = t
+        E = mp.expm(J)
+        return np.array([complex(E[i, 0]) for i in range(n)])
+
+
+def eigenvalues_hp(params, xi, dps=50):
+    """Eigenvalues at zeta = i xi by high-precision polynomial rooting, in
+    Putzer order.
+
+    Resolves branch real parts below the double-precision floor eps * scale
+    (e.g. the xi^-4 branches past xi ~ 100).  The coefficients come from the
+    formula of :func:`disspec.char_poly_coeffs`, evaluated in working
+    precision, since double-rounded coefficients would themselves drown
+    those real parts.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        mp_params = map(mp.mpf, (params.a, params.k, params.l, params.gamma1, params.gamma2))
+        coeffs = _sextic_coeffs(*mp_params, mp.mpc(0, xi) ** 2)[::-1]
+        roots = mp.polyroots(coeffs, maxsteps=400, extraprec=120)
+        lam = np.array([complex(r) for r in roots])
+    return _putzer_order(lam)

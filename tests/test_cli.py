@@ -166,27 +166,71 @@ class TestCommands:
 
     def test_defective_evolve_imports_no_fallback(self, tmp_path):
         # the clustered xi = 0 row takes the double-precision bidiagonal
-        # route, which needs neither an ODE solver nor 50-digit arithmetic
-        config = {"command": "evolve",
-                  "params": {"a": 1.0, "k": 1.0, "l": math.sqrt(8.0),
-                             "gamma1": 0.0, "gamma2": math.sqrt(27.0)},
-                  "profile": {"kind": "gaussian", "width": 1.0, "component": "z"},
-                  "t": 200.0, "grid": {"xi_max": 8.0, "n_geo": 96, "n_lin": 96}}
+        # route, which needs neither an ODE solver nor 50-digit arithmetic;
+        # no command on the spectrum or propagation path needs the latter
+        defective = {"command": "evolve",
+                     "params": {"a": 1.0, "k": 1.0, "l": math.sqrt(8.0),
+                                "gamma1": 0.0, "gamma2": math.sqrt(27.0)},
+                     "profile": {"kind": "gaussian", "width": 1.0, "component": "z"},
+                     "t": 200.0, "grid": {"xi_max": 8.0, "n_geo": 96, "n_lin": 96}}
+        configs = [
+            defective,
+            {"command": "spectrum", "params": PARAMS,
+             "xi_min": -10.0, "xi_max": 10.0, "n_points": 41},
+            {"command": "asymptotics", "params": PARAMS},
+            {"command": "gap", "params": G10_PARAMS, "nu": 0.1, "N": 10.0,
+             "initial_points": 65},
+            decay_config(),
+            {"command": "synthesize", "params": G10_PARAMS,
+             "profile": {"kind": "gaussian", "width": 1.0, "component": "z"},
+             "times": {"t_min": 1.0, "t_max": 1000.0, "n": 10},
+             "partition": {"nu": 0.05, "N": 20.0}, "j": 0, "ell": 1,
+             "grid": {"xi_max": 40.0, "n_geo": 96, "n_lin": 128}},
+        ]
         script = ("import json, sys\n"
                   "from pathlib import Path\n"
                   "from disspec import cli\n"
-                  "cli.dispatch(json.loads(sys.argv[1]), Path(sys.argv[2]))\n"
-                  "print(json.dumps([m for m in ('scipy.integrate', 'mpmath')"
-                  " if m in sys.modules]))\n")
+                  "seen = []\n"
+                  "for i, config in enumerate(json.loads(sys.argv[1])):\n"
+                  "    cli.dispatch(config, Path(sys.argv[2]) / str(i))\n"
+                  "    seen.append([m for m in ('scipy.integrate', 'mpmath')"
+                  " if m in sys.modules])\n"
+                  "print(json.dumps(seen))\n")
         src = str(Path(disspec.__file__).resolve().parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", script, json.dumps(config),
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(configs),
                                str(tmp_path / "out")],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == []
-        assert (tmp_path / "out" / "state.csv").exists()
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen[0] == []
+        assert [m for modules in seen for m in modules if m == "mpmath"] == []
+        assert (tmp_path / "out" / "0" / "state.csv").exists()
+
+    @pytest.mark.parametrize("profile", [
+        {"kind": "gaussian", "width": float("nan")},
+        {"kind": "gaussian", "width": float("inf")},
+        {"kind": "high_freq_packet", "center": float("nan"), "width": 1.0}])
+    def test_evolve_non_finite_profile_exit_2(self, tmp_path, profile):
+        # NaN and Infinity parse from JSON and pass "exclusiveMinimum": 0
+        code, out = run_cli(tmp_path, {
+            "command": "evolve", "params": PARAMS, "profile": profile,
+            "t": 2.0, "grid": {"xi_max": 8.0, "n_geo": 16, "n_lin": 16}})
+        assert code == 2
+        assert json.loads((out / "error.json").read_text())["error"] == "PreconditionError"
+        assert not (out / "state.csv").exists()
+
+    def test_synthesize_nan_width_exit_2(self, tmp_path):
+        code, out = run_cli(tmp_path, {
+            "command": "synthesize", "params": G10_PARAMS,
+            "profile": {"kind": "gaussian", "width": float("nan"), "component": "z"},
+            "times": {"t_min": 1.0, "t_max": 1000.0, "n": 10},
+            "partition": {"nu": 0.05, "N": 20.0}, "j": 0, "ell": 1,
+            "grid": {"xi_max": 40.0, "n_geo": 32, "n_lin": 32}})
+        assert code == 2
+        assert json.loads((out / "error.json").read_text())["error"] == "PreconditionError"
+        assert not (out / "synthesis.json").exists()
 
     @pytest.mark.parametrize("t", [float("nan"), float("inf")])
     @pytest.mark.parametrize("params", [PARAMS, {"a": 1.0, "k": 1.0, "l": math.sqrt(8.0),
@@ -302,6 +346,18 @@ class TestDecayAndReport:
         code, _ = run_cli(tmp_path, {"command": "report",
                                      "run_log": str(tmp_path / "nope.jsonl")})
         assert code == 2
+
+    @pytest.mark.parametrize("kind", ["directory", "latin-1"])
+    def test_report_unreadable_log_exit_2(self, tmp_path, kind):
+        log = tmp_path / "runs.jsonl"
+        if kind == "directory":
+            log.mkdir()
+        else:
+            log.write_bytes('{"regime": "caf\u00e9"}\n'.encode("latin-1"))
+        code, out = run_cli(tmp_path, {"command": "report", "run_log": str(log)})
+        assert code == 2
+        assert json.loads((out / "error.json").read_text())["error"] == "PreconditionError"
+        assert not (out / "report.md").exists()
 
 
 def test_dispatch_summary_payload(tmp_path):

@@ -1,11 +1,15 @@
-"""Property tests of the structural invariants across the four damping regimes."""
+"""Property tests of the structural invariants across the four damping
+regimes, and of the CSV artifact format."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disspec import (SymbolPropagator, SystemParams, eigenvalues, eigenvalues_batch,
-                     real_symbol_stack, symbol_stack)
+from disspec import (SymbolPropagator, SystemParams, artifacts, eigenvalues,
+                     eigenvalues_batch, real_symbol_stack, symbol_stack)
 
 PROPERTY = settings(max_examples=40, derandomize=True, deadline=None)
 
@@ -44,8 +48,7 @@ def test_batched_equals_scalar(p, xi):
 @given(params(), frequencies)
 def test_trace_identity(p, xi):
     # sum lambda = trace Phi = -(gamma1 + gamma2), to rounding on the scale
-    # of the symbol's norm; the companion route's root errors reach ~2.4e3
-    # eps * scale on 16k random rows, the matrix route's ~20
+    # of the symbol's norm; the solve's errors stay near 10 eps * scale
     lam, _ = eigenvalues_batch(p, xi)
     scale = 1.0 + np.abs(xi) * max(1.0, p.a, p.k) + p.l * p.k + p.gamma1 + p.gamma2
     err = np.abs(lam.sum(axis=1) + p.gamma1 + p.gamma2)
@@ -62,7 +65,7 @@ def test_semigroup_is_a_contraction(p, xi, times):
 @PROPERTY
 @given(params(), wide_frequencies)
 def test_spectra_are_conjugate_closed(p, xi):
-    # both routes solve real matrices, so complex roots pair up bit for bit
+    # the solve takes a real matrix, so complex roots pair up bit for bit
     lam, _ = eigenvalues_batch(p, xi)
     for row in lam:
         assert np.array_equal(np.sort_complex(row), np.sort_complex(row.conj()))
@@ -89,3 +92,16 @@ def test_semigroup_law(p, xi, s, t):
     nrm = np.linalg.norm(whole, ord=2, axis=(1, 2))
     err = np.linalg.norm(whole - split, ord=2, axis=(1, 2))
     assert np.all(err <= 1e-10 * nrm)
+
+
+@PROPERTY
+@given(st.lists(st.lists(st.floats(), min_size=3, max_size=3), max_size=6))
+def test_csv_round_trip_is_byte_identical(rows):
+    # repr floats (NaN, +-inf and -0.0 included) read back to the same values
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        artifacts.write_csv(path, ["xi", "re", "im"], rows)
+        first = path.read_bytes()
+        header, back = artifacts.read_csv(path)
+        artifacts.write_csv(path, header, back)
+        assert path.read_bytes() == first

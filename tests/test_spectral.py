@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from disspec import (CertificateRefused, PreconditionError, RegimeError,
-                     SolverError, SystemParams, UnsupportedRegimeError,
-                     branch_continuation, build_symbol, cardano_classify,
+                     SolverError, SymbolPropagator, SystemParams, UnsupportedRegimeError,
+                     branch_continuation, cardano_classify,
                      char_poly, default_grid, eigenvalues, eigenvalues_batch,
-                     eigenvalues_hp, gap_scan, high_freq_expansion,
-                     low_freq_expansion)
+                     gap_scan, high_freq_expansion, low_freq_expansion,
+                     real_symbol_stack)
+from oracles import eigenvalues_hp
 
 
 def lam_at(params, xi):
@@ -14,31 +15,15 @@ def lam_at(params, xi):
 
 
 def scalar_oracle(params, xi):
-    """One frequency at a time: np.roots of the real coefficients plus one
-    Newton polish of isolated roots below symbol scale 64, eigvals of the
-    real S^-1 Phi S above, Putzer order."""
-    poly = char_poly(params, 1j * xi)
-    scale = abs(xi) * max(1.0, params.a, params.k) + (
-        1.0 + params.l * params.k + params.gamma1 + params.gamma2)
-    if scale <= 64.0:
-        lam = np.roots(poly.coeffs.real[::-1]).astype(complex)
-        gaps = np.abs(lam[:, None] - lam[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        isolated = gaps.min(axis=1) > 1e-3 * max(1.0, np.abs(lam).max())
-        dp = poly.derivative(lam)
-        p = poly(lam)
-        safe = isolated & (np.abs(dp) > 1e-12 * (1.0 + np.abs(p)))
-        lam = np.where(safe, lam - p / np.where(safe, dp, 1.0), lam)
-    else:
-        S = np.diag([1, 1j, -1j, 1, -1j, 1])
-        similar = np.linalg.inv(S) @ build_symbol(params, xi).Phi @ S
-        lam = np.linalg.eigvals(similar.real).astype(complex)
+    """One frequency at a time: eigvals of the real symbol S^-1 Phi S at
+    |xi|, Putzer order."""
+    lam = np.linalg.eigvals(real_symbol_stack(params, abs(xi))).astype(complex)
     return lam[np.lexsort((lam.imag, -lam.real))]
 
 
 class TestBatchedSolve:
-    # both dampings, gamma1 = 0, gamma2 = 0, undamped (xi = 0 deflates one
-    # resp. two vanishing coefficients), and the defective triple point
+    # both dampings, gamma1 = 0, gamma2 = 0, undamped (xi = 0 is a simple
+    # resp. double root 0), and the defective triple point
     REGIMES = [(1, 1, 0.5, 1, 1), (2, 1, 1, 0, 1), (1.3, 0.8, 1.1, 1, 0),
                (1, 1, 1, 0, 0), (1, 1, np.sqrt(8.0), 0, np.sqrt(27.0))]
 
@@ -52,6 +37,31 @@ class TestBatchedSolve:
         assert np.array_equal(lam, ref)
         assert np.array_equal(resid, np.abs(
             [char_poly(params, 1j * x)(row) for x, row in zip(grid, ref)]))
+
+    def test_mirror_rows_bitwise_equal_past_scale_64(self):
+        # rows past symbol scale 64 are solved once per |xi| as well, so the
+        # propagator keeps one table row per mirror pair
+        params = SystemParams(2, 1, 1, 0, 1)
+        grid = default_grid(xi_max=300.0, n_geo=64, n_lin=400)
+        assert np.array_equal(grid, -grid[::-1]) and np.abs(grid).max() * 2 > 64
+        lam, resid = eigenvalues_batch(params, grid)
+        assert np.array_equal(lam, lam[::-1])
+        assert np.array_equal(resid, resid[::-1])
+        prop = SymbolPropagator(params, grid)
+        assert len(prop.nodes) == len(np.unique(np.abs(grid)))
+
+    @pytest.mark.parametrize("shift, broken", [(1e-10, "dissipativity"),
+                                               (-1e-10, "trace identity")])
+    def test_invariant_breach_refused(self, monkeypatch, shift, broken):
+        # a solve shifted by 1e-10 keeps its residuals far inside the
+        # certificate but misses the invariants' 1e4 eps * scale; +shift
+        # lifts the gamma2 = 0 imaginary pair into Re > 0, -shift only
+        # moves the trace
+        params = SystemParams(1, 1, 1, 1, 0) if shift > 0 else SystemParams(1, 1, 0.5, 1, 1)
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals(a) + shift)
+        with pytest.raises(SolverError, match=broken):
+            eigenvalues_batch(params, [0.5, 2.0])
 
     @pytest.mark.parametrize("xi", [1e60, 1e300])
     def test_overflowing_certificate_refused(self, xi):
