@@ -21,10 +21,9 @@ from .errors import (CertificateRefused, DisspecError, PreconditionError,
 from .lyapunov import (AuditReport, FunctionalValues, LyapunovConstants,
                        audit_inequality, eval_functionals, gronwall_check,
                        sandwich_fit, search_constants)
-from .propagator import (EnergyRecord, FourierState, PutzerWorkspace,
-                         SymbolPropagator, default_grid, energy_audit, evolve,
-                         matrix_exp, plancherel_norm, plancherel_norms,
-                         putzer_r, putzer_workspace)
+from .propagator import (EnergyRecord, FourierState, SymbolPropagator,
+                         default_grid, energy_audit, plancherel_norm,
+                         plancherel_norms)
 from .spectral import (AsymptoticCoeffs, BranchRate, CardanoClass,
                        GapCertificate, Spectrum, branch_continuation,
                        cardano_classify, eigenvalues, eigenvalues_batch,

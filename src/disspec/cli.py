@@ -26,7 +26,7 @@ from . import artifacts
 from .core_model import SystemParams
 from .decay_lab import (Experiment, FrequencyPartition, Profile, run_decay,
                         three_region_synthesis)
-from .errors import CertificateRefused, DisspecError, PreconditionError, SchemaError
+from .errors import CertificateRefused, PreconditionError, SchemaError
 from .lyapunov import audit_inequality, sandwich_fit, search_constants
 from .propagator import default_grid, SymbolPropagator
 from .spectral import (branch_continuation, cardano_classify, gap_scan,
@@ -397,7 +397,7 @@ def dispatch(config: dict, out_dir: Path, seed: int = 0) -> dict:
         path = out_dir / "synthesis.json"
         artifacts.write_json(path, payload)
         return {"command": cmd, "artifacts": [str(path)],
-                "p_fitted": rep.get("p_fitted"), "gap": rep.get("gap")}
+                "p_fitted": rep["p_fitted"], "gap": rep["gap"]}
 
     raise SchemaError(f"unhandled command {cmd!r}")
 
@@ -486,7 +486,9 @@ def main(argv=None) -> int:
         except OSError:
             pass
         return 2
-    except DisspecError as e:
+    except Exception as e:
+        # a SolverError or any fault outside the package's own errors (say,
+        # a MemoryError) ends in the same internal-error payload
         logger.error("internal error: %s", e)
         print(json.dumps({"error": type(e).__name__, "message": str(e)}))
         return 1

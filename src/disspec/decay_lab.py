@@ -370,6 +370,14 @@ def three_region_synthesis(exp: Experiment, part: FrequencyPartition,
         j = exp.j_orders[0]
     grid, times = exp.grid, exp.times
     ax = np.abs(grid)
+    masks = {"low": ax < part.nu, "mid": (ax >= part.nu) & (ax <= part.N),
+             "high": ax > part.N}
+    distinct = {region: np.unique(ax[mask]).size for region, mask in masks.items()}
+    if min(distinct.values()) < 1 or distinct["high"] < 2:
+        # an empty region bounds nothing, and fitting p takes two |xi|
+        raise PreconditionError(
+            f"grid leaves distinct |xi| per region {distinct} for nu={part.nu}, "
+            f"N={part.N}: each region needs one and the high region two")
 
     hf = high_freq_expansion(params)
     validated = [b for b in hf.high_freq if np.isfinite(b.re_coefficient)]
@@ -397,8 +405,6 @@ def three_region_synthesis(exp: Experiment, part: FrequencyPartition,
 
     # ||e^{Phi t}||_2 on each region thinned to at most 160 frequencies, from
     # one propagator over the union
-    masks = {"low": ax < part.nu, "mid": (ax >= part.nu) & (ax <= part.N),
-             "high": ax > part.N}
     thinned = {}
     for region, mask in masks.items():
         # past 160 points the linspace steps exceed 1, so the indices are distinct
@@ -425,8 +431,6 @@ def three_region_synthesis(exp: Experiment, part: FrequencyPartition,
     bounds = np.zeros(len(times))
     for region, key in (("low", "c1_hat"), ("mid", "c5_hat"), ("high", "c3_hat")):
         idx, mask = thinned[region], masks[region]
-        if not idx.size:
-            continue
         x, nrm = ax[idx], opnorm[:, idx]
         if region == "high":
             # p first: the log-log slope in |xi| of sup_t ||e^{Phi t}||_2 / s at p = 0

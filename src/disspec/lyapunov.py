@@ -280,6 +280,9 @@ def audit_inequality(params: SystemParams, consts: LyapunovConstants,
         raise PreconditionError(f"audit needs frequencies, n_random >= 0 and horizon > "
                                 f"{_T_FIRST}; got {xi.size} frequencies, n_random = "
                                 f"{n_random}, horizon = {horizon}")
+    if not np.any(xi != 0.0):
+        raise PreconditionError("every audited frequency is 0, where the weight "
+                                "vanishes and bounds no decay rate c")
     states = np.concatenate([np.eye(6, dtype=complex),
                              _unit_states(np.random.default_rng(seed), 1, n_random)[0]])
     kind, sigma = lyapunov_sigma(params, xi)

@@ -34,9 +34,12 @@ spectrum at +-xi).  The table is node-major, (6, spectra, times) contiguous
 planes, and is contracted with the Q chains of the data by one batched
 matmul per chunk of rows, so Plancherel norms are reduced chunk by chunk
 (:meth:`SymbolPropagator.density`, :func:`plancherel_norms`) without ever
-holding the (times, frequencies, 6) trajectory.  The single-frequency entry
-points (putzer_r, putzer_workspace, matrix_exp) are n = 1 calls of the
-same code.
+holding the (times, frequencies, 6) trajectory.
+
+:class:`SymbolPropagator` is the only entry point to e^{t Phi}, and the
+route rule is consulted only there.  One frequency is a grid of one, and
+the matrix exponential e^{t Phi(i xi)} is the propagation of the identity
+block: ``SymbolPropagator(p, [xi]).propagate_many(np.eye(6)[None], [t])[0, 0]``.
 
 All eigenvalue orderings here are descending real part, ties by ascending
 imaginary part; the assembled exponential is order-invariant (tested).
@@ -48,18 +51,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core_model import SystemParams, SymbolMatrix, symbol_stack
+from .core_model import SystemParams, symbol_stack
 from .errors import PreconditionError, SolverError, TailMassError
-from .spectral import eigenvalues, eigenvalues_batch
+from .spectral import eigenvalues_batch
 
 __all__ = [
-    "putzer_r",
-    "PutzerWorkspace",
-    "putzer_workspace",
-    "matrix_exp",
     "FourierState",
     "default_grid",
-    "evolve",
     "energy_audit",
     "EnergyRecord",
     "plancherel_norm",
@@ -91,6 +89,10 @@ _TAYLOR_DEGREE = 14
 #: d = (b - a)/2; past |d| = 1 the plain quotient (e^b - e^a)/(b - a) has no
 #: cancellation, while sinh(d) overflows for large Re d
 _SINH_MAX = 1.0
+#: below this |d|, sinh(d)/d = 1 + d^2/6 is 1 to rounding; it is taken as 1
+#: there, since complex division by a subnormal d (a subnormal time t)
+#: overflows to NaN
+_SINHC_ONE = 1e-8
 
 
 def _snap_clusters(lam: np.ndarray, tol, trace=None) -> np.ndarray:
@@ -274,7 +276,7 @@ def _r_bidiag(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
             far = np.abs(d) > _SINH_MAX
             near = np.where(far, 1.0, d)
             sinhc = np.divide(np.sinh(near), near, out=np.ones_like(near),
-                              where=near != 0.0)
+                              where=np.abs(near) > _SINHC_ONE)
             sub = np.where(far, (ez[:, 1:] - ez[:, :-1]) / np.where(far, 2.0 * d, 1.0),
                            np.exp(0.5 * (z[:, 1:] + z[:, :-1])) * sinhc)
             E[rows[:, None], diag, diag] = ez
@@ -295,63 +297,19 @@ def _ambiguous(lam: np.ndarray) -> np.ndarray:
     return close | (distinct != runs)
 
 
-def putzer_r(lambdas: np.ndarray, t: float) -> np.ndarray:
-    """The six chain functions r_1(t)..r_6(t) for the given eigenvalue order.
-
-    Rows the table can take (:func:`_ambiguous`) use the Newton/Hermite
-    table; every other node set takes the double-precision bidiagonal
-    exponential :func:`_r_bidiag` as its n = 1 call.  The nodes are honored
-    as given: the time-aware cluster snapping lives in :func:`_exp_bidiag`.
-    """
-    lam = np.asarray(lambdas, dtype=complex)[None]
-    t = float(t)
-    if t < 0 or not np.isfinite(t):
-        raise PreconditionError(f"time must be finite and >= 0, got {t}")
-    if _ambiguous(lam)[0]:
-        return _r_bidiag(lam, np.array([t]))[:, 0]
-    return _r_table(lam, np.array([t]))[:, 0, 0]
-
-
-@dataclass(frozen=True)
-class PutzerWorkspace:
-    """Eigenvalues in the fixed order and the matrix chain P_0..P_6.
-
-    P[6] is the full product over all six factors; by Cayley-Hamilton it
-    vanishes up to roundoff, and its norm is kept as a health indicator.
-    """
-
-    lambdas: np.ndarray
-    P: tuple[np.ndarray, ...]
-    cayley_residual: float
-
-
-def _q_chain(Phi: np.ndarray, lam: np.ndarray, X: np.ndarray,
-             count: int = 6) -> np.ndarray:
-    """Q_0..Q_{count-1} for a stack of symbols and data blocks.
+def _q_chain(Phi: np.ndarray, lam: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Q_0..Q_5 for a stack of symbols and data blocks.
 
     Phi : (n, 6, 6), lam : (n, 6), X : (n, 6, c).
-    Q_0 = X and Q_j = (Phi - lambda_j I) Q_{j-1}: shape (n, count, 6, c).
+    Q_0 = X and Q_j = (Phi - lambda_j I) Q_{j-1}: shape (n, 6, 6, c).
     The factors commute, so X = I gives the P chain P_j.
     """
-    Q = np.empty((len(Phi), count) + X.shape[1:], dtype=complex)
+    Q = np.empty((len(Phi), 6) + X.shape[1:], dtype=complex)
     Q[:, 0] = X
-    for j in range(1, count):
+    for j in range(1, 6):
         np.matmul(Phi, Q[:, j - 1], out=Q[:, j])
         Q[:, j] -= lam[:, j - 1, None, None] * Q[:, j - 1]
     return Q
-
-
-def putzer_workspace(symbol: SymbolMatrix, params: SystemParams | None = None,
-                     lambdas: np.ndarray | None = None) -> PutzerWorkspace:
-    """Build the P_j products for one symbol matrix."""
-    if lambdas is None:
-        if params is None:
-            raise PreconditionError("need params to solve for eigenvalues")
-        lambdas = eigenvalues(params, symbol.xi).eigenvalues
-    lam = np.asarray(lambdas, dtype=complex)
-    P = _q_chain(symbol.Phi[None], lam[None], np.eye(6)[None], count=7)[0]
-    return PutzerWorkspace(lambdas=lam, P=tuple(P),
-                           cayley_residual=float(np.linalg.norm(P[6], 2)))
 
 
 def _putzer_sum(Q: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -385,27 +343,6 @@ def _exp_bidiag(Phi: np.ndarray, lambdas: np.ndarray, t: np.ndarray,
         sl = slice(lo, lo + step)
         out[sl] = _putzer_sum(_q_chain(Phi[sl], lam[sl], X[sl]), r[sl])[..., 0]
     return out
-
-
-def matrix_exp(symbol: SymbolMatrix, t: float,
-               params: SystemParams | None = None,
-               workspace: PutzerWorkspace | None = None) -> np.ndarray:
-    """e^{Phi(i xi) t} = sum_j r_{j+1}(t) P_j, by the propagator's path.
-
-    The P_j are the Q chain of the identity block.  Nodes the table can
-    take (:func:`_ambiguous`) use it with the workspace's chain; ambiguous
-    nodes take :func:`_exp_bidiag` with X = I.
-    """
-    t = float(t)
-    if t < 0 or not np.isfinite(t):
-        raise PreconditionError(f"time must be finite and >= 0, got {t}")
-    if workspace is None:
-        workspace = putzer_workspace(symbol, params=params)
-    lam = workspace.lambdas[None]
-    if _ambiguous(lam)[0]:
-        return _exp_bidiag(symbol.Phi[None], lam, np.array([t]), np.eye(6)[None])[0]
-    r = _r_table(lam, np.array([t])).transpose(1, 0, 2)
-    return _putzer_sum(np.stack(workspace.P[:6])[None], r)[0, :, :, 0]
 
 
 @dataclass(frozen=True)
@@ -566,20 +503,6 @@ class SymbolPropagator:
         for rows, U in self.states(eye, times):
             out[rows] = np.linalg.norm(U, ord=2, axis=(1, 2))
         return out
-
-
-def evolve(state: FourierState, t_target: float) -> FourierState:
-    """Advance the state to t_target by per-frequency Putzer exponentials.
-
-    Exact in time: no stepping error beyond the matrix-exponential accuracy.
-    """
-    if t_target < state.t:
-        raise PreconditionError(f"t_target={t_target} is before state.t={state.t}")
-    if t_target == state.t:
-        return state
-    prop = SymbolPropagator(state.params, state.grid)
-    new_values = prop.apply(state.values, t_target - state.t)
-    return replace(state, values=new_values, t=t_target)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Provides the eigenvalue solver, the low/high-frequency expansion tables of
 the real parts, the Cardano classification of the cubic that governs the
-zero-frequency limit when gamma1 = 0, and certified spectral-gap scans on
-middle-frequency bands.
+zero-frequency limit when gamma1 = 0, and spectral-gap scans on
+middle-frequency bands.  The gap is *sampled*: the largest Re lambda on an
+adaptively refined grid, with no bound between the grid points.
 
 The solver treats the frequency axis as a batch dimension: one call solves
 a whole array of frequencies with one batched eigvals call of the real
@@ -458,10 +459,11 @@ def cardano_classify(params: SystemParams, tol: float = 1e-12) -> CardanoClass:
 
 @dataclass(frozen=True)
 class GapCertificate:
-    """Certified uniform spectral gap on a middle-frequency band.
+    """Sampled uniform spectral gap on a middle-frequency band.
 
     gap > 0 and max Re lambda(i xi) <= -gap for every scanned xi in
-    [nu, N] at the final refinement.
+    [nu, N] at the final refinement; between the scanned frequencies
+    nothing is certified.
     """
 
     nu: float
@@ -482,7 +484,7 @@ def gap_scan(params: SystemParams, nu: float, N: float,
     """Adaptively refined scan of max Re lambda over [nu, N].
 
     The grid is uniformly doubled until either the mesh is finer than
-    (N - nu) / 2^14 or the certified bound changes by less than 1e-4
+    (N - nu) / 2^14 or the sampled bound changes by less than 1e-4
     relative between refinements.  Any scanned frequency with
     max Re lambda >= -1e-10 refuses the certificate with that witness.
     Each refinement level is one batched eigen solve.

@@ -18,7 +18,7 @@ from disspec import (CertificateRefused, Experiment, FrequencyPartition,
                      Profile, SystemParams, audit_inequality, build_symbol,
                      cardano_classify, char_poly, char_poly_value,
                      default_grid, eigenvalues, energy_audit,
-                     gap_scan, gronwall_check, high_freq_expansion, matrix_exp,
+                     gap_scan, gronwall_check, high_freq_expansion,
                      run_decay, search_constants, three_region_synthesis)
 from disspec.decay_lab import _conservative_vector, packet_decay_time
 from disspec.propagator import FourierState, SymbolPropagator
@@ -64,8 +64,9 @@ def test_criterion_1_charpoly_oracle():
 def test_criterion_2_putzer_vs_pade():
     """Putzer assembly vs scaling-and-squaring Pade: 500 draws across all
     regimes including near-double-root parameter sets; entrywise <= 1e-8,
-    under 30 s."""
-    from disspec.propagator import putzer_workspace, _GAP_AMBIGUOUS
+    under 30 s.  Each draw propagates the identity block through a
+    one-frequency SymbolPropagator."""
+    from disspec.propagator import _GAP_AMBIGUOUS
 
     rng = np.random.default_rng(77)
     t0 = time.perf_counter()
@@ -91,12 +92,13 @@ def test_criterion_2_putzer_vs_pade():
             p = SystemParams(1.0, 1.0, l, 0.0, g2)
             xi = 0.0 if i % 2 else rng.uniform(-1e-8, 1e-8)
         t = rng.uniform(0, 10)
-        sym = build_symbol(p, xi)
-        ws = putzer_workspace(sym, params=p)
-        gaps = np.abs(ws.lambdas[:, None] - ws.lambdas[None, :])[np.triu_indices(6, 1)]
+        prop = SymbolPropagator(p, np.array([xi]))
+        lam = prop.lambdas[0]
+        gaps = np.abs(lam[:, None] - lam[None, :])[np.triu_indices(6, 1)]
         if gaps.min() < _GAP_AMBIGUOUS:
             n_clustered += 1
-        diff = np.max(np.abs(matrix_exp(sym, t, workspace=ws) - expm(sym.Phi * t)))
+        E = prop.propagate_many(np.eye(6)[None], np.array([t]))[0, 0]
+        diff = np.max(np.abs(E - expm(build_symbol(p, xi).Phi * t)))
         worst = max(worst, diff)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 30.0 and n_clustered >= 100

@@ -108,6 +108,17 @@ class TestCommands:
         assert payload["error"] == "SolverError"
         assert not (out / "spectrum.csv").exists()
 
+    def test_unallocatable_grid_exit_1(self, tmp_path, capsys):
+        # 2^50 initial points cannot be allocated: numpy's MemoryError ends
+        # in the internal-error payload, not in a traceback
+        code, out = run_cli(tmp_path, {
+            "command": "gap", "params": G10_PARAMS, "nu": 0.05, "N": 50.0,
+            "initial_points": 2 ** 50})
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["error"].endswith("MemoryError") and payload["message"]
+        assert not (out / "gap_certificate.json").exists()
+
     def test_classify_verdict(self, tmp_path):
         code, out = run_cli(tmp_path, {
             "command": "classify",
@@ -232,6 +243,21 @@ class TestCommands:
         assert json.loads((out / "error.json").read_text())["error"] == "PreconditionError"
         assert not (out / "synthesis.json").exists()
 
+    @pytest.mark.parametrize("N, n_lin", [(60.0, 32), (39.5, 39)])
+    def test_synthesize_thin_high_region_exit_2(self, tmp_path, N, n_lin):
+        # past xi_max = 40 the high region is empty; at N = 39.5 with unit
+        # steps it holds |xi| = 40 alone, too few to fit the power p
+        code, out = run_cli(tmp_path, {
+            "command": "synthesize", "params": G10_PARAMS,
+            "profile": {"kind": "gaussian", "width": 1.0, "component": "z"},
+            "times": {"t_min": 1.0, "t_max": 1000.0, "n": 10},
+            "partition": {"nu": 0.05, "N": N}, "j": 0, "ell": 1,
+            "grid": {"xi_max": 40.0, "n_geo": 32, "n_lin": n_lin}})
+        assert code == 2
+        payload = json.loads((out / "error.json").read_text())
+        assert payload["error"] == "PreconditionError" and "'high'" in payload["message"]
+        assert not (out / "synthesis.json").exists()
+
     @pytest.mark.parametrize("t", [float("nan"), float("inf")])
     @pytest.mark.parametrize("params", [PARAMS, {"a": 1.0, "k": 1.0, "l": math.sqrt(8.0),
                                                  "gamma1": 0.0, "gamma2": math.sqrt(27.0)}])
@@ -271,13 +297,26 @@ class TestCommands:
 
     @pytest.mark.parametrize("bad, error", [({"frequencies": []}, "SchemaError"),
                                             ({"n_random": -3}, "SchemaError"),
-                                            ({"horizon": -1}, "PreconditionError")])
+                                            ({"horizon": -1}, "PreconditionError"),
+                                            ({"frequencies": [0.0]}, "PreconditionError"),
+                                            ({"frequencies": [0.0, -0.0]},
+                                             "PreconditionError")])
     def test_lyapunov_audit_bad_input_exit_2(self, tmp_path, bad, error):
         code, out = run_cli(tmp_path, {"command": "lyapunov-audit", "params": PARAMS,
                                        "frequencies": [1.0], "n_random": 4, **bad})
         assert code == 2
         assert json.loads((out / "error.json").read_text())["error"] == error
         assert not (out / "lyapunov_audit.json").exists()
+
+    def test_lyapunov_audit_with_zero_frequency(self, tmp_path):
+        # xi = 0 bounds no c, but the other frequencies still do
+        code, out = run_cli(tmp_path, {
+            "command": "lyapunov-audit", "params": PARAMS,
+            "frequencies": [0.0, 1.0], "n_random": 4})
+        assert code == 0
+        payload = json.loads((out / "lyapunov_audit.json").read_text())
+        assert 0.0 < payload["c0_feasible"] < math.inf
+        assert math.isfinite(payload["c_decay_rate"])
 
     def test_synthesize_command(self, tmp_path):
         code, out = run_cli(tmp_path, {

@@ -4,12 +4,12 @@ from scipy.linalg import expm
 
 from disspec import (FourierState, PreconditionError, SolverError,
                      SystemParams, TailMassError, build_symbol, default_grid,
-                     eigenvalues_batch, energy_audit, evolve, matrix_exp,
-                     plancherel_norm, putzer_r, putzer_workspace)
+                     eigenvalues, eigenvalues_batch, energy_audit,
+                     plancherel_norm)
 from disspec import propagator as propagator_module
 from disspec.decay_lab import _conservative_vector
-from disspec.propagator import (_EXP_FLOOR, SymbolPropagator, _conjugate_mirror,
-                                _r_bidiag, _r_table)
+from disspec.propagator import (_EXP_FLOOR, SymbolPropagator, _ambiguous,
+                                _conjugate_mirror, _q_chain, _r_bidiag, _r_table)
 from oracles import r_chain_mp
 
 
@@ -17,13 +17,35 @@ def defective_nodes():
     """Putzer-order eigenvalues at xi = 0 of (1, 1, sqrt 8, 0, sqrt 27),
     whose symbol carries a 3x3 Jordan block."""
     p = SystemParams(1.0, 1.0, np.sqrt(8.0), 0.0, np.sqrt(27.0))
-    return putzer_workspace(build_symbol(p, 0.0), params=p).lambdas
+    return eigenvalues(p, 0.0).eigenvalues
+
+
+def table_r(lam, t):
+    """r_1..r_6 of one node set at one time from the Newton/Hermite table."""
+    return _r_table(np.asarray(lam, dtype=complex)[None], np.array([t]))[:, 0, 0]
+
+
+def bidiag_r(lam, t):
+    """r_1..r_6 of one node set at one time from the bidiagonal exponential."""
+    return _r_bidiag(np.asarray(lam, dtype=complex)[None], np.array([t]))[:, 0]
+
+
+def p_chain(Phi, lam):
+    """P_0..P_5 of one symbol: the Q chain of the identity block."""
+    return _q_chain(Phi[None], np.asarray(lam, dtype=complex)[None], np.eye(6)[None])[0]
+
+
+def exp_many(p, xi, times):
+    """e^{t Phi(i xi)} at each time: the identity block propagated by a
+    one-frequency SymbolPropagator, shape (ntimes, 6, 6)."""
+    prop = SymbolPropagator(p, np.array([xi]))
+    return prop.propagate_many(np.eye(6)[None], np.asarray(times, dtype=float))[:, 0]
 
 
 class TestPutzerR:
     def test_initial_values(self):
         lam = np.array([-1 + 2j, -2.0, -3 + 0.5j, -4.0, -5.0, -6 - 1j])
-        r = putzer_r(lam, 0.0)
+        r = table_r(lam, 0.0)
         assert r[0] == 1.0
         assert np.all(r[1:] == 0.0)
 
@@ -31,28 +53,21 @@ class TestPutzerR:
         lam0 = -0.7 + 0.4j
         lam = np.array([lam0, lam0, -2.0, -3.0, -4.0, -5.0])
         t = 1.3
-        r = putzer_r(lam, t)
+        r = table_r(lam, t)
         assert r[1] == pytest.approx(t * np.exp(lam0 * t), rel=1e-12)
 
     def test_distinct_matches_mp_oracle(self):
         lam = np.array([-1.0, -2.0, -3.0, -4.0, -5.0, -6.0], dtype=complex)
-        r = putzer_r(lam, 1.0)
+        r = table_r(lam, 1.0)
         assert np.max(np.abs(r - r_chain_mp(lam, 1.0))) <= 1e-9
 
-    def test_near_double_routes_through_chain(self, monkeypatch):
-        calls = []
-
-        def spy(nodes, t):
-            calls.append(t)
-            return _r_bidiag(nodes, t)
-
-        monkeypatch.setattr(propagator_module, "_r_bidiag", spy)
+    def test_near_double_routes_through_chain(self):
         lam = np.array([-1 + 1j, -1 + 1j + 1e-8, -2.0, -3.0, 0.5j, -0.5j])
-        r = putzer_r(lam, 2.0)
-        assert len(calls) == 1
+        assert _ambiguous(lam[None])[0]
+        r = bidiag_r(lam, 2.0)
         assert np.max(np.abs(r - r_chain_mp(lam, 2.0))) <= 1e-10
 
-    def test_non_adjacent_equal_nodes_take_bidiag(self, monkeypatch):
+    def test_non_adjacent_equal_nodes_take_bidiag(self):
         # undamped at xi = 0: the sextic lambda^2 (lambda^2 + 1) (lambda^2 + 2)
         # has the exact double root 0
         p = SystemParams(1, 1, 1, 0, 0)
@@ -60,26 +75,14 @@ class TestPutzerR:
         r2 = np.sqrt(2.0)
         putzer_order = np.array([-1j * r2, -1j, 0.0, 0.0, 1j, 1j * r2])
         lam = putzer_order[[2, 0, 1, 4, 5, 3]]
-        calls = []
-
-        def spy(nodes, t):
-            calls.append(float(t[0]))
-            return _r_bidiag(nodes, t)
-
-        monkeypatch.setattr(propagator_module, "_r_bidiag", spy)
-        t = 1.7
-        r = putzer_r(lam, t)
-        assert calls == [t]
-        P = putzer_workspace(sym, lambdas=lam).P
-        E = sum(r[j] * P[j] for j in range(6))
-        assert np.max(np.abs(E - expm(sym.Phi * t))) <= 1e-10
         # the same nodes in Putzer order stay on the table
-        putzer_r(putzer_order, t)
-        assert calls == [t]
+        assert _ambiguous(np.array([lam, putzer_order])).tolist() == [True, False]
+        t = 1.7
+        r = bidiag_r(lam, t)
+        E = np.einsum("j,jab->ab", r, p_chain(sym.Phi, lam))
+        assert np.max(np.abs(E - expm(sym.Phi * t))) <= 1e-10
 
     def test_one_ambiguity_rule(self):
-        from disspec.propagator import _ambiguous
-
         base = np.array([-1.0, -2.0, -3.0, -4.0, -5.0, -6.0], dtype=complex)
         near, adjacent, apart = base.copy(), base.copy(), base.copy()
         near[1] = -1.0 + 1e-4
@@ -89,15 +92,16 @@ class TestPutzerR:
         assert _ambiguous(rows).tolist() == [False, True, False, True]
 
     def test_negative_time_rejected(self):
-        with pytest.raises(PreconditionError):
-            putzer_r(np.arange(6).astype(complex), -1.0)
+        prop = SymbolPropagator(SystemParams(1, 1, 0.5, 1, 1), np.array([0.5]))
+        with pytest.raises(PreconditionError, match="finite and >= 0"):
+            prop.r_many(np.array([-1.0]))
 
     def test_overflow_policy(self):
         lam = np.array([2.0, -1.0, -2.0, -3.0, -4.0, -5.0], dtype=complex)
         with pytest.raises(SolverError):
-            putzer_r(lam, 400.0)
+            table_r(lam, 400.0)
         lam_neg = np.array([-10.0, -1.0, -2.0, -3.0, -4.0, -5.0], dtype=complex)
-        r = putzer_r(lam_neg, 200.0)  # e^{-2000} underflows to exactly 0
+        r = table_r(lam_neg, 200.0)  # e^{-2000} underflows to exactly 0
         assert np.isfinite(r).all()
 
 
@@ -123,6 +127,15 @@ class TestBidiagKernel:
         r = _r_bidiag(lam[None], np.array([t]))[:, 0]
         assert np.isfinite(r).all()
         assert np.max(np.abs(r - ref)) <= 1e-10 * max(1.0, np.abs(ref).max())
+
+    @pytest.mark.parametrize("t", [5e-324, 1e-310])
+    def test_subnormal_time(self, t):
+        # complex division by the subnormal half-differences of y = lambda t
+        # turned the subdiagonal into NaN here
+        lam = defective_nodes()
+        r = bidiag_r(lam, t)
+        assert np.isfinite(r).all()
+        assert np.max(np.abs(r - r_chain_mp(lam, t))) <= 1e-15
 
     def test_batch_rows_are_independent(self):
         rng = np.random.default_rng(12)
@@ -236,11 +249,12 @@ class TestConjugateMirror:
 
 
 class TestMatrixExp:
+    """e^{t Phi} as the identity block propagated by SymbolPropagator."""
+
     p = SystemParams(1, 1, 0.5, 1, 1)
 
     def test_identity_at_time_zero(self):
-        sym = build_symbol(self.p, 1.0)
-        assert np.array_equal(matrix_exp(sym, 0.0, params=self.p), np.eye(6))
+        assert np.array_equal(exp_many(self.p, 1.0, [0.0])[0], np.eye(6))
 
     def test_against_pade_oracle(self):
         rng = np.random.default_rng(17)
@@ -248,9 +262,8 @@ class TestMatrixExp:
             p = SystemParams(*rng.uniform(0.3, 2.5, 3), *rng.uniform(0, 2, 2))
             xi = rng.uniform(-100, 100)
             t = rng.uniform(0, 10)
-            sym = build_symbol(p, xi)
-            E_putzer = matrix_exp(sym, t, params=p)
-            E_pade = expm(sym.Phi * t)
+            E_putzer = exp_many(p, xi, [t])[0]
+            E_pade = expm(build_symbol(p, xi).Phi * t)
             assert np.max(np.abs(E_putzer - E_pade)) <= 1e-8
 
     def test_semigroup_property(self):
@@ -258,21 +271,20 @@ class TestMatrixExp:
         for _ in range(5):
             xi = rng.uniform(-5, 5)
             t1, t2 = rng.uniform(0, 5, size=2)
-            sym = build_symbol(self.p, xi)
-            ws = putzer_workspace(sym, params=self.p)
-            lhs = matrix_exp(sym, t1 + t2, workspace=ws)
-            rhs = matrix_exp(sym, t1, workspace=ws) @ matrix_exp(sym, t2, workspace=ws)
-            assert np.max(np.abs(lhs - rhs)) <= 1e-8
+            whole, first, second = exp_many(self.p, xi, [t1 + t2, t1, t2])
+            assert np.max(np.abs(whole - first @ second)) <= 1e-8
 
     def test_cayley_hamilton_residual(self):
+        # P_6 = (Phi - lambda_6 I) P_5 vanishes up to roundoff
         rng = np.random.default_rng(31)
         for _ in range(20):
             p = SystemParams(*rng.uniform(0.3, 2.5, 3), *rng.uniform(0, 2, 2))
             xi = rng.uniform(-50, 50)
-            sym = build_symbol(p, xi)
-            ws = putzer_workspace(sym, params=p)
-            nrm = np.linalg.norm(sym.Phi, 2)
-            assert ws.cayley_residual <= 1e-6 * (1.0 + nrm) ** 6
+            Phi = build_symbol(p, xi).Phi
+            lam = eigenvalues(p, xi).eigenvalues
+            P6 = (Phi - lam[5] * np.eye(6)) @ p_chain(Phi, lam)[5]
+            nrm = np.linalg.norm(Phi, 2)
+            assert np.linalg.norm(P6, 2) <= 1e-6 * (1.0 + nrm) ** 6
 
     def test_defective_triple_point(self):
         # the cubic governing the zero-frequency limit becomes a perfect
@@ -282,20 +294,21 @@ class TestMatrixExp:
         # snap keeps the assembled exponential at oracle accuracy
         p = SystemParams(1.0, 1.0, np.sqrt(8.0), 0.0, np.sqrt(27.0))
         for xi, t in ((0.0, 8.6), (1e-8, 5.0), (0.0, 0.5), (-1e-9, 2.0)):
-            sym = build_symbol(p, xi)
-            E_putzer = matrix_exp(sym, t, params=p)
-            E_pade = expm(sym.Phi * t)
+            E_putzer = exp_many(p, xi, [t])[0]
+            E_pade = expm(build_symbol(p, xi).Phi * t)
             assert np.max(np.abs(E_putzer - E_pade)) <= 1e-8
 
     def test_order_invariance(self):
+        # r and the P chain of the nodes in any order assemble the same
+        # exponential; the bidiagonal r accepts nodes in any order
         rng = np.random.default_rng(37)
-        sym = build_symbol(self.p, 2.0)
-        ws = putzer_workspace(sym, params=self.p)
-        E_ref = matrix_exp(sym, 1.5, workspace=ws)
+        Phi = build_symbol(self.p, 2.0).Phi
+        lam = eigenvalues(self.p, 2.0).eigenvalues
+        E_ref = exp_many(self.p, 2.0, [1.5])[0]
         for _ in range(4):
             perm = rng.permutation(6)
-            ws_p = putzer_workspace(sym, lambdas=ws.lambdas[perm])
-            E_perm = matrix_exp(sym, 1.5, workspace=ws_p)
+            E_perm = np.einsum("j,jab->ab", bidiag_r(lam[perm], 1.5),
+                               p_chain(Phi, lam[perm]))
             assert np.max(np.abs(E_perm - E_ref)) <= 1e-9
 
 
@@ -308,18 +321,19 @@ class TestEvolve:
 
     def test_zero_step_unchanged(self):
         st = self.make_state(SystemParams(1, 1, 0.5, 1, 1))
-        assert evolve(st, 0.0) is st
+        out = SymbolPropagator(st.params, st.grid).apply(st.values, 0.0)
+        assert np.array_equal(out, st.values)
 
     def test_backwards_rejected(self):
         st = self.make_state(SystemParams(1, 1, 0.5, 1, 1))
         with pytest.raises(PreconditionError):
-            evolve(st, -1.0)
+            SymbolPropagator(st.params, st.grid).apply(st.values, -1.0)
 
     def test_undamped_norm_preserved(self):
         st = self.make_state(SystemParams(1.3, 0.7, 1.0, 0, 0))
-        st2 = evolve(st, 7.0)
+        values = SymbolPropagator(st.params, st.grid).apply(st.values, 7.0)
         n0 = np.linalg.norm(st.values, axis=1)
-        n1 = np.linalg.norm(st2.values, axis=1)
+        n1 = np.linalg.norm(values, axis=1)
         assert np.allclose(n0, n1, atol=1e-9)
 
     def test_conservative_eigenvector_modulus_constant(self):
@@ -345,8 +359,9 @@ class TestEnergyAudit:
         st = self.make_state(p)
         _, _, resid = energy_audit(st, 1e-3)
         assert resid <= 1e-9
-        st2 = evolve(st, 3.0)
-        assert np.allclose(st2.energy(), st.energy(), rtol=1e-9)
+        values = SymbolPropagator(p, st.grid).apply(st.values, 3.0)
+        energy = 0.5 * np.sum(np.abs(values) ** 2, axis=1)
+        assert np.allclose(energy, st.energy(), rtol=1e-9)
 
     def test_instantaneous_dissipation_of_pure_y(self):
         p = SystemParams(1, 1, 1, 1, 0.3)
@@ -452,19 +467,6 @@ class TestPointwiseRateShape:
 
 
 class TestVectorizedPropagator:
-    def test_matches_scalar_matrix_exp(self):
-        p = SystemParams(1, 1, 0.5, 0, 1)
-        grid = np.array([-3.0, -0.5, 0.0, 0.5, 3.0])
-        prop = SymbolPropagator(p, grid)
-        rng = np.random.default_rng(3)
-        vals = rng.normal(size=(5, 6)) + 1j * rng.normal(size=(5, 6))
-        for t in (0.3, 2.0):
-            out = prop.apply(vals, t)
-            for i, xi in enumerate(grid):
-                sym = build_symbol(p, xi)
-                ref = matrix_exp(sym, t, params=p) @ vals[i]
-                assert np.max(np.abs(out[i] - ref)) <= 1e-9
-
     def test_operator_norm_contraction(self):
         p = SystemParams(1, 1, 0.5, 1, 1)
         grid = np.geomspace(0.1, 50, 12)
@@ -511,9 +513,10 @@ class TestVectorizedPropagator:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for mod in (spectral, propagator_module):
-            monkeypatch.setattr(mod, "eigenvalues",
-                                counting("eigenvalues", spectral.eigenvalues))
+        # the propagator imports only the batched solve
+        assert not hasattr(propagator_module, "eigenvalues")
+        monkeypatch.setattr(spectral, "eigenvalues",
+                            counting("eigenvalues", spectral.eigenvalues))
         monkeypatch.setattr(core_model, "build_symbol",
                             counting("build_symbol", core_model.build_symbol))
         monkeypatch.setattr(propagator_module, "eigenvalues_batch",

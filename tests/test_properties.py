@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from disspec import (SymbolPropagator, SystemParams, artifacts, eigenvalues,
-                     eigenvalues_batch, real_symbol_stack, symbol_stack)
+from disspec import (SymbolPropagator, SystemParams, artifacts, build_symbol,
+                     eigenvalues, eigenvalues_batch, real_symbol_stack,
+                     symbol_stack)
 
 PROPERTY = settings(max_examples=40, derandomize=True, deadline=None)
 
@@ -92,6 +94,41 @@ def test_semigroup_law(p, xi, s, t):
     nrm = np.linalg.norm(whole, ord=2, axis=(1, 2))
     err = np.linalg.norm(whole - split, ord=2, axis=(1, 2))
     assert np.all(err <= 1e-10 * nrm)
+
+
+@st.composite
+def defective_family(draw):
+    """(1, 1, sqrt 8 (1 + eps), 0, sqrt 27 (1 + eps)) near xi = 0, where the
+    symbol carries a 3x3 Jordan block at eps = xi = 0 and three nodes
+    cluster within solver resolution around it."""
+    eps = draw(st.one_of(st.just(0.0), st.floats(-3e-11, 3e-11)))
+    p = SystemParams(1.0, 1.0, np.sqrt(8.0) * (1.0 + eps), 0.0, np.sqrt(27.0) * (1.0 + eps))
+    return p, draw(st.floats(-1e-8, 1e-8))
+
+
+#: every regime at any frequency, at frequencies near 0 (the undamped double
+#: root 0 at xi = 0), and the defective family
+clustered = st.one_of(
+    st.tuples(params(), st.one_of(st.floats(-100.0, 100.0), st.floats(-1e-8, 1e-8))),
+    defective_family())
+
+
+def test_putzer_matches_expm_on_clustered_nodes():
+    # the identity block propagated by a one-frequency SymbolPropagator
+    # against the scaling-and-squaring Pade exponential, entrywise
+    routes = []
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(clustered, st.floats(0.0, 10.0))
+    def check(draw, t):
+        p, xi = draw
+        prop = SymbolPropagator(p, np.array([xi]))
+        routes.append(bool(prop.ambiguous[0]))
+        E = prop.propagate_many(np.eye(6)[None], [t])[0, 0]
+        assert np.max(np.abs(E - expm(build_symbol(p, xi).Phi * t))) <= 1e-8
+
+    check()
+    assert any(routes) and not all(routes)
 
 
 @PROPERTY
