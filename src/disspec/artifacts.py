@@ -66,11 +66,13 @@ def read_csv(path) -> tuple[list[str], list[list[float]]]:
 
 
 def write_json(path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write strict JSON: a NaN or infinity raises ValueError instead of
+    writing a bare token that strict parsers reject."""
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def canonical_json(obj, allow_nan: bool = True) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=allow_nan)
 
 
 def config_hash(config: dict) -> str:
@@ -78,7 +80,8 @@ def config_hash(config: dict) -> str:
 
 
 def append_jsonl(path, record: dict, wall_time_s: float | None = None) -> None:
-    """Append one record; non-deterministic fields live under 'timing'."""
+    """Append one record as strict JSON (a NaN or infinity raises
+    ValueError); non-deterministic fields live under 'timing'."""
     rec = dict(record)
     rec["timing"] = {
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
@@ -87,7 +90,7 @@ def append_jsonl(path, record: dict, wall_time_s: float | None = None) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "a", newline="\n") as fh:
-        fh.write(canonical_json(rec) + "\n")
+        fh.write(canonical_json(rec, allow_nan=False) + "\n")
 
 
 def read_jsonl(path):

@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -246,7 +247,9 @@ def _profile_from(spec: dict) -> Profile:
 
 
 def _branch_table(coeffs) -> list[dict]:
-    return [{"label": b.label, "re_coefficient": b.re_coefficient,
+    """Branch rows for JSON; a constant the table leaves NaN is null."""
+    return [{"label": b.label,
+             "re_coefficient": b.re_coefficient if math.isfinite(b.re_coefficient) else None,
              "xi_power": b.xi_power, "multiplicity": b.multiplicity}
             for b in coeffs]
 
@@ -483,7 +486,7 @@ def main(argv=None) -> int:
         print(json.dumps(payload))
         try:
             artifacts.write_json(out_dir / "error.json", payload)
-        except OSError:
+        except (OSError, ValueError):   # unwritable, or a non-finite field
             pass
         return 2
     except Exception as e:

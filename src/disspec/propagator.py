@@ -7,32 +7,49 @@ r_j' = lambda_j r_j + r_{j-1}, r(0) = e_1.  The factors commute, so X = I
 gives the classical P chain P_j = prod_{k<=j} (Phi - lambda_k I); the
 matrix exponential and operator norms are that case of the same path.
 
-For pairwise well-separated eigenvalues the r_j are divided differences of
-exp(. t) over lambda_1..lambda_j.  One Newton table over the six nodes in
-their given order yields all six at once: the table's entry of level j - 1
-is r_j, so a (frequency, time) cell costs 6 exponentials and 15 divisions,
-and one exponential less per exactly conjugate pair of nodes, whose second
-member takes the conjugate of the first's.
-Exact repeats use the confluent (Hermite) entries t^m e^{lambda t}/m!,
-which needs equal nodes to sit next to each other; the Putzer order below
-guarantees that for the solver's eigenvalues.  One rule (:func:`_ambiguous`)
-sends every other node set (an unequal pair closer than _GAP_AMBIGUOUS, or
-equal nodes apart in the given order) to one double-precision route: r is
-the first column of exp(t J), J lower bidiagonal with the nodes on its
-diagonal, computed for a whole batch of (nodes, time) rows at once by
-shifted scaling and squaring with the diagonal and first subdiagonal
-recomputed exactly at every level (:func:`_r_bidiag`), which stays accurate
-for clusters of any width and at large |lambda| t.
-The scaling-and-squaring Pade exponential (scipy) and a 50-digit
-evaluation of the same bidiagonal exponential (mpmath) serve as the
-independent oracles in the tests and are never used on the Putzer path.
+Real frame.  S = diag(1, i, -i, 1, -i, 1) is unitary and Phi_r = S^-1 Phi S
+is real (:func:`core_model.real_symbol_stack`), so e^{t Phi} X = S e^{t Phi_r} Y
+with Y = S^-1 X, |e^{t Phi} X| = |e^{t Phi_r} Y| and ||e^{t Phi}||_2 =
+||e^{t Phi_r}||_2.  Y is split into real columns, and columns that are zero
+over the whole grid are dropped (:func:`_real_columns`); real data of one
+component gives one real column.
+
+Weights once per spectrum.  For pairwise well-separated eigenvalues the r_j
+are divided differences of exp(. t) over lambda_1..lambda_j, so r(t) =
+W phi(t) with phi_i = t^{p_i} e^{lambda_i t}/p_i! and W the lower-triangular
+Newton/Hermite weight matrix of the nodes (:func:`_newton_weights`; p_i is
+the node's position in its run of exactly equal nodes, the confluent
+entries).  W has no time axis; it is folded into the Q chain once per
+frequency, B = Q W, and e^{t Phi_r} Y = sum_i B_i phi_i(t).
+
+Real contraction.  The eigen solve is of the real Phi_r, so complex nodes
+come in pairs that are conjugate bit for bit, and for real Y the state is
+real: a pair (i, j) of equal power contributes Re((B_j + conj B_i) phi_j).
+A real coefficient matrix C times a real basis psi(t) then gives the state
+(:func:`_real_coefficients`, :func:`_basis`): psi holds e^{lambda t} of each
+real node (a real exp) and Re and Im of one complex exp per pair, so a
+(spectrum, time) cell costs one complex exp per pair, one real exp per real
+node and no division.  Times where eps |Im lambda| t exceeds _PHASE_LOSS,
+the phase error that the rounding of lambda leaves, are refused.
+
+One rule (:func:`_ambiguous`) sends every other node set (an unequal pair
+closer than _GAP_AMBIGUOUS, equal nodes apart in the given order, or a
+complex node without a conjugate partner of equal power) to one
+double-precision route: r is the first column of exp(t J), J lower
+bidiagonal with the nodes on its diagonal, computed for a whole batch of
+(nodes, time) rows at once by shifted scaling and squaring with the
+diagonal and first subdiagonal recomputed exactly at every level
+(:func:`_r_bidiag`), which stays accurate for clusters of any width and at
+large |lambda| t.  The scaling-and-squaring Pade exponential (scipy) and a
+50-digit evaluation of the same bidiagonal exponential (mpmath) serve as
+the independent oracles in the tests and are never used on the Putzer path.
 
 The frequency axis is a batch dimension: a grid of frequencies gets one
-batched eigen solve and one table evaluation per distinct spectrum for all
-times (r depends only on the nodes and t, and a symmetric grid repeats each
-spectrum at +-xi).  The table is node-major, (6, spectra, times) contiguous
-planes, and is contracted with the Q chains of the data by one batched
-matmul per chunk of rows, so Plancherel norms are reduced chunk by chunk
+batched eigen solve, and the weights and the basis are evaluated once per
+distinct spectrum (they depend only on the nodes and t, and a symmetric
+grid repeats each spectrum at +-xi).  The basis is contracted with the
+coefficients of its frequencies by one real batched matmul per chunk of
+rows, so Plancherel norms are reduced chunk by chunk
 (:meth:`SymbolPropagator.density`, :func:`plancherel_norms`) without ever
 holding the (times, frequencies, 6) trajectory.
 
@@ -48,10 +65,12 @@ imaginary part; the assembled exponential is order-invariant (tested).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .core_model import SystemParams, symbol_stack
+from .core_model import (_REAL_SIMILARITY, SystemParams, real_symbol_stack,
+                         symbol_stack)
 from .errors import PreconditionError, SolverError, TailMassError
 from .spectral import eigenvalues_batch
 
@@ -65,7 +84,7 @@ __all__ = [
     "SymbolPropagator",
 ]
 
-#: below this absolute gap the float divided-difference table is unreliable
+#: below this absolute gap the float divided differences are unreliable
 #: for higher-order clusters (calibrated: a 3-cluster at gap 1e-4 already
 #: loses ~8 digits); such spectra take the bidiagonal exponential instead
 _GAP_AMBIGUOUS = 1e-3
@@ -77,7 +96,12 @@ _GAP_AMBIGUOUS = 1e-3
 _SNAP_ST = 4e-5
 #: Re(lambda) * t below this underflows e^{lambda t} to exactly zero
 _EXP_FLOOR = -745.0
-#: bytes of r table plus Q chains and states per chunk of the SymbolPropagator
+#: eps |Im lambda| t above this refuses: lambda carries a relative rounding
+#: of eps, so the phase of e^{lambda t} is off by up to that many radians
+_PHASE_LOSS = 1e-6
+#: p! for the confluent basis functions t^p e^{lambda t}/p!
+_FACTORIAL = np.array([1.0, 1.0, 2.0, 6.0, 24.0, 120.0])
+#: bytes of basis plus Q chains and states per chunk of the SymbolPropagator
 #: contraction; the Q chains of the ambiguous (frequency, time) pairs are
 #: built in slices of this size
 _CHUNK_BYTES = 2 ** 20
@@ -128,14 +152,12 @@ def _snap_tol(scale, t):
     return np.maximum(1e-13 * scale, _SNAP_ST / np.maximum(t, 1.0))
 
 
-def _safe_exp(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """exp into ``out`` with explicit underflow-to-zero; overflow (Re z > 700)
-    is an error."""
+def _safe_exp(z: np.ndarray) -> np.ndarray:
+    """exp(z), overwriting z, with underflow to zero; overflow
+    (Re z > 700) is an error."""
     _check_overflow(z.real)
     with np.errstate(under="ignore"):
-        np.exp(z, out=out)
-    out[z.real < _EXP_FLOOR] = 0.0
-    return out
+        return np.exp(z, out=z)
 
 
 def _check_overflow(re: np.ndarray) -> None:
@@ -144,84 +166,108 @@ def _check_overflow(re: np.ndarray) -> None:
                           "(growing mode propagated too far)")
 
 
-def _conjugate_mirror(lam: np.ndarray) -> np.ndarray:
-    """(m, 6) index of the node whose exponentials give this node's by
-    conjugation, or -1.
+def _layout(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(power, partner) of every node of every row, both (m, n).
 
-    In Putzer order a conjugate pair sits in one run of exactly equal real
-    parts, at mirror positions lo + hi - i of the run lo..hi.  A node with
-    Im < 0 points at its mirror when that node is exactly its conjugate;
-    the mirror then lies after it and has Im > 0.  Rows in any other order
-    simply fail the check.
+    power[:, i] is the node's position in its run of exactly equal adjacent
+    nodes, so its basis function is phi_i(t) = t^power e^{lambda_i t}/power!.
+    partner[:, i] is the node with the conjugate value and the same power:
+    i itself for a real node, and -1 where no node qualifies.
     """
-    m, n = lam.shape
-    idx = np.arange(n)
-    starts = np.ones((m, n), dtype=bool)
-    starts[:, 1:] = lam.real[:, 1:] != lam.real[:, :-1]
-    ends = np.ones((m, n), dtype=bool)
-    ends[:, :-1] = starts[:, 1:]
-    lo = np.maximum.accumulate(np.where(starts, idx, 0), axis=1)
-    hi = np.minimum.accumulate(np.where(ends, idx, n - 1)[:, ::-1], axis=1)[:, ::-1]
-    mirror = lo + hi - idx
-    partner = np.take_along_axis(lam, mirror, axis=1)
-    exact = (lam.imag < 0.0) & (mirror > idx) & (partner == lam.conj())
-    return np.where(exact, mirror, -1)
+    power = np.zeros(lam.shape, dtype=np.intp)
+    for i in range(1, lam.shape[1]):
+        power[:, i] = np.where(lam[:, i] == lam[:, i - 1], power[:, i - 1] + 1, 0)
+    match = ((lam.conj()[:, :, None] == lam[:, None, :])
+             & (power[:, :, None] == power[:, None, :]))
+    return power, np.where(match.any(axis=2), match.argmax(axis=2), -1)
 
 
-def _r_table(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Newton/Hermite table of r_1..r_6 for every row of nodes and every time.
+def _newton_weights(lam: np.ndarray, power: np.ndarray) -> np.ndarray:
+    """Newton/Hermite weights: W of shape (m, n, n), lower triangular, with
+    r_{j+1}(t) = sum_i W[:, j, i] phi_i(t) for every t.
 
-    lam : (m, 6) nodes per row; equal nodes must be adjacent for the
-          Hermite rule.
-    t   : (nt,) times.
-    Returns r of shape (6, m, nt), node-major: r[j] is the contiguous
-    (m, nt) plane of r_{j+1}.
-
-    The table is built in place in the result.  Its level 0 holds
-    e^{lam_i t}; exp(conj z) is conj(exp z) bit for bit, so a node that is
-    exactly the conjugate of its mirror node (:func:`_conjugate_mirror`)
-    takes the conjugate of that node's row instead of its own
-    exponentials, and only nodes without such a partner call exp.  After
-    level d, entry i holds the divided difference over lam_{i-d}..lam_i,
-    so entry d is final and equals r_{d+1}.  Where the end nodes of a level
-    coincide, all nodes between them do too, and the entry is the
-    confluent t^d e^{lam t}/d!: the entry below it times t/d.  Levels
-    without such rows take the plain divide.
+    The divided-difference table over the nodes in their given order, run
+    on the basis functions instead of on their values, so it has no time
+    axis.  Level 0 holds e^{lambda_i t}, the unit vector of the first node
+    of i's run.  After level d, entry i is the divided difference over
+    lambda_{i-d}..lambda_i, so entry d is final and is row d of W.  Where
+    the end nodes of a level coincide, so do all nodes between them (equal
+    nodes are adjacent), and the entry is the confluent t^d e^{lambda t}/d!:
+    the unit vector of the run's node of power d.
     """
-    r = np.empty((6, len(lam), len(t)), dtype=complex)
-    mirror = _conjugate_mirror(lam)
-    # mirrors lie after their nodes, so each is filled before it is read
-    for i in range(5, -1, -1):
-        own = mirror[:, i] < 0
-        if own.all():
-            _safe_exp(lam[:, i, None] * t[None, :], out=r[i])
-            continue
-        z = lam[own, i, None] * t[None, :]
-        r[i, own] = _safe_exp(z, out=np.empty_like(z))
-        rows = np.flatnonzero(~own)
-        e = np.conjugate(r[mirror[rows, i], rows])
-        # conj signs a zero imaginary part, where exp(lam t) has the floor's
-        # +0 or, at t = 0 or in underflow, exp's own: set those cells anew
-        q, c = np.nonzero(e.imag == 0.0)
-        z = lam[rows[q], i] * t[c]
-        live = z.real >= _EXP_FLOOR
-        e[q, c] = 0.0
-        e[q[live], c[live]] = _safe_exp(z[live], out=np.empty_like(z[live]))
-        r[i, rows] = e
-    for d in range(1, 6):
-        for i in range(5, d - 1, -1):
-            dz = lam[:, i] - lam[:, i - d]
-            conf = dz == 0.0
-            ri = r[i]
-            if not conf.any():
-                ri -= r[i - 1]
-                ri /= dz[:, None]
-                continue
-            hermite = ri[conf] * (t / d)
-            ri -= r[i - 1]
-            np.divide(ri, dz[:, None], out=ri, where=~conf[:, None])
-            ri[conf] = hermite
-    return r
+    n = lam.shape[1]
+    eye = np.eye(n)
+    start = np.arange(n) - power
+    D = eye[start].astype(complex)
+    gap = lam[:, :, None] - lam[:, None, :]
+    equal = gap == 0.0
+    inverse = 1.0 / np.where(equal, 1.0, gap)
+    confluent = (power > 0).any()
+    for d in range(1, n):
+        # diagonal -d of the gaps: lambda_i - lambda_{i-d} for i = d..n-1
+        D[:, d:] = (D[:, d:] - D[:, d - 1:-1]) * np.diagonal(inverse, -d, 1, 2)[..., None]
+        if confluent:
+            at = np.diagonal(equal, -d, 1, 2)
+            D[:, d:][at] = eye[start[:, d:][at] + d]
+    return D
+
+
+def _basis(lam: np.ndarray, power: np.ndarray, partner: np.ndarray,
+           t: np.ndarray) -> np.ndarray:
+    """The real basis psi of shape (m, n, nt) for rows of paired nodes.
+
+    A real node's slot holds phi_i(t), from one real exponential.  A
+    conjugate pair (i, j) with Im lambda_j > 0 holds Re phi_j in slot i and
+    Im phi_j in slot j, both from one complex exponential; phi_i is
+    conj(phi_j), since the pair has one power.
+    """
+    psi = np.empty(lam.shape + t.shape)
+    real = partner == np.arange(lam.shape[1])
+    z = lam.real[real][:, None] * t
+    psi[real] = _safe_exp(z)
+    up = lam.imag > 0.0
+    z = lam[up][:, None] * t
+    e = _safe_exp(z)
+    psi[up] = e.imag
+    psi[np.nonzero(up)[0], partner[up]] = e.real
+    powered = power > 0
+    if powered.any():
+        p = power[powered][:, None]
+        psi[powered] *= t ** p / _FACTORIAL[p]
+    return psi
+
+
+def _real_coefficients(B: np.ndarray, lam: np.ndarray, partner: np.ndarray) -> np.ndarray:
+    """Real C with C psi = Re(B phi): the coefficients of :func:`_basis`.
+
+    B : (k, r, n), column i the coefficient of phi_i; lam, partner : (k, n).
+    Re(B_i phi_i + B_j phi_j) = Re((B_j + conj B_i) phi_j) for a pair with
+    phi_i = conj(phi_j), so slot i takes Re B_i + Re B_j and slot j
+    Im B_i - Im B_j; a real node's slot takes Re B_i.
+    """
+    Bp = np.take_along_axis(B, partner[:, None, :], axis=2)
+    up = (lam.imag > 0.0)[:, None, :]
+    down = (lam.imag < 0.0)[:, None, :]
+    return np.where(up, Bp.imag - B.imag, B.real + np.where(down, Bp.real, 0.0))
+
+
+def _real_columns(X: np.ndarray, keep=slice(None)) -> np.ndarray:
+    """The columns ``keep`` of [Re S^-1 X | Im S^-1 X] for a (k, 6, c)
+    block X: real, shape (k, 6, len(keep)), and S^-1 X = Y + i Z gives
+    e^{t Phi} X = S (e^{t Phi_r} Y + i e^{t Phi_r} Z)."""
+    Y = _REAL_SIMILARITY.conj()[:, None] * X
+    return np.concatenate([Y.real, Y.imag], axis=2)[:, :, keep]
+
+
+def _nonzero_columns(X: np.ndarray) -> np.ndarray:
+    """Index of the columns of :func:`_real_columns` that are nonzero
+    somewhere on the grid (the first if none is), found in slices of rows
+    of about ``_CHUNK_BYTES``."""
+    nonzero = np.zeros(2 * X.shape[2], dtype=bool)
+    step = max(1, _CHUNK_BYTES // (X[0].size * 32))
+    for lo in range(0, len(X), step):
+        nonzero |= _real_columns(X[lo:lo + step]).any(axis=(0, 1))
+    return np.flatnonzero(nonzero) if nonzero.any() else np.zeros(1, dtype=np.intp)
 
 
 def _r_bidiag(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -229,7 +275,7 @@ def _r_bidiag(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
 
     lam : (m, n) nodes per row.
     t   : (m,) times.
-    Returns r of shape (n, m), node-major like :func:`_r_table`.
+    Returns r of shape (n, m), node-major.
 
     r is the first column of exp(t J), J lower bidiagonal with the nodes on
     its diagonal and ones below it (McCurdy, Ng & Parlett 1984).  With
@@ -286,15 +332,21 @@ def _r_bidiag(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(r.T)
 
 
-def _ambiguous(lam: np.ndarray) -> np.ndarray:
-    """(m,) rows of nodes the Newton/Hermite table cannot take: some unequal
-    pair closer than _GAP_AMBIGUOUS (the divided differences would cancel),
-    or equal nodes that are not adjacent (the Hermite rule needs them so)."""
+def _ambiguous(lam: np.ndarray, partner: np.ndarray | None = None) -> np.ndarray:
+    """(m,) rows of nodes the Newton/Hermite weights cannot take: some
+    unequal pair closer than _GAP_AMBIGUOUS (the divided differences would
+    cancel), equal nodes that are not adjacent (the Hermite rule needs them
+    so), or a complex node without an exact conjugate partner of equal
+    power (the real contraction needs one; ``partner`` is that of
+    :func:`_layout`, computed here when not given)."""
     gaps = np.abs(lam[:, :, None] - lam[:, None, :])
     close = ((gaps > 0.0) & (gaps < _GAP_AMBIGUOUS)).any(axis=(1, 2))
     distinct = (~np.tril(gaps == 0.0, -1).any(axis=2)).sum(axis=1)
     runs = 1 + np.count_nonzero(lam[:, 1:] != lam[:, :-1], axis=1)
-    return close | (distinct != runs)
+    if partner is None:
+        partner = _layout(lam)[1]
+    unpaired = (partner < 0).any(axis=1)
+    return close | (distinct != runs) | unpaired
 
 
 def _q_chain(Phi: np.ndarray, lam: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -389,19 +441,23 @@ class SymbolPropagator:
     """Per-grid cache of Putzer data for fast repeated propagation.
 
     Construction makes one batched eigen solve over the grid (rows in
-    Putzer order, so exactly equal eigenvalues are adjacent) and builds the
-    symbol stack by broadcasting.  The r functions depend only on the nodes
-    and t, so the rows are reduced to their distinct spectra once (``nodes``,
-    with ``row`` mapping each frequency to its spectrum; on a symmetric grid
-    +-xi share one).  Every evaluation applies e^{t Phi} to a data block of
-    shape (nfreq, 6) or (nfreq, 6, c) chunk by chunk: a run of spectra gets
-    its slice of one Newton/Hermite table, node-major as (6, spectra,
-    times), its frequencies get the Q chains of their data, and one batched
-    matmul sums r_{j+1} Q_j.  A chunk's table and states hold about
-    ``_CHUNK_BYTES``, so no (frequencies, 6, 6, 6) chain, whole table or
-    (times, frequencies, 6) trajectory is made unless asked for.  The
-    (frequency, time) pairs of ambiguous spectra (:func:`_ambiguous`, flagged
-    in ``ambiguous``) take one :func:`_exp_bidiag` call per chunk.
+    Putzer order, so exactly equal eigenvalues are adjacent and conjugate
+    pairs share one run of equal real parts) and builds the real similar
+    symbol stack ``Phi_r`` = S^-1 Phi S.  The complex ``Phi`` is built only
+    when read.  The Newton weights depend only on the nodes, so the rows are
+    reduced to their distinct spectra once (``nodes``, with ``row`` mapping
+    each frequency to its spectrum; on a symmetric grid +-xi share one).
+
+    Every evaluation propagates real columns Y of S^-1 X (:func:`_real_columns`)
+    by e^{t Phi_r} chunk by chunk: a run of spectra gets its weights W and
+    its real basis psi (spectra, slots, times), its frequencies get the Q
+    chains of their columns, folded with W into B = Q W and made real
+    (:func:`_real_coefficients`), and one real batched matmul gives the
+    states.  A chunk's basis, chains and states hold about ``_CHUNK_BYTES``,
+    so no (frequencies, 6, 6, 6) chain or (times, frequencies, 6)
+    trajectory is made unless asked for.  The (frequency, time) pairs of
+    ambiguous spectra (:func:`_ambiguous`, flagged in ``ambiguous``) take
+    one :func:`_exp_bidiag` call per chunk, in the same real frame.
     """
 
     def __init__(self, params: SystemParams, grid: np.ndarray):
@@ -409,55 +465,117 @@ class SymbolPropagator:
         self.grid = np.asarray(grid, dtype=float)
         self.lambdas, _ = eigenvalues_batch(params, self.grid)
         self.nodes, self.row = np.unique(self.lambdas, axis=0, return_inverse=True)
-        self.Phi = symbol_stack(params, self.grid)
-        self._ambiguous_nodes = _ambiguous(self.nodes)
+        self.Phi_r = real_symbol_stack(params, self.grid)
+        self._power, self._partner = _layout(self.nodes)
+        self._ambiguous_nodes = _ambiguous(self.nodes, self._partner)
         self.ambiguous = self._ambiguous_nodes[self.row]
+        self._phase_rate = np.finfo(float).eps * np.abs(self.nodes.imag).max(initial=0.0)
 
-    def _table(self, times: np.ndarray, spectra: slice = slice(None)) -> np.ndarray:
-        """r of the distinct spectra in ``spectra``: (6, spectra, ntimes),
-        node-major; rows of ambiguous spectra are zero.  Every evaluation
-        passes here first, so negative and non-finite times are refused
-        here."""
+    @cached_property
+    def Phi(self) -> np.ndarray:
+        """The complex symbol stack Phi(i xi) = S Phi_r S^-1, built on first
+        read; the evaluations use ``Phi_r``."""
+        return symbol_stack(self.params, self.grid)
+
+    def _times(self, times) -> np.ndarray:
+        """``times`` as a 1-d float array.  Every evaluation passes here
+        first, so negative and non-finite times are refused here, and so are
+        times where eps |Im lambda| t, the phase error that the rounding of
+        lambda leaves in e^{lambda t}, exceeds _PHASE_LOSS."""
+        times = np.atleast_1d(np.asarray(times, dtype=float))
         if not np.all(np.isfinite(times) & (times >= 0)):
             raise PreconditionError(f"times must be finite and >= 0, got {times}")
-        r = _r_table(self.nodes[spectra], times)
-        r[:, self._ambiguous_nodes[spectra]] = 0.0
-        return r
+        loss = self._phase_rate * times.max(initial=0.0)
+        if loss > _PHASE_LOSS:
+            raise PreconditionError(
+                f"phase of e^(lambda t) lost: eps |Im lambda| t = {loss:.3g} exceeds "
+                f"{_PHASE_LOSS:g} at t = {times.max():.6g}")
+        return times
+
+    def _weights_and_basis(self, spectra: slice, times: np.ndarray):
+        """W (s, 6, 6) and psi (s, 6, ntimes) of the distinct spectra in
+        ``spectra``; both are zero for ambiguous spectra."""
+        lam, power, partner = (self.nodes[spectra], self._power[spectra],
+                               self._partner[spectra])
+        ok = ~self._ambiguous_nodes[spectra]
+        if ok.all():
+            return _newton_weights(lam, power), _basis(lam, power, partner, times)
+        W = np.zeros(lam.shape + (6,), dtype=complex)
+        psi = np.zeros(lam.shape + times.shape)
+        W[ok] = _newton_weights(lam[ok], power[ok])
+        psi[ok] = _basis(lam[ok], power[ok], partner[ok], times)
+        return W, psi
 
     def r_many(self, times: np.ndarray) -> np.ndarray:
-        """r_j(t) for the non-ambiguous frequencies: shape (nfreq, ntimes, 6).
+        """r_j(t) = sum_i W[j, i] phi_i(t) for the non-ambiguous
+        frequencies: shape (nfreq, ntimes, 6).
 
         Rows of ambiguous frequencies are zeros; the propagation methods
         route those through :func:`_exp_bidiag` instead.
         """
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        return np.moveaxis(self._table(times), 0, -1)[self.row]
+        times = self._times(times)
+        W, psi = self._weights_and_basis(slice(None), times)
+        # phi from psi: Re phi_j + i Im phi_j for Im lambda_j > 0, the
+        # conjugate for its partner, psi itself for a real node
+        mate = np.take_along_axis(psi, self._partner[..., None], axis=1)
+        im = self.nodes.imag[..., None]
+        phi = np.where(im > 0, mate + 1j * psi, np.where(im < 0, psi - 1j * mate, psi))
+        r = np.moveaxis(W @ phi, 1, -1)
+        r[np.ix_(~self._ambiguous_nodes, times == 0.0)] = np.eye(6)[0]   # r(0) = e_1
+        return r[self.row]
 
-    def states(self, values0: np.ndarray, times: np.ndarray):
-        """Yield (rows, U) chunk by chunk: U[k, a, ..., q] is component a of
-        the state at frequency rows[k] and time times[q] (a 1-d array); the
-        middle axis is the column of a (nfreq, 6, c) block and absent for
-        (nfreq, 6).  Every evaluation method reduces this stream.
-        """
-        X = values0 if values0.ndim == 3 else values0[..., None]
-        nt = len(times)
-        # bytes per spectrum: its table row plus its rows' Q chains and states
+    def _real_states(self, X: np.ndarray, keep: np.ndarray, times: np.ndarray):
+        """Yield (rows, V) chunk by chunk: V[k, a, m, q] is component a of
+        e^{t Phi_r} Y at frequency rows[k], column m and time times[q], all
+        real, for the real columns Y = :func:`_real_columns` (X, keep) of a
+        (nfreq, 6, c) block X."""
+        nt, m = len(times), len(keep)
+        # e^{0 Phi_r} = I exactly, where the rows j > 1 of W sum to zero
+        # only up to rounding
+        zero = times == 0.0
+        # bytes per spectrum: its basis and the exponentials behind it, its
+        # rows' states, and their chains and coefficients
         rows_per = len(self.row) / len(self.nodes)
-        step = max(1, int(_CHUNK_BYTES / (96 * (nt + X.shape[2] * (nt + 6) * rows_per))))
+        step = max(1, int(_CHUNK_BYTES / (48 * (2 * nt + rows_per * m * (nt + 60)))))
         starts = np.arange(0, len(self.nodes) + step, step)
         by_spectrum = np.argsort(self.row, kind="stable")
         bounds = np.searchsorted(self.row[by_spectrum], starts)
         for s, lo, hi in zip(starts[:-1], bounds[:-1], bounds[1:]):
             rows = by_spectrum[lo:hi]
-            table = self._table(times, slice(s, s + step)).transpose(1, 0, 2)
-            Q = _q_chain(self.Phi[rows], self.lambdas[rows], X[rows])
-            U = _putzer_sum(Q, table[self.row[rows] - s])       # (k, 6, c, nt)
+            W, psi = self._weights_and_basis(slice(s, s + step), times)
+            at = self.row[rows] - s
+            Y = _real_columns(X[rows], keep)
+            Q = _q_chain(self.Phi_r[rows], self.lambdas[rows], Y)
+            B = np.moveaxis(Q, 1, -1).reshape(len(rows), 6 * m, 6) @ W[at]
+            C = _real_coefficients(B, self.lambdas[rows], self._partner[s + at])
+            V = (C @ psi[at]).reshape(len(rows), 6, m, nt)
             amb = np.flatnonzero(self.ambiguous[rows])
             if amb.size:
                 i = np.repeat(rows[amb], nt)
-                E = _exp_bidiag(self.Phi[i], self.lambdas[i], np.tile(times, amb.size), X[i])
-                U[amb] = np.moveaxis(E.reshape(amb.size, nt, *X.shape[1:]), 1, -1)
-            yield rows, U.reshape(len(rows), *values0.shape[1:], nt)
+                E = _exp_bidiag(self.Phi_r[i], self.lambdas[i], np.tile(times, amb.size),
+                                np.repeat(Y[amb], nt, axis=0))
+                V[amb] = np.moveaxis(E.real.reshape(amb.size, nt, 6, m), 1, -1)
+            V[..., zero] = Y[..., None]
+            yield rows, V
+
+    def states(self, values0: np.ndarray, times: np.ndarray):
+        """Yield (rows, U) chunk by chunk: U[k, a, ..., q] is component a of
+        the state at frequency rows[k] and time times[q]; the middle axis is
+        the column of a (nfreq, 6, c) block and absent for (nfreq, 6).
+        U = S e^{t Phi_r} S^-1 X, assembled from the real stream that
+        :meth:`density` reduces.
+        """
+        times = self._times(times)
+        X = values0 if values0.ndim == 3 else values0[..., None]
+        keep = _nonzero_columns(X)
+        c = X.shape[2]
+        re = keep < c
+        for rows, V in self._real_states(X, keep, times):
+            U = np.zeros((len(rows), 6, c, len(times)), dtype=complex)
+            U.real[:, :, keep[re]] = V[:, :, re]
+            U.imag[:, :, keep[~re] - c] = V[:, :, ~re]
+            U *= _REAL_SIMILARITY[:, None, None]
+            yield rows, U.reshape(len(rows), *values0.shape[1:], len(times))
 
     def apply(self, values: np.ndarray, dt: float) -> np.ndarray:
         """Propagate a (nfreq, 6) state matrix by time dt."""
@@ -482,26 +600,38 @@ class SymbolPropagator:
         """sum_a |U_a(t)|^2 per frequency (and block column) and time.
 
         Shape (nfreq, ntimes), or (nfreq, c, ntimes) for a (nfreq, 6, c)
-        block.  The Plancherel integrand of :func:`plancherel_norms`,
-        reduced chunk by chunk without holding the trajectory.
+        block.  The Plancherel integrand of :func:`plancherel_norms`: S is
+        unitary, so it is the sum of squares of the real stream's columns
+        of each block column, reduced chunk by chunk without holding the
+        trajectory.
         """
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        out = np.empty((len(self.grid),) + values0.shape[2:] + (len(times),))
-        for rows, U in self.states(values0, times):
-            sq = np.square(U.view(float), out=U.view(float)).sum(axis=1)
-            out[rows] = sq[..., 0::2] + sq[..., 1::2]
-        return out
+        times = self._times(times)
+        X = values0 if values0.ndim == 3 else values0[..., None]
+        keep = _nonzero_columns(X)
+        dens = np.empty((len(self.grid), len(keep), len(times)))
+        for rows, V in self._real_states(X, keep, times):
+            dens[rows] = np.einsum("kamt,kamt->kmt", V, V)
+        # fold the real stream's columns onto their block columns
+        c = X.shape[2]
+        if not np.array_equal(keep % c, np.arange(c)):
+            out = np.zeros((len(self.grid), c, len(times)))
+            for col, q in enumerate(keep % c):
+                out[:, q] += dens[:, col]
+            dens = out
+        return dens if values0.ndim == 3 else dens[:, 0]
 
     def operator_norms(self, times: np.ndarray) -> np.ndarray:
         """2-norm of e^{Phi t} per frequency and time: shape (nfreq, ntimes).
 
-        The propagation of the identity block, reduced chunk by chunk.
+        S is unitary, so it is the 2-norm of e^{Phi_r t}: the real columns
+        of the identity block are +-e_a, so the stream propagates the real
+        identity up to signs, one real 6x6 SVD per frequency and time.
         """
-        times = np.atleast_1d(np.asarray(times, dtype=float))
+        times = self._times(times)
         eye = np.broadcast_to(np.eye(6, dtype=complex), (len(self.grid), 6, 6))
         out = np.empty((len(self.grid), len(times)))
-        for rows, U in self.states(eye, times):
-            out[rows] = np.linalg.norm(U, ord=2, axis=(1, 2))
+        for rows, V in self._real_states(eye, _nonzero_columns(eye), times):
+            out[rows] = np.linalg.norm(V, ord=2, axis=(1, 2))
         return out
 
 

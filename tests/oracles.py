@@ -40,3 +40,28 @@ def eigenvalues_hp(params, xi, dps=50):
         roots = mp.polyroots(coeffs, maxsteps=400, extraprec=120)
         lam = np.array([complex(r) for r in roots])
     return _putzer_order(lam)
+
+
+def six_exp_table(lam, t):
+    """r_1..r_6 of rows of nodes at several times by the Newton/Hermite
+    table on values: the exponentials of all six nodes (with the floor's
+    zeros), then the divided-difference levels, the confluent entry t/d
+    times the entry below it where a level's end nodes coincide.
+
+    lam : (m, 6), t : (nt,).  Returns (6, m, nt), node-major.
+    """
+    from disspec.propagator import _EXP_FLOOR
+
+    r = np.empty((6, len(lam), len(t)), dtype=complex)
+    for i in range(6):
+        z = lam[:, i, None] * t
+        with np.errstate(under="ignore"):
+            r[i] = np.exp(z)
+        r[i][z.real < _EXP_FLOOR] = 0.0
+    for d in range(1, 6):
+        for i in range(5, d - 1, -1):
+            dz = lam[:, i] - lam[:, i - d]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                divided = (r[i] - r[i - 1]) / dz[:, None]
+            r[i] = np.where((dz == 0.0)[:, None], r[i] * (t / d), divided)
+    return r

@@ -1,6 +1,7 @@
-"""The benchmark's jobs at seed 0 still give the recorded answers.
+"""The benchmark's jobs still give the recorded answers, at every variant.
 
-Each workload of perfbench/workloads.py is built, run once in a temporary
+Each workload of perfbench/workloads.py is built at each of its
+``N_VARIANTS`` input variants (seeds 0..7), run once in a temporary
 directory, read back and verified: the paper's claims plus every referenced
 output against perfbench/reference.json (rtol 1e-6).  A speedup that
 quietly changes an answer fails here, not only in the benchmark.  The
@@ -23,8 +24,19 @@ def workloads():
     return module
 
 
+def check(workloads, name, seed, out_dir):
+    work = workloads.build(name, seed)
+    out = work.outputs(work.run(out_dir), out_dir)
+    assert workloads.verify(work, out, workloads.load_reference(name, seed)) == []
+
+
 @pytest.mark.parametrize("name", ["decay", "packets", "certify"])
 def test_seed_0_matches_reference(workloads, name, tmp_path):
-    work = workloads.build(name, 0)
-    out = work.outputs(work.run(tmp_path), tmp_path)
-    assert workloads.verify(work, out, workloads.load_reference(name, 0)) == []
+    check(workloads, name, 0, tmp_path)
+
+
+@pytest.mark.parametrize("seed", range(1, 8))
+@pytest.mark.parametrize("name", ["decay", "packets", "certify"])
+def test_other_variants_match_reference(workloads, name, seed, tmp_path):
+    assert workloads.N_VARIANTS == 8
+    check(workloads, name, seed, tmp_path)

@@ -405,3 +405,91 @@ def test_dispatch_summary_payload(tmp_path):
                                    "gamma1": 0.0, "gamma2": 1.0}},
                        tmp_path)
     assert summary["verdict"] == "one_real_pair_conjugate"
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, as strict parsers do."""
+    def refuse(token):
+        raise ValueError(f"non-finite JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictArtifacts:
+    """Every command's JSON and JSONL artifacts parse with a strict parser."""
+
+    CONFIGS = {
+        "spectrum": {"command": "spectrum", "params": PARAMS,
+                     "xi_min": -10.0, "xi_max": 10.0, "n_points": 41},
+        # the (2, 1, 1, 0, 1) table leaves the degenerate wave pair's
+        # constant NaN
+        "asymptotics": {"command": "asymptotics",
+                        "params": {"a": 2.0, "k": 1.0, "l": 1.0, "gamma1": 0.0, "gamma2": 1.0}},
+        "classify": {"command": "classify", "params": G10_PARAMS},
+        "gap": {"command": "gap", "params": G10_PARAMS, "nu": 0.1, "N": 10.0,
+                "initial_points": 65},
+        "evolve": {"command": "evolve", "params": PARAMS,
+                   "profile": {"kind": "gaussian", "width": 1.0, "component": "z"},
+                   "t": 2.0, "grid": {"xi_max": 8.0, "n_geo": 32, "n_lin": 32}},
+        "lyapunov-audit": {"command": "lyapunov-audit", "params": PARAMS,
+                           "frequencies": [0.1, 1.0, 10.0], "n_random": 20},
+        "decay": decay_config(),
+        "synthesize": {"command": "synthesize", "params": G10_PARAMS,
+                       "profile": {"kind": "gaussian", "width": 1.0, "component": "z"},
+                       "times": {"t_min": 1.0, "t_max": 1000.0, "n": 10},
+                       "partition": {"nu": 0.05, "N": 20.0}, "j": 0, "ell": 1,
+                       "grid": {"xi_max": 40.0, "n_geo": 96, "n_lin": 128}},
+    }
+
+    def test_every_command_is_covered(self):
+        assert set(self.CONFIGS) | {"report"} == set(_COMMAND_SCHEMAS)
+
+    @pytest.mark.parametrize("cmd", sorted(CONFIGS))
+    def test_artifacts_parse_strictly(self, tmp_path, cmd):
+        code, out = run_cli(tmp_path, self.CONFIGS[cmd])
+        assert code == 0
+        files = sorted(out.glob("*.json")) + sorted(out.glob("*.jsonl"))
+        assert files or cmd == "spectrum"          # spectrum writes a CSV only
+        for path in files:
+            for line in path.read_text().splitlines() if path.suffix == ".jsonl" else [path.read_text()]:
+                strict_json(line)
+        if cmd == "asymptotics":
+            rows = strict_json((out / "asymptotics.json").read_text())["high_freq"]
+            assert None in [row["re_coefficient"] for row in rows]
+
+    def test_non_finite_artifact_is_an_error(self, tmp_path):
+        with pytest.raises(ValueError):
+            artifacts.write_json(tmp_path / "x.json", {"x": float("nan")})
+        with pytest.raises(ValueError):
+            artifacts.append_jsonl(tmp_path / "x.jsonl", {"x": float("inf")})
+        assert not (tmp_path / "x.json").exists()
+
+
+class TestPhaseLoss:
+    """eps |Im lambda| t past 1e-6 leaves no digit of the phase of
+    e^{lambda t} that the rounding of lambda does not own: refused."""
+
+    UNDAMPED = {"a": 1.0, "k": 1.0, "l": 1.0, "gamma1": 0.0, "gamma2": 0.0}
+
+    @pytest.mark.parametrize("t, code", [(1e3, 0), (1e15, 2)])
+    def test_evolve(self, tmp_path, t, code):
+        got, out = run_cli(tmp_path, {
+            "command": "evolve", "params": self.UNDAMPED,
+            "profile": {"kind": "gaussian", "width": 1.0, "component": "z"},
+            "t": t, "grid": {"xi_max": 8.0, "n_geo": 16, "n_lin": 16}})
+        assert got == code
+        if code == 2:
+            payload = json.loads((out / "error.json").read_text())
+            assert payload["error"] == "PreconditionError"
+            assert "phase" in payload["message"]
+            assert not (out / "state.csv").exists()
+
+    def test_at_xi_3(self):
+        from disspec import PreconditionError, SymbolPropagator, SystemParams
+
+        prop = SymbolPropagator(SystemParams(**self.UNDAMPED), np.array([3.0]))
+        values = np.ones((1, 6), dtype=complex)
+        # unitary: the norm survives t = 1e3
+        state = prop.apply(values, 1e3)
+        assert np.linalg.norm(state) == pytest.approx(np.linalg.norm(values), rel=1e-9)
+        with pytest.raises(PreconditionError, match="phase"):
+            prop.apply(values, 1e15)

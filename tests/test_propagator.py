@@ -8,9 +8,9 @@ from disspec import (FourierState, PreconditionError, SolverError,
                      plancherel_norm)
 from disspec import propagator as propagator_module
 from disspec.decay_lab import _conservative_vector
-from disspec.propagator import (_EXP_FLOOR, SymbolPropagator, _ambiguous,
-                                _conjugate_mirror, _q_chain, _r_bidiag, _r_table)
-from oracles import r_chain_mp
+from disspec.propagator import (_EXP_FLOOR, SymbolPropagator, _ambiguous, _basis,
+                                _layout, _newton_weights, _q_chain, _r_bidiag)
+from oracles import r_chain_mp, six_exp_table
 
 
 def defective_nodes():
@@ -20,9 +20,13 @@ def defective_nodes():
     return eigenvalues(p, 0.0).eigenvalues
 
 
-def table_r(lam, t):
-    """r_1..r_6 of one node set at one time from the Newton/Hermite table."""
-    return _r_table(np.asarray(lam, dtype=complex)[None], np.array([t]))[:, 0, 0]
+def weights_r(lam, t):
+    """r_1..r_6 of one node set at one time: the Newton/Hermite weights
+    times the six complex basis functions t^p e^{lambda t}/p!."""
+    lam = np.asarray(lam, dtype=complex)[None]
+    power, _ = _layout(lam)
+    phi = t ** power * np.exp(lam * t) / np.array([1, 1, 2, 6, 24, 120])[power]
+    return (_newton_weights(lam, power) @ phi[..., None])[0, :, 0]
 
 
 def bidiag_r(lam, t):
@@ -44,21 +48,21 @@ def exp_many(p, xi, times):
 
 class TestPutzerR:
     def test_initial_values(self):
-        lam = np.array([-1 + 2j, -2.0, -3 + 0.5j, -4.0, -5.0, -6 - 1j])
-        r = table_r(lam, 0.0)
-        assert r[0] == 1.0
-        assert np.all(r[1:] == 0.0)
+        prop = SymbolPropagator(SystemParams(1, 1, 0.5, 1, 1), np.array([-2.0, 0.3, 7.0]))
+        r = prop.r_many(np.array([0.0]))[:, 0]
+        assert np.all(r[:, 0] == 1.0)
+        assert np.all(r[:, 1:] == 0.0)
 
     def test_exact_double_confluent_limit(self):
         lam0 = -0.7 + 0.4j
         lam = np.array([lam0, lam0, -2.0, -3.0, -4.0, -5.0])
         t = 1.3
-        r = table_r(lam, t)
+        r = weights_r(lam, t)
         assert r[1] == pytest.approx(t * np.exp(lam0 * t), rel=1e-12)
 
     def test_distinct_matches_mp_oracle(self):
         lam = np.array([-1.0, -2.0, -3.0, -4.0, -5.0, -6.0], dtype=complex)
-        r = table_r(lam, 1.0)
+        r = weights_r(lam, 1.0)
         assert np.max(np.abs(r - r_chain_mp(lam, 1.0))) <= 1e-9
 
     def test_near_double_routes_through_chain(self):
@@ -84,12 +88,13 @@ class TestPutzerR:
 
     def test_one_ambiguity_rule(self):
         base = np.array([-1.0, -2.0, -3.0, -4.0, -5.0, -6.0], dtype=complex)
-        near, adjacent, apart = base.copy(), base.copy(), base.copy()
+        near, adjacent, apart, unpaired = base.copy(), base.copy(), base.copy(), base.copy()
         near[1] = -1.0 + 1e-4
         adjacent[1] = -1.0
         apart[2] = -1.0
-        rows = np.array([base, near, adjacent, apart])
-        assert _ambiguous(rows).tolist() == [False, True, False, True]
+        unpaired[5] = -6.0 + 1.0j
+        rows = np.array([base, near, adjacent, apart, unpaired])
+        assert _ambiguous(rows).tolist() == [False, True, False, True, True]
 
     def test_negative_time_rejected(self):
         prop = SymbolPropagator(SystemParams(1, 1, 0.5, 1, 1), np.array([0.5]))
@@ -97,12 +102,16 @@ class TestPutzerR:
             prop.r_many(np.array([-1.0]))
 
     def test_overflow_policy(self):
-        lam = np.array([2.0, -1.0, -2.0, -3.0, -4.0, -5.0], dtype=complex)
+        def basis(lam, t):
+            lam = np.asarray(lam, dtype=complex)[None]
+            return _basis(lam, *_layout(lam), np.array([t]))[0, :, 0]
+
+        lam = np.array([2.0, -1.0, -2.0, -3.0, -4.0, -5.0])
         with pytest.raises(SolverError):
-            table_r(lam, 400.0)
-        lam_neg = np.array([-10.0, -1.0, -2.0, -3.0, -4.0, -5.0], dtype=complex)
-        r = table_r(lam_neg, 200.0)  # e^{-2000} underflows to exactly 0
-        assert np.isfinite(r).all()
+            basis(lam, 400.0)
+        lam_neg = np.array([-10.0, -1.0, -2.0, -3.0, -4.0, -5.0])
+        psi = basis(lam_neg, 200.0)  # e^{-2000} underflows to exactly 0
+        assert np.isfinite(psi).all() and psi[0] == 0.0
 
 
 class TestBidiagKernel:
@@ -158,31 +167,11 @@ class TestBidiagKernel:
         assert np.array_equal(r, np.zeros((6, 1)))
 
 
-def six_exp_table(lam, t):
-    """Oracle for _r_table: the exponentials of all six nodes (with the
-    floor's zeros), then the same Newton/Hermite levels, written as masks."""
-    r = np.empty((6, len(lam), len(t)), dtype=complex)
-    for i in range(6):
-        z = lam[:, i, None] * t
-        with np.errstate(under="ignore"):
-            r[i] = np.exp(z)
-        r[i][z.real < _EXP_FLOOR] = 0.0
-    for d in range(1, 6):
-        for i in range(5, d - 1, -1):
-            dz = lam[:, i] - lam[:, i - d]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                divided = (r[i] - r[i - 1]) / dz[:, None]
-            r[i] = np.where((dz == 0.0)[:, None], r[i] * (t / d), divided)
-    return r
-
-
-def bitwise_equal(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
 class TestConjugateMirror:
-    """_r_table takes the conjugate of a node's exponentials for its exact
-    conjugate mirror node and must equal the six-exp table bit for bit."""
+    """Every complex node needs its mirror: the exact conjugate of equal
+    power, whose basis function is the conjugate of its own.  The real
+    contraction evaluates one complex exp per pair, and r_many, the weights
+    times that basis, agrees with the six-exp Newton table on values."""
 
     # the regimes of test_spectral.TestBatchedSolve
     REGIMES = [(1, 1, 0.5, 1, 1), (2, 1, 1, 0, 1), (1.3, 0.8, 1.1, 1, 0),
@@ -192,60 +181,81 @@ class TestConjugateMirror:
 
     @staticmethod
     def spy(monkeypatch):
-        """Count the cells that _r_table hands to _safe_exp."""
+        """Record the arrays that the basis hands to _safe_exp."""
         safe_exp = propagator_module._safe_exp
-        cells = []
+        calls = []
 
-        def counting(z, out):
-            cells.append(z.size)
-            return safe_exp(z, out)
+        def counting(z):
+            calls.append((z.dtype.kind, z.size))
+            return safe_exp(z)
 
         monkeypatch.setattr(propagator_module, "_safe_exp", counting)
-        return cells
+        return calls
 
     @pytest.mark.parametrize("p", REGIMES)
     def test_default_grid_nodes_bitwise(self, p):
+        # the solve's complex roots pair up bit for bit, so every
+        # default-grid spectrum has its mirrors
         lam, _ = eigenvalues_batch(SystemParams(*p), default_grid())
         nodes = np.unique(lam, axis=0)
-        assert (_conjugate_mirror(nodes) >= 0).any()
-        assert bitwise_equal(_r_table(nodes, self.TIMES), six_exp_table(nodes, self.TIMES))
+        power, partner = _layout(nodes)
+        assert np.all(partner >= 0)
+        assert np.array_equal(nodes[np.arange(len(nodes))[:, None], partner], nodes.conj())
+        assert np.array_equal(np.take_along_axis(power, partner, axis=1), power)
 
-    def test_random_nodes_mirror_nothing(self, monkeypatch):
+    @pytest.mark.parametrize("p", REGIMES)
+    def test_r_many_matches_six_exp_table(self, p):
+        # relative to the sum's own scale sum_i |W_ji phi_i(t)|: both the
+        # weights and the table cancel there at small t and close nodes
+        prop = SymbolPropagator(SystemParams(*p), default_grid())
+        ok = ~prop.ambiguous
+        lam = prop.lambdas[ok]
+        ref = np.moveaxis(six_exp_table(lam, self.TIMES), 0, -1)        # (n, nt, 6)
+        power, _ = _layout(lam)
+        with np.errstate(under="ignore"):
+            phi = (self.TIMES ** power[..., None] * np.exp(lam[..., None] * self.TIMES)
+                   / np.array([1, 1, 2, 6, 24, 120])[power][..., None])
+        scale = np.moveaxis(np.abs(_newton_weights(lam, power)) @ np.abs(phi), 1, -1)
+        err = np.abs(prop.r_many(self.TIMES)[ok] - ref)
+        assert np.all(err <= 1e-13 * scale + 1e-300)
+
+    def test_random_nodes_mirror_nothing(self):
         rng = np.random.default_rng(21)
         lam = -np.abs(rng.normal(size=(50, 6))) + 1j * rng.normal(size=(50, 6))
         lam = lam[np.arange(50)[:, None], np.lexsort((lam.imag, -lam.real), axis=1)]
-        assert np.all(_conjugate_mirror(lam) == -1)
-        cells = self.spy(monkeypatch)
-        r = _r_table(lam, self.TIMES)
-        assert sum(cells) == r.size
-        assert bitwise_equal(r, six_exp_table(lam, self.TIMES))
+        assert np.all(_layout(lam)[1] == -1)
+        assert _ambiguous(lam).all()
 
-    def test_only_exact_mirrors_in_order(self):
-        # a conjugate pair at the mirror positions of its run is mirrored;
-        # the same pair in reverse order and a pair whose real parts are a
-        # rounding apart (two runs) are not
+    def test_only_exact_conjugates_pair(self):
+        # exact conjugates pair in any order; a pair whose real parts are a
+        # rounding apart does not, and neither do equal nodes of unequal power
         pair = np.array([-0.5 - 2.0j, -0.5 + 2.0j])
         rows = np.array([
             [0.0, *pair, -1.0 - 1.0j, -1.0 + 1.0j, -2.0],
             [0.0, *pair[::-1], -1.0 - 1.0j, -1.0 + 1.0j, -2.0],
             [0.0, pair[0], np.nextafter(pair[1].real, 0) + 2.0j, -1.0, -2.0, -3.0],
             [-0.1 - 1.0j, -0.1 + 1.0j, -0.1 - 3.0j, -0.1 + 3.0j, -1.0, -2.0],
+            [pair[0], pair[0], pair[1], -1.0, -2.0, -3.0],
         ])
-        mirror = _conjugate_mirror(rows)
-        assert mirror.tolist()[0] == [-1, 2, -1, 4, -1, -1]
-        assert mirror.tolist()[1] == [-1, -1, -1, 4, -1, -1]
-        assert np.all(mirror[2] == -1)
-        # run 0..3 in ascending imaginary order is not the solver's order
-        # (-3j first), so only pairs at mirror positions count
-        assert mirror.tolist()[3] == [-1, -1, -1, -1, -1, -1]
-        assert bitwise_equal(_r_table(rows, self.TIMES), six_exp_table(rows, self.TIMES))
+        power, partner = _layout(rows)
+        assert partner.tolist()[0] == [0, 2, 1, 4, 3, 5]
+        assert partner.tolist()[1] == [0, 2, 1, 4, 3, 5]
+        assert partner.tolist()[2] == [0, -1, -1, 3, 4, 5]
+        assert partner.tolist()[3] == [1, 0, 3, 2, 4, 5]
+        assert power.tolist()[4] == [0, 1, 0, 0, 0, 0]
+        assert partner.tolist()[4] == [2, -1, 0, 3, 4, 5]
+        assert _ambiguous(rows).tolist() == [False, False, True, False, True]
 
     def test_default_grid_exponentiates_at_most_60_percent(self, monkeypatch):
         prop = SymbolPropagator(SystemParams(1, 1, 0.5, 1, 1), default_grid())
-        cells = self.spy(monkeypatch)
+        calls = self.spy(monkeypatch)
         times = np.geomspace(1.0, 1e4, 40)
-        prop.r_many(times)
-        assert sum(cells) <= 0.6 * 6 * len(prop.nodes) * len(times)
+        prop.density(np.ones((len(prop.grid), 6)), times)
+        cells = sum(size for _, size in calls)
+        complex_cells = sum(size for kind, size in calls if kind == "c")
+        assert cells <= 0.6 * 6 * len(prop.nodes) * len(times)
+        # one complex exp per conjugate pair and cell, none for a real node
+        assert complex_cells == np.sum(prop.nodes.imag > 0) * len(times)
 
 
 class TestMatrixExp:

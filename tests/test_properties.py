@@ -5,6 +5,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -12,6 +13,7 @@ from scipy.linalg import expm
 from disspec import (SymbolPropagator, SystemParams, artifacts, build_symbol,
                      eigenvalues, eigenvalues_batch, real_symbol_stack,
                      symbol_stack)
+from disspec import propagator as propagator_module
 
 PROPERTY = settings(max_examples=40, derandomize=True, deadline=None)
 
@@ -129,6 +131,53 @@ def test_putzer_matches_expm_on_clustered_nodes():
 
     check()
     assert any(routes) and not all(routes)
+
+
+#: every regime on a symmetric grid that may hold xi = 0 (the undamped
+#: double root 0 there takes the bidiagonal route), and the defective family
+#: on its own symmetric grid, whose xi = 0 row carries the 3x3 Jordan block,
+#: resolved to the clustered tolerance of the test above
+propagation_cases = st.one_of(
+    st.tuples(params(), st.lists(st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+                                 min_size=1, max_size=4), st.just(1e-10)),
+    defective_family().map(lambda draw: (draw[0], [0.0, abs(draw[1])], 1e-8)))
+
+
+@PROPERTY
+@given(propagation_cases, st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_real_frame_matches_expm(case, times, seed):
+    # propagate_many, density and operator_norms against the Pade
+    # exponential of the complex symbol, on Hermitian data, with at most one
+    # complex exp per conjugate pair and cell
+    p, half, tol = case
+    half = np.unique(half)
+    grid = np.unique(np.concatenate([-half, half]))
+    rng = np.random.default_rng(seed)
+    pos = rng.normal(size=(len(grid), 6)) + 1j * rng.normal(size=(len(grid), 6))
+    vals = np.where((grid > 0)[:, None], pos, 0.0)
+    vals[grid < 0] = vals[grid > 0][::-1].conj()
+    vals[grid == 0] = pos[grid == 0].real
+    prop = SymbolPropagator(p, grid)
+    cells = []
+    with pytest.MonkeyPatch.context() as patch:
+        safe_exp = propagator_module._safe_exp
+        patch.setattr(propagator_module, "_safe_exp",
+                      lambda z: cells.append(z.size * (z.dtype.kind == "c")) or safe_exp(z))
+        traj = prop.propagate_many(vals, times)
+        dens = prop.density(vals, times)
+        nrm = prop.operator_norms(times)
+    pairs = np.sum((prop.nodes.imag > 0) & ~prop._ambiguous_nodes[:, None])
+    assert sum(cells) <= 3 * pairs * len(times)        # three evaluations
+    for i, xi in enumerate(grid):
+        for q, t in enumerate(times):
+            E = expm(build_symbol(p, xi).Phi * t)
+            assert np.max(np.abs(traj[q, i] - E @ vals[i])) <= tol
+            assert abs(nrm[i, q] - np.linalg.norm(E, 2)) <= tol
+    ref = np.sum(np.abs(traj) ** 2, axis=2).T
+    assert np.all(np.abs(dens - ref) <= 1e-13 * ref)
+    # Hermitian data: the density is even in xi
+    assert np.all(np.abs(dens - dens[::-1]) <= 1e-13 * dens)
 
 
 @PROPERTY
