@@ -48,7 +48,7 @@ _PROFILE_SCHEMA = {
     "type": "object",
     "properties": {
         "kind": {"enum": ["gaussian", "box", "high_freq_packet", "conservative_mode"]},
-        "width": {"type": "number"},
+        "width": {"type": "number", "exclusiveMinimum": 0},
         "center": {"type": "number"},
         "component": {"type": "string"},
     },
@@ -70,7 +70,7 @@ _GRID_SCHEMA = {
 _TIMES_SCHEMA = {
     "type": "object",
     "properties": {
-        "t_min": {"type": "number"},
+        "t_min": {"type": "number", "exclusiveMinimum": 0},
         "t_max": {"type": "number"},
         "n": {"type": "integer", "minimum": 2},
     },
@@ -201,6 +201,14 @@ _COMMAND_SCHEMAS = {
     },
 }
 
+#: per command, (low, high) key paths that the schema cannot relate: both
+#: must be finite and high must exceed low
+_ORDERED_KEYS = {
+    "spectrum": [("xi_min", "xi_max")],
+    "decay": [("times.t_min", "times.t_max")],
+    "synthesize": [("times.t_min", "times.t_max")],
+}
+
 
 @functools.cache
 def _validator(cmd: str):
@@ -224,13 +232,32 @@ def validate_config(config: dict) -> dict:
 
     error = best_match(_validator(cmd).iter_errors(config))
     if error is not None:
-        raise SchemaError(f"config invalid for command {cmd!r}: {error.message}") from error
+        # the offending key's path, e.g. "profile.width", when below the top
+        path = ".".join(map(str, error.absolute_path))
+        where = f"{path}: " if path else ""
+        raise SchemaError(f"config invalid for command {cmd!r}: {where}{error.message}") \
+            from error
+    for lo_key, hi_key in _ORDERED_KEYS.get(cmd, ()):
+        lo, hi = _lookup(config, lo_key), _lookup(config, hi_key)
+        for key, value in ((lo_key, lo), (hi_key, hi)):
+            # JSON parsing accepts NaN and Infinity, and NaN passes every bound
+            if not math.isfinite(value):
+                raise SchemaError(f"config invalid for command {cmd!r}: "
+                                  f"{key} must be finite, got {value!r}")
+        if not hi > lo:
+            raise SchemaError(f"config invalid for command {cmd!r}: "
+                              f"{hi_key} = {hi!r} must exceed {lo_key} = {lo!r}")
+    return config
+
+
+def _lookup(config: dict, key: str):
+    """The value at a dotted key path such as ``times.t_max``."""
+    for part in key.split("."):
+        config = config[part]
     return config
 
 
 def _times_from(spec: dict) -> np.ndarray:
-    if spec["t_min"] <= 0:
-        raise PreconditionError("t_min must be positive (log-spaced samples)")
     return np.geomspace(spec["t_min"], spec["t_max"], spec["n"])
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core_model import SystemParams, symbol_stack
-from .errors import PreconditionError, RegimeError
+from .errors import PreconditionError, RegimeError, SolverError
 from .lyapunov import audit_inequality, lyapunov_sigma, sandwich_fit, search_constants
 from .propagator import FourierState, SymbolPropagator, default_grid, plancherel_norms
 from .spectral import (_cluster_tags, eigenvalues_batch, gap_scan,
@@ -296,12 +296,29 @@ def packet_decay_time(params: SystemParams, xi0: float, width: float = 2.0,
     """Time at which a packet's squared norm falls to ``level`` of its start.
 
     Builds a Hermitian Gaussian packet at +-xi0, evolves it exactly, and
-    log-interpolates the first crossing.  For one mild damping the decay
-    time grows like xi0^2 (regularity loss); when every branch keeps a
-    uniform spectral gap it is xi0-independent.
+    log-interpolates the first crossing of ``level`` by the squared norm,
+    relative to its value at t = 1e-2, on ``np.geomspace(1e-2, t_max,
+    n_times)``.  For one mild damping the decay time grows like xi0^2
+    (regularity loss); when every branch keeps a uniform spectral gap it is
+    xi0-independent.
+
+    e^{t Phi} is a contraction (sym(L) >= 0), so the norm is nonincreasing
+    in t and the crossing is bracketed rather than scanned: the norm is
+    evaluated at every s-th time, s = isqrt(n_times), and at the last, and
+    then only inside the first stride whose right end is at or below
+    ``level``; about 2 sqrt(n_times) of the times, and the same first
+    crossing as at every time.  An evaluated norm above an earlier one by
+    more than 1e-12 of the start breaks the contraction and is a
+    :class:`SolverError`.  ``n_times < 2`` and ``t_max <= 1e-2`` (a grid
+    that does not run forward) are refused, and so is a norm that is still
+    above ``level`` at ``t_max``.
     """
     if xi0 <= 0:
         raise PreconditionError("packet center must be positive")
+    if not (isinstance(n_times, (int, np.integer)) and n_times >= 2):
+        raise PreconditionError(f"n_times must be an integer >= 2, got {n_times!r}")
+    if not t_max > 1e-2:
+        raise PreconditionError(f"t_max must exceed the first time 1e-2, got {t_max!r}")
     half = np.linspace(max(xi0 - 4.0 * width, 0.05), xi0 + 4.0 * width, 161)
     grid = np.concatenate([-half[::-1], half])
     prof = Profile(kind="high_freq_packet", center=xi0, width=width,
@@ -309,13 +326,32 @@ def packet_decay_time(params: SystemParams, xi0: float, width: float = 2.0,
     state = build_initial_state(params, prof, grid)
     prop = SymbolPropagator(params, grid)
     times = np.geomspace(1e-2, t_max, n_times)
-    n2 = plancherel_norms(grid, prop.density(state.values, times), 0, check_tail=False)
-    ratio = n2 / n2[0]
-    below = np.flatnonzero(ratio <= level)
+    n2 = np.full(n_times, np.nan)
+
+    def evaluate(idx: np.ndarray) -> None:
+        n2[idx] = plancherel_norms(grid, prop.density(state.values, times[idx]), 0,
+                                   check_tail=False)
+        seen = n2[~np.isnan(n2)]
+        rise = seen - np.minimum.accumulate(seen)
+        if rise.max() > 1e-12 * n2[0]:
+            raise SolverError(
+                f"packet norm rose by {rise.max():.3e} (start {n2[0]:.3e}) along the "
+                "run; e^(t Phi) is a contraction, so this is a numerical breakdown")
+
+    coarse = np.append(np.arange(0, n_times - 1, math.isqrt(n_times)), n_times - 1)
+    evaluate(coarse)
+    below = coarse[n2[coarse] / n2[0] <= level]
     if below.size == 0:
         raise PreconditionError(
             f"packet norm never reached level {level} by t={t_max}; extend t_max")
-    i = below[0]
+    hi = below[0]
+    if hi > 0:
+        # the times strictly inside the stride that ends at hi
+        inside = np.arange(coarse[np.searchsorted(coarse, hi) - 1] + 1, hi)
+        if inside.size:
+            evaluate(inside)
+    ratio = n2 / n2[0]
+    i = np.flatnonzero(ratio <= level)[0]
     if i == 0:
         return float(times[0])
     # log-log interpolation of the crossing

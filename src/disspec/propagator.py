@@ -445,8 +445,9 @@ class SymbolPropagator:
     pairs share one run of equal real parts) and builds the real similar
     symbol stack ``Phi_r`` = S^-1 Phi S.  The complex ``Phi`` is built only
     when read.  The Newton weights depend only on the nodes, so the rows are
-    reduced to their distinct spectra once (``nodes``, with ``row`` mapping
-    each frequency to its spectrum; on a symmetric grid +-xi share one).
+    reduced to their distinct spectra once, one per distinct |xi| (``nodes``,
+    with ``row`` mapping each frequency to its spectrum; on a symmetric grid
+    +-xi share one).
 
     Every evaluation propagates real columns Y of S^-1 X (:func:`_real_columns`)
     by e^{t Phi_r} chunk by chunk: a run of spectra gets its weights W and
@@ -464,7 +465,11 @@ class SymbolPropagator:
         self.params = params
         self.grid = np.asarray(grid, dtype=float)
         self.lambdas, _ = eigenvalues_batch(params, self.grid)
-        self.nodes, self.row = np.unique(self.lambdas, axis=0, return_inverse=True)
+        # the spectrum depends on |xi| only, and the rows at +-xi are bitwise
+        # equal, so the distinct |xi| index the distinct spectra
+        _, first, self.row = np.unique(np.abs(self.grid), return_index=True,
+                                       return_inverse=True)
+        self.nodes = self.lambdas[first]
         self.Phi_r = real_symbol_stack(params, self.grid)
         self._power, self._partner = _layout(self.nodes)
         self._ambiguous_nodes = _ambiguous(self.nodes, self._partner)

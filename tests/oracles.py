@@ -65,3 +65,38 @@ def six_exp_table(lam, t):
                 divided = (r[i] - r[i - 1]) / dz[:, None]
             r[i] = np.where((dz == 0.0)[:, None], r[i] * (t / d), divided)
     return r
+
+
+def packet_ratio_scan(params, xi0, width=2.0, component="v", t_max=1e6, n_times=400):
+    """The packet's squared norm relative to its start at every one of the
+    ``n_times`` times of :func:`disspec.decay_lab.packet_decay_time`: the
+    same grid, data and propagator, with the density at all times at once.
+    Returns (times, ratio)."""
+    from disspec.decay_lab import Profile, build_initial_state
+    from disspec.propagator import SymbolPropagator, plancherel_norms
+
+    half = np.linspace(max(xi0 - 4.0 * width, 0.05), xi0 + 4.0 * width, 161)
+    grid = np.concatenate([-half[::-1], half])
+    prof = Profile(kind="high_freq_packet", center=xi0, width=width, component=component)
+    state = build_initial_state(params, prof, grid)
+    times = np.geomspace(1e-2, t_max, n_times)
+    dens = SymbolPropagator(params, grid).density(state.values, times)
+    n2 = plancherel_norms(grid, dens, 0, check_tail=False)
+    return times, n2 / n2[0]
+
+
+def scan_crossing(times, ratio, level):
+    """The first time of ``ratio <= level``, log-log interpolated, by a scan
+    of every sample; ``None`` when the level is never reached."""
+    import math
+
+    below = np.flatnonzero(ratio <= level)
+    if below.size == 0:
+        return None
+    i = below[0]
+    if i == 0:
+        return float(times[0])
+    t1, t2 = times[i - 1], times[i]
+    r1, r2 = ratio[i - 1], ratio[i]
+    frac = (math.log(level) - math.log(r1)) / (math.log(r2) - math.log(r1))
+    return float(math.exp(math.log(t1) + frac * (math.log(t2) - math.log(t1))))

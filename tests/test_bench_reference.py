@@ -6,6 +6,10 @@ directory, read back and verified: the paper's claims plus every referenced
 output against perfbench/reference.json (rtol 1e-6).  A speedup that
 quietly changes an answer fails here, not only in the benchmark.  The
 benchmark files are only read.
+
+Each benchmark set-up process runs a workload's *tiny* job first, so the
+tiny jobs of every workload and variant are run here too and must satisfy
+the paper's claims (they have no recorded reference values).
 """
 
 import importlib.util
@@ -40,3 +44,11 @@ def test_seed_0_matches_reference(workloads, name, tmp_path):
 def test_other_variants_match_reference(workloads, name, seed, tmp_path):
     assert workloads.N_VARIANTS == 8
     check(workloads, name, seed, tmp_path)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("name", ["decay", "packets", "certify"])
+def test_tiny_jobs_keep_the_claims(workloads, name, seed, tmp_path):
+    work = workloads.build(name, seed, tiny=True)
+    out = work.outputs(work.run(tmp_path), tmp_path)
+    assert work.claims(out) == []

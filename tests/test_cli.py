@@ -69,8 +69,70 @@ class TestSchema:
             jsonschema.validate(config, _COMMAND_SCHEMAS[config["command"]])
         with pytest.raises(SchemaError) as got:
             validate_config(config)
+        path = ".".join(map(str, expected.value.absolute_path))
+        where = f"{path}: " if path else ""
         assert str(got.value) == (f"config invalid for command {config['command']!r}: "
-                                  f"{expected.value.message}")
+                                  f"{where}{expected.value.message}")
+
+
+class TestBounds:
+    """Bounds the schema types alone let through end in exit 2 naming the key."""
+
+    DECAY = {"command": "decay", "params": PARAMS,
+             "profile": {"kind": "gaussian", "width": 1.0, "component": "z"},
+             "times": {"t_min": 1.0, "t_max": 100.0, "n": 5}, "j_orders": [0],
+             "grid": {"xi_max": 8.0, "n_geo": 16, "n_lin": 16}}
+    SPECTRUM = {"command": "spectrum", "params": PARAMS,
+                "xi_min": 0.0, "xi_max": 10.0, "n_points": 5}
+
+    def refused(self, tmp_path, capsys, config):
+        code, out = run_cli(tmp_path, config)
+        assert code == 2
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload == json.loads((out / "error.json").read_text())
+        assert payload["error"] == "SchemaError"
+        assert not (out / "decay_fits.json").exists() and not (out / "spectrum.csv").exists()
+        return payload["message"]
+
+    # without the bound a negative width writes the fits of its absolute value
+    @pytest.mark.parametrize("width", [-1.0, 0.0])
+    @pytest.mark.parametrize("command", ["decay", "synthesize", "evolve"])
+    def test_width_must_be_positive(self, tmp_path, capsys, command, width):
+        config = {**self.DECAY, "profile": {"kind": "gaussian", "width": width}}
+        if command == "synthesize":
+            config = {**config, "command": command, "partition": {"nu": 0.05, "N": 5.0}}
+            del config["j_orders"]
+        elif command == "evolve":
+            config = {"command": command, "params": PARAMS, "profile": config["profile"],
+                      "t": 1.0}
+        assert "profile.width: " in self.refused(tmp_path, capsys, config)
+
+    @pytest.mark.parametrize("times, key", [
+        ({"t_min": 10.0, "t_max": 10.0}, "times.t_max"),
+        ({"t_min": 100.0, "t_max": 1.0}, "times.t_max"),
+        ({"t_min": 1.0, "t_max": float("nan")}, "times.t_max"),
+        ({"t_min": 1.0, "t_max": float("inf")}, "times.t_max"),
+        ({"t_min": float("nan"), "t_max": 10.0}, "times.t_min"),
+        ({"t_min": 0.0, "t_max": 10.0}, "times.t_min: "),
+    ])
+    @pytest.mark.parametrize("command", ["decay", "synthesize"])
+    def test_times_bounds(self, tmp_path, capsys, command, times, key):
+        config = {**self.DECAY, "times": {**self.DECAY["times"], **times}}
+        if command == "synthesize":
+            config = {**config, "command": command, "partition": {"nu": 0.05, "N": 5.0}}
+            del config["j_orders"]
+        assert key in self.refused(tmp_path, capsys, config)
+
+    @pytest.mark.parametrize("bounds, key", [
+        ({"xi_min": 10.0, "xi_max": 10.0}, "xi_max"),
+        ({"xi_min": 10.0, "xi_max": -10.0}, "xi_max"),
+        ({"xi_min": float("-inf"), "xi_max": 10.0}, "xi_min"),
+        ({"xi_min": float("nan"), "xi_max": 10.0}, "xi_min"),
+        ({"xi_min": 0.0, "xi_max": float("nan")}, "xi_max"),
+    ])
+    def test_spectrum_bounds(self, tmp_path, capsys, bounds, key):
+        message = self.refused(tmp_path, capsys, {**self.SPECTRUM, **bounds})
+        assert message.startswith(f"config invalid for command 'spectrum': {key} ")
 
 
 class TestCommands:

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disspec import (Experiment, FourierState, FrequencyPartition,
                      PreconditionError, Profile, RegimeError, SymbolPropagator,
@@ -9,7 +13,10 @@ from disspec import (Experiment, FourierState, FrequencyPartition,
 from disspec import decay_lab
 from disspec.core_model import build_symbol
 from disspec.decay_lab import _conservative_vector, packet_decay_time
+from disspec.errors import SolverError
 from disspec.spectral import eigenvalues
+
+from oracles import packet_ratio_scan, scan_crossing
 
 
 def small_grid(xi_max=10.0):
@@ -205,6 +212,129 @@ class TestPacketTiming:
         t10 = packet_decay_time(p, 10.0, t_max=1e3)
         t20 = packet_decay_time(p, 20.0, t_max=1e3)
         assert t20 / t10 == pytest.approx(1.0, rel=0.10)
+
+
+#: the benchmark's packet runs: (params, t_max) for each centre
+PACKET_RUNS = [(SystemParams(2, 1, 1, 1, 1), 1e6), (SystemParams(1, 1, 1, 1, 1), 1e3)]
+
+
+def scanned(params, xi0, level=math.exp(-2.0), **kw):
+    """The decay time of the full scan (the oracle), or None where the level
+    is never reached."""
+    return scan_crossing(*packet_ratio_scan(params, xi0, **kw), level)
+
+
+def bracketed(params, xi0, **kw):
+    """packet_decay_time, or None where it refuses a level never reached."""
+    try:
+        return packet_decay_time(params, xi0, **kw)
+    except PreconditionError as e:
+        assert "never reached level" in str(e)
+        return None
+
+
+class TestPacketBracket:
+    """The bracketed search finds the full scan's crossing bit for bit."""
+
+    @pytest.mark.parametrize("xi0", [10.0, 20.0, 40.0])
+    @pytest.mark.parametrize("params, t_max", PACKET_RUNS)
+    def test_benchmark_runs_equal_full_scan(self, params, t_max, xi0):
+        assert packet_decay_time(params, xi0, t_max=t_max) == scanned(params, xi0, t_max=t_max)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.sampled_from(PACKET_RUNS), st.sampled_from([10.0, 20.0]),
+           st.floats(1.5, 2.5), st.floats(0.0, 8.0, exclude_min=True),
+           st.integers(2, 800), st.floats(-1.0, 6.5))
+    def test_equals_full_scan(self, run, xi0, width, log_level, n_times, log_t_max):
+        # level = e^-x in (0, 1); a t_max below the crossing checks that both
+        # refuse
+        params, _ = run
+        kw = dict(width=width, level=math.exp(-log_level), n_times=n_times,
+                  t_max=10.0 ** log_t_max)
+        assert bracketed(params, xi0, **kw) == scanned(params, xi0, **kw)
+
+    @pytest.mark.parametrize("where", ["index 1", "last bracket", "coarse sample",
+                                       "second coarse sample", "last sample"])
+    def test_edge_crossings(self, where):
+        params, t_max = PACKET_RUNS[1]
+        n = 400
+        s = math.isqrt(n)
+        times, ratio = packet_ratio_scan(params, 10.0, t_max=t_max, n_times=n)
+        assert np.all(np.diff(ratio) < 0)
+        level = {"index 1": ratio[1], "last bracket": 0.5 * (ratio[n - 3] + ratio[n - 2]),
+                 "coarse sample": ratio[s], "second coarse sample": ratio[2 * s],
+                 "last sample": ratio[n - 1]}[where]
+        got = packet_decay_time(params, 10.0, level=level, t_max=t_max, n_times=n)
+        assert got == scan_crossing(times, ratio, level)
+        i = {"index 1": 1, "last bracket": n - 2, "coarse sample": s,
+             "second coarse sample": 2 * s, "last sample": n - 1}[where]
+        assert times[i - 1] < got <= times[i]
+
+    def test_level_reached_at_start(self):
+        params, t_max = PACKET_RUNS[1]
+        assert packet_decay_time(params, 10.0, level=1.0, t_max=t_max) == 1e-2
+
+    def test_never_reached_refused(self):
+        params, _ = PACKET_RUNS[0]
+        with pytest.raises(PreconditionError, match="never reached level .* extend t_max"):
+            packet_decay_time(params, 10.0, t_max=10.0)
+        assert scanned(params, 10.0, t_max=10.0) is None
+
+    @pytest.mark.parametrize("kw, key", [({"n_times": 1}, "n_times"),
+                                         ({"n_times": 0}, "n_times"),
+                                         ({"n_times": 40.0}, "n_times"),
+                                         ({"t_max": 1e-2}, "t_max"),
+                                         ({"t_max": 1e-3}, "t_max"),
+                                         ({"t_max": float("nan")}, "t_max")])
+    def test_bad_time_grid_refused(self, kw, key):
+        with pytest.raises(PreconditionError, match=key):
+            packet_decay_time(PACKET_RUNS[1][0], 10.0, **kw)
+
+    @pytest.mark.parametrize("rise_at", ["coarse", "fine"])
+    def test_rising_norm_is_solver_error(self, monkeypatch, rise_at):
+        params, t_max = PACKET_RUNS[1]
+        times, ratio = packet_ratio_scan(params, 10.0, t_max=t_max)
+        density = SymbolPropagator.density
+        # a coarse rise at t = times[20]; a fine one at times[5], which only
+        # the second pass evaluates, with the crossing on times[20]
+        bump = times[20] if rise_at == "coarse" else times[5]
+
+        def rising(self, values0, t):
+            return density(self, values0, t) * np.where(t == bump, 2.0, 1.0)
+
+        monkeypatch.setattr(SymbolPropagator, "density", rising)
+        with pytest.raises(SolverError, match="rose"):
+            packet_decay_time(params, 10.0, level=ratio[20], t_max=t_max)
+
+    def test_rise_within_rounding_passes(self, monkeypatch):
+        params, t_max = PACKET_RUNS[1]
+        times, ratio = packet_ratio_scan(params, 10.0, t_max=t_max)
+        density = SymbolPropagator.density
+
+        def flat(self, values0, t):
+            # every density held at its t = 1e-2 value, plus 1e-13 of it
+            d = density(self, values0, times[:1])
+            return d * np.where(t > times[0], 1.0 + 1e-13, 1.0)
+
+        monkeypatch.setattr(SymbolPropagator, "density", flat)
+        assert packet_decay_time(params, 10.0, level=1.0, t_max=t_max) == times[0]
+        with pytest.raises(PreconditionError, match="never reached"):
+            packet_decay_time(params, 10.0, t_max=t_max)
+
+    @pytest.mark.parametrize("n_times", [2, 3, 17, 40, 400, 401, 800])
+    @pytest.mark.parametrize("level", [math.exp(-2.0), 0.9999, 1e-9])
+    def test_times_evaluated(self, monkeypatch, n_times, level):
+        params, t_max = PACKET_RUNS[1]
+        density = SymbolPropagator.density
+        seen = []
+
+        def spy(self, values0, t):
+            seen.append(len(t))
+            return density(self, values0, t)
+
+        monkeypatch.setattr(SymbolPropagator, "density", spy)
+        bracketed(params, 10.0, level=level, t_max=t_max, n_times=n_times)
+        assert sum(seen) <= 2 * math.isqrt(n_times) + 2
 
 
 class TestSynthesis:

@@ -609,6 +609,18 @@ class TestSharedTable:
         assert dens.shape == (len(grid), len(times))
         assert np.max(np.abs(dens - ref) / ref) <= 1e-13
 
+    @pytest.mark.parametrize("params", [SystemParams(1, 1, 0.5, 1, 1),
+                                        SystemParams(2, 1, 1, 0, 1),
+                                        SystemParams(1, 1, np.sqrt(8.0), 0, np.sqrt(27.0))])
+    def test_one_spectrum_per_distinct_abs_xi(self, params):
+        # a grid with some points mirrored, some not, and xi = 0
+        rng = np.random.default_rng(3)
+        pos = np.sort(rng.uniform(0.01, 30.0, 40))
+        grid = np.concatenate([-pos[::3][::-1], [0.0], pos])
+        prop = SymbolPropagator(params, grid)
+        assert len(prop.nodes) == len(np.unique(np.abs(grid))) == 41
+        assert np.array_equal(prop.nodes[prop.row], prop.lambdas)
+
     def test_one_table_row_per_spectrum(self, monkeypatch):
         eigvals = np.linalg.eigvals
         solved = []
