@@ -45,6 +45,8 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def _fmt(x) -> str:
+    if type(x) is float:
+        return repr(x)
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
@@ -52,8 +54,7 @@ def _fmt(x) -> str:
 
 def write_csv(path, header: list[str], rows) -> None:
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    lines += [",".join(map(_fmt, row)) for row in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -107,21 +108,17 @@ def read_jsonl(path):
 
 
 def spectrum_csv_rows(grid: np.ndarray, branches: np.ndarray):
-    """Rows for the spectrum CSV: xi, re_1..re_6, im_1..im_6, max_re."""
+    """Rows for the spectrum CSV: xi, re_1..re_6, im_1..im_6, max_re, as
+    lists of Python floats."""
     header = (["xi"] + [f"re_{i}" for i in range(1, 7)]
               + [f"im_{i}" for i in range(1, 7)] + ["max_re"])
-    rows = []
-    for i, xi in enumerate(grid):
-        lam = branches[i]
-        rows.append([xi] + list(lam.real) + list(lam.imag) + [lam.real.max()])
-    return header, rows
+    rows = np.column_stack([grid, branches.real, branches.imag, branches.real.max(axis=1)])
+    return header, rows.tolist()
 
 
 def state_csv_rows(grid: np.ndarray, values: np.ndarray):
-    """Rows for a FourierState CSV: xi plus 12 real columns."""
+    """Rows for a FourierState CSV: xi plus 12 real columns, as lists of
+    Python floats."""
     comps = ["v", "u", "z", "y", "phi", "eta"]
     header = (["xi"] + [f"re_{c}" for c in comps] + [f"im_{c}" for c in comps])
-    rows = []
-    for i, xi in enumerate(grid):
-        rows.append([xi] + list(values[i].real) + list(values[i].imag))
-    return header, rows
+    return header, np.column_stack([grid, values.real, values.imag]).tolist()

@@ -205,8 +205,9 @@ _COMMAND_SCHEMAS = {
 #: must be finite and high must exceed low
 _ORDERED_KEYS = {
     "spectrum": [("xi_min", "xi_max")],
+    "gap": [("nu", "N")],
     "decay": [("times.t_min", "times.t_max")],
-    "synthesize": [("times.t_min", "times.t_max")],
+    "synthesize": [("times.t_min", "times.t_max"), ("partition.nu", "partition.N")],
 }
 
 

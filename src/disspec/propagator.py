@@ -51,7 +51,14 @@ grid repeats each spectrum at +-xi).  The basis is contracted with the
 coefficients of its frequencies by one real batched matmul per chunk of
 rows, so Plancherel norms are reduced chunk by chunk
 (:meth:`SymbolPropagator.density`, :func:`plancherel_norms`) without ever
-holding the (times, frequencies, 6) trajectory.
+holding the (times, frequencies, 6) trajectory.  Where the answer is even
+in xi, the rows themselves are reduced to one per distinct |xi|:
+Phi_r(-xi) = J Phi_r(xi) J with J = diag(1, -1, -1, 1, -1, 1), so operator
+norms are always even, and densities are even for data that are Hermitian
+bit for bit (:meth:`SymbolPropagator._hermitian`); the mirrored rows copy
+the first row of their |xi|.  Operator norms come from one batched
+eigvalsh of the Gram matrices of the real 6x6 e^{t Phi_r}, each scaled by
+its largest entry.
 
 :class:`SymbolPropagator` is the only entry point to e^{t Phi}, and the
 route rule is consulted only there.  One frequency is a grid of one, and
@@ -447,7 +454,9 @@ class SymbolPropagator:
     when read.  The Newton weights depend only on the nodes, so the rows are
     reduced to their distinct spectra once, one per distinct |xi| (``nodes``,
     with ``row`` mapping each frequency to its spectrum; on a symmetric grid
-    +-xi share one).
+    +-xi share one).  :meth:`operator_norms`, and :meth:`density` of
+    Hermitian data, propagate only the first row of each distinct |xi| and
+    scatter the result through ``row``.
 
     Every evaluation propagates real columns Y of S^-1 X (:func:`_real_columns`)
     by e^{t Phi_r} chunk by chunk: a run of spectra gets its weights W and
@@ -467,9 +476,9 @@ class SymbolPropagator:
         self.lambdas, _ = eigenvalues_batch(params, self.grid)
         # the spectrum depends on |xi| only, and the rows at +-xi are bitwise
         # equal, so the distinct |xi| index the distinct spectra
-        _, first, self.row = np.unique(np.abs(self.grid), return_index=True,
-                                       return_inverse=True)
-        self.nodes = self.lambdas[first]
+        _, self._first, self.row = np.unique(np.abs(self.grid), return_index=True,
+                                             return_inverse=True)
+        self.nodes = self.lambdas[self._first]
         self.Phi_r = real_symbol_stack(params, self.grid)
         self._power, self._partner = _layout(self.nodes)
         self._ambiguous_nodes = _ambiguous(self.nodes, self._partner)
@@ -529,24 +538,31 @@ class SymbolPropagator:
         r[np.ix_(~self._ambiguous_nodes, times == 0.0)] = np.eye(6)[0]   # r(0) = e_1
         return r[self.row]
 
-    def _real_states(self, X: np.ndarray, keep: np.ndarray, times: np.ndarray):
-        """Yield (rows, V) chunk by chunk: V[k, a, m, q] is component a of
-        e^{t Phi_r} Y at frequency rows[k], column m and time times[q], all
-        real, for the real columns Y = :func:`_real_columns` (X, keep) of a
-        (nfreq, 6, c) block X."""
+    def _real_states(self, X: np.ndarray, keep: np.ndarray, times: np.ndarray,
+                     once: bool = False):
+        """Yield (idx, V) chunk by chunk: V[k, a, m, q] is component a of
+        e^{t Phi_r} Y at a frequency, column m and time times[q], all real,
+        for the real columns Y = :func:`_real_columns` (X, keep) of a
+        (nfreq, 6, c) block X.  idx holds the frequency rows of V, or with
+        ``once`` its distinct spectra, a run of consecutive ones: then only
+        the first row of each distinct |xi| is evaluated, and the caller
+        copies V to the other rows of that |xi|."""
         nt, m = len(times), len(keep)
         # e^{0 Phi_r} = I exactly, where the rows j > 1 of W sum to zero
         # only up to rounding
         zero = times == 0.0
+        sel = self._first if once else np.arange(len(self.grid))
+        spectrum = self.row[sel]
         # bytes per spectrum: its basis and the exponentials behind it, its
         # rows' states, and their chains and coefficients
-        rows_per = len(self.row) / len(self.nodes)
+        rows_per = len(sel) / len(self.nodes)
         step = max(1, int(_CHUNK_BYTES / (48 * (2 * nt + rows_per * m * (nt + 60)))))
         starts = np.arange(0, len(self.nodes) + step, step)
-        by_spectrum = np.argsort(self.row, kind="stable")
-        bounds = np.searchsorted(self.row[by_spectrum], starts)
+        by_spectrum = np.argsort(spectrum, kind="stable")
+        bounds = np.searchsorted(spectrum[by_spectrum], starts)
         for s, lo, hi in zip(starts[:-1], bounds[:-1], bounds[1:]):
-            rows = by_spectrum[lo:hi]
+            idx = by_spectrum[lo:hi]
+            rows = sel[idx]
             W, psi = self._weights_and_basis(slice(s, s + step), times)
             at = self.row[rows] - s
             Y = _real_columns(X[rows], keep)
@@ -561,7 +577,20 @@ class SymbolPropagator:
                                 np.repeat(Y[amb], nt, axis=0))
                 V[amb] = np.moveaxis(E.real.reshape(amb.size, nt, 6, m), 1, -1)
             V[..., zero] = Y[..., None]
-            yield rows, V
+            yield idx, V
+
+    def _hermitian(self, X: np.ndarray) -> bool:
+        """Whether X is Hermitian data on the grid, bit for bit: every row r
+        that is not the first row f of its |xi| has grid[r] == -grid[f] and
+        X[r] == conj X[f].  Then S^-1 X[r] = J conj(S^-1 X[f]) with
+        J = diag(1, -1, -1, 1, -1, 1), and J Phi_r(xi) J = Phi_r(-xi), so
+        e^{t Phi_r} S^-1 X at r is J times the conjugate of that at f, and
+        every density of r equals that of f."""
+        first = self._first[self.row]
+        r = np.flatnonzero(first != np.arange(len(first)))
+        f = first[r]
+        return (np.array_equal(self.grid[r], -self.grid[f])
+                and np.array_equal(X[r], X[f].conj()))
 
     def states(self, values0: np.ndarray, times: np.ndarray):
         """Yield (rows, U) chunk by chunk: U[k, a, ..., q] is component a of
@@ -608,14 +637,27 @@ class SymbolPropagator:
         block.  The Plancherel integrand of :func:`plancherel_norms`: S is
         unitary, so it is the sum of squares of the real stream's columns
         of each block column, reduced chunk by chunk without holding the
-        trajectory.
+        trajectory.  For Hermitian data (:meth:`_hermitian`) the density is
+        even in xi: the stream runs on one row per distinct |xi| and the
+        mirrored rows copy it; any other data evaluate every row.
         """
         times = self._times(times)
         X = values0 if values0.ndim == 3 else values0[..., None]
         keep = _nonzero_columns(X)
+        once = self._hermitian(X)
         dens = np.empty((len(self.grid), len(keep), len(times)))
-        for rows, V in self._real_states(X, keep, times):
-            dens[rows] = np.einsum("kamt,kamt->kmt", V, V)
+        # the rows of each spectrum, so that a chunk writes all its rows and
+        # no second (nfreq, ...) array is gathered
+        by_spectrum = np.argsort(self.row, kind="stable")
+        ends = np.searchsorted(self.row[by_spectrum], np.arange(len(self.nodes) + 1))
+        for idx, V in self._real_states(X, keep, times, once):
+            d = np.einsum("kamt,kamt->kmt", V, V)
+            if once:
+                # idx is a run of consecutive spectra a..b-1
+                a, b = idx[0], idx[-1] + 1
+                idx = by_spectrum[ends[a]:ends[b]]
+                d = d[self.row[idx] - a]
+            dens[idx] = d
         # fold the real stream's columns onto their block columns
         c = X.shape[2]
         if not np.array_equal(keep % c, np.arange(c)):
@@ -630,14 +672,26 @@ class SymbolPropagator:
 
         S is unitary, so it is the 2-norm of e^{Phi_r t}: the real columns
         of the identity block are +-e_a, so the stream propagates the real
-        identity up to signs, one real 6x6 SVD per frequency and time.
+        identity up to signs.  The norm is even in xi, since
+        Phi_r(-xi) = J Phi_r(xi) J with the orthogonal
+        J = diag(1, -1, -1, 1, -1, 1), so the stream runs on one row per
+        distinct |xi|.  Each 6x6 V is scaled by s = max|V| (1 where V is
+        exactly 0), so that its Gram matrix neither underflows nor
+        overflows, and ||V||_2 = s sqrt(lambda_max((V/s)^T (V/s))) by one
+        batched eigvalsh; the largest eigenvalue of a Gram matrix is
+        accurate to rounding relative to itself.
         """
         times = self._times(times)
         eye = np.broadcast_to(np.eye(6, dtype=complex), (len(self.grid), 6, 6))
-        out = np.empty((len(self.grid), len(times)))
-        for rows, V in self._real_states(eye, _nonzero_columns(eye), times):
-            out[rows] = np.linalg.norm(V, ord=2, axis=(1, 2))
-        return out
+        out = np.empty((len(self.nodes), len(times)))
+        for idx, V in self._real_states(eye, _nonzero_columns(eye), times, once=True):
+            V = np.moveaxis(V, -1, 1)                        # (k, nt, 6, 6)
+            s = np.abs(V).max(axis=(2, 3), keepdims=True)
+            s[s == 0.0] = 1.0
+            V = V / s
+            gram = np.linalg.eigvalsh(np.swapaxes(V, 2, 3) @ V)[..., -1]
+            out[idx] = s[..., 0, 0] * np.sqrt(np.maximum(gram, 0.0))
+        return out[self.row]
 
 
 @dataclass(frozen=True)

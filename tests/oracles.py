@@ -100,3 +100,28 @@ def scan_crossing(times, ratio, level):
     r1, r2 = ratio[i - 1], ratio[i]
     frac = (math.log(level) - math.log(r1)) / (math.log(r2) - math.log(r1))
     return float(math.exp(math.log(t1) + frac * (math.log(t2) - math.log(t1))))
+
+
+def csv_text_per_element(header, rows):
+    """The CSV text of ``rows`` formatted element by element: repr of each
+    float (numpy scalars converted first), str of anything else."""
+    def fmt(x):
+        if isinstance(x, (float, np.floating)):
+            return repr(float(x))
+        return str(x)
+
+    lines = [",".join(header)] + [",".join(fmt(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def spectrum_rows_per_element(grid, branches):
+    """Rows of the spectrum CSV built frequency by frequency from numpy
+    scalars: xi, re_1..re_6, im_1..im_6, max_re."""
+    return [[xi] + list(lam.real) + list(lam.imag) + [lam.real.max()]
+            for xi, lam in zip(grid, branches)]
+
+
+def state_rows_per_element(grid, values):
+    """Rows of a FourierState CSV built frequency by frequency from numpy
+    scalars: xi plus the real and imaginary parts."""
+    return [[xi] + list(v.real) + list(v.imag) for xi, v in zip(grid, values)]

@@ -12,6 +12,7 @@ import disspec
 from disspec import artifacts
 from disspec.cli import _COMMAND_SCHEMAS, dispatch, main, render_report, validate_config
 from disspec.errors import SchemaError
+from oracles import csv_text_per_element, spectrum_rows_per_element, state_rows_per_element
 
 PARAMS = {"a": 1.0, "k": 1.0, "l": 0.5, "gamma1": 1.0, "gamma2": 1.0}
 G10_PARAMS = {"a": 1.0, "k": 1.0, "l": 0.5, "gamma1": 0.0, "gamma2": 1.0}
@@ -133,6 +134,73 @@ class TestBounds:
     def test_spectrum_bounds(self, tmp_path, capsys, bounds, key):
         message = self.refused(tmp_path, capsys, {**self.SPECTRUM, **bounds})
         assert message.startswith(f"config invalid for command 'spectrum': {key} ")
+
+    # without the check an infinite N reached np.linspace, which warned on
+    # stderr and then refused a grid of NaNs without naming the key
+    @pytest.mark.parametrize("band, key", [
+        ({"N": float("inf")}, "N"),
+        ({"N": float("nan")}, "N"),
+        ({"nu": float("-inf")}, "nu"),
+        ({"nu": 10.0, "N": 10.0}, "N"),
+        ({"nu": 10.0, "N": 0.1}, "N"),
+    ])
+    @pytest.mark.parametrize("command", ["gap", "synthesize"])
+    @pytest.mark.filterwarnings("error")
+    def test_band_bounds(self, tmp_path, capsys, command, band, key):
+        if command == "gap":
+            config = {"command": "gap", "params": G10_PARAMS, "nu": 0.1, "N": 10.0, **band}
+        else:
+            config = {**self.DECAY, "command": command, "params": G10_PARAMS,
+                      "partition": {"nu": 0.05, "N": 5.0, **band}}
+            del config["j_orders"]
+            key = f"partition.{key}"
+        code, out = run_cli(tmp_path, config)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        payload = json.loads(captured.out.strip().splitlines()[-1])
+        assert payload == json.loads((out / "error.json").read_text())
+        assert payload["error"] == "SchemaError"
+        assert payload["message"].startswith(f"config invalid for command {command!r}: {key} ")
+        assert not (out / "gap_certificate.json").exists()
+        assert not (out / "synthesis.json").exists()
+
+
+class TestCsvRows:
+    """The row builders hand write_csv Python floats; the bytes equal those
+    of the per-element writer on numpy scalars."""
+
+    SPECIAL = [0.0, -0.0, 5e-324, -2.2e-308, 1e-310, 1e308, -1e308, np.nan,
+               np.inf, -np.inf, 1.0 / 3.0, -7.25e-17]
+
+    def data(self, n_cols):
+        rng = np.random.default_rng(4)
+        special = np.array(self.SPECIAL)
+        n = 3 * len(special)
+        re = rng.normal(size=(n, n_cols)) * 10.0 ** rng.integers(-300, 300, size=(n, n_cols))
+        im = rng.normal(size=(n, n_cols))
+        for k, x in enumerate(special):
+            re[k, k % n_cols] = x
+            im[len(special) + k, k % n_cols] = x
+        grid = np.concatenate([special, rng.normal(size=n - len(special))])
+        values = re.astype(complex)
+        values.imag = im
+        return grid, values
+
+    def check(self, tmp_path, header, rows, reference_rows):
+        assert all(type(x) is float for row in rows for x in row)
+        path = tmp_path / "table.csv"
+        artifacts.write_csv(path, header, rows)
+        assert path.read_bytes() == csv_text_per_element(header, reference_rows).encode()
+
+    def test_spectrum_rows(self, tmp_path):
+        grid, branches = self.data(6)
+        header, rows = artifacts.spectrum_csv_rows(grid, branches)
+        self.check(tmp_path, header, rows, spectrum_rows_per_element(grid, branches))
+
+    def test_state_rows(self, tmp_path):
+        grid, values = self.data(6)
+        header, rows = artifacts.state_csv_rows(grid, values)
+        self.check(tmp_path, header, rows, state_rows_per_element(grid, values))
 
 
 class TestCommands:

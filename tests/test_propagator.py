@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -670,6 +672,105 @@ class TestSharedTable:
         finally:
             tracemalloc.stop()
         assert peak < 40 * len(grid) * 6 * 16        # 15.7 MB
+
+
+class TestOncePerAbsXi:
+    """Operator norms, and densities of Hermitian data, are even in xi: the
+    stream runs on one row per distinct |xi| and the mirrored rows copy it.
+    Any other data evaluate every row."""
+
+    P = SystemParams(1, 1, 0.5, 1, 1)
+    GRID = default_grid(xi_max=8.0, n_geo=64, n_lin=64)
+    TIMES = np.geomspace(0.1, 50.0, 7)
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record the number of rows of every Q chain."""
+        q_chain = propagator_module._q_chain
+        rows = []
+
+        def counting(Phi, lam, X):
+            rows.append(len(Phi))
+            return q_chain(Phi, lam, X)
+
+        monkeypatch.setattr(propagator_module, "_q_chain", counting)
+        return rows
+
+    @staticmethod
+    def hermitian(grid, seed=11):
+        """Random data with X(-xi) = conj X(xi) bit for bit on a symmetric grid."""
+        rng = np.random.default_rng(seed)
+        vals = rng.normal(size=(len(grid), 6)) + 1j * rng.normal(size=(len(grid), 6))
+        vals[grid < 0] = vals[grid > 0][::-1].conj()
+        vals[grid == 0] = vals[grid == 0].real
+        return vals
+
+    @staticmethod
+    def per_row(p, grid, vals, times):
+        """The density evaluated by a one-frequency propagator per row."""
+        return np.concatenate([SymbolPropagator(p, grid[i:i + 1]).density(vals[i:i + 1], times)
+                               for i in range(len(grid))])
+
+    def test_operator_norms_match_svd(self):
+        # a symmetric grid about the defective point's ambiguous xi = 0 row,
+        # with an unmirrored tail; the norms run from 1 through ~1e-300 to 0
+        p = SystemParams(1, 1, np.sqrt(8.0), 0, np.sqrt(27.0))
+        grid = np.array([-3.0, -1.5, -0.4, 0.0, 0.4, 1.5, 3.0, 5.0, 9.0])
+        times = np.array([0.0, 0.5, 10.0, 1e3, 1e4, 1e5, 1.3e5, 1.36e5, 1e6])
+        prop = SymbolPropagator(p, grid)
+        assert prop.ambiguous.tolist() == [False] * 3 + [True] + [False] * 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nrm = prop.operator_norms(times)
+        # the independent route: the SVD of the propagated identity block
+        eye = np.repeat(np.eye(6)[None], len(grid), axis=0)
+        svd = np.linalg.svd(prop.propagate_many(eye, times), compute_uv=False)[..., 0].T
+        assert svd.max() == pytest.approx(1.0, abs=1e-15)
+        assert 0.0 < svd[svd > 0].min() < 1e-290 and (svd == 0).any()
+        assert np.array_equal(nrm == 0.0, svd == 0.0)
+        nz = svd > 0
+        assert np.all(np.abs(nrm[nz] - svd[nz]) <= 1e-13 * svd[nz])
+
+    def test_one_chain_row_per_spectrum(self, monkeypatch):
+        prop = SymbolPropagator(self.P, self.GRID)
+        assert not prop.ambiguous.any() and len(prop.nodes) < len(self.GRID)
+        rows = self.spy(monkeypatch)
+        prop.operator_norms(self.TIMES)
+        assert sum(rows) == len(prop.nodes)
+        rows.clear()
+        prop.density(self.hermitian(self.GRID), self.TIMES)
+        assert sum(rows) == len(prop.nodes)
+
+    @pytest.mark.parametrize("kind", ["ulp", "complex", "asymmetric"])
+    def test_other_data_take_every_row(self, monkeypatch, kind):
+        grid = self.GRID.copy()
+        vals = self.hermitian(grid)
+        if kind == "ulp":
+            # one mirrored row off by one ulp
+            vals[3, 2] = complex(np.nextafter(vals[3, 2].real, np.inf), vals[3, 2].imag)
+        elif kind == "complex":
+            vals = np.random.default_rng(12).normal(size=(len(grid), 6)) * (1 + 2j)
+        else:
+            # -xi replaced by xi: the row repeats |xi| without mirroring it
+            grid[3] = -grid[3]
+        prop = SymbolPropagator(self.P, grid)
+        assert len(prop.nodes) < len(grid)
+        rows = self.spy(monkeypatch)
+        dens = prop.density(vals, self.TIMES)
+        assert sum(rows) == len(grid)
+        monkeypatch.undo()
+        ref = self.per_row(self.P, grid, vals, self.TIMES)
+        assert np.max(np.abs(dens - ref) / ref) <= 1e-14
+
+    def test_hermitian_density_is_the_positive_half(self):
+        vals = self.hermitian(self.GRID)
+        dens = SymbolPropagator(self.P, self.GRID).density(vals, self.TIMES)
+        half = self.GRID >= 0
+        ref = SymbolPropagator(self.P, self.GRID[half]).density(vals[half], self.TIMES)
+        # the full grid evaluates the first row of each |xi|, on the negative side
+        for side in (self.GRID[half], -self.GRID[half]):
+            got = dens[np.searchsorted(self.GRID, side)]
+            assert np.max(np.abs(got - ref) / ref) <= 1e-14
 
 
 class TestUndampedGrid:
