@@ -6,11 +6,9 @@ audits the Lyapunov decay machinery, and runs end-to-end decay-rate
 experiments.
 """
 
-from .core_model import (CharPoly, SymbolMatrix, SystemParams, build_matrices,
-                         build_symbol, char_poly, char_poly_coeffs,
-                         char_poly_value, factor_check_gamma2_zero,
-                         real_symbol_stack, symbol_stack,
-                         transform_initial_data)
+from .core_model import (SymbolMatrix, SystemParams, build_matrices,
+                         build_symbol, char_poly_coeffs, real_symbol_stack,
+                         symbol_stack)
 from .decay_lab import (DecayFit, Experiment, FrequencyPartition, Profile,
                         build_initial_state, fit_pointwise_rate,
                         optimality_probe, packet_decay_time, run_decay,
@@ -18,15 +16,13 @@ from .decay_lab import (DecayFit, Experiment, FrequencyPartition, Profile,
 from .errors import (CertificateRefused, DisspecError, PreconditionError,
                      RegimeError, SchemaError, SolverError, TailMassError,
                      UnsupportedRegimeError)
-from .lyapunov import (AuditReport, FunctionalValues, LyapunovConstants,
-                       audit_inequality, eval_functionals, gronwall_check,
-                       sandwich_fit, search_constants)
-from .propagator import (EnergyRecord, FourierState, SymbolPropagator,
-                         default_grid, energy_audit, plancherel_norm,
+from .lyapunov import (AuditReport, LyapunovConstants, audit_inequality,
+                       gronwall_check, sandwich_fit, search_constants)
+from .propagator import (FourierState, SymbolPropagator, default_grid,
                          plancherel_norms)
 from .spectral import (AsymptoticCoeffs, BranchRate, CardanoClass,
-                       GapCertificate, Spectrum, branch_continuation,
-                       cardano_classify, eigenvalues, eigenvalues_batch,
-                       gap_scan, high_freq_expansion, low_freq_expansion)
+                       GapCertificate, branch_continuation, cardano_classify,
+                       eigenvalues_batch, gap_scan, high_freq_expansion,
+                       low_freq_expansion)
 
 __version__ = "0.1.0"

@@ -12,11 +12,10 @@ side the evolution is U_hat_t = Phi(i xi) U_hat with symbol
 
     Phi(zeta) = -(L + zeta A),  zeta = i xi.
 
-This module builds A, L and Phi, evaluates the closed-form characteristic
-polynomial of Phi(zeta) (verified here against an LU determinant oracle in
-the test suite), checks the quadratic-times-quartic factorization that holds
-when gamma2 = 0, and maps sampled physical initial data to first-order
-unknowns.
+This module builds A, L and Phi, the real similar symbol S^-1 Phi S, and
+the closed-form coefficients of the characteristic polynomial of Phi(zeta)
+(the test suite checks them against an LU determinant and against the
+quadratic-times-quartic splitting that holds when gamma2 = 0).
 
 Component order is fixed project-wide: indices 0..5 = (v, u, z, y, phi, eta).
 The single longitudinal speed k is used throughout.
@@ -24,25 +23,20 @@ The single longitudinal speed k is used throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, RegimeError
+from .errors import PreconditionError
 
 __all__ = [
     "SystemParams",
     "SymbolMatrix",
-    "CharPoly",
     "build_matrices",
     "build_symbol",
     "symbol_stack",
     "real_symbol_stack",
-    "char_poly",
     "char_poly_coeffs",
-    "char_poly_value",
-    "factor_check_gamma2_zero",
-    "transform_initial_data",
 ]
 
 # component indices
@@ -180,41 +174,13 @@ def real_symbol_stack(params: SystemParams, xi) -> np.ndarray:
     return -(L_s + xi[..., None, None] * A_s)
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """Characteristic polynomial det(lambda I - Phi(zeta)).
-
-    coeffs[d] is the coefficient of lambda**d (ascending degree, 7 entries,
-    leading coefficient exactly 1).
-    """
-
-    coeffs: np.ndarray
-    regime: str
-    zeta: complex = field(default=0j)
-
-    def __call__(self, lam):
-        return np.polyval(self.coeffs[::-1], lam)
-
-    def derivative(self, lam):
-        dcoeffs = self.coeffs[1:] * np.arange(1, 7)
-        return np.polyval(dcoeffs[::-1], lam)
-
-
-def char_poly(params: SystemParams, zeta: complex) -> CharPoly:
-    """Closed-form coefficients of det(lambda I - Phi(zeta)).
+def char_poly_coeffs(params: SystemParams, zeta) -> np.ndarray:
+    """Closed-form coefficients of det(lambda I - Phi(zeta)) for every entry
+    of ``zeta``.
 
     One formula covers all damping regimes (it reduces to the single-damping
-    forms when the corresponding gamma vanishes); the regime tag records
-    which special case applies.
-    """
-    return CharPoly(coeffs=char_poly_coeffs(params, zeta), regime=params.regime,
-                    zeta=complex(zeta))
-
-
-def char_poly_coeffs(params: SystemParams, zeta) -> np.ndarray:
-    """The coefficients of :func:`char_poly` for every entry of ``zeta``.
-
-    Shape zeta.shape + (7,), ascending degree; the leading coefficient is 1.
+    forms when the corresponding gamma vanishes).  Shape zeta.shape + (7,),
+    ascending degree; the leading coefficient is 1.
     """
     zeta = np.asarray(zeta, dtype=complex)
     coeffs = _sextic_coeffs(params.a, params.k, params.l,
@@ -237,96 +203,3 @@ def _sextic_coeffs(a, k, l, g1, g2, z2) -> tuple:
     c1 = g1 * k**2 * lz**2 + k**2 * l**2 * g2 - a**2 * k**2 * l**2 * g2 * z2 + a**2 * g2 * z2 * z2
     c0 = -(a**2) * k**2 * z2 * lz**2
     return c0, c1, c2, c3, c4, c5, c6
-
-
-def char_poly_value(params: SystemParams, zeta: complex, lam: complex) -> complex:
-    """det(lambda I - Phi(zeta)) via LU factorization (independent oracle)."""
-    A, L = build_matrices(params)
-    Phi = -(L.astype(complex) + zeta * A)
-    M = lam * np.eye(6, dtype=complex) - Phi
-    sign, logdet = np.linalg.slogdet(M)
-    if sign == 0:
-        return 0j
-    return sign * np.exp(logdet)
-
-
-def factor_check_gamma2_zero(params: SystemParams, zeta: complex,
-                             n_samples: int = 12, rtol: float = 1e-10,
-                             rng: np.random.Generator | None = None) -> bool:
-    """Check the quadratic-times-quartic splitting of the gamma2 = 0 polynomial.
-
-    The sextic factors as (lambda^2 + k^2 (l^2 - zeta^2)) times a quartic;
-    the quadratic factor carries the two undamped (purely imaginary, for
-    zeta = i xi) roots.  Returns True iff the expanded product matches
-    the closed-form polynomial at ``n_samples`` random lambda values to
-    relative error ``rtol``.
-    """
-    if params.gamma2 != 0.0:
-        raise RegimeError("factor_check_gamma2_zero requires gamma2 = 0")
-    a, k, l, g1 = params.a, params.k, params.l, params.gamma1
-    z2 = zeta * zeta
-    lz = l * l - z2
-
-    quad = np.array([k**2 * lz, 0.0, 1.0], dtype=complex)          # ascending
-    quart = np.array([-(a**2) * z2 * lz, g1 * lz,
-                      l * l + 1.0 - z2 * (a**2 + 1.0), g1, 1.0], dtype=complex)
-    prod = np.polymul(quad[::-1], quart[::-1])                      # descending
-    ref = char_poly(params, zeta)
-
-    if rng is None:
-        rng = np.random.default_rng(2024)
-    lams = rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples)
-    p_ref = ref(lams)
-    p_fac = np.polyval(prod, lams)
-    scale = 1.0 + np.abs(p_ref)
-    return bool(np.all(np.abs(p_fac - p_ref) / scale <= rtol))
-
-
-def _central_diff_4(f: np.ndarray, h: float) -> np.ndarray:
-    """4th-order central difference with periodic wrap."""
-    return (-np.roll(f, -2) + 8.0 * np.roll(f, -1)
-            - 8.0 * np.roll(f, 1) + np.roll(f, 2)) / (12.0 * h)
-
-
-def _spectral_diff(f: np.ndarray, h: float) -> np.ndarray:
-    n = len(f)
-    freqs = 2.0j * np.pi * np.fft.fftfreq(n, d=h)
-    return np.real(np.fft.ifft(freqs * np.fft.fft(f)))
-
-
-def transform_initial_data(phi0, phi1, psi0, psi1, w0, w1, dx: float,
-                           params: SystemParams, method: str = "fd4"):
-    """Map sampled physical initial data to the six first-order unknowns.
-
-    All six arrays are samples on the same uniform, periodic spatial grid
-    with spacing ``dx``.  Returns ``(U0, meta)`` with U0 of shape (n, 6),
-    columns in the fixed component order, and meta recording the derivative
-    scheme ("fd4" = 4th-order central differences, "spectral" = FFT).
-
-    The unknowns are v = phi_x - psi - l w, u = phi_t, z = a psi_x,
-    y = psi_t, phi-component = k (w_x - l phi), eta = w_t.
-    """
-    arrays = [np.asarray(f, dtype=float) for f in (phi0, phi1, psi0, psi1, w0, w1)]
-    n = len(arrays[0])
-    if any(len(f) != n for f in arrays):
-        raise PreconditionError("all six sampled fields must share one grid")
-    if n < 8:
-        raise PreconditionError(f"spatial grid too coarse: {n} points (need >= 8)")
-    if method == "fd4":
-        diff = _central_diff_4
-    elif method == "spectral":
-        diff = _spectral_diff
-    else:
-        raise PreconditionError(f"unknown derivative method {method!r}")
-
-    phi0_, phi1_, psi0_, psi1_, w0_, w1_ = arrays
-    l, k, a = params.l, params.k, params.a
-    U0 = np.empty((n, 6))
-    U0[:, V] = diff(phi0_, dx) - psi0_ - l * w0_
-    U0[:, U] = phi1_
-    U0[:, Z] = a * diff(psi0_, dx)
-    U0[:, Y] = psi1_
-    U0[:, PHI] = k * (diff(w0_, dx) - l * phi0_)
-    U0[:, ETA] = w1_
-    meta = {"derivative_method": method, "dx": dx, "n_points": n}
-    return U0, meta

@@ -22,29 +22,30 @@ hand-tuned weight fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core_model import SystemParams
 from .errors import PreconditionError, RegimeError
-from .propagator import FourierState, SymbolPropagator
+from .propagator import SymbolPropagator
 
 __all__ = [
     "LyapunovConstants",
-    "FunctionalValues",
-    "eval_functionals",
     "search_constants",
     "audit_inequality",
     "AuditReport",
     "sandwich_fit",
     "gronwall_check",
-    "required_d0",
     "lyapunov_sigma",
 ]
 
 #: the audit's first sample time, shared by every frequency
 _T_FIRST = 2e-3
+#: the safety factor of every weight in :func:`search_constants`
+_MARGIN = 2.0
+#: absolute slack of the audit's dL/dt <= 0 test
+_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,8 @@ def _constants_ledger(params: SystemParams, c: LyapunovConstants) -> dict:
             "C_P": C_P, "C_P2": C_P2}
 
 
-def search_constants(params: SystemParams, margin: float = 2.0) -> LyapunovConstants:
-    """Fix the weights in the canonical order, each with a safety margin.
+def search_constants(params: SystemParams) -> LyapunovConstants:
+    """Fix the weights in the canonical order, each with a safety margin of 2.
 
     Order: eps1..eps4 at the midpoints of their admissible intervals, then
     d2, then d1, then eps1p (and eps2p for a != 1), finally d0 large enough
@@ -144,22 +145,22 @@ def search_constants(params: SystemParams, margin: float = 2.0) -> LyapunovConst
     half = LyapunovConstants(d0=1, d1=1, d2=1, eps1=eps1, eps1p=1.0,
                              eps2=eps2, eps2p=0.0, eps3=eps3, eps4=eps4)
     led = _constants_ledger(params, half)
-    d2 = margin * led["C_P2"] / (k - eps1)
-    d1 = margin * max(2.0, d2 * led["C_K2"] / (a * a * l * l - eps2))
-    eps1p = (1.0 - eps3) / (margin * d2)
+    d2 = _MARGIN * led["C_P2"] / (k - eps1)
+    d1 = _MARGIN * max(2.0, d2 * led["C_K2"] / (a * a * l * l - eps2))
+    eps1p = (1.0 - eps3) / (_MARGIN * d2)
     use_l1 = lyapunov_sigma(params, 0.0)[0] == "L1"
-    eps2p = 0.0 if use_l1 else (1.0 - eps3) / (2.0 * margin * d1)
+    eps2p = 0.0 if use_l1 else (1.0 - eps3) / (2.0 * _MARGIN * d1)
 
     full = LyapunovConstants(d0=1, d1=d1, d2=d2, eps1=eps1, eps1p=eps1p,
                              eps2=eps2, eps2p=eps2p, eps3=eps3, eps4=eps4)
     led = _constants_ledger(params, full)
     CF = led["C_F"] if use_l1 else led["C_Fq"]
-    d0_diss = margin * (d1 * CF + d2 * led["C_K"] + led["C_P"]) / g_min
+    d0_diss = _MARGIN * (d1 * CF + d2 * led["C_K"] + led["C_P"]) / g_min
     # sandwich: |d1 F + d2 K + P| <= C_eq (1 + xi^2) E (a = 1); require d0 > 2 C_eq
     C_eq = (d1 * (a * l * l + a * l + 1.0 + a)
             + d2 * (1.0 + l)
             + (1.0 + l + l * params.gamma2))
-    d0 = max(d0_diss, margin * C_eq)
+    d0 = max(d0_diss, _MARGIN * C_eq)
     out = LyapunovConstants(d0=d0, d1=d1, d2=d2, eps1=eps1, eps1p=eps1p,
                             eps2=eps2, eps2p=eps2p, eps3=eps3, eps4=eps4)
     violations = out.ordering_violations(params)
@@ -167,16 +168,6 @@ def search_constants(params: SystemParams, margin: float = 2.0) -> LyapunovConst
         raise RegimeError("constant search failed; binding constraints: "
                           + "; ".join(violations))
     return out
-
-
-@dataclass(frozen=True)
-class FunctionalValues:
-    F: float
-    K: float
-    P: float
-    L1: float
-    L2: float
-    E_hat: float
 
 
 def lyapunov_sigma(params: SystemParams, xi):
@@ -230,18 +221,6 @@ def _unit_states(rng: np.random.Generator, n_freq: int, n_states: int) -> np.nda
     return states
 
 
-def eval_functionals(state: FourierState, params: SystemParams,
-                     consts: LyapunovConstants, xi: float) -> FunctionalValues:
-    """Evaluate the functionals at one on-grid frequency of a state."""
-    idx = np.flatnonzero(np.isclose(state.grid, xi, rtol=0, atol=1e-12))
-    if len(idx) != 1:
-        raise PreconditionError(f"xi={xi} is not on the state grid")
-    vals = state.values[idx[0]]
-    F, K, P, L1, L2, E = _functionals_arrays(vals, xi, params, consts)
-    return FunctionalValues(F=float(F), K=float(K), P=float(P),
-                            L1=float(L1), L2=float(L2), E_hat=float(E))
-
-
 @dataclass(frozen=True)
 class AuditReport:
     params: SystemParams
@@ -259,14 +238,14 @@ class AuditReport:
 
 def audit_inequality(params: SystemParams, consts: LyapunovConstants,
                      xi, horizon: float = 5.0, n_random: int = 100,
-                     seed: int = 123, slack: float = 1e-10) -> AuditReport:
+                     seed: int = 123) -> AuditReport:
     """Trajectory audit of the decay inequality at the given frequencies.
 
     Evolves the 6 basis vectors plus ``n_random`` random unit states exactly
     by one propagator, chunk by chunk, takes dL/dt in closed form
     (:func:`_rates`) at 24 times from 2e-3 to ``horizon``, and reports the
     largest violation of dL/dt + c * weight * E_hat <= 0 (at c = 0, against
-    the absolute slack; weight xi^2 for L1, xi^2 / sigma for L2) together
+    the absolute slack 1e-10; weight xi^2 for L1, xi^2 / sigma for L2) together
     with the maximal feasible c.
     """
     if params.gamma1 <= 0.0 or params.gamma2 <= 0.0:
@@ -276,10 +255,11 @@ def audit_inequality(params: SystemParams, consts: LyapunovConstants,
         raise RegimeError("constants violate the selection order: "
                           + "; ".join(violations))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.size == 0 or n_random < 0 or not horizon > _T_FIRST:
-        raise PreconditionError(f"audit needs frequencies, n_random >= 0 and horizon > "
-                                f"{_T_FIRST}; got {xi.size} frequencies, n_random = "
-                                f"{n_random}, horizon = {horizon}")
+    # NaN and Infinity fail the horizon bound too
+    if xi.size == 0 or n_random < 0 or not _T_FIRST < horizon < np.inf:
+        raise PreconditionError(f"audit needs frequencies, n_random >= 0 and a finite "
+                                f"horizon > {_T_FIRST}; got {xi.size} frequencies, "
+                                f"n_random = {n_random}, horizon = {horizon}")
     if not np.any(xi != 0.0):
         raise PreconditionError("every audited frequency is 0, where the weight "
                                 "vanishes and bounds no decay rate c")
@@ -298,7 +278,7 @@ def audit_inequality(params: SystemParams, consts: LyapunovConstants,
         dE, dF, dK, dP = _rates(U, PhiU, xi[at], params)
         dL = consts.d0 * sigma[at] * dE + consts.d1 * dF + consts.d2 * dK + dP
         per_freq[rows] = dL.max(axis=(1, 2))
-        count += int(np.count_nonzero(dL > slack))
+        count += int(np.count_nonzero(dL > _SLACK))
         # xi = 0 (weight 0) and vanished states bound no c
         wE = weight[at] * (0.5 * np.sum(np.abs(U) ** 2, axis=-1))
         good = wE > 1e-300
@@ -308,7 +288,7 @@ def audit_inequality(params: SystemParams, consts: LyapunovConstants,
         params=params, constants=consts, frequencies=xi, weight_kind=kind,
         max_violation=float(per_freq.max()), violation_count=count,
         c0_feasible=float(c0), per_frequency_violation=per_freq,
-        n_states=len(states), horizon=horizon, slack=slack)
+        n_states=len(states), horizon=horizon, slack=_SLACK)
 
 
 def sandwich_fit(params: SystemParams, consts: LyapunovConstants,
@@ -327,7 +307,7 @@ def sandwich_fit(params: SystemParams, consts: LyapunovConstants,
 
 
 def gronwall_check(params: SystemParams, consts: LyapunovConstants,
-                   xi, t_grid, c0: float, seed: int = 5):
+                   xi, t_grid, c0: float):
     """Check E(xi, t) <= (c2/c1) exp(-c3 rho(xi) t) E(xi, 0) over all data.
 
     c3 = c0 / c2 with (c1, c2) the fitted sandwich constants; rho is
@@ -338,7 +318,7 @@ def gronwall_check(params: SystemParams, consts: LyapunovConstants,
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     t_grid = np.asarray(t_grid, dtype=float)
-    c1, c2 = sandwich_fit(params, consts, xi, seed=seed)
+    c1, c2 = sandwich_fit(params, consts, xi, seed=5)
     if c1 <= 0:
         raise RegimeError(f"sandwich lower constant is not positive (c1={c1}); "
                           "d0 too small for equivalence")
@@ -347,30 +327,3 @@ def gronwall_check(params: SystemParams, consts: LyapunovConstants,
     rho = xi**2 / lyapunov_sigma(params, xi)[1]
     allowed = (c2 / c1) * np.exp(-c3 * rho[:, None] * t_grid)
     return float((growth / allowed).max(initial=0.0)), (c1, c2, c3)
-
-
-def required_d0(params: SystemParams, lo: float = 1e-3, hi: float | None = None,
-                xi=(0.1, 1.0, 10.0), horizon: float = 3.0,
-                n_random: int = 24, tol: float = 0.05) -> float:
-    """Minimal d0 passing the trajectory audit, found by bisection.
-
-    All other constants stay at their searched values; only d0 varies.
-    """
-    base = search_constants(params)
-    if hi is None:
-        hi = base.d0
-
-    def passes(d0: float) -> bool:
-        rep = audit_inequality(params, replace(base, d0=d0), xi, horizon=horizon,
-                               n_random=n_random)
-        return rep.violation_count == 0 and rep.c0_feasible > 0
-
-    if not passes(hi):
-        raise RegimeError("searched constants fail their own audit")
-    while hi / lo > 1.0 + tol:
-        mid = np.sqrt(lo * hi)
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi

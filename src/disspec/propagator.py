@@ -71,7 +71,7 @@ imaginary part; the assembled exponential is order-invariant (tested).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -84,9 +84,6 @@ from .spectral import eigenvalues_batch
 __all__ = [
     "FourierState",
     "default_grid",
-    "energy_audit",
-    "EnergyRecord",
-    "plancherel_norm",
     "plancherel_norms",
     "SymbolPropagator",
 ]
@@ -126,16 +123,16 @@ _SINH_MAX = 1.0
 _SINHC_ONE = 1e-8
 
 
-def _snap_clusters(lam: np.ndarray, tol, trace=None) -> np.ndarray:
+def _snap_clusters(lam: np.ndarray, tol, trace) -> np.ndarray:
     """Snap transitively-linked clusters (link distance <= tol) to their mean.
 
     lam   : (m, n) nodes per row.
     tol   : scalar or (m,) link distance per row.
-    trace : None or (m,) matrix traces.  When supplied, each row's sum
-            defect (trace minus node sum) is folded into its snapped
-            members: cluster means are then exact to the accuracy of the
-            non-clustered nodes, which matters at defective points where the
-            individual cluster members carry O(eps^(1/m)) noise.
+    trace : (m,) matrix traces.  Each row's sum defect (trace minus node
+            sum) is folded into its snapped members: cluster means are then
+            exact to the accuracy of the non-clustered nodes, which matters
+            at defective points where the individual cluster members carry
+            O(eps^(1/m)) noise.
     """
     lam = np.asarray(lam, dtype=complex)
     tol = np.asarray(tol, dtype=float)[..., None, None]
@@ -148,10 +145,9 @@ def _snap_clusters(lam: np.ndarray, tol, trace=None) -> np.ndarray:
     size = link.sum(axis=2)
     snapped = size > 1
     out = np.where(snapped, np.sum(link * lam[:, None, :], axis=2) / size, lam)
-    if trace is not None:
-        count = snapped.sum(axis=1)
-        defect = (np.asarray(trace) - out.sum(axis=1)) / np.maximum(count, 1)
-        out += snapped * defect[:, None]
+    count = snapped.sum(axis=1)
+    defect = (np.asarray(trace) - out.sum(axis=1)) / np.maximum(count, 1)
+    out += snapped * defect[:, None]
     return out
 
 
@@ -411,7 +407,6 @@ class FourierState:
     params: SystemParams
     grid: np.ndarray
     values: np.ndarray
-    t: float
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -420,15 +415,6 @@ class FourierState:
         if self.values.shape != (len(grid), 6):
             raise PreconditionError(
                 f"values must have shape (len(grid), 6), got {self.values.shape}")
-
-    def energy(self) -> np.ndarray:
-        """Per-frequency energy 0.5 |U_hat|^2."""
-        return 0.5 * np.sum(np.abs(self.values) ** 2, axis=1)
-
-    def dissipation(self) -> np.ndarray:
-        """Per-frequency gamma1 |y_hat|^2 + gamma2 |eta_hat|^2."""
-        return (self.params.gamma1 * np.abs(self.values[:, 3]) ** 2
-                + self.params.gamma2 * np.abs(self.values[:, 5]) ** 2)
 
 
 def default_grid(xi_min_pos: float = 1e-4, xi_max: float = 40.0,
@@ -694,69 +680,50 @@ class SymbolPropagator:
         return out[self.row]
 
 
-@dataclass(frozen=True)
-class EnergyRecord:
-    t: float
-    E_hat: np.ndarray
-    dissipation: np.ndarray
+def _sobolev_integrand(grid: np.ndarray, density: np.ndarray, j: int) -> np.ndarray:
+    """|xi|^{2j} density of shape (ntimes, nfreq), so each time's sum runs
+    over a contiguous row; density is (nfreq, ntimes).
 
-
-def energy_audit(state: FourierState, dt: float,
-                 propagator: SymbolPropagator | None = None):
-    """Audit the energy identity dE/dt = -(gamma1 |y|^2 + gamma2 |eta|^2).
-
-    Central difference of the energy across [t, t+dt] against the
-    dissipation at the midpoint state; the residual is O(dt^2) thanks to the
-    exact propagation.  Returns (record_at_t, record_at_t+dt, max_residual).
+    Refuses an order that is not a nonnegative integer, and one whose weight
+    or weighted density is not finite on the grid (|xi|^{2j} overflows past
+    1.8e308, say j = 97 at |xi| = 40), naming the order and the largest |xi|.
     """
-    if dt <= 0:
-        raise PreconditionError("dt must be positive")
-    if propagator is None:
-        propagator = SymbolPropagator(state.params, state.grid)
-    vals_half = propagator.apply(state.values, 0.5 * dt)
-    vals_full = propagator.apply(state.values, dt)
-    s_half = replace(state, values=vals_half, t=state.t + 0.5 * dt)
-    s_full = replace(state, values=vals_full, t=state.t + dt)
+    if j < 0 or int(j) != j:
+        raise PreconditionError(f"derivative order must be a nonnegative integer, got {j}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrand = np.abs(grid) ** (2 * j) * np.ascontiguousarray(density.T)
+    if not np.all(np.isfinite(integrand)):
+        raise PreconditionError(
+            f"derivative order j = {j} is too high for the grid: |xi|^(2j) times the "
+            f"density is not finite up to |xi| = {np.abs(grid).max():.6g}")
+    return integrand
 
-    dE = (s_full.energy() - state.energy()) / dt
-    diss = s_half.dissipation()
-    residual = float(np.max(np.abs(dE + diss)))
-    rec0 = EnergyRecord(t=state.t, E_hat=state.energy(), dissipation=state.dissipation())
-    rec1 = EnergyRecord(t=s_full.t, E_hat=s_full.energy(), dissipation=s_full.dissipation())
-    return rec0, rec1, residual
+
+#: an integrand at a grid edge above this fraction of its peak refuses
+_TAIL_RTOL = 1e-12
 
 
 def plancherel_norms(grid: np.ndarray, density: np.ndarray, j: int,
-                     tail_rtol: float = 1e-12, check_tail: bool = True) -> np.ndarray:
+                     check_tail: bool = True) -> np.ndarray:
     """Squared Sobolev seminorms at several times: trapezoid of
-    |xi|^{2j} density over the grid.
+    |xi|^{2j} density over the grid (:func:`_sobolev_integrand`).
 
     density : (nfreq, ntimes) values of sum_a |U_a|^2, as returned by
               :meth:`SymbolPropagator.density`.
     Returns shape (ntimes,).  Refuses (with the edge values of the first
-    offending time) when the integrand at a grid edge exceeds ``tail_rtol``
-    times its peak at that time, since the missing tail mass would then
-    pollute the value.
+    offending time) when the integrand at a grid edge exceeds 1e-12 times
+    its peak at that time, since the missing tail mass would then pollute
+    the value.
     """
-    if j < 0 or int(j) != j:
-        raise PreconditionError(f"derivative order must be a nonnegative integer, got {j}")
-    # (ntimes, nfreq), so each time's sum runs over a contiguous row
-    integrand = np.abs(grid) ** (2 * j) * np.ascontiguousarray(density.T)
+    integrand = _sobolev_integrand(grid, density, j)
     if check_tail:
         peak = integrand.max(axis=1)
         edge = np.maximum(integrand[:, 0], integrand[:, -1])
-        bad = np.flatnonzero((peak > 0.0) & (edge > tail_rtol * peak))
+        bad = np.flatnonzero((peak > 0.0) & (edge > _TAIL_RTOL * peak))
         if bad.size:
             q = bad[0]
             raise TailMassError(
                 f"integrand tail at grid edge = {edge[q]:.3e} exceeds "
-                f"{tail_rtol:.0e} x peak ({peak[q]:.3e}); widen the grid",
+                f"{_TAIL_RTOL:.0e} x peak ({peak[q]:.3e}); widen the grid",
                 edge_values=(float(integrand[q, 0]), float(integrand[q, -1])))
     return np.trapezoid(integrand, grid, axis=-1)
-
-
-def plancherel_norm(state: FourierState, j: int,
-                    tail_rtol: float = 1e-12, check_tail: bool = True) -> float:
-    """Squared Sobolev seminorm of one state: :func:`plancherel_norms` at one time."""
-    density = np.sum(np.abs(state.values) ** 2, axis=1)[:, None]
-    return float(plancherel_norms(state.grid, density, j, tail_rtol, check_tail)[0])

@@ -10,8 +10,8 @@ The solver treats the frequency axis as a batch dimension: one call solves
 a whole array of frequencies with one batched eigvals call of the real
 similar symbol S^-1 Phi S, one matrix per distinct |xi|, followed by a
 vectorized residual certificate and the run-time invariants (dissipativity
-and the trace identity).  The single-frequency :func:`eigenvalues` is the
-n = 1 view of that solve and returns bit-identical roots.
+and the trace identity).  One frequency is a batch of one, and its row is
+bitwise equal to that frequency's row of any larger batch.
 
 S = diag(1, i, -i, 1, -i, 1) makes the symbol real at real frequencies
 (:func:`core_model.real_symbol_stack`), so each spectrum is closed under
@@ -32,7 +32,7 @@ must sum to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,12 +41,10 @@ from .errors import (CertificateRefused, PreconditionError, RegimeError,
                      SolverError, UnsupportedRegimeError)
 
 __all__ = [
-    "Spectrum",
     "BranchRate",
     "AsymptoticCoeffs",
     "CardanoClass",
     "GapCertificate",
-    "eigenvalues",
     "eigenvalues_batch",
     "branch_continuation",
     "low_freq_expansion",
@@ -60,32 +58,16 @@ __all__ = [
 _SPEED_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Six eigenvalues of Phi(i xi) at one frequency.
-
-    Ordered by descending real part, ties broken by ascending imaginary
-    part (the fixed ordering used by the propagator).  multiplicity_tags[j]
-    is the size of the cluster containing eigenvalue j at relative
-    tolerance 1e-7.  residuals[j] is |p(lambda_j)|, within the certificate
-    1e-8 (1 + |lambda_j|^6) of :func:`eigenvalues_batch`.
-    """
-
-    xi: float
-    eigenvalues: np.ndarray
-    multiplicity_tags: np.ndarray
-    max_real_part: float
-    residuals: np.ndarray = field(repr=False, default=None)
-
-
 def _putzer_order(lam: np.ndarray) -> np.ndarray:
     """Sort each row (last axis) into the fixed Putzer order."""
     idx = np.lexsort((lam.imag, -lam.real), axis=-1)
     return np.take_along_axis(lam, idx, axis=-1)
 
 
-def _cluster_tags(lam: np.ndarray, tol_scale: float = 1e-7) -> np.ndarray:
-    tol = tol_scale * (1.0 + np.abs(lam))
+def _cluster_tags(lam: np.ndarray) -> np.ndarray:
+    """Size of the cluster of each eigenvalue of each row, at relative
+    tolerance 1e-7."""
+    tol = 1e-7 * (1.0 + np.abs(lam))
     return np.sum(np.abs(lam[..., None, :] - lam[..., :, None]) <= tol[..., :, None],
                   axis=-1)
 
@@ -152,23 +134,6 @@ def eigenvalues_batch(params: SystemParams, xi) -> tuple[np.ndarray, np.ndarray]
                 f"{tol[i]:.3g}): eigenvalues {lam[i]}, residuals {resid[i]}, "
                 f"coefficients {coeffs[i]}")
     return lam[inverse], resid[inverse]
-
-
-def eigenvalues(params: SystemParams, xi: float) -> Spectrum:
-    """Eigenvalues at one frequency: the n = 1 view of :func:`eigenvalues_batch`.
-
-    The backward-stable eigenvalue routine on the real matrix S^-1 Phi S,
-    similar to the symbol, so the complex eigenvalues come in exactly
-    conjugate pairs and the residuals satisfy the same certificate.
-    """
-    lam, resid = eigenvalues_batch(params, [xi])
-    return Spectrum(
-        xi=float(xi),
-        eigenvalues=lam[0],
-        multiplicity_tags=_cluster_tags(lam[0]),
-        max_real_part=float(lam[0].real.max()),
-        residuals=resid[0],
-    )
 
 
 def branch_continuation(params: SystemParams, grid: np.ndarray) -> np.ndarray:
@@ -432,8 +397,9 @@ class CardanoClass:
     verdict: str
 
 
-def cardano_classify(params: SystemParams, tol: float = 1e-12) -> CardanoClass:
-    """Classify the zero-frequency cubic for the gamma1 = 0 regime."""
+def cardano_classify(params: SystemParams) -> CardanoClass:
+    """Classify the zero-frequency cubic for the gamma1 = 0 regime; |D| up
+    to 1e-12 of max(1, |Q|^3, R^2) counts as a repeated root."""
     if params.gamma1 != 0.0:
         raise RegimeError("cardano_classify applies to the gamma1 = 0 regime")
     l, g2 = params.l, params.gamma2
@@ -448,7 +414,7 @@ def cardano_classify(params: SystemParams, tol: float = 1e-12) -> CardanoClass:
         gh2 = (-8.0 + 20.0 * l * l + l**4 - s) / 8.0
 
     scale = max(1.0, abs(Q) ** 3, R * R)
-    if abs(D) <= tol * scale:
+    if abs(D) <= 1e-12 * scale:
         verdict = "real_plus_double"
     elif D > 0:
         verdict = "one_real_pair_conjugate"

@@ -1,9 +1,82 @@
-"""50-digit oracles shared by the tests; mpmath is a test dependency only."""
+"""Independent oracles shared by the tests; mpmath is a test dependency only."""
 
 import numpy as np
 
-from disspec.core_model import _sextic_coeffs
+from disspec.core_model import _sextic_coeffs, build_matrices, char_poly_coeffs
+from disspec.errors import PreconditionError, RegimeError
 from disspec.spectral import _putzer_order
+
+
+def char_poly_value(params, zeta, lam):
+    """det(lambda I - Phi(zeta)) via LU factorization."""
+    A, L = build_matrices(params)
+    Phi = -(L.astype(complex) + zeta * A)
+    M = lam * np.eye(6, dtype=complex) - Phi
+    sign, logdet = np.linalg.slogdet(M)
+    if sign == 0:
+        return 0j
+    return sign * np.exp(logdet)
+
+
+def factor_check_gamma2_zero(params, zeta, n_samples=12, rtol=1e-10, rng=None):
+    """Check the quadratic-times-quartic splitting of the gamma2 = 0 polynomial.
+
+    The sextic factors as (lambda^2 + k^2 (l^2 - zeta^2)) times a quartic;
+    the quadratic factor carries the two undamped (purely imaginary, for
+    zeta = i xi) roots.  Returns True iff the expanded product matches
+    :func:`disspec.char_poly_coeffs` at ``n_samples`` random lambda values
+    to relative error ``rtol``.
+    """
+    if params.gamma2 != 0.0:
+        raise RegimeError("factor_check_gamma2_zero requires gamma2 = 0")
+    a, k, l, g1 = params.a, params.k, params.l, params.gamma1
+    z2 = zeta * zeta
+    lz = l * l - z2
+
+    quad = np.array([k**2 * lz, 0.0, 1.0], dtype=complex)          # ascending
+    quart = np.array([-(a**2) * z2 * lz, g1 * lz,
+                      l * l + 1.0 - z2 * (a**2 + 1.0), g1, 1.0], dtype=complex)
+    prod = np.polymul(quad[::-1], quart[::-1])                      # descending
+
+    if rng is None:
+        rng = np.random.default_rng(2024)
+    lams = rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples)
+    p_ref = np.polyval(char_poly_coeffs(params, zeta)[::-1], lams)
+    p_fac = np.polyval(prod, lams)
+    scale = 1.0 + np.abs(p_ref)
+    return bool(np.all(np.abs(p_fac - p_ref) / scale <= rtol))
+
+
+def energy(values):
+    """Per-frequency energy 0.5 |U_hat|^2 of a (nfreq, 6) state."""
+    return 0.5 * np.sum(np.abs(values) ** 2, axis=1)
+
+
+def dissipation(params, values):
+    """Per-frequency gamma1 |y_hat|^2 + gamma2 |eta_hat|^2 of a (nfreq, 6) state."""
+    return (params.gamma1 * np.abs(values[:, 3]) ** 2
+            + params.gamma2 * np.abs(values[:, 5]) ** 2)
+
+
+def energy_audit(state, dt, propagator=None):
+    """Largest residual of the energy identity dE/dt = -(gamma1 |y|^2 +
+    gamma2 |eta|^2) over the grid of a FourierState.
+
+    Central difference of the energy across [0, dt] against the dissipation
+    at the midpoint state; the residual is O(dt^2) thanks to the exact
+    propagation.
+    """
+    from disspec.propagator import SymbolPropagator
+
+    if dt <= 0:
+        raise PreconditionError("dt must be positive")
+    if propagator is None:
+        propagator = SymbolPropagator(state.params, state.grid)
+    vals_half = propagator.apply(state.values, 0.5 * dt)
+    vals_full = propagator.apply(state.values, dt)
+    dE = (energy(vals_full) - energy(state.values)) / dt
+    diss = dissipation(state.params, vals_half)
+    return float(np.max(np.abs(dE + diss)))
 
 
 def r_chain_mp(lam, t):

@@ -12,10 +12,17 @@ tiny jobs of every workload and variant are run here too and must satisfy
 the paper's claims (they have no recorded reference values).  A traced
 benchmark run wraps disspec's functions by name (perfbench/tracer.py), so
 the tiny job of each workload also runs under that tracer here: a renamed
-or re-bound function fails here, not only in a traced benchmark run.
+or re-bound function fails here, not only in a traced benchmark run.  Every
+disspec name that perfbench/*.py imports or reads off an imported disspec
+module, and every name the tracer looks up, must still exist: the benchmark
+runs the parent commit's perfbench/ against the current package.
 """
 
+import ast
+import dataclasses
+import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -78,3 +85,63 @@ def test_traced_tiny_job_keeps_the_claims(workloads, name, tmp_path):
     if name == "certify":
         names = {span[0] for span in spans}
         assert {"propagator.SymbolPropagator.operator_norms", "artifacts.write_csv"} <= names
+
+
+def submodule(module, name):
+    """The disspec module that ``from module import name`` binds, or None
+    when it binds any other object."""
+    try:
+        return importlib.import_module(f"{module}.{name}").__name__
+    except ImportError:
+        return None
+
+
+def disspec_names(tree):
+    """(module, name) of every name a parsed perfbench file imports from
+    disspec, and of every attribute it reads off a disspec module that it
+    imported (bindings are taken file-wide)."""
+    modules, names = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "disspec":
+                    # `import disspec.x` binds disspec, `import disspec.x as m` binds m
+                    bound = alias.asname or "disspec"
+                    modules[bound] = alias.name if alias.asname else "disspec"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "disspec":
+            for alias in node.names:
+                names.append((node.module, alias.name))
+                target = submodule(node.module, alias.name)
+                if target is not None:
+                    modules[alias.asname or alias.name] = target
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            names.append((modules[node.value.id], node.attr))
+    return names
+
+
+def test_benchmark_reads_only_existing_names():
+    seen = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for module, name in disspec_names(ast.parse(path.read_text())):
+            seen.append(f"{path.name}: {module}.{name}")
+            resolved = (hasattr(importlib.import_module(module), name)
+                        or submodule(module, name) is not None)
+            assert resolved, seen[-1]
+    assert "selftest.py: disspec.core_model.build_matrices" in seen
+    assert "workloads.py: disspec.core_model.build_symbol" in seen
+    assert "workloads.py: disspec.cli.dispatch" in seen
+
+    tracing = load("tracer")
+    for mod_name, classes in tracing.CLASS_METHODS.items():
+        mod = importlib.import_module(f"disspec.{mod_name}")
+        for cls_name, methods in classes.items():
+            # looked up with vars(cls)[name], so inherited names do not count
+            assert set(methods) <= set(vars(getattr(mod, cls_name))), (cls_name, methods)
+    from disspec.lyapunov import audit_inequality
+    from disspec.spectral import GapCertificate
+    # the tracer binds each audit call's arguments and reads n_random, and
+    # reads the grid of each gap certificate
+    assert "n_random" in inspect.signature(audit_inequality).parameters
+    assert "grid" in {f.name for f in dataclasses.fields(GapCertificate)}

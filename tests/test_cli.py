@@ -463,6 +463,58 @@ class TestCommands:
         assert "p_fitted" in payload
 
 
+class TestOverflowingInput:
+    """Input whose arithmetic overflows is refused up front: exit 2 with
+    error.json, and nothing on stderr even with warnings as errors."""
+
+    GRID = {"xi_max": 40.0, "n_geo": 32, "n_lin": 32}
+    PROFILE = {"kind": "gaussian", "width": 1.0, "component": "z"}
+
+    def run(self, tmp_path, capsys, config):
+        code, out = run_cli(tmp_path, config)
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out.strip().splitlines()[-1])
+        return code, captured.err, payload, out
+
+    # |xi|^(2j) overflows at |xi| = 40 from j = 97 on; the decay fit used to
+    # refuse an empty window and synthesize to write NaN (exit 1)
+    @pytest.mark.parametrize("command", ["decay", "synthesize"])
+    @pytest.mark.filterwarnings("error")
+    def test_sobolev_weight_overflow_exit_2(self, tmp_path, capsys, command):
+        config = {"command": command, "profile": self.PROFILE, "grid": self.GRID,
+                  "times": {"t_min": 1.0, "t_max": 1000.0, "n": 10}}
+        if command == "decay":
+            config.update(params=PARAMS, j_orders=[97])
+        else:
+            config.update(params=G10_PARAMS, j=97, partition={"nu": 0.05, "N": 20.0})
+        code, err, payload, out = self.run(tmp_path, capsys, config)
+        assert code == 2 and err == ""
+        assert payload == json.loads((out / "error.json").read_text())
+        assert payload["error"] == "PreconditionError"
+        assert "j = 97" in payload["message"] and "|xi| = 40" in payload["message"]
+        assert not (out / "decay_fits.json").exists() and not (out / "synthesis.json").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_finite_sobolev_order_runs(self, tmp_path, capsys):
+        code, err, _, out = self.run(tmp_path, capsys, {
+            "command": "decay", "params": PARAMS, "profile": self.PROFILE,
+            "grid": self.GRID, "times": {"t_min": 1.0, "t_max": 1000.0, "n": 10},
+            "j_orders": [96]})
+        assert code == 0 and err == ""
+        assert (out / "decay_fits.json").exists()
+
+    # an infinite horizon used to reach np.linspace, which warned on stderr,
+    # and the refusal then named the times, not the key
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_audit_horizon_exit_2(self, tmp_path, capsys):
+        code, err, payload, out = self.run(tmp_path, capsys, {
+            "command": "lyapunov-audit", "params": PARAMS, "frequencies": [1.0],
+            "n_random": 4, "horizon": float("inf")})
+        assert code == 2 and err == ""
+        assert payload["error"] == "PreconditionError" and "horizon" in payload["message"]
+        assert not (out / "lyapunov_audit.json").exists()
+
+
 def decay_config(j_orders=(0,)):
     return {
         "command": "decay", "params": PARAMS,

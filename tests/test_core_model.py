@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from disspec import (PreconditionError, RegimeError, SystemParams,
-                     build_matrices, build_symbol, char_poly, char_poly_value,
-                     factor_check_gamma2_zero, transform_initial_data)
+                     build_matrices, build_symbol, char_poly_coeffs)
+from oracles import char_poly_value, factor_check_gamma2_zero
+
+
+def char_poly(params, zeta, lam):
+    """The closed-form polynomial of Phi(zeta) at lam."""
+    return np.polyval(char_poly_coeffs(params, zeta)[::-1], lam)
 
 
 def test_params_reject_nonpositive_speeds():
@@ -73,25 +78,24 @@ def test_symbol_entry_and_conjugation():
 
 def test_char_poly_lambda5_coefficient():
     p = SystemParams(1.2, 0.8, 1.5, 0.3, 0.9)
-    cp = char_poly(p, 0.37j)
-    assert cp.coeffs[6] == 1.0
-    assert cp.coeffs[5] == pytest.approx(p.gamma1 + p.gamma2)
+    coeffs = char_poly_coeffs(p, 0.37j)
+    assert coeffs[6] == 1.0
+    assert coeffs[5] == pytest.approx(p.gamma1 + p.gamma2)
 
 
 def test_char_poly_constant_term_vanishes_at_zero():
-    cp = char_poly(SystemParams(1, 1, 1, 1, 0), 0.0)
-    assert cp.coeffs[0] == 0.0
-    assert cp.regime == "gamma2_zero"
+    p = SystemParams(1, 1, 1, 1, 0)
+    assert char_poly_coeffs(p, 0.0)[0] == 0.0
+    assert p.regime == "gamma2_zero"
 
 
 def test_char_poly_matches_determinant_at_samples():
     p = SystemParams(1, 1, 1, 0, 1)
-    cp = char_poly(p, 1j)
     rng = np.random.default_rng(7)
     for _ in range(7):
         lam = complex(rng.normal(), rng.normal())
         ref = char_poly_value(p, 1j, lam)
-        assert abs(cp(lam) - ref) <= 1e-10 * (1.0 + abs(ref))
+        assert abs(char_poly(p, 1j, lam) - ref) <= 1e-10 * (1.0 + abs(ref))
 
 
 def test_char_poly_determinant_oracle_all_regimes():
@@ -107,7 +111,7 @@ def test_char_poly_determinant_oracle_all_regimes():
         xi = rng.uniform(-20, 20)
         lam = complex(rng.normal(scale=3), rng.normal(scale=3))
         ref = char_poly_value(p, 1j * xi, lam)
-        val = char_poly(p, 1j * xi)(lam)
+        val = char_poly(p, 1j * xi, lam)
         assert abs(val - ref) <= 1e-10 * (1.0 + abs(ref))
 
 
@@ -131,46 +135,5 @@ def test_quadratic_factor_roots_purely_imaginary():
     p = SystemParams(1.4, 2.0, 0.7, 0.9, 0)
     for xi in (0.3, 1.0, 5.0):
         root = 1j * p.k * np.sqrt(p.l**2 + xi**2)
-        cp = char_poly(p, 1j * xi)
-        assert abs(cp(root)) <= 1e-9 * (1 + abs(root) ** 6)
-        assert abs(cp(-root)) <= 1e-9 * (1 + abs(root) ** 6)
-
-
-class TestTransformInitialData:
-    n = 256
-    x = np.linspace(0, 2 * np.pi, n, endpoint=False)
-    dx = x[1] - x[0]
-
-    def test_zero_data(self):
-        z = np.zeros(self.n)
-        U0, meta = transform_initial_data(z, z, z, z, z, z, self.dx,
-                                          SystemParams(1, 1, 1, 1, 1))
-        assert np.all(U0 == 0.0)
-        assert meta["derivative_method"] == "fd4"
-
-    def test_constant_psi(self):
-        z = np.zeros(self.n)
-        c = 2.5 * np.ones(self.n)
-        U0, _ = transform_initial_data(z, z, c, z, z, z, self.dx,
-                                       SystemParams(1, 1, 1, 1, 1))
-        assert np.allclose(U0[:, 0], -2.5)
-        assert np.allclose(U0[:, 2], 0.0, atol=1e-12)
-
-    def test_gaussian_phi_against_analytic_derivative(self):
-        x = self.x
-        phi0 = np.exp(-2.0 * (x - np.pi) ** 2)
-        dphi0 = -4.0 * (x - np.pi) * phi0
-        z = np.zeros(self.n)
-        p = SystemParams(1, 1, 1, 1, 1)
-        U0, _ = transform_initial_data(phi0, z, z, z, z, z, self.dx, p)
-        assert np.allclose(U0[:, 0], dphi0, atol=1e-5)
-        assert np.allclose(U0[:, 4], -phi0, atol=1e-12)
-        U0s, meta = transform_initial_data(phi0, z, z, z, z, z, self.dx, p,
-                                           method="spectral")
-        assert meta["derivative_method"] == "spectral"
-        assert np.allclose(U0s[:, 0], dphi0, atol=1e-7)
-
-    def test_coarse_grid_rejected(self):
-        z = np.zeros(7)
-        with pytest.raises(PreconditionError):
-            transform_initial_data(z, z, z, z, z, z, 0.1, SystemParams(1, 1, 1, 1, 1))
+        assert abs(char_poly(p, 1j * xi, root)) <= 1e-9 * (1 + abs(root) ** 6)
+        assert abs(char_poly(p, 1j * xi, -root)) <= 1e-9 * (1 + abs(root) ** 6)

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disspec import (Experiment, FourierState, FrequencyPartition,
+from disspec import (Experiment, FrequencyPartition,
                      PreconditionError, Profile, RegimeError, SymbolPropagator,
                      SystemParams, TailMassError, build_initial_state,
-                     default_grid, fit_pointwise_rate, optimality_probe,
-                     plancherel_norm, run_decay, three_region_synthesis)
+                     default_grid, eigenvalues_batch, fit_pointwise_rate,
+                     optimality_probe, plancherel_norms, run_decay,
+                     three_region_synthesis)
 from disspec import decay_lab
 from disspec.core_model import build_symbol
 from disspec.decay_lab import _conservative_vector, packet_decay_time
 from disspec.errors import SolverError
-from disspec.spectral import eigenvalues
 
 from oracles import packet_ratio_scan, scan_crossing
 
@@ -56,8 +56,8 @@ def conservative_vector_oracle(params, xi):
     """The scalar inverse iteration: one frequency, one eigen solve and one
     symbol at a time."""
     lam_target = 1j * params.k * np.sqrt(params.l**2 + xi**2)
-    spec = eigenvalues(params, xi)
-    lam = spec.eigenvalues[np.argmin(np.abs(spec.eigenvalues - lam_target))]
+    spec = eigenvalues_batch(params, [xi])[0][0]
+    lam = spec[np.argmin(np.abs(spec - lam_target))]
     M = build_symbol(params, xi).Phi - (lam + 1e-13 * (1.0 + abs(lam))) * np.eye(6)
     vec = np.full(6, 1.0 + 0.0j) / np.sqrt(6.0)
     for _ in range(2):
@@ -153,9 +153,9 @@ class TestFusedNorms:
         traj = SymbolPropagator(exp.params, exp.grid).propagate_many(
             state0.values, exp.times)
         for j in exp.j_orders:
-            ref = np.array([np.sqrt(plancherel_norm(
-                FourierState(params=exp.params, grid=exp.grid, values=traj[i], t=t), j))
-                for i, t in enumerate(exp.times)])
+            ref = np.array([np.sqrt(plancherel_norms(
+                exp.grid, np.sum(np.abs(traj[i]) ** 2, axis=1)[:, None], j)[0])
+                for i in range(len(exp.times))])
             assert np.max(np.abs(fits[j].norms - ref) / ref) <= 1e-13
 
     def test_narrow_grid_refused_with_edge_values(self):
@@ -438,19 +438,17 @@ class TestOptimalityProbe:
     def test_high_frequency_rate_floor_a1(self):
         # a = 1: the spectral rate stays bounded below by a constant of the
         # order of the smaller damping (no regularity loss)
-        from disspec import eigenvalues
         p = SystemParams(1, 1, 0.5, 1, 1)
         for xi in (50.0, 200.0, 1000.0):
-            rate = -2.0 * eigenvalues(p, xi).max_real_part
+            rate = -2.0 * eigenvalues_batch(p, [xi])[0][0].real.max()
             assert rate >= 0.25 * min(p.gamma1, p.gamma2)
 
     def test_high_frequency_rate_decays_a2(self):
         # a != 1: the spectral rate falls like xi^-2 (regularity loss)
-        from disspec import eigenvalues
         p = SystemParams(2, 3, 1, 1, 1)
         scaled = []
         for xi in (50.0, 100.0, 200.0):
-            scaled.append(-2.0 * eigenvalues(p, xi).max_real_part * xi**2)
+            scaled.append(-2.0 * eigenvalues_batch(p, [xi])[0][0].real.max() * xi**2)
         assert max(scaled) / min(scaled) < 1.2
 
     def test_requires_both_dampings(self):

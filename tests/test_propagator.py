@@ -6,20 +6,25 @@ from scipy.linalg import expm
 
 from disspec import (FourierState, PreconditionError, SolverError,
                      SystemParams, TailMassError, build_symbol, default_grid,
-                     eigenvalues, eigenvalues_batch, energy_audit,
-                     plancherel_norm)
+                     eigenvalues_batch, plancherel_norms)
 from disspec import propagator as propagator_module
 from disspec.decay_lab import _conservative_vector
 from disspec.propagator import (_EXP_FLOOR, SymbolPropagator, _ambiguous, _basis,
                                 _layout, _newton_weights, _q_chain, _r_bidiag)
-from oracles import r_chain_mp, six_exp_table
+from oracles import dissipation, energy, energy_audit, r_chain_mp, six_exp_table
+
+
+def plancherel_norm(state, j):
+    """Squared Sobolev seminorm of one state: :func:`plancherel_norms` at one time."""
+    density = np.sum(np.abs(state.values) ** 2, axis=1)[:, None]
+    return float(plancherel_norms(state.grid, density, j)[0])
 
 
 def defective_nodes():
     """Putzer-order eigenvalues at xi = 0 of (1, 1, sqrt 8, 0, sqrt 27),
     whose symbol carries a 3x3 Jordan block."""
     p = SystemParams(1.0, 1.0, np.sqrt(8.0), 0.0, np.sqrt(27.0))
-    return eigenvalues(p, 0.0).eigenvalues
+    return eigenvalues_batch(p, [0.0])[0][0]
 
 
 def weights_r(lam, t):
@@ -293,7 +298,7 @@ class TestMatrixExp:
             p = SystemParams(*rng.uniform(0.3, 2.5, 3), *rng.uniform(0, 2, 2))
             xi = rng.uniform(-50, 50)
             Phi = build_symbol(p, xi).Phi
-            lam = eigenvalues(p, xi).eigenvalues
+            lam = eigenvalues_batch(p, [xi])[0][0]
             P6 = (Phi - lam[5] * np.eye(6)) @ p_chain(Phi, lam)[5]
             nrm = np.linalg.norm(Phi, 2)
             assert np.linalg.norm(P6, 2) <= 1e-6 * (1.0 + nrm) ** 6
@@ -315,7 +320,7 @@ class TestMatrixExp:
         # exponential; the bidiagonal r accepts nodes in any order
         rng = np.random.default_rng(37)
         Phi = build_symbol(self.p, 2.0).Phi
-        lam = eigenvalues(self.p, 2.0).eigenvalues
+        lam = eigenvalues_batch(self.p, [2.0])[0][0]
         E_ref = exp_many(self.p, 2.0, [1.5])[0]
         for _ in range(4):
             perm = rng.permutation(6)
@@ -328,8 +333,7 @@ class TestEvolve:
     def make_state(self, params, xi_max=8.0):
         grid = default_grid(xi_max=xi_max, n_geo=64, n_lin=64)
         values = np.exp(-0.5 * grid**2)[:, None] * np.ones(6) / np.sqrt(6)
-        return FourierState(params=params, grid=grid,
-                            values=values.astype(complex), t=0.0)
+        return FourierState(params=params, grid=grid, values=values.astype(complex))
 
     def test_zero_step_unchanged(self):
         st = self.make_state(SystemParams(1, 1, 0.5, 1, 1))
@@ -363,25 +367,21 @@ class TestEnergyAudit:
     def make_state(self, params):
         grid = default_grid(xi_max=8.0, n_geo=96, n_lin=96)
         values = np.exp(-0.5 * grid**2)[:, None] * np.ones(6) / np.sqrt(6)
-        return FourierState(params=params, grid=grid,
-                            values=values.astype(complex), t=0.0)
+        return FourierState(params=params, grid=grid, values=values.astype(complex))
 
     def test_undamped_energy_conserved(self):
         p = SystemParams(1, 1, 1, 0, 0)
         st = self.make_state(p)
-        _, _, resid = energy_audit(st, 1e-3)
-        assert resid <= 1e-9
+        assert energy_audit(st, 1e-3) <= 1e-9
         values = SymbolPropagator(p, st.grid).apply(st.values, 3.0)
-        energy = 0.5 * np.sum(np.abs(values) ** 2, axis=1)
-        assert np.allclose(energy, st.energy(), rtol=1e-9)
+        assert np.allclose(energy(values), energy(st.values), rtol=1e-9)
 
     def test_instantaneous_dissipation_of_pure_y(self):
         p = SystemParams(1, 1, 1, 1, 0.3)
         grid = np.array([-1.0, 1.0])
         values = np.zeros((2, 6), dtype=complex)
         values[:, 3] = 1.0
-        st = FourierState(params=p, grid=grid, values=values, t=0.0)
-        assert np.allclose(st.dissipation(), 1.0)
+        assert np.allclose(dissipation(p, values), 1.0)
 
     def test_residual_second_order_in_dt(self):
         p = SystemParams(1, 1, 0.5, 1, 1)
@@ -389,15 +389,13 @@ class TestEnergyAudit:
         resids = []
         dts = [4e-3, 2e-3, 1e-3, 5e-4]
         for dt in dts:
-            _, _, r = energy_audit(st, dt)
-            resids.append(r)
+            resids.append(energy_audit(st, dt))
         order = np.polyfit(np.log(dts), np.log(resids), 1)[0]
         assert order >= 1.9
 
     def test_residual_small_at_reference_dt(self):
         st = self.make_state(SystemParams(1, 1, 0.5, 1, 1))
-        _, _, resid = energy_audit(st, 1e-4)
-        assert resid <= 1e-6
+        assert energy_audit(st, 1e-4) <= 1e-6
 
 
 class TestPlancherel:
@@ -405,7 +403,7 @@ class TestPlancherel:
         p = SystemParams(1, 1, 1, 1, 1)
         grid = np.linspace(-2, 2, 101)
         st = FourierState(params=p, grid=grid,
-                          values=np.zeros((101, 6), dtype=complex), t=0.0)
+                          values=np.zeros((101, 6), dtype=complex))
         assert plancherel_norm(st, 0) == 0.0
 
     def test_unit_profile_on_band(self):
@@ -414,7 +412,7 @@ class TestPlancherel:
         values = np.zeros((len(grid), 6), dtype=complex)
         inside = np.abs(grid) <= 1.0
         values[inside, :] = 1.0
-        st = FourierState(params=p, grid=grid, values=values, t=0.0)
+        st = FourierState(params=p, grid=grid, values=values)
         # integral of |U|^2 = 6 over [-1, 1] gives 12
         assert plancherel_norm(st, 0) == pytest.approx(12.0, abs=1e-6 * 12 + 0.02)
 
@@ -422,7 +420,7 @@ class TestPlancherel:
         p = SystemParams(1, 1, 1, 1, 1)
         grid = np.linspace(-1, 1, 101)
         values = np.ones((101, 6), dtype=complex)
-        st = FourierState(params=p, grid=grid, values=values, t=0.0)
+        st = FourierState(params=p, grid=grid, values=values)
         with pytest.raises(TailMassError):
             plancherel_norm(st, 0)
 
@@ -431,13 +429,13 @@ class TestPlancherel:
         grid = default_grid(xi_max=8.0, n_geo=64, n_lin=64)
         values = (np.exp(-0.5 * grid**2)[:, None]
                   * np.ones(6).astype(complex) / np.sqrt(6))
-        st = FourierState(params=p, grid=grid, values=values, t=0.0)
+        st = FourierState(params=p, grid=grid, values=values)
         prop = SymbolPropagator(p, grid)
         times = np.linspace(0.0, 10.0, 21)
         traj = prop.propagate_many(st.values, times)
         norms = [plancherel_norm(
-            FourierState(params=p, grid=grid, values=traj[i], t=t), 0)
-            for i, t in enumerate(times)]
+            FourierState(params=p, grid=grid, values=traj[i]), 0)
+            for i in range(len(times))]
         assert np.all(np.diff(norms) <= 1e-12)
 
 
@@ -517,7 +515,7 @@ class TestVectorizedPropagator:
         import disspec.core_model as core_model
         import disspec.spectral as spectral
 
-        calls = {"eigenvalues": 0, "build_symbol": 0, "eigenvalues_batch": 0}
+        calls = {"build_symbol": 0, "eigenvalues_batch": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -527,15 +525,13 @@ class TestVectorizedPropagator:
 
         # the propagator imports only the batched solve
         assert not hasattr(propagator_module, "eigenvalues")
-        monkeypatch.setattr(spectral, "eigenvalues",
-                            counting("eigenvalues", spectral.eigenvalues))
         monkeypatch.setattr(core_model, "build_symbol",
                             counting("build_symbol", core_model.build_symbol))
         monkeypatch.setattr(propagator_module, "eigenvalues_batch",
                             counting("eigenvalues_batch", spectral.eigenvalues_batch))
         prop = SymbolPropagator(SystemParams(1, 1, 0.5, 1, 1), default_grid())
         assert prop.lambdas.shape == (4097, 6)
-        assert calls == {"eigenvalues": 0, "build_symbol": 0, "eigenvalues_batch": 1}
+        assert calls == {"build_symbol": 0, "eigenvalues_batch": 1}
 
 
 class TestSharedTable:
