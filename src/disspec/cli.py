@@ -12,10 +12,10 @@ internal errors.  DISSPEC_LOG controls logging verbosity.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import logging
 import math
+import numbers
 import os
 import sys
 import time
@@ -202,44 +202,110 @@ _COMMAND_SCHEMAS = {
 }
 
 #: per command, (low, high) key paths that the schema cannot relate: both
-#: must be finite and high must exceed low
+#: must be finite and high must exceed low; an optional pair left out is
+#: not checked
 _ORDERED_KEYS = {
     "spectrum": [("xi_min", "xi_max")],
     "gap": [("nu", "N")],
-    "decay": [("times.t_min", "times.t_max")],
+    "decay": [("times.t_min", "times.t_max"), ("fit_window.0", "fit_window.1")],
     "synthesize": [("times.t_min", "times.t_max"), ("partition.nu", "partition.N")],
 }
 
+#: JSON Schema draft 2020-12 types: a bool is no number, and an integral
+#: float is an integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
 
-@functools.cache
-def _validator(cmd: str):
-    """The validator of one command's schema; the schema itself is checked
-    against its meta-schema once, here."""
-    import jsonschema
 
-    schema = _COMMAND_SCHEMAS[cmd]
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+def _walk(schema: dict, value, path: tuple, errors: list):
+    """Check ``value`` against ``schema`` over the keywords the command
+    schemas use, as JSON Schema draft 2020-12 and jsonschema's wording have
+    it.  Appends one ``(path, matches_type, message)`` per violation, in
+    jsonschema's order, and returns ``value`` with every integral float in
+    an integer slot made an int.  Any other keyword raises."""
+    matches = "type" in schema and _TYPES[schema["type"]](value)
+    is_object, is_array = isinstance(value, dict), isinstance(value, list)
+    is_number = _TYPES["number"](value)
+    out = value
+    for keyword, arg in schema.items():
+        message = None
+        if keyword == "type":
+            if not matches:
+                message = f"{value!r} is not of type {arg!r}"
+        elif keyword == "properties":
+            if is_object:
+                out = {**value, **{name: _walk(sub, value[name], path + (name,), errors)
+                                   for name, sub in arg.items() if name in value}}
+        elif keyword == "additionalProperties" and arg is False:
+            extras = sorted((name for name in value if name not in schema.get("properties", {})),
+                            key=str) if is_object else []
+            if extras:
+                message = (f"Additional properties are not allowed "
+                           f"({', '.join(map(repr, extras))} "
+                           f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+        elif keyword == "required":
+            for name in arg if is_object else ():
+                if name not in value:
+                    errors.append((path, matches, f"{name!r} is a required property"))
+        elif keyword == "minimum":
+            if is_number and value < arg:
+                message = f"{value!r} is less than the minimum of {arg!r}"
+        elif keyword == "exclusiveMinimum":
+            if is_number and value <= arg:
+                message = f"{value!r} is less than or equal to the minimum of {arg!r}"
+        elif keyword == "const" and isinstance(arg, str):
+            if not (isinstance(value, str) and value == arg):
+                message = f"{arg!r} was expected"
+        elif keyword == "enum" and all(isinstance(each, str) for each in arg):
+            if not (isinstance(value, str) and value in arg):
+                message = f"{value!r} is not one of {arg!r}"
+        elif keyword == "items":
+            if is_array:
+                out = [_walk(arg, item, path + (i,), errors) for i, item in enumerate(value)]
+        elif keyword == "minItems":
+            if is_array and len(value) < arg:
+                message = f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif keyword == "maxItems":
+            if is_array and len(value) > arg:
+                message = f"{value!r} {'is expected to be empty' if arg == 0 else 'is too long'}"
+        else:
+            raise NotImplementedError(f"schema keyword {keyword!r}: {arg!r}")
+        if message is not None:
+            errors.append((path, matches, message))
+    if matches and schema["type"] == "integer" and isinstance(value, float):
+        return int(value)
+    return out
 
 
 def validate_config(config: dict) -> dict:
+    """The config checked against its command's schema, with every integral
+    float in an integer slot (the schema's ``integer`` admits ``5.0``) made
+    an int."""
     if not isinstance(config, dict) or "command" not in config:
         raise SchemaError("config must be an object with a 'command' key")
     cmd = config["command"]
     if cmd not in _COMMAND_SCHEMAS:
         raise SchemaError(f"unknown command {cmd!r}; known: {sorted(_COMMAND_SCHEMAS)}")
-    from jsonschema.exceptions import best_match
-
-    error = best_match(_validator(cmd).iter_errors(config))
-    if error is not None:
+    errors = []
+    config = _walk(_COMMAND_SCHEMAS[cmd], config, (), errors)
+    if errors:
+        # jsonschema's best_match: the shallowest error, then the greatest
+        # path, then one whose value fails its schema's type; the first of equals
+        path, _, message = max(errors, key=lambda e: (-len(e[0]), e[0], not e[1]))
         # the offending key's path, e.g. "profile.width", when below the top
-        path = ".".join(map(str, error.absolute_path))
-        where = f"{path}: " if path else ""
-        raise SchemaError(f"config invalid for command {cmd!r}: {where}{error.message}") \
-            from error
+        where = f"{'.'.join(map(str, path))}: " if path else ""
+        raise SchemaError(f"config invalid for command {cmd!r}: {where}{message}")
     for lo_key, hi_key in _ORDERED_KEYS.get(cmd, ()):
-        lo, hi = _lookup(config, lo_key), _lookup(config, hi_key)
+        try:
+            lo, hi = _lookup(config, lo_key), _lookup(config, hi_key)
+        except KeyError:
+            continue
         for key, value in ((lo_key, lo), (hi_key, hi)):
             # JSON parsing accepts NaN and Infinity, and NaN passes every bound
             if not math.isfinite(value):
@@ -252,9 +318,10 @@ def validate_config(config: dict) -> dict:
 
 
 def _lookup(config: dict, key: str):
-    """The value at a dotted key path such as ``times.t_max``."""
+    """The value at a dotted key path such as ``times.t_max`` or
+    ``fit_window.1``."""
     for part in key.split("."):
-        config = config[part]
+        config = config[int(part)] if isinstance(config, list) else config[part]
     return config
 
 

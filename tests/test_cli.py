@@ -1,3 +1,5 @@
+import copy
+import functools
 import json
 import math
 import os
@@ -7,10 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import disspec
 from disspec import artifacts
-from disspec.cli import _COMMAND_SCHEMAS, dispatch, main, render_report, validate_config
+from disspec.cli import (_COMMAND_SCHEMAS, _TYPES, _walk, dispatch, main, render_report,
+                         validate_config)
 from disspec.errors import SchemaError
 from oracles import csv_text_per_element, spectrum_rows_per_element, state_rows_per_element
 
@@ -74,6 +79,152 @@ class TestSchema:
         where = f"{path}: " if path else ""
         assert str(got.value) == (f"config invalid for command {config['command']!r}: "
                                   f"{where}{expected.value.message}")
+
+
+#: the JSON Schema keywords that the command schemas may use
+KEYWORDS = {"type", "properties", "additionalProperties", "required", "minimum",
+            "exclusiveMinimum", "const", "enum", "items", "minItems", "maxItems"}
+
+
+def subschemas(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from subschemas(sub)
+    if "items" in schema:
+        yield from subschemas(schema["items"])
+
+
+@functools.cache
+def jsonschema_validator(cmd):
+    import jsonschema
+
+    schema = _COMMAND_SCHEMAS[cmd]
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+def valid_values(schema):
+    """Values that ``schema`` accepts."""
+    if "const" in schema:
+        return st.just(schema["const"])
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    kind = schema["type"]
+    if kind == "object":
+        props, required = schema["properties"], schema.get("required", [])
+        return st.fixed_dictionaries(
+            {name: valid_values(props[name]) for name in required},
+            optional={name: valid_values(sub) for name, sub in props.items()
+                      if name not in required})
+    if kind == "array":
+        return st.lists(valid_values(schema["items"]), min_size=schema.get("minItems", 0),
+                        max_size=schema.get("maxItems", 4))
+    if kind == "string":
+        return st.text(max_size=3)
+    low = schema.get("minimum", schema.get("exclusiveMinimum", -100))
+    if kind == "integer":
+        return st.integers(low + ("exclusiveMinimum" in schema), low + 100)
+    return st.floats(low, low + 100, exclude_min="exclusiveMinimum" in schema)
+
+
+def node_paths(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        for name, item in value.items():
+            yield from node_paths(item, path + (name,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from node_paths(item, path + (i,))
+
+
+_REPLACEMENTS = ["x", None, True, False, [], {}, [1.0] * 5, float("nan"), float("inf"),
+                 float("-inf"), -1, 0, 2.5, -1e300]
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config of any command, then up to two single-key mutations:
+    a wrong type, a bool, a non-finite or integral float, a bound crossed, a
+    key missing or extra, a list empty or long."""
+    cmd = draw(st.sampled_from(sorted(_COMMAND_SCHEMAS)))
+    config = draw(valid_values(_COMMAND_SCHEMAS[cmd]))
+    for _ in range(draw(st.integers(0, 2))):
+        # the command picks the schema, so it stays
+        path = draw(st.sampled_from([p for p in node_paths(config) if p[:1] != ("command",)]))
+        node = functools.reduce(lambda v, part: v[part], path, config)
+        action = draw(st.sampled_from(["replace", "integral", "delete", "extra"]))
+        if action == "extra" and isinstance(node, dict):
+            node[draw(st.sampled_from(["zz", "A", "seed_"]))] = 1
+        elif action == "delete" and path and isinstance(path[-1], str):
+            del functools.reduce(lambda v, part: v[part], path[:-1], config)[path[-1]]
+        elif path:
+            parent = functools.reduce(lambda v, part: v[part], path[:-1], config)
+            new = copy.deepcopy(draw(st.sampled_from(_REPLACEMENTS)))
+            if action == "integral" and isinstance(node, (int, float)) and math.isfinite(node):
+                new = float(round(node))
+            parent[path[-1]] = new
+    return config
+
+
+def integer_values(schema, value):
+    """The values at the integer-typed keys of a valid ``value``."""
+    if schema.get("type") == "integer":
+        yield value
+    elif isinstance(value, dict):
+        for name, item in value.items():
+            yield from integer_values(schema["properties"][name], item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from integer_values(schema["items"], item)
+
+
+class TestValidator:
+    """The stdlib validator gives jsonschema's verdicts and best-match message."""
+
+    def test_schemas_use_only_the_implemented_keywords(self):
+        for schema in _COMMAND_SCHEMAS.values():
+            for sub in subschemas(schema):
+                assert set(sub) <= KEYWORDS, set(sub) - KEYWORDS
+                assert sub.get("type", "object") in _TYPES
+
+    @pytest.mark.parametrize("schema, value", [
+        ({"type": "string", "pattern": "^a"}, "b"),
+        ({"type": "number", "maximum": 1}, 0.5),
+        ({"type": "object", "additionalProperties": {"type": "number"}}, {}),
+        ({"const": 1}, 1),
+    ])
+    def test_unimplemented_keyword_raises(self, schema, value):
+        with pytest.raises(NotImplementedError):
+            _walk(schema, value, (), [])
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(mutated_configs())
+    @example({"command": "decay", "params": PARAMS, "profile": {"kind": "box"},
+              "times": {"t_min": 1.0, "t_max": 10.0, "n": 3.0}, "j_orders": []})
+    @example({"command": "decay", "params": PARAMS, "profile": {"kind": "box"},
+              "times": {"t_min": 1.0, "t_max": 10.0, "n": 3}, "j_orders": [1.0, 2],
+              "fit_window": [1.0, 2.0, 3.0]})
+    @example({"command": "lyapunov-audit", "params": {**PARAMS, "a": True, "zz": 1, "A": 2},
+              "frequencies": [1, "x"], "n_random": -1.5})
+    def test_same_verdict_and_message_as_jsonschema(self, config):
+        from jsonschema.exceptions import best_match
+
+        cmd = config["command"]
+        expected = best_match(jsonschema_validator(cmd).iter_errors(config))
+        if expected is not None:
+            with pytest.raises(SchemaError) as got:
+                validate_config(config)
+            path = ".".join(map(str, expected.absolute_path))
+            where = f"{path}: " if path else ""
+            assert str(got.value) == f"config invalid for command {cmd!r}: {where}{expected.message}"
+            return
+        try:
+            checked = validate_config(config)
+        except SchemaError as e:
+            # the finiteness and order checks that follow the schema
+            assert "must be finite" in str(e) or "must exceed" in str(e)
+            return
+        assert checked == config
+        assert all(type(v) is int for v in integer_values(_COMMAND_SCHEMAS[cmd], checked))
 
 
 class TestBounds:
@@ -163,6 +314,24 @@ class TestBounds:
         assert payload["message"].startswith(f"config invalid for command {command!r}: {key} ")
         assert not (out / "gap_certificate.json").exists()
         assert not (out / "synthesis.json").exists()
+
+
+    # an infinite end used to run the whole job and fail writing it (exit 1);
+    # the others refused with too few samples, naming no key
+    @pytest.mark.parametrize("window, key", [
+        ([100.0, float("inf")], "fit_window.1"),
+        ([1e4, 1e2], "fit_window.1"),
+        ([float("nan"), 1e4], "fit_window.0"),
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_fit_window_bounds(self, tmp_path, capsys, window, key):
+        code, out = run_cli(tmp_path, {**self.DECAY, "fit_window": window})
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        payload = json.loads(captured.out.strip().splitlines()[-1])
+        assert payload == json.loads((out / "error.json").read_text())
+        assert payload["message"].startswith(f"config invalid for command 'decay': {key} ")
+        assert not (out / "decay_fits.json").exists() and not (out / "runs.jsonl").exists()
 
 
 class TestCsvRows:
@@ -644,6 +813,92 @@ class TestStrictArtifacts:
         with pytest.raises(ValueError):
             artifacts.append_jsonl(tmp_path / "x.jsonl", {"x": float("inf")})
         assert not (tmp_path / "x.json").exists()
+
+
+    # jsonschema is a test dependency: a stub that fails on import stands in
+    # for an install without it
+    def test_no_command_imports_jsonschema(self, tmp_path):
+        stub = tmp_path / "stub" / "jsonschema"
+        stub.mkdir(parents=True)
+        (stub / "__init__.py").write_text("raise ImportError('jsonschema is not installed')\n")
+        configs = {**self.CONFIGS,
+                   "report": {"command": "report",
+                              "run_log": str(tmp_path / "decay" / "runs.jsonl")},
+                   "refusal": {"command": "classify", "params": {**G10_PARAMS, "a": "one"}}}
+        runs = []
+        for name, config in configs.items():      # decay before report
+            (tmp_path / f"{name}.json").write_text(json.dumps(config))
+            runs.append([str(tmp_path / f"{name}.json"), str(tmp_path / name)])
+        script = ("import json, sys\n"
+                  "from disspec import cli\n"
+                  "seen = []\n"
+                  "for config, out in json.loads(sys.argv[1]):\n"
+                  "    seen.append([cli.main(['--config', config, '--out', out]),"
+                  " 'jsonschema' in sys.modules])\n"
+                  "print(json.dumps(seen))\n")
+        src = str(Path(disspec.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(stub.parent), src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        seen = dict(zip(configs, json.loads(proc.stdout.splitlines()[-1])))
+        assert seen == {name: [2 if name == "refusal" else 0, False] for name in configs}
+
+
+class TestIntegralFloats:
+    """JSON Schema's integer admits 5.0: an integral float in an integer key
+    runs as the int, with the same artifacts and config hash."""
+
+    CASES = [
+        ("spectrum", ("n_points",)),
+        ("gap", ("initial_points",)),
+        ("evolve", ("grid", "n_geo")),
+        ("evolve", ("grid", "n_lin")),
+        ("lyapunov-audit", ("n_random",)),
+        ("decay", ("times", "n")),
+        ("decay", ("j_orders", 1)),
+        ("decay", ("grid", "n_geo")),
+        ("decay", ("seed",)),
+        ("synthesize", ("times", "n")),
+        ("synthesize", ("j",)),
+        ("synthesize", ("ell",)),
+    ]
+
+    @staticmethod
+    def artifacts_of(out):
+        files = {}
+        for path in sorted(out.iterdir()):
+            if path.suffix == ".jsonl":
+                records, _ = artifacts.read_jsonl(path)
+                for rec in records:
+                    rec.pop("timing")
+                files[path.name] = records
+            else:
+                files[path.name] = path.read_bytes()
+        return files
+
+    @pytest.mark.parametrize("cmd, key", CASES)
+    def test_integral_float_runs_as_int(self, tmp_path, cmd, key):
+        config = copy.deepcopy(TestStrictArtifacts.CONFIGS[cmd])
+        if cmd == "decay":
+            config.update(j_orders=[0, 1], seed=7)
+        as_float = copy.deepcopy(config)
+        parent = functools.reduce(lambda v, part: v[part], key[:-1], as_float)
+        parent[key[-1]] = float(parent[key[-1]])
+        codes, outs = [], []
+        for name, cfg in (("int", config), ("float", as_float)):
+            (tmp_path / name).mkdir()
+            code, out = run_cli(tmp_path / name, cfg)
+            codes.append(code)
+            outs.append(self.artifacts_of(out))
+        assert codes == [0, 0]
+        assert outs[0] == outs[1]
+        if cmd == "decay":
+            # the fits are keyed by the int order, which report reads back
+            log = tmp_path / "float" / "out" / "runs.jsonl"
+            code, out = run_cli(tmp_path, {"command": "report", "run_log": str(log)})
+            assert code == 0 and "| 1 |" in (out / "report.md").read_text()
 
 
 class TestPhaseLoss:
