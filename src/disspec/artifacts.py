@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "atomic_write_text",
     "write_csv",
-    "read_csv",
     "write_json",
     "append_jsonl",
     "read_jsonl",
@@ -56,14 +55,6 @@ def write_csv(path, header: list[str], rows) -> None:
     lines = [",".join(header)]
     lines += [",".join(map(_fmt, row)) for row in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_csv(path) -> tuple[list[str], list[list[float]]]:
-    text = Path(path).read_text()
-    lines = [ln for ln in text.split("\n") if ln]
-    header = lines[0].split(",")
-    rows = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
-    return header, rows
 
 
 def write_json(path, obj) -> None:

@@ -290,7 +290,7 @@ def validate_config(config: dict) -> dict:
     if not isinstance(config, dict) or "command" not in config:
         raise SchemaError("config must be an object with a 'command' key")
     cmd = config["command"]
-    if cmd not in _COMMAND_SCHEMAS:
+    if not isinstance(cmd, str) or cmd not in _COMMAND_SCHEMAS:
         raise SchemaError(f"unknown command {cmd!r}; known: {sorted(_COMMAND_SCHEMAS)}")
     errors = []
     config = _walk(_COMMAND_SCHEMAS[cmd], config, (), errors)
@@ -487,8 +487,7 @@ def dispatch(config: dict, out_dir: Path, seed: int = 0) -> dict:
                          grid=_grid_from(config.get("grid")))
         part = FrequencyPartition(nu=config["partition"]["nu"],
                                   N=config["partition"]["N"])
-        rep = three_region_synthesis(exp, part, ell=config.get("ell", 1),
-                                     j=config.get("j", 0))
+        rep = three_region_synthesis(exp, part, ell=config.get("ell", 1))
         payload = {k: (list(map(float, v)) if isinstance(v, np.ndarray) else v)
                    for k, v in rep.items()}
         payload["params"] = params.to_dict()
@@ -501,10 +500,35 @@ def dispatch(config: dict, out_dir: Path, seed: int = 0) -> dict:
 
 
 _EXPECTED_EXPONENT_TOL = 0.10
+_REPORT_TITLES = {
+    "gamma2_zero": "No decay (gamma2 = 0)",
+    "both_damped": "Two dampings (gamma1, gamma2 > 0)",
+    "gamma1_zero": "Single damping (gamma1 = 0)",
+    "undamped": "Undamped",
+    "unknown": "Unknown regime",
+}
+
+
+def _reportable(rec) -> bool:
+    """Whether a run-log record can join the report: a decay record (an
+    object) with a config_hash string, a known regime or none, and a dict of
+    fits keyed by integer strings, each fit an object with a numeric
+    exponent."""
+    if not isinstance(rec, dict):
+        return False
+    regime, fits = rec.get("regime", "unknown"), rec.get("fits")
+    return (rec.get("command") == "decay" and isinstance(rec.get("config_hash"), str)
+            and isinstance(regime, str) and regime in _REPORT_TITLES
+            and isinstance(fits, dict)
+            and all(j.isascii() and j.isdigit() and isinstance(fit, dict)
+                    and type(fit.get("exponent")) in (int, float)
+                    for j, fit in fits.items()))
 
 
 def render_report(run_log: str) -> str:
-    """Markdown summary of a JSONL run log, grouped by damping regime."""
+    """Markdown summary of a JSONL run log, grouped by damping regime.
+    Lines that do not parse and records that are not :func:`_reportable`
+    are counted as skipped."""
     try:
         records, skipped = artifacts.read_jsonl(run_log)
     except (OSError, UnicodeDecodeError) as e:
@@ -512,26 +536,20 @@ def render_report(run_log: str) -> str:
         raise PreconditionError(f"run log unreadable: {run_log}: {e}") from e
     groups: dict[str, list[dict]] = {}
     for rec in records:
-        if rec.get("command") != "decay" or "fits" not in rec:
-            continue
-        groups.setdefault(rec.get("regime", "unknown"), []).append(rec)
+        if _reportable(rec):
+            groups.setdefault(rec.get("regime", "unknown"), []).append(rec)
+        else:
+            skipped += 1
 
-    titles = {
-        "gamma2_zero": "No decay (gamma2 = 0)",
-        "both_damped": "Two dampings (gamma1, gamma2 > 0)",
-        "gamma1_zero": "Single damping (gamma1 = 0)",
-        "undamped": "Undamped",
-        "unknown": "Unknown regime",
-    }
     lines = ["# Decay run summary", ""]
     if skipped:
         lines += [f"_{skipped} malformed record(s) skipped._", ""]
     total = 0
-    for regime in ("gamma2_zero", "both_damped", "gamma1_zero", "undamped", "unknown"):
+    for regime, title in _REPORT_TITLES.items():
         recs = groups.get(regime)
         if not recs:
             continue
-        lines += [f"## {titles[regime]}", "",
+        lines += [f"## {title}", "",
                   "| config | j | expected | fitted | verdict |",
                   "|---|---|---|---|---|"]
         for rec in recs:

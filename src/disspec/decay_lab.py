@@ -214,8 +214,8 @@ def run_decay(exp: Experiment,
     """Evolve the experiment and fit one power law per derivative order.
 
     The default window is the last decade of the sampled times.  A relative
-    norm increase beyond 1e-6 is refused as an inconsistency (each Fourier
-    mode's modulus is provably non-increasing).
+    norm increase beyond 1e-6 is a :class:`SolverError`, a numerical
+    breakdown (each Fourier mode's modulus is provably non-increasing).
     """
     params = exp.params
     state0 = build_initial_state(params, exp.profile, exp.grid)
@@ -230,7 +230,7 @@ def run_decay(exp: Experiment,
         norms = np.sqrt(plancherel_norms(exp.grid, density, j))
         increase = np.max(norms[1:] / np.maximum(norms[:-1], 1e-300)) - 1.0
         if increase > 1e-6:
-            raise PreconditionError(
+            raise SolverError(
                 f"norm for j={j} increased by {increase:.2e} along the run; "
                 "mode-wise moduli are non-increasing, so this is an inconsistency")
         exponent, amplitude, resid = _fit_power_law(exp.times, norms, fit_window)
@@ -364,7 +364,7 @@ def _floored_exp(rate: np.ndarray) -> np.ndarray:
 
 
 def three_region_synthesis(exp: Experiment, part: FrequencyPartition,
-                           ell: int = 1, j: int | None = None) -> dict:
+                           ell: int = 1) -> dict:
     """Decompose the squared Sobolev norm into the three-region integrals and
     fit each region's pointwise bound ||e^{Phi(i xi) t}||_2 <= c s(|xi|, t).
 
@@ -387,19 +387,18 @@ def three_region_synthesis(exp: Experiment, part: FrequencyPartition,
     semigroup is an exact L^2 contraction, the honest p comes out near zero;
     the report carries it as measured.
 
-    Each region's bound term is the trapezoid of c^2 s^2 |xi|^{2j} |U_hat(0)|^2
-    over that region, taken like the measured regional integrals I_low, I_mid
-    and I_high.  The assembled bound dominates the measured total by
-    construction at every sampled (xi, t); the report records that
-    verification explicitly.
+    Each region's bound term, for the experiment's first derivative order j,
+    is the trapezoid of c^2 s^2 |xi|^{2j} |U_hat(0)|^2 over that region,
+    taken like the measured regional integrals I_low, I_mid and I_high.  The
+    assembled bound dominates the measured total by construction at every
+    sampled (xi, t); the report records that verification explicitly.
     """
     params = exp.params
     if params.regime != "gamma1_zero":
         raise RegimeError("three-region synthesis covers the gamma1 = 0, gamma2 > 0 regime")
     if abs(params.stability_defect) < 1e-12:
         raise RegimeError("synthesis requires (k^2 - 1) l^2 - 1 != 0")
-    if j is None:
-        j = exp.j_orders[0]
+    j = exp.j_orders[0]
     grid, times = exp.grid, exp.times
     ax = np.abs(grid)
     masks = {"low": ax < part.nu, "mid": (ax >= part.nu) & (ax <= part.N),

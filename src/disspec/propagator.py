@@ -16,15 +16,14 @@ component gives one real column.
 
 Weights once per spectrum.  For pairwise well-separated eigenvalues the r_j
 are divided differences of exp(. t) over lambda_1..lambda_j, so r(t) =
-W phi(t) with phi_i = t^{p_i} e^{lambda_i t}/p_i! and W the lower-triangular
-Newton/Hermite weight matrix of the nodes (:func:`_newton_weights`; p_i is
-the node's position in its run of exactly equal nodes, the confluent
-entries).  W has no time axis; it is folded into the Q chain once per
-frequency, B = Q W, and e^{t Phi_r} Y = sum_i B_i phi_i(t).
+W phi(t) with phi_i = e^{lambda_i t} and W the lower-triangular Newton
+weight matrix of the nodes (:func:`_newton_weights`).  W has no time axis;
+it is folded into the Q chain once per frequency, B = Q W, and
+e^{t Phi_r} Y = sum_i B_i phi_i(t).
 
 Real contraction.  The eigen solve is of the real Phi_r, so complex nodes
 come in pairs that are conjugate bit for bit, and for real Y the state is
-real: a pair (i, j) of equal power contributes Re((B_j + conj B_i) phi_j).
+real: a pair (i, j) contributes Re((B_j + conj B_i) phi_j).
 A real coefficient matrix C times a real basis psi(t) then gives the state
 (:func:`_real_coefficients`, :func:`_basis`): psi holds e^{lambda t} of each
 real node (a real exp) and Re and Im of one complex exp per pair, so a
@@ -32,15 +31,14 @@ real node (a real exp) and Re and Im of one complex exp per pair, so a
 node and no division.  Times where eps |Im lambda| t exceeds _PHASE_LOSS,
 the phase error that the rounding of lambda leaves, are refused.
 
-One rule (:func:`_ambiguous`) sends every other node set (an unequal pair
-closer than _GAP_AMBIGUOUS, equal nodes apart in the given order, or a
-complex node without a conjugate partner of equal power) to one
-double-precision route: r is the first column of exp(t J), J lower
-bidiagonal with the nodes on its diagonal, computed for a whole batch of
-(nodes, time) rows at once by shifted scaling and squaring with the
-diagonal and first subdiagonal recomputed exactly at every level
-(:func:`_r_bidiag`), which stays accurate for clusters of any width and at
-large |lambda| t.  The scaling-and-squaring Pade exponential (scipy) and a
+One rule (:func:`_ambiguous`) sends every other node set (two nodes closer
+than _GAP_AMBIGUOUS, equal nodes included, or a complex node without an
+exact conjugate partner) to one double-precision route: r is the first
+column of exp(t J), J lower bidiagonal with the nodes on its diagonal,
+computed for a whole batch of (nodes, time) rows at once by shifted
+scaling and squaring with the diagonal and first subdiagonal recomputed
+exactly at every level (:func:`_r_bidiag`), which stays accurate for
+clusters of any width, width 0 included, and at large |lambda| t.  The scaling-and-squaring Pade exponential (scipy) and a
 50-digit evaluation of the same bidiagonal exponential (mpmath) serve as
 the independent oracles in the tests and are never used on the Putzer path.
 
@@ -95,16 +93,14 @@ _GAP_AMBIGUOUS = 1e-3
 #: snapping a cluster of diameter s to its mean costs at most
 #: ~(s t)^2/2 * e^{Re lambda t}, so clusters with s t below this are merged;
 #: at (near-)defective points the individual roots carry O(eps^(1/m)) noise
-#: anyway while the cluster mean is trace-accurate, and the confluent
-#: evaluation then applies (Phi - mean)^m, which is small there
+#: anyway while the cluster mean is trace-accurate, and the bidiagonal
+#: exponential then applies (Phi - mean)^m, which is small there
 _SNAP_ST = 4e-5
 #: Re(lambda) * t below this underflows e^{lambda t} to exactly zero
 _EXP_FLOOR = -745.0
 #: eps |Im lambda| t above this refuses: lambda carries a relative rounding
 #: of eps, so the phase of e^{lambda t} is off by up to that many radians
 _PHASE_LOSS = 1e-6
-#: p! for the confluent basis functions t^p e^{lambda t}/p!
-_FACTORIAL = np.array([1.0, 1.0, 2.0, 6.0, 24.0, 120.0])
 #: bytes of basis plus Q chains and states per chunk of the SymbolPropagator
 #: contraction; the Q chains of the ambiguous (frequency, time) pairs are
 #: built in slices of this size
@@ -169,60 +165,39 @@ def _check_overflow(re: np.ndarray) -> None:
                           "(growing mode propagated too far)")
 
 
-def _layout(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(power, partner) of every node of every row, both (m, n).
+def _partners(lam: np.ndarray) -> np.ndarray:
+    """partner (m, n): partner[:, i] is the first node whose value is the
+    exact conjugate of node i's, i itself for a real node, and -1 where no
+    node qualifies."""
+    match = lam.conj()[:, :, None] == lam[:, None, :]
+    return np.where(match.any(axis=2), match.argmax(axis=2), -1)
 
-    power[:, i] is the node's position in its run of exactly equal adjacent
-    nodes, so its basis function is phi_i(t) = t^power e^{lambda_i t}/power!.
-    partner[:, i] is the node with the conjugate value and the same power:
-    i itself for a real node, and -1 where no node qualifies.
+
+def _newton_weights(lam: np.ndarray) -> np.ndarray:
+    """Newton weights: W of shape (m, n, n), lower triangular, with
+    r_{j+1}(t) = sum_i W[:, j, i] e^{lambda_i t} for every t.
+
+    The divided-difference table over pairwise distinct nodes in their given
+    order, run on the basis functions instead of on their values, so it has
+    no time axis.  Level 0 holds e^{lambda_i t}, the unit vector i.  After
+    level d, entry i is the divided difference over lambda_{i-d}..lambda_i,
+    so entry d is final and is row d of W.
     """
-    power = np.zeros(lam.shape, dtype=np.intp)
-    for i in range(1, lam.shape[1]):
-        power[:, i] = np.where(lam[:, i] == lam[:, i - 1], power[:, i - 1] + 1, 0)
-    match = ((lam.conj()[:, :, None] == lam[:, None, :])
-             & (power[:, :, None] == power[:, None, :]))
-    return power, np.where(match.any(axis=2), match.argmax(axis=2), -1)
-
-
-def _newton_weights(lam: np.ndarray, power: np.ndarray) -> np.ndarray:
-    """Newton/Hermite weights: W of shape (m, n, n), lower triangular, with
-    r_{j+1}(t) = sum_i W[:, j, i] phi_i(t) for every t.
-
-    The divided-difference table over the nodes in their given order, run
-    on the basis functions instead of on their values, so it has no time
-    axis.  Level 0 holds e^{lambda_i t}, the unit vector of the first node
-    of i's run.  After level d, entry i is the divided difference over
-    lambda_{i-d}..lambda_i, so entry d is final and is row d of W.  Where
-    the end nodes of a level coincide, so do all nodes between them (equal
-    nodes are adjacent), and the entry is the confluent t^d e^{lambda t}/d!:
-    the unit vector of the run's node of power d.
-    """
-    n = lam.shape[1]
-    eye = np.eye(n)
-    start = np.arange(n) - power
-    D = eye[start].astype(complex)
-    gap = lam[:, :, None] - lam[:, None, :]
-    equal = gap == 0.0
-    inverse = 1.0 / np.where(equal, 1.0, gap)
-    confluent = (power > 0).any()
+    m, n = lam.shape
+    D = np.repeat(np.eye(n, dtype=complex)[None], m, axis=0)
     for d in range(1, n):
-        # diagonal -d of the gaps: lambda_i - lambda_{i-d} for i = d..n-1
-        D[:, d:] = (D[:, d:] - D[:, d - 1:-1]) * np.diagonal(inverse, -d, 1, 2)[..., None]
-        if confluent:
-            at = np.diagonal(equal, -d, 1, 2)
-            D[:, d:][at] = eye[start[:, d:][at] + d]
+        inverse = 1.0 / (lam[:, d:] - lam[:, :-d])         # 1/(lambda_i - lambda_{i-d})
+        D[:, d:] = (D[:, d:] - D[:, d - 1:-1]) * inverse[..., None]
     return D
 
 
-def _basis(lam: np.ndarray, power: np.ndarray, partner: np.ndarray,
-           t: np.ndarray) -> np.ndarray:
+def _basis(lam: np.ndarray, partner: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The real basis psi of shape (m, n, nt) for rows of paired nodes.
 
-    A real node's slot holds phi_i(t), from one real exponential.  A
-    conjugate pair (i, j) with Im lambda_j > 0 holds Re phi_j in slot i and
-    Im phi_j in slot j, both from one complex exponential; phi_i is
-    conj(phi_j), since the pair has one power.
+    A real node's slot holds phi_i(t) = e^{lambda_i t}, from one real
+    exponential.  A conjugate pair (i, j) with Im lambda_j > 0 holds Re phi_j
+    in slot i and Im phi_j in slot j, both from one complex exponential;
+    phi_i is conj(phi_j).
     """
     psi = np.empty(lam.shape + t.shape)
     real = partner == np.arange(lam.shape[1])
@@ -233,10 +208,6 @@ def _basis(lam: np.ndarray, power: np.ndarray, partner: np.ndarray,
     e = _safe_exp(z)
     psi[up] = e.imag
     psi[np.nonzero(up)[0], partner[up]] = e.real
-    powered = power > 0
-    if powered.any():
-        p = power[powered][:, None]
-        psi[powered] *= t ** p / _FACTORIAL[p]
     return psi
 
 
@@ -336,20 +307,16 @@ def _r_bidiag(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _ambiguous(lam: np.ndarray, partner: np.ndarray | None = None) -> np.ndarray:
-    """(m,) rows of nodes the Newton/Hermite weights cannot take: some
-    unequal pair closer than _GAP_AMBIGUOUS (the divided differences would
-    cancel), equal nodes that are not adjacent (the Hermite rule needs them
-    so), or a complex node without an exact conjugate partner of equal
-    power (the real contraction needs one; ``partner`` is that of
-    :func:`_layout`, computed here when not given)."""
+    """(m,) rows of nodes the Newton weights cannot take: two nodes closer
+    than _GAP_AMBIGUOUS, equal nodes included (the divided differences would
+    cancel or divide by zero), or a complex node without an exact conjugate
+    partner (the real contraction needs one; ``partner`` is that of
+    :func:`_partners`, computed here when not given)."""
     gaps = np.abs(lam[:, :, None] - lam[:, None, :])
-    close = ((gaps > 0.0) & (gaps < _GAP_AMBIGUOUS)).any(axis=(1, 2))
-    distinct = (~np.tril(gaps == 0.0, -1).any(axis=2)).sum(axis=1)
-    runs = 1 + np.count_nonzero(lam[:, 1:] != lam[:, :-1], axis=1)
+    close = np.tril(gaps < _GAP_AMBIGUOUS, -1).any(axis=(1, 2))
     if partner is None:
-        partner = _layout(lam)[1]
-    unpaired = (partner < 0).any(axis=1)
-    return close | (distinct != runs) | unpaired
+        partner = _partners(lam)
+    return close | (partner < 0).any(axis=1)
 
 
 def _q_chain(Phi: np.ndarray, lam: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -434,13 +401,12 @@ class SymbolPropagator:
     """Per-grid cache of Putzer data for fast repeated propagation.
 
     Construction makes one batched eigen solve over the grid (rows in
-    Putzer order, so exactly equal eigenvalues are adjacent and conjugate
-    pairs share one run of equal real parts) and builds the real similar
-    symbol stack ``Phi_r`` = S^-1 Phi S.  The complex ``Phi`` is built only
-    when read.  The Newton weights depend only on the nodes, so the rows are
-    reduced to their distinct spectra once, one per distinct |xi| (``nodes``,
-    with ``row`` mapping each frequency to its spectrum; on a symmetric grid
-    +-xi share one).  :meth:`operator_norms`, and :meth:`density` of
+    Putzer order) and builds the real similar symbol stack
+    ``Phi_r`` = S^-1 Phi S.  The complex ``Phi`` is built only when read.
+    The Newton weights depend only on the nodes, so the rows are reduced to
+    their distinct spectra once, one per distinct |xi| (``nodes``, with
+    ``row`` mapping each frequency to its spectrum; on a symmetric grid +-xi
+    share one).  :meth:`operator_norms`, and :meth:`density` of
     Hermitian data, propagate only the first row of each distinct |xi| and
     scatter the result through ``row``.
 
@@ -466,7 +432,7 @@ class SymbolPropagator:
                                              return_inverse=True)
         self.nodes = self.lambdas[self._first]
         self.Phi_r = real_symbol_stack(params, self.grid)
-        self._power, self._partner = _layout(self.nodes)
+        self._partner = _partners(self.nodes)
         self._ambiguous_nodes = _ambiguous(self.nodes, self._partner)
         self.ambiguous = self._ambiguous_nodes[self.row]
         self._phase_rate = np.finfo(float).eps * np.abs(self.nodes.imag).max(initial=0.0)
@@ -495,15 +461,14 @@ class SymbolPropagator:
     def _weights_and_basis(self, spectra: slice, times: np.ndarray):
         """W (s, 6, 6) and psi (s, 6, ntimes) of the distinct spectra in
         ``spectra``; both are zero for ambiguous spectra."""
-        lam, power, partner = (self.nodes[spectra], self._power[spectra],
-                               self._partner[spectra])
+        lam, partner = self.nodes[spectra], self._partner[spectra]
         ok = ~self._ambiguous_nodes[spectra]
         if ok.all():
-            return _newton_weights(lam, power), _basis(lam, power, partner, times)
+            return _newton_weights(lam), _basis(lam, partner, times)
         W = np.zeros(lam.shape + (6,), dtype=complex)
         psi = np.zeros(lam.shape + times.shape)
-        W[ok] = _newton_weights(lam[ok], power[ok])
-        psi[ok] = _basis(lam[ok], power[ok], partner[ok], times)
+        W[ok] = _newton_weights(lam[ok])
+        psi[ok] = _basis(lam[ok], partner[ok], times)
         return W, psi
 
     def r_many(self, times: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Independent oracles shared by the tests; mpmath is a test dependency only."""
 
+from pathlib import Path
+
 import numpy as np
 
 from disspec.core_model import _sextic_coeffs, build_matrices, char_poly_coeffs
@@ -173,6 +175,12 @@ def scan_crossing(times, ratio, level):
     r1, r2 = ratio[i - 1], ratio[i]
     frac = (math.log(level) - math.log(r1)) / (math.log(r2) - math.log(r1))
     return float(math.exp(math.log(t1) + frac * (math.log(t2) - math.log(t1))))
+
+
+def read_csv(path):
+    """(header, rows) of a CSV artifact, every cell read as a float."""
+    lines = [ln for ln in Path(path).read_text().split("\n") if ln]
+    return lines[0].split(","), [[float(x) for x in ln.split(",")] for ln in lines[1:]]
 
 
 def csv_text_per_element(header, rows):

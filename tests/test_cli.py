@@ -17,7 +17,8 @@ from disspec import artifacts
 from disspec.cli import (_COMMAND_SCHEMAS, _TYPES, _walk, dispatch, main, render_report,
                          validate_config)
 from disspec.errors import SchemaError
-from oracles import csv_text_per_element, spectrum_rows_per_element, state_rows_per_element
+from oracles import (csv_text_per_element, read_csv, spectrum_rows_per_element,
+                     state_rows_per_element)
 
 PARAMS = {"a": 1.0, "k": 1.0, "l": 0.5, "gamma1": 1.0, "gamma2": 1.0}
 G10_PARAMS = {"a": 1.0, "k": 1.0, "l": 0.5, "gamma1": 0.0, "gamma2": 1.0}
@@ -37,8 +38,19 @@ class TestSchema:
             validate_config({})
 
     def test_unknown_command(self):
-        with pytest.raises(SchemaError):
-            validate_config({"command": "frobnicate"})
+        # a list or an object is no command name; neither may reach the
+        # schema lookup, which hashes it
+        for command in ("frobnicate", [], {}):
+            with pytest.raises(SchemaError, match="unknown command"):
+                validate_config({"command": command})
+
+    def test_non_string_command_exit_2(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, {"command": []})
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        payload = json.loads(captured.out.strip().splitlines()[-1])
+        assert payload == json.loads((out / "error.json").read_text())
+        assert payload["error"] == "SchemaError"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(SchemaError):
@@ -379,7 +391,7 @@ class TestCommands:
             "xi_min": -10.0, "xi_max": 10.0, "n_points": 41})
         assert code == 0
         path = out / "spectrum.csv"
-        header, rows = artifacts.read_csv(path)
+        header, rows = read_csv(path)
         assert header[0] == "xi" and header[-1] == "max_re"
         assert len(header) == 14 and len(rows) == 41
         # byte-identical round trip
@@ -469,7 +481,7 @@ class TestCommands:
             "t": 2.0,
             "grid": {"xi_max": 8.0, "n_geo": 64, "n_lin": 64}})
         assert code == 0
-        header, rows = artifacts.read_csv(out / "state.csv")
+        header, rows = read_csv(out / "state.csv")
         assert len(header) == 13
         hdr = json.loads((out / "state.json").read_text())
         assert hdr["t"] == 2.0
@@ -721,6 +733,29 @@ class TestDecayAndReport:
         assert "PASS" in md
         assert "malformed" in md
         assert "Two dampings" in md
+
+    def test_report_skips_unreadable_records(self, tmp_path):
+        # each of these parses as JSON; each used to end the report in exit 1
+        _, out = run_cli(tmp_path, decay_config())
+        log = out / "runs.jsonl"
+        good = json.loads(log.read_text())
+        fit = good["fits"]["0"]
+        bad = [
+            {**good, "fits": {"1.0": fit}},
+            {**good, "fits": {"0": {k: v for k, v in fit.items() if k != "exponent"}}},
+            {**good, "fits": []},
+            {**good, "fits": {"0": {**fit, "exponent": "-0.25"}}},
+            {k: v for k, v in good.items() if k != "config_hash"},
+            [1, 2],
+        ]
+        with open(log, "a") as fh:
+            fh.writelines(json.dumps(rec) + "\n" for rec in bad)
+        (tmp_path / "report").mkdir()
+        code, rep = run_cli(tmp_path / "report", {"command": "report", "run_log": str(log)})
+        assert code == 0
+        md = (rep / "report.md").read_text()
+        assert f"_{len(bad)} malformed record(s) skipped._" in md
+        assert md.count(f"| {good['config_hash']} | 0 |") == 1
 
     def test_report_empty_log(self, tmp_path):
         log = tmp_path / "empty.jsonl"

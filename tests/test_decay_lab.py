@@ -183,7 +183,7 @@ class TestFusedNorms:
                          profile=Profile(kind="gaussian", width=1.0),
                          times=np.geomspace(1.0, 10.0, 5), j_orders=(0,),
                          grid=small_grid())
-        with pytest.raises(PreconditionError, match="increased"):
+        with pytest.raises(SolverError, match="increased"):
             run_decay(exp)
 
 

@@ -10,7 +10,7 @@ from disspec import (FourierState, PreconditionError, SolverError,
 from disspec import propagator as propagator_module
 from disspec.decay_lab import _conservative_vector
 from disspec.propagator import (_EXP_FLOOR, SymbolPropagator, _ambiguous, _basis,
-                                _layout, _newton_weights, _q_chain, _r_bidiag)
+                                _newton_weights, _partners, _q_chain, _r_bidiag)
 from oracles import dissipation, energy, energy_audit, r_chain_mp, six_exp_table
 
 
@@ -28,12 +28,10 @@ def defective_nodes():
 
 
 def weights_r(lam, t):
-    """r_1..r_6 of one node set at one time: the Newton/Hermite weights
-    times the six complex basis functions t^p e^{lambda t}/p!."""
+    """r_1..r_6 of one node set at one time: the Newton weights times the
+    six exponentials e^{lambda t}."""
     lam = np.asarray(lam, dtype=complex)[None]
-    power, _ = _layout(lam)
-    phi = t ** power * np.exp(lam * t) / np.array([1, 1, 2, 6, 24, 120])[power]
-    return (_newton_weights(lam, power) @ phi[..., None])[0, :, 0]
+    return (_newton_weights(lam) @ np.exp(lam * t)[..., None])[0, :, 0]
 
 
 def bidiag_r(lam, t):
@@ -63,8 +61,10 @@ class TestPutzerR:
     def test_exact_double_confluent_limit(self):
         lam0 = -0.7 + 0.4j
         lam = np.array([lam0, lam0, -2.0, -3.0, -4.0, -5.0])
+        # an exact repeat is a cluster of width 0: the bidiagonal route
+        assert _ambiguous(lam[None])[0]
         t = 1.3
-        r = weights_r(lam, t)
+        r = bidiag_r(lam, t)
         assert r[1] == pytest.approx(t * np.exp(lam0 * t), rel=1e-12)
 
     def test_distinct_matches_mp_oracle(self):
@@ -86,12 +86,28 @@ class TestPutzerR:
         r2 = np.sqrt(2.0)
         putzer_order = np.array([-1j * r2, -1j, 0.0, 0.0, 1j, 1j * r2])
         lam = putzer_order[[2, 0, 1, 4, 5, 3]]
-        # the same nodes in Putzer order stay on the table
-        assert _ambiguous(np.array([lam, putzer_order])).tolist() == [True, False]
+        # equal nodes take the bidiagonal route in any order
+        assert _ambiguous(np.array([lam, putzer_order])).tolist() == [True, True]
         t = 1.7
         r = bidiag_r(lam, t)
         E = np.einsum("j,jab->ab", r, p_chain(sym.Phi, lam))
         assert np.max(np.abs(E - expm(sym.Phi * t))) <= 1e-10
+
+    @pytest.mark.parametrize("p, adjacent", [((0.3, 0.3, 1.935200679453398, 0, 0), True),
+                                             ((1, 1, 1, 0, 0), False)])
+    def test_undamped_double_root_at_zero(self, p, adjacent):
+        # the solve returns the double root 0 either as the exactly equal
+        # adjacent 0j, -0j or as -0j and -4.7e-17 apart; both take the
+        # bidiagonal route
+        prop = SymbolPropagator(SystemParams(*p), np.array([0.0]))
+        lam = prop.nodes[0]
+        assert np.any(lam[1:] == lam[:-1]) == adjacent
+        assert np.all(np.sort(np.abs(lam))[:2] <= 1e-16)
+        assert prop.ambiguous.tolist() == [True]
+        times = np.array([0.3, 1.7, 20.0])
+        E = prop.propagate_many(np.eye(6)[None], times)[:, 0]
+        for q, t in enumerate(times):
+            assert np.max(np.abs(E[q] - expm(prop.Phi[0] * t))) <= 1e-10
 
     def test_one_ambiguity_rule(self):
         base = np.array([-1.0, -2.0, -3.0, -4.0, -5.0, -6.0], dtype=complex)
@@ -101,7 +117,7 @@ class TestPutzerR:
         apart[2] = -1.0
         unpaired[5] = -6.0 + 1.0j
         rows = np.array([base, near, adjacent, apart, unpaired])
-        assert _ambiguous(rows).tolist() == [False, True, False, True, True]
+        assert _ambiguous(rows).tolist() == [False, True, True, True, True]
 
     def test_negative_time_rejected(self):
         prop = SymbolPropagator(SystemParams(1, 1, 0.5, 1, 1), np.array([0.5]))
@@ -111,7 +127,7 @@ class TestPutzerR:
     def test_overflow_policy(self):
         def basis(lam, t):
             lam = np.asarray(lam, dtype=complex)[None]
-            return _basis(lam, *_layout(lam), np.array([t]))[0, :, 0]
+            return _basis(lam, _partners(lam), np.array([t]))[0, :, 0]
 
         lam = np.array([2.0, -1.0, -2.0, -3.0, -4.0, -5.0])
         with pytest.raises(SolverError):
@@ -175,8 +191,8 @@ class TestBidiagKernel:
 
 
 class TestConjugateMirror:
-    """Every complex node needs its mirror: the exact conjugate of equal
-    power, whose basis function is the conjugate of its own.  The real
+    """Every complex node needs its mirror: the exact conjugate, whose
+    basis function is the conjugate of its own.  The real
     contraction evaluates one complex exp per pair, and r_many, the weights
     times that basis, agrees with the six-exp Newton table on values."""
 
@@ -205,10 +221,9 @@ class TestConjugateMirror:
         # default-grid spectrum has its mirrors
         lam, _ = eigenvalues_batch(SystemParams(*p), default_grid())
         nodes = np.unique(lam, axis=0)
-        power, partner = _layout(nodes)
+        partner = _partners(nodes)
         assert np.all(partner >= 0)
         assert np.array_equal(nodes[np.arange(len(nodes))[:, None], partner], nodes.conj())
-        assert np.array_equal(np.take_along_axis(power, partner, axis=1), power)
 
     @pytest.mark.parametrize("p", REGIMES)
     def test_r_many_matches_six_exp_table(self, p):
@@ -218,11 +233,9 @@ class TestConjugateMirror:
         ok = ~prop.ambiguous
         lam = prop.lambdas[ok]
         ref = np.moveaxis(six_exp_table(lam, self.TIMES), 0, -1)        # (n, nt, 6)
-        power, _ = _layout(lam)
         with np.errstate(under="ignore"):
-            phi = (self.TIMES ** power[..., None] * np.exp(lam[..., None] * self.TIMES)
-                   / np.array([1, 1, 2, 6, 24, 120])[power][..., None])
-        scale = np.moveaxis(np.abs(_newton_weights(lam, power)) @ np.abs(phi), 1, -1)
+            phi = np.exp(lam[..., None] * self.TIMES)
+        scale = np.moveaxis(np.abs(_newton_weights(lam)) @ np.abs(phi), 1, -1)
         err = np.abs(prop.r_many(self.TIMES)[ok] - ref)
         assert np.all(err <= 1e-13 * scale + 1e-300)
 
@@ -230,12 +243,13 @@ class TestConjugateMirror:
         rng = np.random.default_rng(21)
         lam = -np.abs(rng.normal(size=(50, 6))) + 1j * rng.normal(size=(50, 6))
         lam = lam[np.arange(50)[:, None], np.lexsort((lam.imag, -lam.real), axis=1)]
-        assert np.all(_layout(lam)[1] == -1)
+        assert np.all(_partners(lam) == -1)
         assert _ambiguous(lam).all()
 
     def test_only_exact_conjugates_pair(self):
         # exact conjugates pair in any order; a pair whose real parts are a
-        # rounding apart does not, and neither do equal nodes of unequal power
+        # rounding apart does not; equal nodes share their mirror, and their
+        # row is ambiguous for the repeat
         pair = np.array([-0.5 - 2.0j, -0.5 + 2.0j])
         rows = np.array([
             [0.0, *pair, -1.0 - 1.0j, -1.0 + 1.0j, -2.0],
@@ -244,13 +258,12 @@ class TestConjugateMirror:
             [-0.1 - 1.0j, -0.1 + 1.0j, -0.1 - 3.0j, -0.1 + 3.0j, -1.0, -2.0],
             [pair[0], pair[0], pair[1], -1.0, -2.0, -3.0],
         ])
-        power, partner = _layout(rows)
+        partner = _partners(rows)
         assert partner.tolist()[0] == [0, 2, 1, 4, 3, 5]
         assert partner.tolist()[1] == [0, 2, 1, 4, 3, 5]
         assert partner.tolist()[2] == [0, -1, -1, 3, 4, 5]
         assert partner.tolist()[3] == [1, 0, 3, 2, 4, 5]
-        assert power.tolist()[4] == [0, 1, 0, 0, 0, 0]
-        assert partner.tolist()[4] == [2, -1, 0, 3, 4, 5]
+        assert partner.tolist()[4] == [2, 2, 0, 3, 4, 5]
         assert _ambiguous(rows).tolist() == [False, False, True, False, True]
 
     def test_default_grid_exponentiates_at_most_60_percent(self, monkeypatch):
