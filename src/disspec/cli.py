@@ -439,6 +439,9 @@ def dispatch(config: dict, out_dir: Path, seed: int = 0) -> dict:
                            "eps3", "eps4")},
             "weight_kind": rep.weight_kind,
             "frequencies": list(map(float, rep.frequencies)),
+            "horizon": float(rep.horizon),
+            "n_states": rep.n_states,
+            "slack": rep.slack,
             "per_frequency_max_violation": list(map(float, rep.per_frequency_violation)),
             "max_violation": rep.max_violation,
             "violation_count": rep.violation_count,

@@ -10,9 +10,15 @@ through the y and eta components.  Three auxiliary functionals F, K, P
 
 which satisfy d/dt L1 + c0 xi^2 E_hat <= 0, respectively
 d/dt L2 + c4 xi^2/(1+xi^2+xi^4) E_hat <= 0, once the weights are fixed in
-the documented order.  The audit takes dL/dt in closed form: the energy
-term by the dissipation identity, d1 F + d2 K + P (a real quadratic form G)
-by polarization, dG/dt = (G(U + Phi U) - G(U - Phi U))/2.
+the documented order.  The audit takes dL/dt as a Hermitian form.  The
+cross part d1 F + d2 K + P is Re U* M_G U, M_G polarized from the
+functionals, so along U' = Phi U
+
+    dL/dt = U* D U,   D = Phi* M_G + M_G Phi - d0 sigma diag(0,0,0,gamma1,0,gamma2),
+
+the last term being the dissipation identity of E_hat.  On the trajectory
+U(t) = E_t s, E_t = e^{t Phi}, that is s* (E_t* D E_t) s, so propagating the
+6 columns of the identity serves every audited state s.
 
 Every helper constant C(.) below comes from the elementary bound
 |x y| <= eps x^2 + y^2/(4 eps); the full bookkeeping is in
@@ -28,7 +34,7 @@ import numpy as np
 
 from .core_model import SystemParams
 from .errors import PreconditionError, RegimeError
-from .propagator import SymbolPropagator
+from .propagator import _CHUNK_BYTES, SymbolPropagator
 
 __all__ = [
     "LyapunovConstants",
@@ -194,13 +200,24 @@ def _cross_terms(values: np.ndarray, xi, params: SystemParams):
     return F, K, P
 
 
-def _rates(U: np.ndarray, PhiU: np.ndarray, xi, params: SystemParams):
-    """dE_hat/dt, dF/dt, dK/dt, dP/dt at states U (..., 6) with dU/dt = PhiU:
-    the dissipation identity, then for each real quadratic form
-    Q(U) = Re U* M U (M Hermitian) dQ/dt = (Q(U + PhiU) - Q(U - PhiU))/2."""
-    dE = -(params.gamma1 * np.abs(U[..., 3]) ** 2 + params.gamma2 * np.abs(U[..., 5]) ** 2)
-    plus, minus = _cross_terms(U + PhiU, xi, params), _cross_terms(U - PhiU, xi, params)
-    return (dE,) + tuple(0.5 * (p - m) for p, m in zip(plus, minus))
+def _cross_matrix(xi: np.ndarray, params: SystemParams,
+                  consts: LyapunovConstants) -> np.ndarray:
+    """M_G, shape (nxi, 6, 6) Hermitian, with Re s* M_G s = d1 F + d2 K + P
+    at every state s: the functional is polarized on the states e_i,
+    e_i + e_j and e_i + i e_j, whose values are M_ii, M_ii + M_jj + 2 Re M_ij
+    and M_ii + M_jj - 2 Im M_ij."""
+    eye = np.eye(6)
+    i, j = np.triu_indices(6, 1)
+    probes = np.concatenate([eye, eye[i] + eye[j], eye[i] + 1j * eye[j]])
+    F, K, P = _cross_terms(probes, xi[:, None], params)
+    G = consts.d1 * F + consts.d2 * K + P
+    diag = G[:, :6]
+    both = diag[:, i] + diag[:, j]
+    M = np.zeros((len(xi), 6, 6), dtype=complex)
+    M[:, np.arange(6), np.arange(6)] = diag
+    M[:, i, j] = 0.5 * ((G[:, 6:21] - both) - 1j * (G[:, 21:] - both))
+    M[:, j, i] = M[:, i, j].conj()
+    return M
 
 
 def _functionals_arrays(values: np.ndarray, xi, params: SystemParams,
@@ -241,12 +258,17 @@ def audit_inequality(params: SystemParams, consts: LyapunovConstants,
                      seed: int = 123) -> AuditReport:
     """Trajectory audit of the decay inequality at the given frequencies.
 
-    Evolves the 6 basis vectors plus ``n_random`` random unit states exactly
-    by one propagator, chunk by chunk, takes dL/dt in closed form
-    (:func:`_rates`) at 24 times from 2e-3 to ``horizon``, and reports the
-    largest violation of dL/dt + c * weight * E_hat <= 0 (at c = 0, against
-    the absolute slack 1e-10; weight xi^2 for L1, xi^2 / sigma for L2) together
-    with the maximal feasible c.
+    Audits the 6 basis vectors plus ``n_random`` random unit states s at 24
+    times from 2e-3 to ``horizon``.  Along U = E_t s, E_t = e^{t Phi},
+    dL/dt = s* (E_t* D E_t) s and E_hat = s* (E_t* E_t / 2) s (module
+    docstring), so one propagator carries only the 6 columns of the
+    identity, chunk by chunk, and each chunk evaluates both forms at every
+    state by one real matmul against the outer products conj(s_a) s_b.
+    Reports the largest violation of dL/dt + c * weight * E_hat <= 0 (at
+    c = 0, against the absolute slack 1e-10; weight xi^2 for L1, xi^2 / sigma
+    for L2) together with the maximal feasible c.  Samples with
+    weight * E_hat <= 1e-300, as at xi = 0, bound no c; when no sample does,
+    the audit is refused.
     """
     if params.gamma1 <= 0.0 or params.gamma2 <= 0.0:
         raise RegimeError("audit requires gamma1 > 0 and gamma2 > 0")
@@ -260,29 +282,44 @@ def audit_inequality(params: SystemParams, consts: LyapunovConstants,
         raise PreconditionError(f"audit needs frequencies, n_random >= 0 and a finite "
                                 f"horizon > {_T_FIRST}; got {xi.size} frequencies, "
                                 f"n_random = {n_random}, horizon = {horizon}")
-    if not np.any(xi != 0.0):
-        raise PreconditionError("every audited frequency is 0, where the weight "
-                                "vanishes and bounds no decay rate c")
-    states = np.concatenate([np.eye(6, dtype=complex),
-                             _unit_states(np.random.default_rng(seed), 1, n_random)[0]])
+    # first, so that its scale cap refuses a |xi| whose sigma would overflow
+    prop = SymbolPropagator(params, xi)
     kind, sigma = lyapunov_sigma(params, xi)
     weight = xi**2 if kind == "L1" else xi**2 / sigma
-    prop = SymbolPropagator(params, xi)
-    block = np.broadcast_to(states.T, (len(xi), 6, len(states)))
+    D = _cross_matrix(xi, params, consts) @ prop.Phi
+    D += D.conj().swapaxes(-1, -2)
+    D[:, 3, 3] -= consts.d0 * sigma * params.gamma1
+    D[:, 5, 5] -= consts.d0 * sigma * params.gamma2
+    states = np.concatenate([np.eye(6, dtype=complex),
+                             _unit_states(np.random.default_rng(seed), 1, n_random)[0]])
+    # Re s* Q s = sum_ab Re(Q_ab conj(s_a) s_b) is the real dot product of
+    # Q and s_a conj(s_b), both viewed as (re, im) pairs
+    pairs = (states[:, :, None] * states[:, None, :].conj()).reshape(-1, 36).view(float).T
+    times = np.linspace(_T_FIRST, horizon, 24)
+    # frequencies per evaluation: it makes about eight (k, times, states)
+    # float arrays, each held to an eighth of the propagator's chunk size
+    step = max(1, _CHUNK_BYTES // (64 * len(times) * len(states)))
+    block = np.broadcast_to(np.eye(6, dtype=complex), (len(xi), 6, 6))
     per_freq = np.empty(len(xi))
     count, c0 = 0, np.inf
-    for rows, U in prop.states(block, np.linspace(_T_FIRST, horizon, 24)):
-        PhiU = (prop.Phi[rows] @ U.reshape(len(rows), 6, -1)).reshape(U.shape)
-        U, PhiU = np.moveaxis(U, 1, -1), np.moveaxis(PhiU, 1, -1)   # (k, c, nt, 6)
-        at = (rows, None, None)
-        dE, dF, dK, dP = _rates(U, PhiU, xi[at], params)
-        dL = consts.d0 * sigma[at] * dE + consts.d1 * dF + consts.d2 * dK + dP
-        per_freq[rows] = dL.max(axis=(1, 2))
-        count += int(np.count_nonzero(dL > _SLACK))
-        # xi = 0 (weight 0) and vanished states bound no c
-        wE = weight[at] * (0.5 * np.sum(np.abs(U) ** 2, axis=-1))
-        good = wE > 1e-300
-        c0 = min(c0, float(np.min(-dL[good] / wE[good], initial=np.inf)))
+    for chunk, U in prop.states(block, times):
+        for lo in range(0, len(chunk), step):
+            rows = chunk[lo:lo + step]
+            Et = np.moveaxis(U[lo:lo + step], -1, 1)          # (k, nt, 6, 6)
+            EtH = Et.conj().swapaxes(-1, -2)
+            forms = np.stack([EtH @ D[rows, None] @ Et, 0.5 * (EtH @ Et)], axis=2)
+            values = forms.reshape(*forms.shape[:3], 36).view(float) @ pairs
+            dL, E = values[:, :, 0], values[:, :, 1]          # (k, nt, states)
+            per_freq[rows] = dL.max(axis=(1, 2))
+            count += int(np.count_nonzero(dL > _SLACK))
+            # xi = 0 (weight 0) and vanished states bound no c
+            wE = weight[rows, None, None] * E
+            good = wE > 1e-300
+            c0 = min(c0, float(np.min(-dL[good] / wE[good], initial=np.inf)))
+    if c0 == np.inf:
+        raise PreconditionError("no audited sample bounds a decay rate c: the weight "
+                                f"{'xi^2' if kind == 'L1' else 'xi^2 / sigma'} times E_hat "
+                                "is at most 1e-300 at every frequency, time and state")
 
     return AuditReport(
         params=params, constants=consts, frequencies=xi, weight_kind=kind,

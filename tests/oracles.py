@@ -81,6 +81,53 @@ def energy_audit(state, dt, propagator=None):
     return float(np.max(np.abs(dE + diss)))
 
 
+def rates(U, PhiU, xi, params):
+    """dE_hat/dt, dF/dt, dK/dt, dP/dt at states U (..., 6) with dU/dt = PhiU:
+    the dissipation identity, then for each real quadratic form
+    Q(U) = Re U* M U (M Hermitian) dQ/dt = (Q(U + PhiU) - Q(U - PhiU))/2."""
+    from disspec.lyapunov import _cross_terms
+
+    dE = -(params.gamma1 * np.abs(U[..., 3]) ** 2 + params.gamma2 * np.abs(U[..., 5]) ** 2)
+    plus, minus = _cross_terms(U + PhiU, xi, params), _cross_terms(U - PhiU, xi, params)
+    return (dE,) + tuple(0.5 * (p - m) for p, m in zip(plus, minus))
+
+
+def trajectory_audit(params, consts, xi, horizon=5.0, n_random=100, seed=123):
+    """The Lyapunov audit state by state: the 6 basis vectors and the same
+    seeded unit states as :func:`disspec.audit_inequality` are propagated
+    themselves, and dL/dt is taken by :func:`rates` at each of them.
+
+    Returns (per-frequency max of dL/dt, count of dL/dt > slack, the
+    feasible c0, the smallest weight * E_hat that bounds c) over the audit's
+    24 times, with its slack and its 1e-300 floor.
+    """
+    from disspec.lyapunov import _SLACK, _T_FIRST, _unit_states, lyapunov_sigma
+    from disspec.propagator import SymbolPropagator
+
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    states = np.concatenate([np.eye(6, dtype=complex),
+                             _unit_states(np.random.default_rng(seed), 1, n_random)[0]])
+    kind, sigma = lyapunov_sigma(params, xi)
+    weight = xi**2 if kind == "L1" else xi**2 / sigma
+    prop = SymbolPropagator(params, xi)
+    block = np.broadcast_to(states.T, (len(xi), 6, len(states)))
+    per_freq = np.empty(len(xi))
+    count, c0, floor = 0, np.inf, np.inf
+    for rows, U in prop.states(block, np.linspace(_T_FIRST, horizon, 24)):
+        PhiU = (prop.Phi[rows] @ U.reshape(len(rows), 6, -1)).reshape(U.shape)
+        U, PhiU = np.moveaxis(U, 1, -1), np.moveaxis(PhiU, 1, -1)   # (k, c, nt, 6)
+        at = (rows, None, None)
+        dE, dF, dK, dP = rates(U, PhiU, xi[at], params)
+        dL = consts.d0 * sigma[at] * dE + consts.d1 * dF + consts.d2 * dK + dP
+        per_freq[rows] = dL.max(axis=(1, 2))
+        count += int(np.count_nonzero(dL > _SLACK))
+        wE = weight[at] * (0.5 * np.sum(np.abs(U) ** 2, axis=-1))
+        good = wE > 1e-300
+        c0 = min(c0, float(np.min(-dL[good] / wE[good], initial=np.inf)))
+        floor = min(floor, float(np.min(wE[good], initial=np.inf)))
+    return per_freq, count, c0, floor
+
+
 def r_chain_mp(lam, t):
     """First column of the 50-digit exponential of t J, J lower
     bidiagonal with the nodes on the diagonal and ones below it."""

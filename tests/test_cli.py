@@ -605,6 +605,9 @@ class TestCommands:
         payload = json.loads((out / "lyapunov_audit.json").read_text())
         assert payload["violation_count"] == 0
         assert payload["c0_feasible"] > 0
+        # the sample the audit took: the default horizon, the 6 basis
+        # vectors plus n_random states, and the slack of its dL/dt test
+        assert (payload["horizon"], payload["n_states"], payload["slack"]) == (5.0, 26, 1e-10)
 
     @pytest.mark.parametrize("bad, error", [({"frequencies": []}, "SchemaError"),
                                             ({"n_random": -3}, "SchemaError"),
@@ -683,6 +686,30 @@ class TestOverflowingInput:
             "j_orders": [96]})
         assert code == 0 and err == ""
         assert (out / "decay_fits.json").exists()
+
+    # the weight xi^2 E_hat underflows below the 1e-300 floor, and c0 = inf
+    # used to reach the JSON writer (exit 1)
+    @pytest.mark.parametrize("frequencies", [[1e-200], [1e-160], [0.0, 1e-200], [0.0]])
+    @pytest.mark.filterwarnings("error")
+    def test_audit_bounding_no_c_exit_2(self, tmp_path, capsys, frequencies):
+        code, err, payload, out = self.run(tmp_path, capsys, {
+            "command": "lyapunov-audit", "params": PARAMS,
+            "frequencies": frequencies, "n_random": 4})
+        assert code == 2 and err == ""
+        assert payload == json.loads((out / "error.json").read_text())
+        assert payload["error"] == "PreconditionError"
+        assert not (out / "lyapunov_audit.json").exists()
+
+    # sigma = 1 + xi^2 used to overflow, with a warning, before the scale
+    # cap of the eigen solve refused the frequency
+    @pytest.mark.filterwarnings("error")
+    def test_audit_past_the_scale_cap_exit_1(self, tmp_path, capsys):
+        code, err, payload, out = self.run(tmp_path, capsys, {
+            "command": "lyapunov-audit", "params": PARAMS,
+            "frequencies": [1e200], "n_random": 4})
+        assert code == 1 and "RuntimeWarning" not in err
+        assert payload["error"] == "SolverError"
+        assert not (out / "lyapunov_audit.json").exists()
 
     # an infinite horizon used to reach np.linspace, which warned on stderr,
     # and the refusal then named the times, not the key

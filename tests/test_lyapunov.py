@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disspec import (PreconditionError, RegimeError, SystemParams,
-                     audit_inequality, gronwall_check, search_constants)
+                     audit_inequality, gronwall_check, search_constants, symbol_stack)
 from disspec.core_model import build_symbol
-from disspec.lyapunov import (LyapunovConstants, _functionals_arrays, _rates,
-                              _unit_states, lyapunov_sigma, sandwich_fit)
+from disspec.lyapunov import (LyapunovConstants, _cross_matrix, _cross_terms,
+                              _functionals_arrays, _unit_states, lyapunov_sigma,
+                              sandwich_fit)
 from disspec.propagator import SymbolPropagator
+from oracles import rates, trajectory_audit
 
 
 def unit_states(n, rng):
@@ -37,12 +41,12 @@ class TestFunctionals:
 class TestDerivativeIdentities:
     """The time derivatives of F, K, P along exact trajectories must satisfy
     the displayed identities (with the single longitudinal speed k); this is
-    the numerical arbiter for the speed-naming ambiguity.  The audit's
-    closed-form rates (:func:`_rates`, polarization along Phi U) must give
-    the same identities to rounding."""
+    the numerical arbiter for the speed-naming ambiguity.  The closed-form
+    rates of the oracle (:func:`oracles.rates`, polarization along Phi U)
+    must give the same identities to rounding."""
 
     def _traj_derivative(self, params, xi, vec, name, h=1e-5):
-        """(finite-difference rate, audit's exact rate, state) at t = 1 of
+        """(finite-difference rate, the oracle's exact rate, state) at t = 1 of
         the functional ``name``: "E" (E_hat), "F", "K" or "P"."""
         dummy = LyapunovConstants(1, 1, 1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1)
         prop = SymbolPropagator(params, np.array([xi]))
@@ -51,7 +55,7 @@ class TestDerivativeIdentities:
         vals = _functionals_arrays(traj, xi, params, dummy)[{"F": 0, "K": 1, "P": 2, "E": 5}[name]]
         d = (vals[0] - 8 * vals[1] + 8 * vals[3] - vals[4]) / (12 * h)
         v = traj[2]
-        exact = _rates(v, build_symbol(params, xi).Phi @ v, xi, params)["EFKP".index(name)]
+        exact = rates(v, build_symbol(params, xi).Phi @ v, xi, params)["EFKP".index(name)]
         return d, exact, v
 
     @pytest.mark.parametrize("params", [
@@ -246,7 +250,7 @@ class TestExactRate:
         U, dL, rounding = stencil_rate(params, c, xi, states, times)
 
         kind, sigma = lyapunov_sigma(params, xi)
-        dE, dF, dK, dP = _rates(U, U @ build_symbol(params, xi).Phi.T, xi, params)
+        dE, dF, dK, dP = rates(U, U @ build_symbol(params, xi).Phi.T, xi, params)
         exact = c.d0 * sigma * dE + c.d1 * dF + c.d2 * dK + dP
         np.testing.assert_allclose(exact, dL, rtol=1e-6, atol=rounding)
         assert rep.weight_kind == kind
@@ -255,6 +259,67 @@ class TestExactRate:
         wE = (xi**2 if kind == "L1" else xi**2 / sigma) * 0.5 * np.sum(np.abs(U) ** 2, axis=-1)
         c0 = np.min(-dL / wE)
         assert abs(rep.c0_feasible - c0) <= 1e-6 * c0 + rounding / wE.min()
+
+
+_speed = st.floats(0.3, 2.5)
+_damping = st.floats(0.05, 2.0)
+
+
+class TestHermitianForm:
+    """The audit takes dL/dt and E_hat as Hermitian forms on the propagated
+    identity; the state-by-state audit of the oracle is its reference."""
+
+    p = SystemParams(1, 1, 0.5, 1, 1)
+
+    @pytest.mark.parametrize("params", [SystemParams(1, 1, 0.5, 1, 2),
+                                        SystemParams(2, 1.3, 0.7, 1.5, 0.4)])
+    def test_cross_matrix_is_the_functional(self, params):
+        c = search_constants(params)
+        xi = np.array([1e-5, 0.3, 1.0, 17.0, 1e3])
+        M = _cross_matrix(xi, params, c)
+        assert np.array_equal(M, M.conj().swapaxes(-1, -2))
+        s = unit_states(50, np.random.default_rng(11))
+        F, K, P = _cross_terms(s, xi[:, None], params)
+        form = np.einsum("ma,kab,mb->km", s.conj(), M, s).real
+        scale = np.abs(M).sum(axis=(1, 2))[:, None]
+        assert np.all(np.abs(form - (c.d1 * F + c.d2 * K + P)) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("n_random", [0, 7, 100])
+    def test_propagates_the_identity_only(self, monkeypatch, n_random):
+        blocks = []
+        stream = SymbolPropagator.states
+
+        def spy(prop, values0, times):
+            blocks.append(values0)
+            return stream(prop, values0, times)
+
+        monkeypatch.setattr(SymbolPropagator, "states", spy)
+        rep = audit_inequality(self.p, search_constants(self.p), [0.1, 1.0, 10.0],
+                               n_random=n_random)
+        assert len(blocks) == 1
+        assert np.array_equal(blocks[0], np.broadcast_to(np.eye(6), (3, 6, 6)))
+        assert rep.n_states == 6 + n_random
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(st.builds(SystemParams, _speed, _speed, _speed, _damping, _damping),
+           st.lists(st.floats(-5.0, 3.0).map(lambda e: 10.0**e), min_size=1, max_size=4),
+           st.integers(0, 40), st.integers(0, 2**32 - 1))
+    def test_matches_trajectory_audit(self, params, xi, n_random, seed):
+        c = search_constants(params)
+        rep = audit_inequality(params, c, xi, n_random=n_random, seed=seed)
+        per_freq, count, c0, floor = trajectory_audit(params, c, xi, n_random=n_random,
+                                                      seed=seed)
+        assert rep.violation_count == count
+        # either route sums terms up to |M_G| (1 + |Phi|)^2 and d0 sigma gamma
+        # on unit states, each to rounding
+        xi = np.asarray(xi)
+        size = (np.abs(_cross_matrix(xi, params, c)).sum(axis=(1, 2))
+                * (1.0 + np.abs(symbol_stack(params, xi)).sum(axis=(1, 2))) ** 2
+                + c.d0 * lyapunov_sigma(params, xi)[1] * (params.gamma1 + params.gamma2))
+        rounding = 64 * np.finfo(float).eps * size
+        assert np.all(np.abs(rep.per_frequency_violation - per_freq)
+                      <= 1e-6 * np.abs(per_freq) + rounding)
+        assert abs(rep.c0_feasible - c0) <= 1e-6 * abs(c0) + rounding.max() / floor
 
 
 class TestLowFrequency:
@@ -283,7 +348,8 @@ class TestAuditInput:
 
     @pytest.mark.parametrize("kwargs", [{"xi": []}, {"n_random": -3},
                                         {"horizon": 2e-3}, {"horizon": -1.0},
-                                        {"horizon": np.inf}])
+                                        {"horizon": np.inf}, {"xi": [0.0]},
+                                        {"xi": [0.0, 1e-160]}, {"xi": [1e-200]}])
     def test_refused(self, kwargs):
         args = {"xi": [1.0], **kwargs}
         with pytest.raises(PreconditionError):
