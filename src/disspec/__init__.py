@@ -19,7 +19,7 @@ from .errors import (CertificateRefused, DisspecError, PreconditionError,
 from .lyapunov import (AuditReport, LyapunovConstants, audit_inequality,
                        gronwall_check, sandwich_fit, search_constants)
 from .propagator import (FourierState, SymbolPropagator, default_grid,
-                         plancherel_norms)
+                         sobolev_norms)
 from .spectral import (AsymptoticCoeffs, BranchRate, CardanoClass,
                        GapCertificate, branch_continuation, cardano_classify,
                        eigenvalues_batch, gap_scan, high_freq_expansion,

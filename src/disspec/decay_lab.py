@@ -15,6 +15,12 @@ computes Sobolev seminorms by Plancherel quadrature, and fits decay laws:
 * a probe comparing the Lyapunov decay prediction against the slowest
   spectral branch.
 
+The quadrature is a weighted sum over the grid that the propagator reduces
+while it evolves (:func:`propagator.sobolev_norms`): the derivative orders
+of ``run_decay``, the packet norm and the synthesis's four regional
+integrals are weight columns of one pass, and no (frequencies, times)
+density is held.
+
 Grids are symmetric with geometric spacing near zero; all randomness is
 seeded.
 """
@@ -29,8 +35,8 @@ import numpy as np
 from .core_model import SystemParams, symbol_stack
 from .errors import PreconditionError, RegimeError, SolverError
 from .lyapunov import audit_inequality, lyapunov_sigma, sandwich_fit, search_constants
-from .propagator import (FourierState, SymbolPropagator, _sobolev_integrand,
-                         default_grid, plancherel_norms)
+from .propagator import (FourierState, SymbolPropagator, _sobolev_weights,
+                         _trapezoid_weights, default_grid, sobolev_norms)
 from .spectral import (_cluster_tags, eigenvalues_batch, gap_scan,
                        high_freq_expansion, low_freq_expansion)
 
@@ -220,14 +226,13 @@ def run_decay(exp: Experiment,
     params = exp.params
     state0 = build_initial_state(params, exp.profile, exp.grid)
     prop = SymbolPropagator(params, exp.grid)
-    density = prop.density(state0.values, exp.times)      # (nfreq, nt)
+    squared = sobolev_norms(prop, state0.values, exp.times, exp.j_orders)
 
     if fit_window is None:
         fit_window = (exp.times[-1] / 10.0, exp.times[-1])
 
     fits: dict[int, DecayFit] = {}
-    for j in exp.j_orders:
-        norms = np.sqrt(plancherel_norms(exp.grid, density, j))
+    for j, norms in zip(exp.j_orders, np.sqrt(squared)):
         increase = np.max(norms[1:] / np.maximum(norms[:-1], 1e-300)) - 1.0
         if increase > 1e-6:
             raise SolverError(
@@ -315,7 +320,12 @@ def packet_decay_time(params: SystemParams, xi0: float, width: float = 2.0,
         raise PreconditionError(f"n_times must be an integer >= 2, got {n_times!r}")
     if not t_max > 1e-2:
         raise PreconditionError(f"t_max must exceed the first time 1e-2, got {t_max!r}")
-    half = np.linspace(max(xi0 - 4.0 * width, 0.05), xi0 + 4.0 * width, 161)
+    # at least +-8 standard deviations 1/width of the bump
+    # exp(-((xi - xi0) width)^2 / 2); from width = sqrt 2 up the span stays
+    # +-4 width, since the decay times there carry grid noise of a few 1e-6
+    # that any other grid would move
+    span = max(8.0 / width, 4.0 * width)
+    half = np.linspace(max(xi0 - span, 0.05), xi0 + span, 161)
     grid = np.concatenate([-half[::-1], half])
     prof = Profile(kind="high_freq_packet", center=xi0, width=width,
                    component=component)
@@ -325,8 +335,7 @@ def packet_decay_time(params: SystemParams, xi0: float, width: float = 2.0,
     n2 = np.full(n_times, np.nan)
 
     def evaluate(idx: np.ndarray) -> None:
-        n2[idx] = plancherel_norms(grid, prop.density(state.values, times[idx]), 0,
-                                   check_tail=False)
+        n2[idx] = sobolev_norms(prop, state.values, times[idx], (0,), check_tail=False)[0]
         seen = n2[~np.isnan(n2)]
         rise = seen - np.minimum.accumulate(seen)
         if rise.max() > 1e-12 * n2[0]:
@@ -412,8 +421,10 @@ def three_region_synthesis(exp: Experiment, part: FrequencyPartition,
 
     # |xi|^{2j} |U_hat(0)|^2, refused up front where the weight overflows
     state0 = build_initial_state(params, exp.profile, grid)
-    data_w = _sobolev_integrand(
-        grid, np.linalg.norm(state0.values, axis=1)[:, None] ** 2, j)[0]
+    mass = np.sum(np.abs(state0.values) ** 2, axis=1)
+    trapezoid = _trapezoid_weights(grid)
+    sobolev = _sobolev_weights(grid, (j,), trapezoid * mass)[:, 0]
+    data_w = sobolev * mass
 
     hf = high_freq_expansion(params)
     validated = [b for b in hf.high_freq if np.isfinite(b.re_coefficient)]
@@ -450,15 +461,6 @@ def three_region_synthesis(exp: Experiment, part: FrequencyPartition,
     opnorm = np.empty((len(times), len(grid)))
     opnorm[:, union] = SymbolPropagator(params, grid[union]).operator_norms(times).T
 
-    density = SymbolPropagator(params, grid).density(state0.values, times)
-
-    def region_integral(mask: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """Trapezoid over the grid of f, given as (times, region frequencies)
-        and 0 outside the region."""
-        full = np.zeros((len(times), len(grid)))
-        full[:, mask] = f
-        return np.trapezoid(full, grid, axis=1)
-
     out: dict = {"j": j, "ell": ell, "q_tail": q, "c4_hat": c4_hat, "c2_hat": c2_hat,
                  "gap": cert.gap, "m_detected": m}
     bounds = np.zeros(len(times))
@@ -472,13 +474,14 @@ def three_region_synthesis(exp: Experiment, part: FrequencyPartition,
             out["p_fitted"] = p
             out["high_xi_range"] = (float(x.min()), float(x.max()))
         c = out[key] = float(np.max(nrm / shape(region, x)))
-        bounds += region_integral(mask, c**2 * shape(region, ax[mask]) ** 2 * data_w[mask])
+        bounds += (c**2 * shape(region, ax[mask]) ** 2 * data_w[mask]) @ trapezoid[mask]
 
-    # measured integrals of xi^{2j} |U_hat|^2, per region and in total
-    integ = _sobolev_integrand(grid, density, j)
-    for region, mask in masks.items():
-        out[f"I_{region}"] = region_integral(mask, integ[:, mask])
-    I_total = np.trapezoid(integ, grid, axis=1)
+    # measured integrals of xi^{2j} |U_hat|^2, per region and in total: four
+    # weight columns of one pass of the stream
+    columns = [masks["low"], masks["mid"], masks["high"], np.ones(len(grid), dtype=bool)]
+    weights = np.stack([np.where(col, trapezoid * sobolev, 0.0) for col in columns], axis=1)
+    sums, _, _ = SymbolPropagator(params, grid).plancherel_sums(state0.values, times, weights)
+    out["I_low"], out["I_mid"], out["I_high"], I_total = sums
     dominated = bounds >= I_total * (1.0 - 1e-9)
     if not np.all(dominated):
         i = int(np.argmin(bounds - I_total))

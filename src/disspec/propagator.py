@@ -47,16 +47,24 @@ batched eigen solve, and the weights and the basis are evaluated once per
 distinct spectrum (they depend only on the nodes and t, and a symmetric
 grid repeats each spectrum at +-xi).  The basis is contracted with the
 coefficients of its frequencies by one real batched matmul per chunk of
-rows, so Plancherel norms are reduced chunk by chunk
-(:meth:`SymbolPropagator.density`, :func:`plancherel_norms`) without ever
-holding the (times, frequencies, 6) trajectory.  Where the answer is even
-in xi, the rows themselves are reduced to one per distinct |xi|:
-Phi_r(-xi) = J Phi_r(xi) J with J = diag(1, -1, -1, 1, -1, 1), so operator
-norms are always even, and densities are even for data that are Hermitian
-bit for bit (:meth:`SymbolPropagator._hermitian`); the mirrored rows copy
-the first row of their |xi|.  Operator norms come from one batched
-eigvalsh of the Gram matrices of the real 6x6 e^{t Phi_r}, each scaled by
-its largest entry.
+rows.  Each (frequency, time) value is bitwise the same whatever other
+times are evaluated with it.
+
+Plancherel norms are a weighted reduction of that stream
+(:meth:`SymbolPropagator.plancherel_sums`, :func:`sobolev_norms`): the
+trapezoid rule times |xi|^{2j} is one weight per row and order, and each
+chunk's density sum_a |U_a|^2 is reduced at once into the per-time sums,
+the per-time peak and the two grid-edge values that the tail check needs.
+Neither the (times, frequencies, 6) trajectory nor a (frequencies, times)
+density is ever held.  Where the answer is even in xi, the rows themselves
+are reduced to one per distinct |xi|: Phi_r(-xi) = J Phi_r(xi) J with
+J = diag(1, -1, -1, 1, -1, 1), so operator norms are always even, and for
+data that are Hermitian bit for bit (:meth:`SymbolPropagator._hermitian`)
+the state at -xi is the conjugate of that at xi.  Then the weights of the
+rows of a |xi| fold into one per spectrum, and states write the mirrored
+rows as exact conjugates.  Operator norms come from one batched eigvalsh
+of the Gram matrices of the real 6x6 e^{t Phi_r}, each scaled by its
+largest entry.
 
 :class:`SymbolPropagator` is the only entry point to e^{t Phi}, and the
 route rule is consulted only there.  One frequency is a grid of one, and
@@ -82,7 +90,7 @@ from .spectral import eigenvalues_batch
 __all__ = [
     "FourierState",
     "default_grid",
-    "plancherel_norms",
+    "sobolev_norms",
     "SymbolPropagator",
 ]
 
@@ -406,9 +414,9 @@ class SymbolPropagator:
     The Newton weights depend only on the nodes, so the rows are reduced to
     their distinct spectra once, one per distinct |xi| (``nodes``, with
     ``row`` mapping each frequency to its spectrum; on a symmetric grid +-xi
-    share one).  :meth:`operator_norms`, and :meth:`density` of
-    Hermitian data, propagate only the first row of each distinct |xi| and
-    scatter the result through ``row``.
+    share one).  :meth:`operator_norms`, and :meth:`states` and
+    :meth:`plancherel_sums` of Hermitian data, propagate only the first row
+    of each distinct |xi|.
 
     Every evaluation propagates real columns Y of S^-1 X (:func:`_real_columns`)
     by e^{t Phi_r} chunk by chunk: a run of spectra gets its weights W and
@@ -435,6 +443,11 @@ class SymbolPropagator:
         self._partner = _partners(self.nodes)
         self._ambiguous_nodes = _ambiguous(self.nodes, self._partner)
         self.ambiguous = self._ambiguous_nodes[self.row]
+        # the rows grouped by spectrum, in grid order within each; the rows of
+        # the spectra a..b-1 are _by_spectrum[_ends[a]:_ends[b]]
+        self._by_spectrum = np.argsort(self.row, kind="stable")
+        self._ends = np.searchsorted(self.row[self._by_spectrum],
+                                     np.arange(len(self.nodes) + 1))
         self._phase_rate = np.finfo(float).eps * np.abs(self.nodes.imag).max(initial=0.0)
 
     @cached_property
@@ -494,33 +507,36 @@ class SymbolPropagator:
         """Yield (idx, V) chunk by chunk: V[k, a, m, q] is component a of
         e^{t Phi_r} Y at a frequency, column m and time times[q], all real,
         for the real columns Y = :func:`_real_columns` (X, keep) of a
-        (nfreq, 6, c) block X.  idx holds the frequency rows of V, or with
-        ``once`` its distinct spectra, a run of consecutive ones: then only
-        the first row of each distinct |xi| is evaluated, and the caller
-        copies V to the other rows of that |xi|."""
+        (nfreq, 6, c) block X.  idx holds the frequency rows of V, grouped by
+        spectrum in spectrum order, or with ``once`` its distinct spectra, a
+        run of consecutive ones: then only the first row of each distinct
+        |xi| is evaluated, and the caller accounts for the other rows of that
+        |xi|.  Every value is bitwise the same whatever other times are
+        evaluated with it."""
         nt, m = len(times), len(keep)
+        nspec = len(self.nodes)
         # e^{0 Phi_r} = I exactly, where the rows j > 1 of W sum to zero
         # only up to rounding
         zero = times == 0.0
-        sel = self._first if once else np.arange(len(self.grid))
-        spectrum = self.row[sel]
         # bytes per spectrum: its basis and the exponentials behind it, its
         # rows' states, and their chains and coefficients
-        rows_per = len(sel) / len(self.nodes)
+        rows_per = 1.0 if once else len(self.grid) / nspec
         step = max(1, int(_CHUNK_BYTES / (48 * (2 * nt + rows_per * m * (nt + 60)))))
-        starts = np.arange(0, len(self.nodes) + step, step)
-        by_spectrum = np.argsort(spectrum, kind="stable")
-        bounds = np.searchsorted(spectrum[by_spectrum], starts)
-        for s, lo, hi in zip(starts[:-1], bounds[:-1], bounds[1:]):
-            idx = by_spectrum[lo:hi]
-            rows = sel[idx]
-            W, psi = self._weights_and_basis(slice(s, s + step), times)
+        for s in range(0, nspec, step):
+            e = min(s + step, nspec)
+            idx = np.arange(s, e) if once else self._by_spectrum[self._ends[s]:self._ends[e]]
+            rows = self._first[idx] if once else idx
+            W, psi = self._weights_and_basis(slice(s, e), times)
+            if nt == 1:
+                # a product with one column takes numpy's matrix-vector
+                # kernel, whose summation order differs from the matrix kernel's
+                psi = np.repeat(psi, 2, axis=-1)
             at = self.row[rows] - s
             Y = _real_columns(X[rows], keep)
             Q = _q_chain(self.Phi_r[rows], self.lambdas[rows], Y)
             B = np.moveaxis(Q, 1, -1).reshape(len(rows), 6 * m, 6) @ W[at]
             C = _real_coefficients(B, self.lambdas[rows], self._partner[s + at])
-            V = (C @ psi[at]).reshape(len(rows), 6, m, nt)
+            V = (C @ psi[at])[..., :nt].reshape(len(rows), 6, m, nt)
             amb = np.flatnonzero(self.ambiguous[rows])
             if amb.size:
                 i = np.repeat(rows[amb], nt)
@@ -547,19 +563,29 @@ class SymbolPropagator:
         """Yield (rows, U) chunk by chunk: U[k, a, ..., q] is component a of
         the state at frequency rows[k] and time times[q]; the middle axis is
         the column of a (nfreq, 6, c) block and absent for (nfreq, 6).
-        U = S e^{t Phi_r} S^-1 X, assembled from the real stream that
-        :meth:`density` reduces.
+        U = S e^{t Phi_r} S^-1 X, assembled from the real stream.  For
+        Hermitian data (:meth:`_hermitian`) the stream runs on the first row
+        of each distinct |xi|, and every other row is written as the exact
+        conjugate of that row's state.
         """
         times = self._times(times)
         X = values0 if values0.ndim == 3 else values0[..., None]
         keep = _nonzero_columns(X)
         c = X.shape[2]
         re = keep < c
-        for rows, V in self._real_states(X, keep, times):
-            U = np.zeros((len(rows), 6, c, len(times)), dtype=complex)
+        once = self._hermitian(X)
+        for idx, V in self._real_states(X, keep, times, once):
+            U = np.zeros((len(idx), 6, c, len(times)), dtype=complex)
             U.real[:, :, keep[re]] = V[:, :, re]
             U.imag[:, :, keep[~re] - c] = V[:, :, ~re]
             U *= _REAL_SIMILARITY[:, None, None]
+            rows = idx
+            if once:
+                # every row of the run of spectra idx
+                rows = self._by_spectrum[self._ends[idx[0]]:self._ends[idx[-1] + 1]]
+                U = U[self.row[rows] - idx[0]]
+                mirrored = rows != self._first[self.row[rows]]
+                U[mirrored] = U[mirrored].conj()
             yield rows, U.reshape(len(rows), *values0.shape[1:], len(times))
 
     def apply(self, values: np.ndarray, dt: float) -> np.ndarray:
@@ -581,42 +607,66 @@ class SymbolPropagator:
             out[:, rows] = np.moveaxis(U, -1, 0)
         return out
 
-    def density(self, values0: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """sum_a |U_a(t)|^2 per frequency (and block column) and time.
+    def plancherel_sums(self, values0: np.ndarray, times: np.ndarray,
+                        weights: np.ndarray, scale: np.ndarray | None = None):
+        """Weighted sums over the grid of the density sum_a |U_a(xi, t)|^2 of
+        (nfreq, 6) data, reduced from the real stream chunk by chunk.
 
-        Shape (nfreq, ntimes), or (nfreq, c, ntimes) for a (nfreq, 6, c)
-        block.  The Plancherel integrand of :func:`plancherel_norms`: S is
-        unitary, so it is the sum of squares of the real stream's columns
-        of each block column, reduced chunk by chunk without holding the
-        trajectory.  For Hermitian data (:meth:`_hermitian`) the density is
-        even in xi: the stream runs on one row per distinct |xi| and the
-        mirrored rows copy it; any other data evaluate every row.
+        weights : (nfreq, w), one column per sum.
+        scale   : None, or (nfreq, w) nonnegative factors of the integrand
+                  whose peak and grid-edge values are wanted.
+        Returns (sums, peak, edges): sums (w, ntimes) is sum over the rows of
+        weights times the density; peak (w, ntimes) is the largest scale
+        times the density over the rows, and edges (w, 2, ntimes) that
+        product at the first and at the last row; both are None without
+        ``scale``.
+
+        S is unitary, so the density is the sum of squares of the stream's
+        real columns.  Each chunk's density is reduced as soon as it is made,
+        so no (nfreq, ntimes) array exists.  For Hermitian data
+        (:meth:`_hermitian`) the density is even in xi: the stream runs on
+        one row per distinct |xi|, and the weights of the rows of a |xi| are
+        folded into one per spectrum (their sum, and the largest scale).
+        Each time's sum is accumulated one spectrum (or row) at a time in a
+        fixed order, so it is bitwise the same whatever other times are
+        evaluated with it and however the stream is chunked.
         """
         times = self._times(times)
-        X = values0 if values0.ndim == 3 else values0[..., None]
-        keep = _nonzero_columns(X)
+        X = values0[..., None]
         once = self._hermitian(X)
-        dens = np.empty((len(self.grid), len(keep), len(times)))
-        # the rows of each spectrum, so that a chunk writes all its rows and
-        # no second (nfreq, ...) array is gathered
-        by_spectrum = np.argsort(self.row, kind="stable")
-        ends = np.searchsorted(self.row[by_spectrum], np.arange(len(self.nodes) + 1))
-        for idx, V in self._real_states(X, keep, times, once):
-            d = np.einsum("kamt,kamt->kmt", V, V)
-            if once:
-                # idx is a run of consecutive spectra a..b-1
-                a, b = idx[0], idx[-1] + 1
-                idx = by_spectrum[ends[a]:ends[b]]
-                d = d[self.row[idx] - a]
-            dens[idx] = d
-        # fold the real stream's columns onto their block columns
-        c = X.shape[2]
-        if not np.array_equal(keep % c, np.arange(c)):
-            out = np.zeros((len(self.grid), c, len(times)))
-            for col, q in enumerate(keep % c):
-                out[:, q] += dens[:, col]
-            dens = out
-        return dens if values0.ndim == 3 else dens[:, 0]
+        edge_rows = np.array([0, len(self.grid) - 1])
+        w, s, edge_units = np.asarray(weights, dtype=float), scale, edge_rows
+        if once:
+            # fold the rows of each spectrum, which are consecutive in
+            # _by_spectrum, onto it
+            w = np.add.reduceat(w[self._by_spectrum], self._ends[:-1], axis=0)
+            if scale is not None:
+                s = np.maximum.reduceat(scale[self._by_spectrum], self._ends[:-1], axis=0)
+            edge_units = self.row[edge_rows]
+        sums = np.zeros((w.shape[1], len(times)))
+        peak = edges = None
+        if scale is not None:
+            peak = np.zeros_like(sums)
+            edges = np.zeros((w.shape[1], 2, len(times)))
+        for idx, V in self._real_states(X, _nonzero_columns(X), times, once):
+            # the sum of squares column by column, so that its order is the
+            # same for any number of times
+            sq = V.reshape(len(idx), -1, len(times))
+            sq *= sq
+            d = sq[:, 0].copy()
+            for col in range(1, sq.shape[1]):
+                d += sq[:, col]
+            part = w[idx, :, None] * d[:, None]
+            part[0] += sums
+            sums = np.cumsum(part, axis=0, out=part)[-1]
+            if scale is None:
+                continue
+            np.maximum(peak, (s[idx, :, None] * d[:, None]).max(axis=0), out=peak)
+            for side, (row, unit) in enumerate(zip(edge_rows, edge_units)):
+                at = np.flatnonzero(idx == unit)
+                if at.size:
+                    edges[:, side] = scale[row, :, None] * d[at[0]]
+        return sums, peak, edges
 
     def operator_norms(self, times: np.ndarray) -> np.ndarray:
         """2-norm of e^{Phi t} per frequency and time: shape (nfreq, ntimes).
@@ -645,50 +695,71 @@ class SymbolPropagator:
         return out[self.row]
 
 
-def _sobolev_integrand(grid: np.ndarray, density: np.ndarray, j: int) -> np.ndarray:
-    """|xi|^{2j} density of shape (ntimes, nfreq), so each time's sum runs
-    over a contiguous row; density is (nfreq, ntimes).
+def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
+    """w with sum_i w_i f_i the trapezoid rule of f over the grid:
+    w_i = (xi_{i+1} - xi_{i-1}) / 2, one-sided at the two ends."""
+    d = 0.5 * np.diff(grid)
+    w = np.zeros(len(grid))
+    w[:-1] += d
+    w[1:] += d
+    return w
 
-    Refuses an order that is not a nonnegative integer, and one whose weight
-    or weighted density is not finite on the grid (|xi|^{2j} overflows past
-    1.8e308, say j = 97 at |xi| = 40), naming the order and the largest |xi|.
+
+def _sobolev_weights(grid: np.ndarray, j_orders, mass: np.ndarray) -> np.ndarray:
+    """|xi|^{2j} per grid row and order: shape (nfreq, len(j_orders)).
+
+    mass : (nfreq,) trapezoid weight times the density of the data at
+    t = 0.  e^{t Phi} is a contraction, so the density at t = 0 bounds it at
+    every time.  Refuses an order that is not a nonnegative integer, and one
+    whose weight times ``mass`` is not finite on the grid (|xi|^{2j}
+    overflows past 1.8e308, say j = 97 at |xi| = 40), naming the order and
+    the largest |xi|.
     """
-    if j < 0 or int(j) != j:
-        raise PreconditionError(f"derivative order must be a nonnegative integer, got {j}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        integrand = np.abs(grid) ** (2 * j) * np.ascontiguousarray(density.T)
-    if not np.all(np.isfinite(integrand)):
-        raise PreconditionError(
-            f"derivative order j = {j} is too high for the grid: |xi|^(2j) times the "
-            f"density is not finite up to |xi| = {np.abs(grid).max():.6g}")
-    return integrand
+    out = np.empty((len(grid), len(j_orders)))
+    for col, j in enumerate(j_orders):
+        if j < 0 or int(j) != j:
+            raise PreconditionError(f"derivative order must be a nonnegative integer, got {j}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[:, col] = np.abs(grid) ** (2 * j)
+            finite = np.all(np.isfinite(out[:, col] * mass))
+        if not finite:
+            raise PreconditionError(
+                f"derivative order j = {j} is too high for the grid: |xi|^(2j) times "
+                f"the density is not finite up to |xi| = {np.abs(grid).max():.6g}")
+    return out
 
 
 #: an integrand at a grid edge above this fraction of its peak refuses
 _TAIL_RTOL = 1e-12
 
 
-def plancherel_norms(grid: np.ndarray, density: np.ndarray, j: int,
-                     check_tail: bool = True) -> np.ndarray:
-    """Squared Sobolev seminorms at several times: trapezoid of
-    |xi|^{2j} density over the grid (:func:`_sobolev_integrand`).
+def sobolev_norms(prop: SymbolPropagator, values0: np.ndarray, times: np.ndarray,
+                  j_orders, check_tail: bool = True) -> np.ndarray:
+    """Squared Sobolev seminorms ||d_x^j U(t)||^2 of (nfreq, 6) data by
+    Plancherel: the trapezoid rule over the grid of |xi|^{2j} times the
+    density sum_a |U_a(xi, t)|^2.  Returns shape (len(j_orders), ntimes).
 
-    density : (nfreq, ntimes) values of sum_a |U_a|^2, as returned by
-              :meth:`SymbolPropagator.density`.
-    Returns shape (ntimes,).  Refuses (with the edge values of the first
-    offending time) when the integrand at a grid edge exceeds 1e-12 times
-    its peak at that time, since the missing tail mass would then pollute
-    the value.
+    The trapezoid rule is a weighted sum: each row weighs its trapezoid
+    weight times |xi|^{2j} (:func:`_sobolev_weights`), one column per order,
+    and :meth:`SymbolPropagator.plancherel_sums` reduces every order in one
+    pass of the stream.  With ``check_tail`` it refuses (with the edge
+    values of the first offending (j, t), j-major) when the integrand at a
+    grid edge exceeds 1e-12 times its peak at that time, since the missing
+    tail mass would then pollute the value.
     """
-    integrand = _sobolev_integrand(grid, density, j)
+    grid = prop.grid
+    trapezoid = _trapezoid_weights(grid)
+    mass = np.sum(values0.real ** 2 + values0.imag ** 2, axis=1)
+    scale = _sobolev_weights(grid, j_orders, trapezoid * mass)
+    sums, peak, edges = prop.plancherel_sums(values0, times, trapezoid[:, None] * scale,
+                                             scale if check_tail else None)
     if check_tail:
-        peak = integrand.max(axis=1)
-        edge = np.maximum(integrand[:, 0], integrand[:, -1])
-        bad = np.flatnonzero((peak > 0.0) & (edge > _TAIL_RTOL * peak))
+        edge = edges.max(axis=1)
+        bad = np.argwhere((peak > 0.0) & (edge > _TAIL_RTOL * peak))
         if bad.size:
-            q = bad[0]
+            o, q = bad[0]
             raise TailMassError(
-                f"integrand tail at grid edge = {edge[q]:.3e} exceeds "
-                f"{_TAIL_RTOL:.0e} x peak ({peak[q]:.3e}); widen the grid",
-                edge_values=(float(integrand[q, 0]), float(integrand[q, -1])))
-    return np.trapezoid(integrand, grid, axis=-1)
+                f"integrand tail at grid edge = {edge[o, q]:.3e} exceeds "
+                f"{_TAIL_RTOL:.0e} x peak ({peak[o, q]:.3e}); widen the grid",
+                edge_values=(float(edges[o, 0, q]), float(edges[o, 1, q])))
+    return sums

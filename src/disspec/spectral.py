@@ -454,11 +454,18 @@ def gap_scan(params: SystemParams, nu: float, N: float,
     relative between refinements.  Any scanned frequency with
     max Re lambda >= -1e-10 refuses the certificate with that witness.
     Each refinement level is one batched eigen solve.
+
+    gamma2 = 0 refuses before any solve, with witness nu and real part 0:
+    lambda^2 + k^2 (l^2 + xi^2) is then an exact factor of the
+    characteristic polynomial, so +-i k sqrt(l^2 + xi^2) is an undamped
+    pair at every frequency.
     """
     if not (0.0 < nu < N):
         raise PreconditionError(f"need 0 < nu < N, got nu={nu}, N={N}")
     if initial_points < 2:
         raise PreconditionError("initial_points must be at least 2")
+    if params.gamma2 == 0.0:
+        raise CertificateRefused(float(nu), 0.0)
 
     def scan(grid: np.ndarray) -> np.ndarray:
         return eigenvalues_batch(params, grid)[0].real.max(axis=1)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 
 from disspec.core_model import _sextic_coeffs, build_matrices, char_poly_coeffs
-from disspec.errors import PreconditionError, RegimeError
+from disspec.errors import PreconditionError, RegimeError, TailMassError
 from disspec.spectral import _putzer_order
 
 
@@ -189,21 +189,56 @@ def six_exp_table(lam, t):
     return r
 
 
-def packet_ratio_scan(params, xi0, width=2.0, component="v", t_max=1e6, n_times=400):
+def density(prop, values0, times):
+    """sum_a |U_a(t)|^2 per frequency (and block column) and time, from the
+    whole trajectory of :meth:`disspec.SymbolPropagator.propagate_many`:
+    shape (nfreq, ntimes), or (nfreq, c, ntimes) for a (nfreq, 6, c) block."""
+    traj = prop.propagate_many(values0, times)
+    return np.moveaxis(np.sum(np.abs(traj) ** 2, axis=2), 0, -1)
+
+
+def plancherel_norms(grid, dens, j, check_tail=True):
+    """Squared Sobolev seminorms at several times: np.trapezoid of
+    |xi|^{2j} dens over the grid, dens of shape (nfreq, ntimes).  Raises
+    TailMassError (with the edge values of the first offending time) where
+    the integrand at a grid edge exceeds 1e-12 times its peak."""
+    integrand = np.abs(grid) ** (2 * j) * np.ascontiguousarray(dens.T)
+    if check_tail:
+        peak = integrand.max(axis=1)
+        edge = np.maximum(integrand[:, 0], integrand[:, -1])
+        bad = np.flatnonzero((peak > 0.0) & (edge > 1e-12 * peak))
+        if bad.size:
+            q = bad[0]
+            raise TailMassError("integrand tail at grid edge exceeds 1e-12 x peak",
+                                edge_values=(float(integrand[q, 0]), float(integrand[q, -1])))
+    return np.trapezoid(integrand, grid, axis=-1)
+
+
+def packet_grid(xi0, width, sigmas=8.0, n=161):
+    """The symmetric grid of :func:`disspec.decay_lab.packet_decay_time`:
+    ``n`` points on each side spanning xi0 +- max(sigmas / width, 4 width).
+    Wider and finer grids serve as its reference."""
+    span = max(sigmas / width, 4.0 * width)
+    half = np.linspace(max(xi0 - span, 0.05), xi0 + span, n)
+    return np.concatenate([-half[::-1], half])
+
+
+def packet_ratio_scan(params, xi0, width=2.0, component="v", t_max=1e6, n_times=400,
+                      grid=None):
     """The packet's squared norm relative to its start at every one of the
     ``n_times`` times of :func:`disspec.decay_lab.packet_decay_time`: the
-    same grid, data and propagator, with the density at all times at once.
-    Returns (times, ratio)."""
+    same grid (unless ``grid`` is given), data and propagator, with all the
+    times in one call.  Returns (times, ratio)."""
     from disspec.decay_lab import Profile, build_initial_state
-    from disspec.propagator import SymbolPropagator, plancherel_norms
+    from disspec.propagator import SymbolPropagator, sobolev_norms
 
-    half = np.linspace(max(xi0 - 4.0 * width, 0.05), xi0 + 4.0 * width, 161)
-    grid = np.concatenate([-half[::-1], half])
+    if grid is None:
+        grid = packet_grid(xi0, width)
     prof = Profile(kind="high_freq_packet", center=xi0, width=width, component=component)
     state = build_initial_state(params, prof, grid)
     times = np.geomspace(1e-2, t_max, n_times)
-    dens = SymbolPropagator(params, grid).density(state.values, times)
-    n2 = plancherel_norms(grid, dens, 0, check_tail=False)
+    n2 = sobolev_norms(SymbolPropagator(params, grid), state.values, times, (0,),
+                       check_tail=False)[0]
     return times, n2 / n2[0]
 
 

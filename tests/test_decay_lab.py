@@ -9,14 +9,13 @@ from disspec import (Experiment, FrequencyPartition,
                      PreconditionError, Profile, RegimeError, SymbolPropagator,
                      SystemParams, TailMassError, build_initial_state,
                      default_grid, eigenvalues_batch, fit_pointwise_rate,
-                     optimality_probe, plancherel_norms, run_decay,
-                     three_region_synthesis)
+                     optimality_probe, run_decay, three_region_synthesis)
 from disspec import decay_lab
 from disspec.core_model import build_symbol
 from disspec.decay_lab import _conservative_vector, packet_decay_time
 from disspec.errors import SolverError
 
-from oracles import packet_ratio_scan, scan_crossing
+from oracles import packet_grid, packet_ratio_scan, plancherel_norms, scan_crossing
 
 
 def small_grid(xi_max=10.0):
@@ -173,18 +172,33 @@ class TestFusedNorms:
             (integrand[0], integrand[-1]), rel=1e-12)
 
     def test_norm_increase_refused(self, monkeypatch):
-        true_density = SymbolPropagator.density
+        true_sums = SymbolPropagator.plancherel_sums
 
-        def growing(self, values0, times):
-            return true_density(self, values0, times) * (1.0 + times)
+        def growing(self, values0, times, weights, scale=None):
+            sums, peak, edges = true_sums(self, values0, times, weights, scale)
+            return sums * (1.0 + times), peak, edges
 
-        monkeypatch.setattr(SymbolPropagator, "density", growing)
+        monkeypatch.setattr(SymbolPropagator, "plancherel_sums", growing)
         exp = Experiment(params=SystemParams(1, 1, 0.5, 1, 1),
                          profile=Profile(kind="gaussian", width=1.0),
                          times=np.geomspace(1.0, 10.0, 5), j_orders=(0,),
                          grid=small_grid())
         with pytest.raises(SolverError, match="increased"):
             run_decay(exp)
+
+    def test_memory_below_one_density(self):
+        import tracemalloc
+
+        exp = self.readme_decay()
+        run_decay(exp, fit_window=(1e2, 1e4))
+        tracemalloc.start()
+        try:
+            run_decay(exp, fit_window=(1e2, 1e4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 4.4 MB measured; 7.7 MB while the (4097, 40) density was stored
+        assert peak < 6e6
 
 
 class TestPointwiseRates:
@@ -216,6 +230,21 @@ class TestPacketTiming:
 
 #: the benchmark's packet runs: (params, t_max) for each centre
 PACKET_RUNS = [(SystemParams(2, 1, 1, 1, 1), 1e6), (SystemParams(1, 1, 1, 1, 1), 1e3)]
+
+
+class TestPacketGrid:
+    @pytest.mark.parametrize("width", [0.5, 1.0])
+    @pytest.mark.parametrize("xi0", [10.0, 20.0, 40.0])
+    @pytest.mark.parametrize("params, t_max", PACKET_RUNS)
+    def test_narrow_bump_matches_a_wider_finer_grid(self, params, t_max, xi0, width):
+        # the bump's xi standard deviation is 1/width, so below width = sqrt 2
+        # a grid of +-4 width cuts it off; reference: a grid twice as wide
+        # with a step four times as fine
+        times, ratio = packet_ratio_scan(params, xi0, width=width, t_max=t_max,
+                                         grid=packet_grid(xi0, width, 16.0, 1281))
+        ref = scan_crossing(times, ratio, math.exp(-2.0))
+        got = packet_decay_time(params, xi0, width=width, t_max=t_max)
+        assert got == pytest.approx(ref, rel=1e-5)
 
 
 def scanned(params, xi0, level=math.exp(-2.0), **kw):
@@ -294,29 +323,30 @@ class TestPacketBracket:
     def test_rising_norm_is_solver_error(self, monkeypatch, rise_at):
         params, t_max = PACKET_RUNS[1]
         times, ratio = packet_ratio_scan(params, 10.0, t_max=t_max)
-        density = SymbolPropagator.density
+        true_sums = SymbolPropagator.plancherel_sums
         # a coarse rise at t = times[20]; a fine one at times[5], which only
         # the second pass evaluates, with the crossing on times[20]
         bump = times[20] if rise_at == "coarse" else times[5]
 
-        def rising(self, values0, t):
-            return density(self, values0, t) * np.where(t == bump, 2.0, 1.0)
+        def rising(self, values0, t, weights, scale=None):
+            sums, peak, edges = true_sums(self, values0, t, weights, scale)
+            return sums * np.where(t == bump, 2.0, 1.0), peak, edges
 
-        monkeypatch.setattr(SymbolPropagator, "density", rising)
+        monkeypatch.setattr(SymbolPropagator, "plancherel_sums", rising)
         with pytest.raises(SolverError, match="rose"):
             packet_decay_time(params, 10.0, level=ratio[20], t_max=t_max)
 
     def test_rise_within_rounding_passes(self, monkeypatch):
         params, t_max = PACKET_RUNS[1]
         times, ratio = packet_ratio_scan(params, 10.0, t_max=t_max)
-        density = SymbolPropagator.density
+        true_sums = SymbolPropagator.plancherel_sums
 
-        def flat(self, values0, t):
-            # every density held at its t = 1e-2 value, plus 1e-13 of it
-            d = density(self, values0, times[:1])
-            return d * np.where(t > times[0], 1.0 + 1e-13, 1.0)
+        def flat(self, values0, t, weights, scale=None):
+            # every norm held at its t = 1e-2 value, plus 1e-13 of it
+            sums, peak, edges = true_sums(self, values0, times[:1], weights, scale)
+            return sums * np.where(t > times[0], 1.0 + 1e-13, 1.0), peak, edges
 
-        monkeypatch.setattr(SymbolPropagator, "density", flat)
+        monkeypatch.setattr(SymbolPropagator, "plancherel_sums", flat)
         assert packet_decay_time(params, 10.0, level=1.0, t_max=t_max) == times[0]
         with pytest.raises(PreconditionError, match="never reached"):
             packet_decay_time(params, 10.0, t_max=t_max)
@@ -325,14 +355,14 @@ class TestPacketBracket:
     @pytest.mark.parametrize("level", [math.exp(-2.0), 0.9999, 1e-9])
     def test_times_evaluated(self, monkeypatch, n_times, level):
         params, t_max = PACKET_RUNS[1]
-        density = SymbolPropagator.density
+        true_sums = SymbolPropagator.plancherel_sums
         seen = []
 
-        def spy(self, values0, t):
+        def spy(self, values0, t, weights, scale=None):
             seen.append(len(t))
-            return density(self, values0, t)
+            return true_sums(self, values0, t, weights, scale)
 
-        monkeypatch.setattr(SymbolPropagator, "density", spy)
+        monkeypatch.setattr(SymbolPropagator, "plancherel_sums", spy)
         bracketed(params, 10.0, level=level, t_max=t_max, n_times=n_times)
         assert sum(seen) <= 2 * math.isqrt(n_times) + 2
 
@@ -384,7 +414,7 @@ class TestSynthesis:
         assert slope == pytest.approx(slope_oracle, rel=0.05)
 
     def test_two_propagators(self, monkeypatch):
-        # one for the data's density, one for the three thinned regions
+        # one for the data's norms, one for the three thinned regions
         built = []
 
         class Spy(SymbolPropagator):

@@ -10,7 +10,7 @@ from disspec.lyapunov import (LyapunovConstants, _cross_matrix, _cross_terms,
                               _functionals_arrays, _unit_states, lyapunov_sigma,
                               sandwich_fit)
 from disspec.propagator import SymbolPropagator
-from oracles import rates, trajectory_audit
+from oracles import density, rates, trajectory_audit
 
 
 def unit_states(n, rng):
@@ -415,7 +415,7 @@ class TestSandwichAndGronwall:
         assert worst == pytest.approx((exact / allowed).max(), rel=1e-9)
         # E(t)/E(0) of 32 random unit states per frequency
         states = _unit_states(np.random.default_rng(5), len(xi), 32)
-        E = SymbolPropagator(params, xi).density(states.transpose(0, 2, 1), t_grid)
+        E = density(SymbolPropagator(params, xi), states.transpose(0, 2, 1), t_grid)
         assert worst >= (E / allowed[:, None]).max()
 
     def test_gronwall_bound_holds(self):

@@ -6,18 +6,19 @@ from scipy.linalg import expm
 
 from disspec import (FourierState, PreconditionError, SolverError,
                      SystemParams, TailMassError, build_symbol, default_grid,
-                     eigenvalues_batch, plancherel_norms)
+                     eigenvalues_batch, sobolev_norms)
 from disspec import propagator as propagator_module
 from disspec.decay_lab import _conservative_vector
 from disspec.propagator import (_EXP_FLOOR, SymbolPropagator, _ambiguous, _basis,
                                 _newton_weights, _partners, _q_chain, _r_bidiag)
-from oracles import dissipation, energy, energy_audit, r_chain_mp, six_exp_table
+from oracles import (density, dissipation, energy, energy_audit, plancherel_norms,
+                     r_chain_mp, six_exp_table)
 
 
 def plancherel_norm(state, j):
-    """Squared Sobolev seminorm of one state: :func:`plancherel_norms` at one time."""
-    density = np.sum(np.abs(state.values) ** 2, axis=1)[:, None]
-    return float(plancherel_norms(state.grid, density, j)[0])
+    """Squared Sobolev seminorm of one state: :func:`sobolev_norms` at t = 0."""
+    prop = SymbolPropagator(state.params, state.grid)
+    return float(sobolev_norms(prop, state.values, [0.0], (j,))[0, 0])
 
 
 def defective_nodes():
@@ -270,7 +271,7 @@ class TestConjugateMirror:
         prop = SymbolPropagator(SystemParams(1, 1, 0.5, 1, 1), default_grid())
         calls = self.spy(monkeypatch)
         times = np.geomspace(1.0, 1e4, 40)
-        prop.density(np.ones((len(prop.grid), 6)), times)
+        prop.plancherel_sums(np.ones((len(prop.grid), 6)), times, np.ones((len(prop.grid), 1)))
         cells = sum(size for _, size in calls)
         complex_cells = sum(size for kind, size in calls if kind == "c")
         assert cells <= 0.6 * 6 * len(prop.nodes) * len(times)
@@ -497,13 +498,15 @@ class TestVectorizedPropagator:
         nrm = prop.operator_norms(np.geomspace(0.01, 100, 12))
         assert np.all(nrm <= 1.0 + 1e-9)
 
-    @pytest.mark.parametrize("method", ["propagate_many", "density", "operator_norms"])
+    @pytest.mark.parametrize("method", ["propagate_many", "plancherel_sums", "operator_norms"])
     def test_negative_time_rejected(self, method):
         # e^{-t Phi} grows: ||e^{-Phi}|| = 2.67 at xi = 0.5 for these params
         prop = SymbolPropagator(SystemParams(1, 1, 0.5, 1, 1), np.array([0.5, 1.0]))
         args = (np.array([0.0, -1.0]),)
         if method != "operator_norms":
             args = (np.ones((2, 6), dtype=complex),) + args
+        if method == "plancherel_sums":
+            args += (np.ones((2, 1)),)
         with pytest.raises(PreconditionError, match="finite and >= 0"):
             getattr(prop, method)(*args)
 
@@ -589,9 +592,11 @@ class TestSharedTable:
             for q, t in enumerate(times):
                 ref = expm(prop.Phi[i] * t) @ block[i]
                 assert np.max(np.abs(traj[q, i] - ref)) <= 1e-10
-        dens = prop.density(block, times)
-        ref = np.sum(np.abs(traj) ** 2, axis=2).transpose(1, 2, 0)
-        assert np.max(np.abs(dens - ref) / ref) <= 1e-13
+        # the reduction of each block column, one weight column per row
+        for col in range(block.shape[2]):
+            dens = prop.plancherel_sums(block[:, :, col], times, np.eye(len(grid)))[0]
+            ref = np.sum(np.abs(traj[..., col]) ** 2, axis=2).T
+            assert np.max(np.abs(dens - ref) / ref) <= 1e-13
 
     def test_operator_norms_match_expm(self):
         params = SystemParams(*self.REGIMES[-1])
@@ -614,9 +619,10 @@ class TestSharedTable:
         vals = self.data(len(grid))
         times = np.geomspace(0.1, 50.0, 9)
         ref = np.sum(np.abs(prop.propagate_many(vals, times)) ** 2, axis=2).T
-        # several chunks, each with its own slice of the table
+        # several chunks, each with its own slice of the table; one weight
+        # column per row reads the density back
         monkeypatch.setattr(propagator_module, "_CHUNK_BYTES", 96 * len(times) * 7)
-        dens = prop.density(vals, times)
+        dens = prop.plancherel_sums(vals, times, np.eye(len(grid)))[0]
         assert dens.shape == (len(grid), len(times))
         assert np.max(np.abs(dens - ref) / ref) <= 1e-13
 
@@ -676,7 +682,7 @@ class TestSharedTable:
         times = np.geomspace(1.0, 1e4, 40)
         tracemalloc.start()
         try:
-            prop.density(vals, times)
+            sobolev_norms(prop, vals, times, (0, 1, 2))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -717,8 +723,10 @@ class TestOncePerAbsXi:
     @staticmethod
     def per_row(p, grid, vals, times):
         """The density evaluated by a one-frequency propagator per row."""
-        return np.concatenate([SymbolPropagator(p, grid[i:i + 1]).density(vals[i:i + 1], times)
-                               for i in range(len(grid))])
+        return np.concatenate([
+            SymbolPropagator(p, grid[i:i + 1]).plancherel_sums(vals[i:i + 1], times,
+                                                               np.ones((1, 1)))[0]
+            for i in range(len(grid))])
 
     def test_operator_norms_match_svd(self):
         # a symmetric grid about the defective point's ambiguous xi = 0 row,
@@ -747,7 +755,7 @@ class TestOncePerAbsXi:
         prop.operator_norms(self.TIMES)
         assert sum(rows) == len(prop.nodes)
         rows.clear()
-        prop.density(self.hermitian(self.GRID), self.TIMES)
+        prop.plancherel_sums(self.hermitian(self.GRID), self.TIMES, np.ones((len(self.GRID), 1)))
         assert sum(rows) == len(prop.nodes)
 
     @pytest.mark.parametrize("kind", ["ulp", "complex", "asymmetric"])
@@ -765,21 +773,119 @@ class TestOncePerAbsXi:
         prop = SymbolPropagator(self.P, grid)
         assert len(prop.nodes) < len(grid)
         rows = self.spy(monkeypatch)
-        dens = prop.density(vals, self.TIMES)
+        dens = prop.plancherel_sums(vals, self.TIMES, np.eye(len(grid)))[0]
         assert sum(rows) == len(grid)
         monkeypatch.undo()
         ref = self.per_row(self.P, grid, vals, self.TIMES)
         assert np.max(np.abs(dens - ref) / ref) <= 1e-14
 
+    def test_hermitian_states_once_per_abs_xi(self, monkeypatch):
+        prop = SymbolPropagator(self.P, self.GRID)
+        vals = self.hermitian(self.GRID)
+        rows = self.spy(monkeypatch)
+        traj = prop.propagate_many(vals, self.TIMES)
+        assert sum(rows) == len(prop.nodes)
+        # the mirrored rows are the exact conjugates of the first rows
+        pos, neg = self.GRID > 0, self.GRID < 0
+        assert np.array_equal(traj[:, pos], traj[:, neg][:, ::-1].conj())
+        monkeypatch.undo()
+        for i in np.flatnonzero(pos)[::9]:
+            ref = SymbolPropagator(self.P, self.GRID[i:i + 1]).propagate_many(
+                vals[i:i + 1], self.TIMES)[:, 0]
+            assert np.max(np.abs(traj[:, i] - ref)) <= 1e-14 * np.abs(ref).max()
+
     def test_hermitian_density_is_the_positive_half(self):
         vals = self.hermitian(self.GRID)
-        dens = SymbolPropagator(self.P, self.GRID).density(vals, self.TIMES)
+        dens = SymbolPropagator(self.P, self.GRID).plancherel_sums(
+            vals, self.TIMES, np.eye(len(self.GRID)))[0]
         half = self.GRID >= 0
-        ref = SymbolPropagator(self.P, self.GRID[half]).density(vals[half], self.TIMES)
+        ref = SymbolPropagator(self.P, self.GRID[half]).plancherel_sums(
+            vals[half], self.TIMES, np.eye(half.sum()))[0]
         # the full grid evaluates the first row of each |xi|, on the negative side
         for side in (self.GRID[half], -self.GRID[half]):
             got = dens[np.searchsorted(self.GRID, side)]
             assert np.max(np.abs(got - ref) / ref) <= 1e-14
+
+
+class TestPlancherelSums:
+    """Sobolev norms reduced inside the stream against the trajectory."""
+
+    GRID = default_grid(xi_max=12.0, n_geo=96, n_lin=96)
+    TIMES = np.geomspace(0.1, 50.0, 9)
+    PARAMS = [SystemParams(1, 1, 0.5, 1, 1),
+              SystemParams(1, 1, np.sqrt(8.0), 0, np.sqrt(27.0))]   # ambiguous xi = 0
+
+    @staticmethod
+    def data(grid, hermitian, seed=4):
+        rng = np.random.default_rng(seed)
+        vals = rng.normal(size=(len(grid), 6)) + 1j * rng.normal(size=(len(grid), 6))
+        if hermitian:
+            vals[grid < 0] = vals[grid > 0][::-1].conj()
+            vals[grid == 0] = vals[grid == 0].real
+        return np.exp(-0.5 * grid**2)[:, None] * vals
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_matches_trajectory_quadrature(self, params, hermitian):
+        prop = SymbolPropagator(params, self.GRID)
+        assert prop.ambiguous.any() == (params.gamma1 == 0)
+        vals = self.data(self.GRID, hermitian)
+        assert prop._hermitian(vals[..., None]) == hermitian
+        got = sobolev_norms(prop, vals, self.TIMES, (0, 1, 2))
+        dens = density(prop, vals, self.TIMES)
+        for row, j in zip(got, (0, 1, 2)):
+            ref = plancherel_norms(self.GRID, dens, j)
+            assert np.max(np.abs(row - ref) / ref) <= 1e-13
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_each_time_bitwise_alone_and_in_subsets(self, hermitian):
+        # the packet run's grid and times, whose bracket evaluates subsets;
+        # the chunks change with the number of times, the summation order not
+        from disspec.decay_lab import Profile, build_initial_state
+        from oracles import packet_grid
+
+        params = SystemParams(2, 1, 1, 1, 1)
+        grid = packet_grid(10.0, 2.0)
+        if hermitian:
+            vals = build_initial_state(params, Profile(kind="high_freq_packet", center=10.0,
+                                                       width=2.0, component="v"), grid).values
+        else:
+            vals = self.data(grid - 10.0 * np.sign(grid), hermitian=False)
+        prop = SymbolPropagator(params, grid)
+        times = np.geomspace(1e-2, 1e6, 400)
+        full = sobolev_norms(prop, vals, times, (0, 1, 2), check_tail=False)
+        for subset in [[q] for q in range(0, 400, 7)] + [list(range(0, 399, 20)) + [399],
+                                                        list(range(41, 60)), [5, 17, 399]]:
+            part = sobolev_norms(prop, vals, times[subset], (0, 1, 2), check_tail=False)
+            assert np.array_equal(part, full[:, subset])
+        alone = [sobolev_norms(prop, vals, times[q:q + 1], (0,), check_tail=False)[0, 0]
+                 for q in range(400)]
+        assert np.array_equal(alone, full[0])
+
+    def test_first_offending_order_and_time(self):
+        # j = 2 reaches the edge first: the refusal names the first bad
+        # (j, t) in j-major order, with that order's edge values
+        grid = np.linspace(-4.0, 4.0, 161)
+        prop = SymbolPropagator(self.PARAMS[0], grid)
+        vals = np.exp(-grid**2)[:, None] * np.ones(6)
+        times = np.array([0.0, 1.0, 2.0])
+        with pytest.raises(TailMassError) as info:
+            sobolev_norms(prop, vals, times, (0, 2))
+        dens = density(prop, vals, times)
+        with pytest.raises(TailMassError) as oracle:
+            plancherel_norms(grid, dens, 2)
+        assert info.value.edge_values == pytest.approx(oracle.value.edge_values, rel=1e-12)
+        plancherel_norms(grid, dens, 0)     # j = 0 alone passes
+
+    @pytest.mark.parametrize("j, grid", [(97, np.linspace(-40.0, 40.0, 81)),
+                                         (15, np.array([-1e10, 0.0, 1e10]))])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_order_refused(self, j, grid):
+        # |xi|^(2j) overflows at |xi| = 40 for j = 97; at j = 15 it is 1e300
+        # on the coarse grid, whose trapezoid weight 5e9 overflows the sum
+        prop = SymbolPropagator(self.PARAMS[0], grid)
+        with pytest.raises(PreconditionError, match=f"j = {j} is too high"):
+            sobolev_norms(prop, np.ones((len(grid), 6)), [0.0], (0, j))
 
 
 class TestUndampedGrid:
@@ -797,7 +903,7 @@ class TestUndampedGrid:
         times = np.geomspace(0.01, 1e4, 40)
         t0 = time.perf_counter()
         prop = SymbolPropagator(self.p, grid)
-        dens = prop.density(vals, times)
+        dens = density(prop, vals, times)
         elapsed = time.perf_counter() - t0
         assert prop.ambiguous.sum() == 437
         # the undamped semigroup is unitary: no decay at any frequency

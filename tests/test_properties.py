@@ -146,7 +146,7 @@ propagation_cases = st.one_of(
 @given(propagation_cases, st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3),
        st.integers(0, 2**32 - 1))
 def test_real_frame_matches_expm(case, times, seed):
-    # propagate_many, density and operator_norms against the Pade
+    # propagate_many, the density reduction and operator_norms against the Pade
     # exponential of the complex symbol, on Hermitian data, with at most one
     # complex exp per conjugate pair and cell
     p, half, tol = case
@@ -164,7 +164,7 @@ def test_real_frame_matches_expm(case, times, seed):
         patch.setattr(propagator_module, "_safe_exp",
                       lambda z: cells.append(z.size * (z.dtype.kind == "c")) or safe_exp(z))
         traj = prop.propagate_many(vals, times)
-        dens = prop.density(vals, times)
+        dens = prop.plancherel_sums(vals, times, np.eye(len(grid)))[0]
         nrm = prop.operator_norms(times)
     pairs = np.sum((prop.nodes.imag > 0) & ~prop._ambiguous_nodes[:, None])
     assert sum(cells) <= 3 * pairs * len(times)        # three evaluations

@@ -411,6 +411,30 @@ class TestGapScan:
         assert abs(exc.value.max_real_part) <= 1e-10
         assert 0.1 <= exc.value.witness_xi <= 10.0
 
+    def test_gamma2_zero_refused_before_any_solve(self, monkeypatch):
+        from disspec import spectral
+
+        def solve(params, xi):
+            raise AssertionError("gap_scan solved an eigenproblem")
+
+        monkeypatch.setattr(spectral, "eigenvalues_batch", solve)
+        with pytest.raises(CertificateRefused) as exc:
+            gap_scan(SystemParams(1.3, 0.7, 2.0, 0.4, 0), 0.05, 50.0, initial_points=257)
+        assert (exc.value.witness_xi, exc.value.max_real_part) == (0.05, 0.0)
+
+    def test_gamma2_zero_pair_is_exact(self):
+        # +-i k sqrt(l^2 + xi^2) is a root of the characteristic polynomial
+        # at every xi, to rounding relative to the polynomial's terms
+        rng = np.random.default_rng(19)
+        xi = np.geomspace(1e-3, 1e3, 20)
+        for a, k, l, gamma1 in rng.uniform(0.1, 5.0, size=(200, 4)):
+            coeffs = char_poly_coeffs(SystemParams(a, k, l, gamma1, 0.0), 1j * xi)
+            for sign in (1.0, -1.0):
+                lam = sign * 1j * k * np.sqrt(l * l + xi * xi)
+                terms = coeffs * lam[:, None] ** np.arange(7)
+                residual = np.abs(terms.sum(axis=1)) / np.abs(terms).sum(axis=1)
+                assert residual.max() <= 1e-15
+
     def test_bad_interval(self):
         with pytest.raises(PreconditionError):
             gap_scan(SystemParams(1, 1, 0.5, 0, 1), 5.0, 5.0)
