@@ -2,7 +2,10 @@
 
 CSV conventions: '.' decimal separator, '\\n' line endings, mandatory header
 row.  Floats are serialized with repr (shortest round-trip), so re-reading
-and re-emitting a file is byte identity.
+and re-emitting a file is byte identity.  A table is formatted once per
+distinct magnitude: one repr per distinct bit pattern of |x|, with a '-'
+prefix where the sign bit is set, except for NaN, which repr writes 'nan'
+whatever its sign; that is repr of every float64, byte for byte.
 """
 
 from __future__ import annotations
@@ -43,17 +46,31 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def _fmt(x) -> str:
-    if type(x) is float:
-        return repr(x)
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
+_SIGN_BIT = np.uint64(1 << 63)
+
+
+def _float_cells(table: np.ndarray) -> list[list[str]]:
+    """repr of every entry of a 2-D float64 table, row by row, from one repr
+    per distinct magnitude."""
+    bits = table.view(np.uint64)
+    magnitudes, at = np.unique(bits & ~_SIGN_BIT, return_inverse=True)
+    text = [repr(x) for x in magnitudes.view(np.float64).tolist()]
+    text += ["-" + t if t != "nan" else t for t in text]
+    negative = (bits & _SIGN_BIT).astype(bool)
+    pick = at.reshape(table.shape) + len(magnitudes) * negative
+    return np.array(text, dtype=object)[pick].tolist()
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(map(_fmt, row)) for row in rows]
+    """Write a header and a (rows, columns) table of floats, one row per
+    line.  A row whose width is not the header's raises ValueError before
+    any file is written."""
+    widths = {len(row) for row in rows} - {len(header)}
+    if widths:
+        raise ValueError(f"CSV rows of {sorted(widths)} cells do not fit "
+                         f"{len(header)} header columns")
+    table = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
+    lines = [",".join(header)] + [",".join(row) for row in _float_cells(table)]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

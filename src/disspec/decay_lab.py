@@ -388,10 +388,11 @@ def three_region_synthesis(exp: Experiment, part: FrequencyPartition,
     power q is taken from the validated high-frequency table (the most
     slowly decaying branch).  Each constant is the largest
     ||e^{Phi t}||_2 / s over the region's frequencies, thinned to at most 160,
-    and all times; these operator norms come from one propagator over the
-    three thinned sets, so the constants bound every admissible datum, not
-    just the experiment's profile.  The amplification power p is *fitted*
-    first, not assumed: it is the log-log slope in |xi| of
+    and all times; these are operator norms, so the constants bound every
+    admissible datum, not just the experiment's profile.  One propagator
+    over the grid gives both the norms, evaluated only for the spectra of
+    the thinned rows, and the measured integrals.  The amplification power
+    p is *fitted* first, not assumed: it is the log-log slope in |xi| of
     sup_t ||e^{Phi t}||_2 / s over the high region with p = 0.  Because the
     semigroup is an exact L^2 contraction, the honest p comes out near zero;
     the report carries it as measured.
@@ -450,8 +451,11 @@ def three_region_synthesis(exp: Experiment, part: FrequencyPartition,
             return growth * _floored_exp(cert.gap * times)[:, None]
         return x**p * _floored_exp(c4_hat * np.outer(times, x ** float(-q)))
 
-    # ||e^{Phi t}||_2 on each region thinned to at most 160 frequencies, from
-    # one propagator over the union
+    # one propagator over the grid: the operator norms of the thinned rows,
+    # then the Plancherel sums of the data
+    prop = SymbolPropagator(params, grid)
+    # ||e^{Phi t}||_2 on each region thinned to at most 160 frequencies, for
+    # the spectra of those rows only
     thinned = {}
     for region, mask in masks.items():
         # past 160 points the linspace steps exceed 1, so the indices are distinct
@@ -459,7 +463,7 @@ def three_region_synthesis(exp: Experiment, part: FrequencyPartition,
         thinned[region] = idx[np.linspace(0, len(idx) - 1, min(len(idx), 160)).astype(int)]
     union = np.concatenate(list(thinned.values()))
     opnorm = np.empty((len(times), len(grid)))
-    opnorm[:, union] = SymbolPropagator(params, grid[union]).operator_norms(times).T
+    opnorm[:, union] = prop.operator_norms(times, rows=union).T
 
     out: dict = {"j": j, "ell": ell, "q_tail": q, "c4_hat": c4_hat, "c2_hat": c2_hat,
                  "gap": cert.gap, "m_detected": m}
@@ -480,7 +484,7 @@ def three_region_synthesis(exp: Experiment, part: FrequencyPartition,
     # weight columns of one pass of the stream
     columns = [masks["low"], masks["mid"], masks["high"], np.ones(len(grid), dtype=bool)]
     weights = np.stack([np.where(col, trapezoid * sobolev, 0.0) for col in columns], axis=1)
-    sums, _, _ = SymbolPropagator(params, grid).plancherel_sums(state0.values, times, weights)
+    sums, _, _ = prop.plancherel_sums(state0.values, times, weights)
     out["I_low"], out["I_mid"], out["I_high"], I_total = sums
     dominated = bounds >= I_total * (1.0 - 1e-9)
     if not np.all(dominated):

@@ -416,7 +416,8 @@ class SymbolPropagator:
     ``row`` mapping each frequency to its spectrum; on a symmetric grid +-xi
     share one).  :meth:`operator_norms`, and :meth:`states` and
     :meth:`plancherel_sums` of Hermitian data, propagate only the first row
-    of each distinct |xi|.
+    of each distinct |xi|; :meth:`operator_norms` of a subset of rows
+    propagates only the spectra of those rows.
 
     Every evaluation propagates real columns Y of S^-1 X (:func:`_real_columns`)
     by e^{t Phi_r} chunk by chunk: a run of spectra gets its weights W and
@@ -668,8 +669,27 @@ class SymbolPropagator:
                     edges[:, side] = scale[row, :, None] * d[at[0]]
         return sums, peak, edges
 
-    def operator_norms(self, times: np.ndarray) -> np.ndarray:
-        """2-norm of e^{Phi t} per frequency and time: shape (nfreq, ntimes).
+    def _on_spectra(self, spectra: np.ndarray) -> "SymbolPropagator":
+        """The propagator over the first row of each of the distinct spectra
+        ``spectra`` (increasing indices), built from this one's eigen data
+        and symbol stack, so no eigen solve is repeated.  A row's values in
+        the stream depend only on that row, so they are bitwise this
+        propagator's."""
+        rows = self._first[spectra]
+        sub = object.__new__(SymbolPropagator)
+        sub.params = self.params
+        sub.grid, sub.lambdas, sub.Phi_r = self.grid[rows], self.lambdas[rows], self.Phi_r[rows]
+        sub.nodes, sub._partner = self.nodes[spectra], self._partner[spectra]
+        sub._ambiguous_nodes = sub.ambiguous = self._ambiguous_nodes[spectra]
+        sub._first = sub.row = sub._by_spectrum = np.arange(len(rows))
+        sub._ends = np.arange(len(rows) + 1)
+        sub._phase_rate = self._phase_rate
+        return sub
+
+    def operator_norms(self, times: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """2-norm of e^{Phi t} per frequency and time: shape (nfreq, ntimes),
+        or (len(rows), ntimes) for the grid rows ``rows``, of which only the
+        spectra are evaluated (:meth:`_on_spectra`).
 
         S is unitary, so it is the 2-norm of e^{Phi_r t}: the real columns
         of the identity block are +-e_a, so the stream propagates the real
@@ -683,16 +703,22 @@ class SymbolPropagator:
         accurate to rounding relative to itself.
         """
         times = self._times(times)
-        eye = np.broadcast_to(np.eye(6, dtype=complex), (len(self.grid), 6, 6))
-        out = np.empty((len(self.nodes), len(times)))
-        for idx, V in self._real_states(eye, _nonzero_columns(eye), times, once=True):
+        prop, spectrum = self, self.row
+        if rows is not None:
+            spectra, spectrum = np.unique(self.row[rows], return_inverse=True)
+            prop = self._on_spectra(spectra)
+        eye = np.eye(6, dtype=complex)[None]
+        keep = _nonzero_columns(eye)
+        eye = np.broadcast_to(eye, (len(prop.grid), 6, 6))
+        out = np.empty((len(prop.nodes), len(times)))
+        for idx, V in prop._real_states(eye, keep, times, once=True):
             V = np.moveaxis(V, -1, 1)                        # (k, nt, 6, 6)
             s = np.abs(V).max(axis=(2, 3), keepdims=True)
             s[s == 0.0] = 1.0
             V = V / s
             gram = np.linalg.eigvalsh(np.swapaxes(V, 2, 3) @ V)[..., -1]
             out[idx] = s[..., 0, 0] * np.sqrt(np.maximum(gram, 0.0))
-        return out[self.row]
+        return out[spectrum]
 
 
 def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:

@@ -383,6 +383,45 @@ class TestCsvRows:
         header, rows = artifacts.state_csv_rows(grid, values)
         self.check(tmp_path, header, rows, state_rows_per_element(grid, values))
 
+    def test_magnitude_under_both_signs(self, tmp_path):
+        # one formatted magnitude serves both signs, and -0.0 keeps its sign
+        # beside 0.0
+        rows = [[1.5, -1.5, 0.0], [-0.0, 0.0, -1.5], [-np.nan, np.nan, -np.inf]]
+        path = tmp_path / "table.csv"
+        artifacts.write_csv(path, ["a", "b", "c"], rows)
+        assert path.read_text() == "a,b,c\n1.5,-1.5,0.0\n-0.0,0.0,-1.5\nnan,nan,-inf\n"
+        assert path.read_bytes() == csv_text_per_element(["a", "b", "c"], rows).encode()
+
+    def test_empty_table(self, tmp_path):
+        path = tmp_path / "table.csv"
+        artifacts.write_csv(path, ["a", "b"], [])
+        assert path.read_text() == "a,b\n"
+
+    @pytest.mark.parametrize("rows", [[[1.0, 2.0], [3.0]], [[1.0, 2.0, 3.0]], [[]]])
+    def test_ragged_rows_write_nothing(self, tmp_path, rows):
+        with pytest.raises(ValueError, match="do not fit 2 header columns"):
+            artifacts.write_csv(tmp_path / "table.csv", ["a", "b"], rows)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_ragged_state_rows_exit_1(self, tmp_path, monkeypatch, capsys):
+        # a row narrower than the header is an internal error: exit 1 and no
+        # state.csv
+        def narrow(grid, values):
+            header, rows = state_rows(grid, values)
+            rows[-1].pop()
+            return header, rows
+
+        state_rows = artifacts.state_csv_rows
+        monkeypatch.setattr(artifacts, "state_csv_rows", narrow)
+        code, out = run_cli(tmp_path, {
+            "command": "evolve", "params": PARAMS,
+            "profile": {"kind": "gaussian", "width": 1.0, "component": "z"},
+            "t": 2.0, "grid": {"xi_max": 8.0, "n_geo": 8, "n_lin": 8}})
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["error"] == "ValueError"
+        assert not (out / "state.csv").exists()
+
 
 class TestCommands:
     def test_spectrum_csv_round_trip(self, tmp_path):

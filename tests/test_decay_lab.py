@@ -10,7 +10,7 @@ from disspec import (Experiment, FrequencyPartition,
                      SystemParams, TailMassError, build_initial_state,
                      default_grid, eigenvalues_batch, fit_pointwise_rate,
                      optimality_probe, run_decay, three_region_synthesis)
-from disspec import decay_lab
+from disspec import decay_lab, propagator
 from disspec.core_model import build_symbol
 from disspec.decay_lab import _conservative_vector, packet_decay_time
 from disspec.errors import SolverError
@@ -413,21 +413,66 @@ class TestSynthesis:
         assert slope_oracle == pytest.approx(-0.5, rel=0.10)
         assert slope == pytest.approx(slope_oracle, rel=0.05)
 
-    def test_two_propagators(self, monkeypatch):
-        # one for the data's norms, one for the three thinned regions
-        built = []
+    def test_one_propagator(self, monkeypatch):
+        # one propagator, one eigen solve over the grid: the thinned rows'
+        # operator norms and the data's norms both come from it
+        built, solved = [], []
 
         class Spy(SymbolPropagator):
             def __init__(self, params, grid):
                 built.append(len(grid))
                 super().__init__(params, grid)
 
+        def eigen_spy(params, xi):
+            solved.append(len(xi))
+            return eigenvalues_batch(params, xi)
+
         monkeypatch.setattr(decay_lab, "SymbolPropagator", Spy)
+        monkeypatch.setattr(propagator, "eigenvalues_batch", eigen_spy)
         exp = self.make_exp(SystemParams(1, 1, 0.5, 0, 1))
         rep = three_region_synthesis(exp, FrequencyPartition(nu=0.05, N=50))
         assert rep["bound_dominates"]
-        # the full grid, then 160 thinned points per region
-        assert sorted(built) == [3 * 160, len(exp.grid)]
+        assert built == [len(exp.grid)] and solved == [len(exp.grid)]
+
+    # certify's synthesize grid and times, and the default grid
+    @pytest.mark.parametrize("grid, thinned_spectra", [
+        (default_grid(xi_max=40.0, n_geo=96, n_lin=128), 225),
+        (default_grid(), 477)])
+    def test_thinned_norms_on_their_spectra(self, monkeypatch, grid, thinned_spectra):
+        # the grid propagator's norms of the thinned rows are bitwise those
+        # of a propagator over the thinned rows alone, and only their
+        # spectra are evaluated
+        calls, inside, streamed = [], [], []
+        norms, stream = SymbolPropagator.operator_norms, SymbolPropagator._real_states
+
+        def norms_spy(prop, times, rows=None):
+            inside.append(True)
+            out = norms(prop, times, rows)
+            inside.pop()
+            calls.append((prop.params, prop.grid, times, rows, out))
+            return out
+
+        def stream_spy(prop, *args, **kwargs):
+            # the frequencies whose spectra the norms propagate
+            for idx, V in stream(prop, *args, **kwargs):
+                if inside:
+                    streamed.append(prop.grid[prop._first[idx]])
+                yield idx, V
+
+        monkeypatch.setattr(SymbolPropagator, "operator_norms", norms_spy)
+        monkeypatch.setattr(SymbolPropagator, "_real_states", stream_spy)
+        exp = Experiment(params=SystemParams(1, 1, 0.5, 0, 1),
+                         profile=Profile(kind="gaussian", width=1.0),
+                         times=np.geomspace(1.0, 1000.0, 10), j_orders=(0,), grid=grid)
+        assert three_region_synthesis(exp, FrequencyPartition(nu=0.05, N=20.0))["bound_dominates"]
+        [(params, prop_grid, times, rows, out)] = calls
+        assert np.array_equal(prop_grid, grid)
+        monkeypatch.undo()
+        alone = SymbolPropagator(params, grid[rows]).operator_norms(times)
+        assert np.array_equal(out.view(np.uint64), alone.view(np.uint64))
+        evaluated = np.abs(np.concatenate(streamed))
+        assert len(evaluated) == thinned_spectra
+        assert np.array_equal(np.sort(evaluated), np.unique(np.abs(grid[rows])))
 
     def test_low_region_past_the_exponent_floor(self):
         # c2_hat xi^2 t reaches 5625 in the low region and the middle region's

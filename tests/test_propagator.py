@@ -758,6 +758,24 @@ class TestOncePerAbsXi:
         prop.plancherel_sums(self.hermitian(self.GRID), self.TIMES, np.ones((len(self.GRID), 1)))
         assert sum(rows) == len(prop.nodes)
 
+    def test_operator_norms_of_rows(self, monkeypatch):
+        # unsorted rows, +-xi of one |xi| among them and one row twice, on a
+        # grid with an ambiguous row: one chain row per spectrum of the rows,
+        # and bitwise the norms of the whole grid at those rows
+        p = SystemParams(1, 1, np.sqrt(8.0), 0, np.sqrt(27.0))
+        grid = np.array([-3.0, -1.5, -0.4, 0.0, 0.4, 1.5, 3.0, 5.0, 9.0])
+        times = np.array([0.0, 0.5, 10.0, 1e3, 1e5])
+        rows = np.array([8, 2, 3, 4, 2, 6])
+        prop = SymbolPropagator(p, grid)
+        whole = prop.operator_norms(times)
+        chained = self.spy(monkeypatch)
+        nrm = prop.operator_norms(times, rows=rows)
+        # a row per spectrum of |xi| = 0, 0.4, 3, 9, then the ambiguous xi = 0
+        # row's bidiagonal exponential, one row per time
+        assert chained == [4, len(times)]
+        assert nrm.shape == (len(rows), len(times))
+        assert np.array_equal(nrm.view(np.uint64), whole[rows].view(np.uint64))
+
     @pytest.mark.parametrize("kind", ["ulp", "complex", "asymmetric"])
     def test_other_data_take_every_row(self, monkeypatch, kind):
         grid = self.GRID.copy()

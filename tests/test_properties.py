@@ -6,14 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from disspec import (SymbolPropagator, SystemParams, artifacts, build_symbol,
                      eigenvalues_batch, real_symbol_stack, symbol_stack)
 from disspec import propagator as propagator_module
-from oracles import read_csv
+from oracles import csv_text_per_element, read_csv
 
 PROPERTY = settings(max_examples=40, derandomize=True, deadline=None)
 
@@ -177,6 +177,21 @@ def test_real_frame_matches_expm(case, times, seed):
     assert np.all(np.abs(dens - ref) <= 1e-13 * ref)
     # Hermitian data: the density is even in xi
     assert np.all(np.abs(dens - dens[::-1]) <= 1e-13 * dens)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 2**64 - 1), min_size=3, max_size=3), max_size=8))
+# a quiet NaN with a payload, a negative signalling NaN, -5e-324
+@example([[0x7FF8_0000_0000_0001, 0xFFF0_0000_0000_0001, 0x8000_0000_0000_0001]])
+def test_csv_bytes_equal_repr_of_every_bit_pattern(patterns):
+    # raw 64-bit patterns viewed as float64: every NaN payload and sign,
+    # subnormals, +-0 and +-inf, formatted once per distinct magnitude
+    table = np.array(patterns, dtype=np.uint64).reshape(-1, 3).view(np.float64)
+    rows = table.tolist()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        artifacts.write_csv(path, ["xi", "re", "im"], rows)
+        assert path.read_bytes() == csv_text_per_element(["xi", "re", "im"], rows).encode()
 
 
 @PROPERTY
