@@ -62,14 +62,14 @@ def _float_cells(table: np.ndarray) -> list[list[str]]:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """Write a header and a (rows, columns) table of floats, one row per
-    line.  A row whose width is not the header's raises ValueError before
-    any file is written."""
+    """Write a header and a (rows, columns) table of floats, a 2-D array or
+    a list of rows, one row per line.  A row whose width is not the
+    header's raises ValueError before any file is written."""
     widths = {len(row) for row in rows} - {len(header)}
     if widths:
         raise ValueError(f"CSV rows of {sorted(widths)} cells do not fit "
                          f"{len(header)} header columns")
-    table = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
+    table = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
     lines = [",".join(header)] + [",".join(row) for row in _float_cells(table)]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
@@ -116,17 +116,17 @@ def read_jsonl(path):
 
 
 def spectrum_csv_rows(grid: np.ndarray, branches: np.ndarray):
-    """Rows for the spectrum CSV: xi, re_1..re_6, im_1..im_6, max_re, as
-    lists of Python floats."""
+    """The spectrum CSV: its header and its float table of columns xi,
+    re_1..re_6, im_1..im_6, max_re."""
     header = (["xi"] + [f"re_{i}" for i in range(1, 7)]
               + [f"im_{i}" for i in range(1, 7)] + ["max_re"])
-    rows = np.column_stack([grid, branches.real, branches.imag, branches.real.max(axis=1)])
-    return header, rows.tolist()
+    return header, np.column_stack([grid, branches.real, branches.imag,
+                                    branches.real.max(axis=1)])
 
 
 def state_csv_rows(grid: np.ndarray, values: np.ndarray):
-    """Rows for a FourierState CSV: xi plus 12 real columns, as lists of
-    Python floats."""
+    """A FourierState CSV: its header and its float table of columns xi
+    plus 12 real columns."""
     comps = ["v", "u", "z", "y", "phi", "eta"]
     header = (["xi"] + [f"re_{c}" for c in comps] + [f"im_{c}" for c in comps])
-    return header, np.column_stack([grid, values.real, values.imag]).tolist()
+    return header, np.column_stack([grid, values.real, values.imag])

@@ -87,9 +87,11 @@ class Profile:
         if self.kind == "gaussian":
             return np.exp(-0.5 * (self.width * grid) ** 2)
         if self.kind == "box":
-            out = np.empty_like(grid)
-            nz = grid != 0
-            out[nz] = 2.0 * np.sin(self.width * grid[nz]) / grid[nz]
+            # on |xi|, so that the profile is even bit for bit
+            x = np.abs(grid)
+            out = np.empty_like(x)
+            nz = x != 0
+            out[nz] = 2.0 * np.sin(self.width * x[nz]) / x[nz]
             out[~nz] = 2.0 * self.width
             return out
         if self.kind in ("high_freq_packet", "conservative_mode"):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import SystemParams
+from .core_model import SystemParams, symbol_stack
 from .errors import PreconditionError, RegimeError
 from .propagator import _CHUNK_BYTES, SymbolPropagator
 
@@ -286,7 +286,7 @@ def audit_inequality(params: SystemParams, consts: LyapunovConstants,
     prop = SymbolPropagator(params, xi)
     kind, sigma = lyapunov_sigma(params, xi)
     weight = xi**2 if kind == "L1" else xi**2 / sigma
-    D = _cross_matrix(xi, params, consts) @ prop.Phi
+    D = _cross_matrix(xi, params, consts) @ symbol_stack(params, xi)
     D += D.conj().swapaxes(-1, -2)
     D[:, 3, 3] -= consts.d0 * sigma * params.gamma1
     D[:, 5, 5] -= consts.d0 * sigma * params.gamma2

@@ -18,7 +18,7 @@ Weights once per spectrum.  For pairwise well-separated eigenvalues the r_j
 are divided differences of exp(. t) over lambda_1..lambda_j, so r(t) =
 W phi(t) with phi_i = e^{lambda_i t} and W the lower-triangular Newton
 weight matrix of the nodes (:func:`_newton_weights`).  W has no time axis;
-it is folded into the Q chain once per frequency, B = Q W, and
+it is folded into the Q chain once per spectrum, B = Q W, and
 e^{t Phi_r} Y = sum_i B_i phi_i(t).
 
 Real contraction.  The eigen solve is of the real Phi_r, so complex nodes
@@ -42,29 +42,32 @@ clusters of any width, width 0 included, and at large |lambda| t.  The scaling-a
 50-digit evaluation of the same bidiagonal exponential (mpmath) serve as
 the independent oracles in the tests and are never used on the Putzer path.
 
-The frequency axis is a batch dimension: a grid of frequencies gets one
-batched eigen solve, and the weights and the basis are evaluated once per
-distinct spectrum (they depend only on the nodes and t, and a symmetric
-grid repeats each spectrum at +-xi).  The basis is contracted with the
-coefficients of its frequencies by one real batched matmul per chunk of
-rows.  Each (frequency, time) value is bitwise the same whatever other
-times are evaluated with it.
+The frequency axis is a batch dimension, and its unit is the distinct |xi|.
+The spectrum depends on xi only through xi^2, and real solutions have
+Hermitian Fourier data, U(-xi) = conj U(xi), so the whole Fourier-side
+problem lives on |xi| >= 0: one batched eigen solve
+(:func:`spectral.distinct_spectra`) gives one spectrum and one Phi_r per
+distinct |xi|, and the weights, the basis and the Q chains are evaluated
+once per spectrum.  Every evaluation first folds the data onto the spectra
+(:meth:`SymbolPropagator._fold`): a row at -xi must hold the exact conjugate
+of the data at +xi, rows of the same xi equal data (equal as floats), and
+data that do not fold are refused with a PreconditionError.  Phi(-xi) =
+conj Phi(xi), so a row at -xi reads the exact conjugate of the state at
++|xi|, and its density is that of +|xi|.  The basis is contracted with the
+coefficients of its spectra by one real batched matmul per chunk.  Each
+(spectrum, time) value is bitwise the same whatever other times are
+evaluated with it.
 
 Plancherel norms are a weighted reduction of that stream
 (:meth:`SymbolPropagator.plancherel_sums`, :func:`sobolev_norms`): the
-trapezoid rule times |xi|^{2j} is one weight per row and order, and each
-chunk's density sum_a |U_a|^2 is reduced at once into the per-time sums,
-the per-time peak and the two grid-edge values that the tail check needs.
-Neither the (times, frequencies, 6) trajectory nor a (frequencies, times)
-density is ever held.  Where the answer is even in xi, the rows themselves
-are reduced to one per distinct |xi|: Phi_r(-xi) = J Phi_r(xi) J with
-J = diag(1, -1, -1, 1, -1, 1), so operator norms are always even, and for
-data that are Hermitian bit for bit (:meth:`SymbolPropagator._hermitian`)
-the state at -xi is the conjugate of that at xi.  Then the weights of the
-rows of a |xi| fold into one per spectrum, and states write the mirrored
-rows as exact conjugates.  Operator norms come from one batched eigvalsh
-of the Gram matrices of the real 6x6 e^{t Phi_r}, each scaled by its
-largest entry.
+trapezoid rule times |xi|^{2j} is one weight per row and order, the weights
+of the rows of a |xi| fold into one per spectrum, and each chunk's density
+sum_a |U_a|^2 is reduced at once into the per-time sums, the per-time peak
+and the two grid-edge values that the tail check needs.  Neither the
+(times, frequencies, 6) trajectory nor a (frequencies, times) density is
+ever held.  Operator norms are even in xi too (the identity is Hermitian
+data) and come from one batched eigvalsh of the Gram matrices of the real
+6x6 e^{t Phi_r}, each scaled by its largest entry.
 
 :class:`SymbolPropagator` is the only entry point to e^{t Phi}, and the
 route rule is consulted only there.  One frequency is a grid of one, and
@@ -78,14 +81,12 @@ imaginary part; the assembled exponential is order-invariant (tested).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .core_model import (_REAL_SIMILARITY, SystemParams, real_symbol_stack,
-                         symbol_stack)
+from .core_model import _REAL_SIMILARITY, SystemParams
 from .errors import PreconditionError, SolverError, TailMassError
-from .spectral import eigenvalues_batch
+from .spectral import distinct_spectra
 
 __all__ = [
     "FourierState",
@@ -243,8 +244,8 @@ def _real_columns(X: np.ndarray, keep=slice(None)) -> np.ndarray:
 
 def _nonzero_columns(X: np.ndarray) -> np.ndarray:
     """Index of the columns of :func:`_real_columns` that are nonzero
-    somewhere on the grid (the first if none is), found in slices of rows
-    of about ``_CHUNK_BYTES``."""
+    somewhere in X (the first if none is), found in slices of rows of about
+    ``_CHUNK_BYTES``."""
     nonzero = np.zeros(2 * X.shape[2], dtype=bool)
     step = max(1, _CHUNK_BYTES // (X[0].size * 32))
     for lo in range(0, len(X), step):
@@ -408,39 +409,32 @@ def default_grid(xi_min_pos: float = 1e-4, xi_max: float = 40.0,
 class SymbolPropagator:
     """Per-grid cache of Putzer data for fast repeated propagation.
 
-    Construction makes one batched eigen solve over the grid (rows in
-    Putzer order) and builds the real similar symbol stack
-    ``Phi_r`` = S^-1 Phi S.  The complex ``Phi`` is built only when read.
-    The Newton weights depend only on the nodes, so the rows are reduced to
-    their distinct spectra once, one per distinct |xi| (``nodes``, with
-    ``row`` mapping each frequency to its spectrum; on a symmetric grid +-xi
-    share one).  :meth:`operator_norms`, and :meth:`states` and
-    :meth:`plancherel_sums` of Hermitian data, propagate only the first row
-    of each distinct |xi|; :meth:`operator_norms` of a subset of rows
-    propagates only the spectra of those rows.
+    The spectrum depends on xi only through xi^2, and real solutions have
+    Hermitian Fourier data, U(-xi) = conj U(xi), so the distinct |xi| are
+    the only unit the propagator works on.  Construction keeps what
+    :func:`spectral.distinct_spectra` solves: one spectrum (``nodes``) and
+    one real similar symbol ``Phi_r`` = S^-1 Phi S per distinct |xi|, with
+    ``row`` mapping each frequency of ``grid`` to its spectrum.
 
-    Every evaluation propagates real columns Y of S^-1 X (:func:`_real_columns`)
-    by e^{t Phi_r} chunk by chunk: a run of spectra gets its weights W and
-    its real basis psi (spectra, slots, times), its frequencies get the Q
-    chains of their columns, folded with W into B = Q W and made real
-    (:func:`_real_coefficients`), and one real batched matmul gives the
-    states.  A chunk's basis, chains and states hold about ``_CHUNK_BYTES``,
-    so no (frequencies, 6, 6, 6) chain or (times, frequencies, 6)
-    trajectory is made unless asked for.  The (frequency, time) pairs of
-    ambiguous spectra (:func:`_ambiguous`, flagged in ``ambiguous``) take
-    one :func:`_exp_bidiag` call per chunk, in the same real frame.
+    Every evaluation first folds the data onto the spectra
+    (:meth:`_fold`), then propagates the real columns Y of S^-1 of the
+    folded data (:func:`_real_columns`) by e^{t Phi_r} chunk by chunk: a run
+    of spectra gets its weights W and its real basis psi (spectra, slots,
+    times) and the Q chains of its columns, folded with W into B = Q W and
+    made real (:func:`_real_coefficients`), and one real batched matmul gives
+    the states.  A chunk's basis, chains and states hold about
+    ``_CHUNK_BYTES``, so no (frequencies, 6, 6, 6) chain or (times,
+    frequencies, 6) trajectory is made unless asked for.  The (spectrum,
+    time) pairs of ambiguous spectra (:func:`_ambiguous`, flagged per
+    frequency in ``ambiguous``) take one :func:`_exp_bidiag` call per chunk,
+    in the same real frame.  A row at -xi reads the exact conjugate of the
+    state at +|xi|: Phi(-xi) = conj Phi(xi).
     """
 
     def __init__(self, params: SystemParams, grid: np.ndarray):
         self.params = params
         self.grid = np.asarray(grid, dtype=float)
-        self.lambdas, _ = eigenvalues_batch(params, self.grid)
-        # the spectrum depends on |xi| only, and the rows at +-xi are bitwise
-        # equal, so the distinct |xi| index the distinct spectra
-        _, self._first, self.row = np.unique(np.abs(self.grid), return_index=True,
-                                             return_inverse=True)
-        self.nodes = self.lambdas[self._first]
-        self.Phi_r = real_symbol_stack(params, self.grid)
+        self.row, self.Phi_r, self.nodes, _ = distinct_spectra(params, self.grid)
         self._partner = _partners(self.nodes)
         self._ambiguous_nodes = _ambiguous(self.nodes, self._partner)
         self.ambiguous = self._ambiguous_nodes[self.row]
@@ -450,12 +444,6 @@ class SymbolPropagator:
         self._ends = np.searchsorted(self.row[self._by_spectrum],
                                      np.arange(len(self.nodes) + 1))
         self._phase_rate = np.finfo(float).eps * np.abs(self.nodes.imag).max(initial=0.0)
-
-    @cached_property
-    def Phi(self) -> np.ndarray:
-        """The complex symbol stack Phi(i xi) = S Phi_r S^-1, built on first
-        read; the evaluations use ``Phi_r``."""
-        return symbol_stack(self.params, self.grid)
 
     def _times(self, times) -> np.ndarray:
         """``times`` as a 1-d float array.  Every evaluation passes here
@@ -472,9 +460,30 @@ class SymbolPropagator:
                 f"{_PHASE_LOSS:g} at t = {times.max():.6g}")
         return times
 
-    def _weights_and_basis(self, spectra: slice, times: np.ndarray):
-        """W (s, 6, 6) and psi (s, 6, ntimes) of the distinct spectra in
-        ``spectra``; both are zero for ambiguous spectra."""
+    def _fold(self, X: np.ndarray) -> np.ndarray:
+        """The data of each spectrum, at +|xi|, of a (nfreq, 6, c) block X:
+        X at a row with xi >= 0 and conj X at a row with xi < 0.  Every row
+        of a spectrum must fold to data equal as floats (Hermitian data,
+        equal data at a repeated xi; 0.0 and -0.0 are equal, so the conj of
+        real data folds); anything else, NaN data included, is refused."""
+        F = np.where(self.grid[:, None, None] < 0, X.conj(), X)
+        D = F[self._by_spectrum[self._ends[:-1]]]
+        bad = np.flatnonzero((F != D[self.row]).any(axis=(1, 2)))
+        if bad.size:
+            r = bad[0]
+            f = self._by_spectrum[self._ends[self.row[r]]]
+            if np.isnan(F[[r, f]]).any():
+                raise PreconditionError(f"data hold NaN at row {r} or {f}")
+            raise PreconditionError(
+                "data must be Hermitian, equal as floats, U(-xi) = conj U(xi) with "
+                f"equal data at a repeated xi: row {r} (xi = {float(self.grid[r])!r}) "
+                f"does not fold onto row {f} (xi = {float(self.grid[f])!r})")
+        return D
+
+    def _weights_and_basis(self, spectra, times: np.ndarray):
+        """W (s, 6, 6) and psi (s, 6, ntimes) of the distinct spectra
+        ``spectra`` (an index or a slice); both are zero for ambiguous
+        spectra."""
         lam, partner = self.nodes[spectra], self._partner[spectra]
         ok = ~self._ambiguous_nodes[spectra]
         if ok.all():
@@ -503,90 +512,70 @@ class SymbolPropagator:
         r[np.ix_(~self._ambiguous_nodes, times == 0.0)] = np.eye(6)[0]   # r(0) = e_1
         return r[self.row]
 
-    def _real_states(self, X: np.ndarray, keep: np.ndarray, times: np.ndarray,
-                     once: bool = False):
-        """Yield (idx, V) chunk by chunk: V[k, a, m, q] is component a of
-        e^{t Phi_r} Y at a frequency, column m and time times[q], all real,
-        for the real columns Y = :func:`_real_columns` (X, keep) of a
-        (nfreq, 6, c) block X.  idx holds the frequency rows of V, grouped by
-        spectrum in spectrum order, or with ``once`` its distinct spectra, a
-        run of consecutive ones: then only the first row of each distinct
-        |xi| is evaluated, and the caller accounts for the other rows of that
-        |xi|.  Every value is bitwise the same whatever other times are
-        evaluated with it."""
+    def _real_states(self, D: np.ndarray, keep: np.ndarray, times: np.ndarray,
+                     spectra: np.ndarray | None = None):
+        """Yield (idx, V) chunk by chunk for the increasing spectrum indices
+        ``spectra`` (all by default): V[k, a, m, q] is component a of
+        e^{t Phi_r} Y at spectrum idx[k], column m and time times[q], all
+        real, for the real columns Y = :func:`_real_columns` (D, keep) of the
+        folded data D (len(spectra), 6, c).  idx is a run of ``spectra``.
+        Every value is bitwise the same whatever other times are evaluated
+        with it."""
+        if spectra is None:
+            spectra = np.arange(len(self.nodes))
         nt, m = len(times), len(keep)
-        nspec = len(self.nodes)
         # e^{0 Phi_r} = I exactly, where the rows j > 1 of W sum to zero
         # only up to rounding
         zero = times == 0.0
-        # bytes per spectrum: its basis and the exponentials behind it, its
-        # rows' states, and their chains and coefficients
-        rows_per = 1.0 if once else len(self.grid) / nspec
-        step = max(1, int(_CHUNK_BYTES / (48 * (2 * nt + rows_per * m * (nt + 60)))))
-        for s in range(0, nspec, step):
-            e = min(s + step, nspec)
-            idx = np.arange(s, e) if once else self._by_spectrum[self._ends[s]:self._ends[e]]
-            rows = self._first[idx] if once else idx
-            W, psi = self._weights_and_basis(slice(s, e), times)
+        # bytes per spectrum: its basis and the exponentials behind it, and
+        # its states, chains and coefficients
+        step = max(1, int(_CHUNK_BYTES / (48 * (2 * nt + m * (nt + 60)))))
+        for lo in range(0, len(spectra), step):
+            idx = spectra[lo:lo + step]
+            lam, partner = self.nodes[idx], self._partner[idx]
+            W, psi = self._weights_and_basis(idx, times)
             if nt == 1:
                 # a product with one column takes numpy's matrix-vector
                 # kernel, whose summation order differs from the matrix kernel's
                 psi = np.repeat(psi, 2, axis=-1)
-            at = self.row[rows] - s
-            Y = _real_columns(X[rows], keep)
-            Q = _q_chain(self.Phi_r[rows], self.lambdas[rows], Y)
-            B = np.moveaxis(Q, 1, -1).reshape(len(rows), 6 * m, 6) @ W[at]
-            C = _real_coefficients(B, self.lambdas[rows], self._partner[s + at])
-            V = (C @ psi[at])[..., :nt].reshape(len(rows), 6, m, nt)
-            amb = np.flatnonzero(self.ambiguous[rows])
+            Y = _real_columns(D[lo:lo + step], keep)
+            Q = _q_chain(self.Phi_r[idx], lam, Y)
+            B = np.moveaxis(Q, 1, -1).reshape(len(idx), 6 * m, 6) @ W
+            C = _real_coefficients(B, lam, partner)
+            V = (C @ psi)[..., :nt].reshape(len(idx), 6, m, nt)
+            amb = np.flatnonzero(self._ambiguous_nodes[idx])
             if amb.size:
-                i = np.repeat(rows[amb], nt)
-                E = _exp_bidiag(self.Phi_r[i], self.lambdas[i], np.tile(times, amb.size),
+                i = np.repeat(idx[amb], nt)
+                E = _exp_bidiag(self.Phi_r[i], self.nodes[i], np.tile(times, amb.size),
                                 np.repeat(Y[amb], nt, axis=0))
                 V[amb] = np.moveaxis(E.real.reshape(amb.size, nt, 6, m), 1, -1)
             V[..., zero] = Y[..., None]
             yield idx, V
 
-    def _hermitian(self, X: np.ndarray) -> bool:
-        """Whether X is Hermitian data on the grid, bit for bit: every row r
-        that is not the first row f of its |xi| has grid[r] == -grid[f] and
-        X[r] == conj X[f].  Then S^-1 X[r] = J conj(S^-1 X[f]) with
-        J = diag(1, -1, -1, 1, -1, 1), and J Phi_r(xi) J = Phi_r(-xi), so
-        e^{t Phi_r} S^-1 X at r is J times the conjugate of that at f, and
-        every density of r equals that of f."""
-        first = self._first[self.row]
-        r = np.flatnonzero(first != np.arange(len(first)))
-        f = first[r]
-        return (np.array_equal(self.grid[r], -self.grid[f])
-                and np.array_equal(X[r], X[f].conj()))
-
     def states(self, values0: np.ndarray, times: np.ndarray):
         """Yield (rows, U) chunk by chunk: U[k, a, ..., q] is component a of
         the state at frequency rows[k] and time times[q]; the middle axis is
         the column of a (nfreq, 6, c) block and absent for (nfreq, 6).
-        U = S e^{t Phi_r} S^-1 X, assembled from the real stream.  For
-        Hermitian data (:meth:`_hermitian`) the stream runs on the first row
-        of each distinct |xi|, and every other row is written as the exact
-        conjugate of that row's state.
+        U = S e^{t Phi_r} S^-1 X, assembled from the real stream of the
+        folded data (:meth:`_fold`); a row at -xi is written as the exact
+        conjugate of the state at +|xi|.
         """
         times = self._times(times)
         X = values0 if values0.ndim == 3 else values0[..., None]
-        keep = _nonzero_columns(X)
+        D = self._fold(X)
+        keep = _nonzero_columns(D)
         c = X.shape[2]
         re = keep < c
-        once = self._hermitian(X)
-        for idx, V in self._real_states(X, keep, times, once):
+        for idx, V in self._real_states(D, keep, times):
             U = np.zeros((len(idx), 6, c, len(times)), dtype=complex)
             U.real[:, :, keep[re]] = V[:, :, re]
             U.imag[:, :, keep[~re] - c] = V[:, :, ~re]
             U *= _REAL_SIMILARITY[:, None, None]
-            rows = idx
-            if once:
-                # every row of the run of spectra idx
-                rows = self._by_spectrum[self._ends[idx[0]]:self._ends[idx[-1] + 1]]
-                U = U[self.row[rows] - idx[0]]
-                mirrored = rows != self._first[self.row[rows]]
-                U[mirrored] = U[mirrored].conj()
+            # every row of the run of spectra idx
+            rows = self._by_spectrum[self._ends[idx[0]]:self._ends[idx[-1] + 1]]
+            U = U[self.row[rows] - idx[0]]
+            mirrored = self.grid[rows] < 0
+            U[mirrored] = U[mirrored].conj()
             yield rows, U.reshape(len(rows), *values0.shape[1:], len(times))
 
     def apply(self, values: np.ndarray, dt: float) -> np.ndarray:
@@ -624,32 +613,27 @@ class SymbolPropagator:
 
         S is unitary, so the density is the sum of squares of the stream's
         real columns.  Each chunk's density is reduced as soon as it is made,
-        so no (nfreq, ntimes) array exists.  For Hermitian data
-        (:meth:`_hermitian`) the density is even in xi: the stream runs on
-        one row per distinct |xi|, and the weights of the rows of a |xi| are
-        folded into one per spectrum (their sum, and the largest scale).
-        Each time's sum is accumulated one spectrum (or row) at a time in a
-        fixed order, so it is bitwise the same whatever other times are
-        evaluated with it and however the stream is chunked.
+        so no (nfreq, ntimes) array exists.  The data fold onto the spectra
+        (:meth:`_fold`), so the density is one per spectrum, and the weights
+        of the rows of a spectrum are folded into one (their sum, and the
+        largest scale).  Each time's sum is accumulated one spectrum at a
+        time in a fixed order, so it is bitwise the same whatever other times
+        are evaluated with it and however the stream is chunked.
         """
         times = self._times(times)
-        X = values0[..., None]
-        once = self._hermitian(X)
+        D = self._fold(values0[..., None])
+        # fold the rows of each spectrum, which are consecutive in
+        # _by_spectrum, onto it
+        w = np.add.reduceat(np.asarray(weights, dtype=float)[self._by_spectrum],
+                            self._ends[:-1], axis=0)
         edge_rows = np.array([0, len(self.grid) - 1])
-        w, s, edge_units = np.asarray(weights, dtype=float), scale, edge_rows
-        if once:
-            # fold the rows of each spectrum, which are consecutive in
-            # _by_spectrum, onto it
-            w = np.add.reduceat(w[self._by_spectrum], self._ends[:-1], axis=0)
-            if scale is not None:
-                s = np.maximum.reduceat(scale[self._by_spectrum], self._ends[:-1], axis=0)
-            edge_units = self.row[edge_rows]
         sums = np.zeros((w.shape[1], len(times)))
         peak = edges = None
         if scale is not None:
+            s = np.maximum.reduceat(scale[self._by_spectrum], self._ends[:-1], axis=0)
             peak = np.zeros_like(sums)
             edges = np.zeros((w.shape[1], 2, len(times)))
-        for idx, V in self._real_states(X, _nonzero_columns(X), times, once):
+        for idx, V in self._real_states(D, _nonzero_columns(D), times):
             # the sum of squares column by column, so that its order is the
             # same for any number of times
             sq = V.reshape(len(idx), -1, len(times))
@@ -663,62 +647,41 @@ class SymbolPropagator:
             if scale is None:
                 continue
             np.maximum(peak, (s[idx, :, None] * d[:, None]).max(axis=0), out=peak)
-            for side, (row, unit) in enumerate(zip(edge_rows, edge_units)):
-                at = np.flatnonzero(idx == unit)
+            for side, row in enumerate(edge_rows):
+                at = np.flatnonzero(idx == self.row[row])
                 if at.size:
                     edges[:, side] = scale[row, :, None] * d[at[0]]
         return sums, peak, edges
 
-    def _on_spectra(self, spectra: np.ndarray) -> "SymbolPropagator":
-        """The propagator over the first row of each of the distinct spectra
-        ``spectra`` (increasing indices), built from this one's eigen data
-        and symbol stack, so no eigen solve is repeated.  A row's values in
-        the stream depend only on that row, so they are bitwise this
-        propagator's."""
-        rows = self._first[spectra]
-        sub = object.__new__(SymbolPropagator)
-        sub.params = self.params
-        sub.grid, sub.lambdas, sub.Phi_r = self.grid[rows], self.lambdas[rows], self.Phi_r[rows]
-        sub.nodes, sub._partner = self.nodes[spectra], self._partner[spectra]
-        sub._ambiguous_nodes = sub.ambiguous = self._ambiguous_nodes[spectra]
-        sub._first = sub.row = sub._by_spectrum = np.arange(len(rows))
-        sub._ends = np.arange(len(rows) + 1)
-        sub._phase_rate = self._phase_rate
-        return sub
-
     def operator_norms(self, times: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """2-norm of e^{Phi t} per frequency and time: shape (nfreq, ntimes),
         or (len(rows), ntimes) for the grid rows ``rows``, of which only the
-        spectra are evaluated (:meth:`_on_spectra`).
+        spectra are evaluated.
 
         S is unitary, so it is the 2-norm of e^{Phi_r t}: the real columns
         of the identity block are +-e_a, so the stream propagates the real
-        identity up to signs.  The norm is even in xi, since
-        Phi_r(-xi) = J Phi_r(xi) J with the orthogonal
-        J = diag(1, -1, -1, 1, -1, 1), so the stream runs on one row per
-        distinct |xi|.  Each 6x6 V is scaled by s = max|V| (1 where V is
+        identity up to signs.  The identity is Hermitian data, so the norm is
+        one per spectrum.  Each 6x6 V is scaled by s = max|V| (1 where V is
         exactly 0), so that its Gram matrix neither underflows nor
         overflows, and ||V||_2 = s sqrt(lambda_max((V/s)^T (V/s))) by one
         batched eigvalsh; the largest eigenvalue of a Gram matrix is
         accurate to rounding relative to itself.
         """
         times = self._times(times)
-        prop, spectrum = self, self.row
-        if rows is not None:
-            spectra, spectrum = np.unique(self.row[rows], return_inverse=True)
-            prop = self._on_spectra(spectra)
+        spectra = self.row if rows is None else self.row[rows]
         eye = np.eye(6, dtype=complex)[None]
         keep = _nonzero_columns(eye)
-        eye = np.broadcast_to(eye, (len(prop.grid), 6, 6))
-        out = np.empty((len(prop.nodes), len(times)))
-        for idx, V in prop._real_states(eye, keep, times, once=True):
+        distinct = np.unique(spectra)
+        eye = np.broadcast_to(eye, (len(distinct), 6, 6))
+        out = np.empty((len(self.nodes), len(times)))
+        for idx, V in self._real_states(eye, keep, times, distinct):
             V = np.moveaxis(V, -1, 1)                        # (k, nt, 6, 6)
             s = np.abs(V).max(axis=(2, 3), keepdims=True)
             s[s == 0.0] = 1.0
             V = V / s
             gram = np.linalg.eigvalsh(np.swapaxes(V, 2, 3) @ V)[..., -1]
             out[idx] = s[..., 0, 0] * np.sqrt(np.maximum(gram, 0.0))
-        return out[spectrum]
+        return out[spectra]
 
 
 def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:

@@ -6,12 +6,15 @@ zero-frequency limit when gamma1 = 0, and spectral-gap scans on
 middle-frequency bands.  The gap is *sampled*: the largest Re lambda on an
 adaptively refined grid, with no bound between the grid points.
 
-The solver treats the frequency axis as a batch dimension: one call solves
-a whole array of frequencies with one batched eigvals call of the real
-similar symbol S^-1 Phi S, one matrix per distinct |xi|, followed by a
-vectorized residual certificate and the run-time invariants (dissipativity
-and the trace identity).  One frequency is a batch of one, and its row is
-bitwise equal to that frequency's row of any larger batch.
+The solver treats the frequency axis as a batch dimension whose unit is the
+distinct |xi|: :func:`distinct_spectra` solves a whole array of frequencies
+with one batched eigvals call of the real similar symbol S^-1 Phi S, one
+matrix per distinct |xi|, followed by a vectorized residual certificate and
+the run-time invariants (dissipativity and the trace identity).  It returns
+the row map, the real stack and the spectra; the propagator keeps exactly
+that, and :func:`eigenvalues_batch` is its gather per row.  One frequency is
+a batch of one, and its row is bitwise equal to that frequency's row of any
+larger batch.
 
 S = diag(1, i, -i, 1, -i, 1) makes the symbol real at real frequencies
 (:func:`core_model.real_symbol_stack`), so each spectrum is closed under
@@ -45,6 +48,7 @@ __all__ = [
     "AsymptoticCoeffs",
     "CardanoClass",
     "GapCertificate",
+    "distinct_spectra",
     "eigenvalues_batch",
     "branch_continuation",
     "low_freq_expansion",
@@ -89,15 +93,16 @@ _SCALE_CAP = 2.0**38
 _INVARIANT_ULPS = 1e4
 
 
-def eigenvalues_batch(params: SystemParams, xi) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of Phi(i xi) at every frequency of ``xi`` in one solve.
+def distinct_spectra(params: SystemParams, xi):
+    """The spectrum of Phi(i xi) once per distinct |xi| of ``xi``.
 
-    Returns ``(lam, resid)``, both of shape (n, 6): each row in Putzer
-    order and its residuals |p(lambda)|.  The eigenvalues are those of the
-    real similar matrix S^-1 Phi S (:func:`core_model.real_symbol_stack`),
-    one batched backward-stable solve.  The spectrum depends on xi only
-    through xi^2, so each distinct |xi| is solved once and rows at +-xi are
-    bitwise equal; every row is closed under conjugation exactly.
+    Returns ``(row, Phi_r, lam, resid)``: ``row`` (n,) maps each frequency
+    to its spectrum; the distinct |xi| in increasing order index ``Phi_r``
+    (m, 6, 6), the real similar symbol S^-1 Phi S at +|xi|
+    (:func:`core_model.real_symbol_stack`), and ``lam`` and ``resid`` (m, 6),
+    its eigenvalues in Putzer order from one batched backward-stable solve
+    and their residuals |p(lambda)|.  The spectrum depends on xi only
+    through xi^2, and every row is closed under conjugation exactly.
 
     Raises :class:`SolverError` (a numerical breakdown) when any row's
     symbol scale exceeds 2^38, where the solve's absolute error eps * scale
@@ -109,14 +114,15 @@ def eigenvalues_batch(params: SystemParams, xi) -> tuple[np.ndarray, np.ndarray]
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.ndim != 1 or not np.all(np.isfinite(xi)):
         raise PreconditionError(f"frequencies must be a finite 1-d array, got {xi!r}")
-    u, inverse = np.unique(np.abs(xi), return_inverse=True)
+    u, row = np.unique(np.abs(xi), return_inverse=True)
     g = params.gamma1 + params.gamma2
     scale = u * max(1.0, params.a, params.k) + (1.0 + params.l * params.k + g)
     if np.any(scale > _SCALE_CAP):
         raise SolverError(f"symbol scale {scale[-1]:.3g} at |xi|={u[-1]} exceeds 2^38: "
                           "rounding (eps * scale) would drown the real parts")
+    Phi_r = real_symbol_stack(params, u)
     # a float result when every root of the batch is real
-    lam = _putzer_order(np.linalg.eigvals(real_symbol_stack(params, u)).astype(complex))
+    lam = _putzer_order(np.linalg.eigvals(Phi_r).astype(complex))
     coeffs = char_poly_coeffs(params, 1j * u)
     resid = np.abs(_polyval_rows(coeffs, lam))
     tol = _INVARIANT_ULPS * np.finfo(float).eps * scale
@@ -133,7 +139,20 @@ def eigenvalues_batch(params: SystemParams, xi) -> tuple[np.ndarray, np.ndarray]
                 f"eigenvalue solve breaks the {what} at |xi|={u[i]} (tolerance "
                 f"{tol[i]:.3g}): eigenvalues {lam[i]}, residuals {resid[i]}, "
                 f"coefficients {coeffs[i]}")
-    return lam[inverse], resid[inverse]
+    return row, Phi_r, lam, resid
+
+
+def eigenvalues_batch(params: SystemParams, xi) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of Phi(i xi) at every frequency of ``xi``: the rows of
+    :func:`distinct_spectra` gathered per frequency.
+
+    Returns ``(lam, resid)``, both of shape (n, 6): each row in Putzer
+    order and its residuals |p(lambda)|.  Rows at +-xi are bitwise equal,
+    and one frequency's row is bitwise that frequency's row of any larger
+    batch.  Raises as :func:`distinct_spectra` does.
+    """
+    row, _, lam, resid = distinct_spectra(params, xi)
+    return lam[row], resid[row]
 
 
 def branch_continuation(params: SystemParams, grid: np.ndarray) -> np.ndarray:
@@ -201,35 +220,16 @@ def _beta_delta_hat(params: SystemParams) -> tuple[float, float]:
     return beta_hat, delta_hat
 
 
-def _minus_L_root_split(params: SystemParams) -> tuple[np.ndarray, dict]:
-    """Eigenvalues of -L split into {0, +-i k l} and the remaining cubic roots.
-
-    The cubic roots are taken from the numerically computed spectrum of -L
-    (ground truth); the two printed cubic variants are evaluated against them
-    for diagnostics only.
-    """
+def _minus_L_roots(params: SystemParams) -> np.ndarray:
+    """The three eigenvalues of -L besides {0, +-i k l}: the roots of the
+    cubic, taken from the numerically computed spectrum of -L."""
     ev = eigenvalues_batch(params, [0.0])[0][0]
     kl = params.k * params.l
-    known = np.array([0.0, 1j * kl, -1j * kl])
     remaining = list(ev)
-    for target in known:
+    for target in (0.0, 1j * kl, -1j * kl):
         i = int(np.argmin(np.abs(np.array(remaining) - target)))
         remaining.pop(i)
-    roots = np.array(remaining)
-
-    g1, g2, l = params.gamma1, params.gamma2, params.l
-    # variant A: linear coefficient l^2 + 1 + gamma1*gamma2 (matches det(lambda I + L))
-    pa = np.array([1.0, g1 + g2, l * l + 1.0 + g1 * g2, g1 * l * l + g2])
-    # variant B: linear coefficient l^2 + 1 + gamma1 + gamma2
-    pb = np.array([1.0, g1 + g2, l * l + 1.0 + g1 + g2, g1 * l * l + g2])
-    ra = float(np.max(np.abs(np.polyval(pa, roots))))
-    rb = float(np.max(np.abs(np.polyval(pb, roots))))
-    diag = {
-        "cubic_residual_product_coupling": ra,
-        "cubic_residual_sum_coupling": rb,
-        "cubic_variant_matched": "product_coupling" if ra <= rb else "sum_coupling",
-    }
-    return roots, diag
+    return np.array(remaining)
 
 
 def low_freq_expansion(params: SystemParams) -> AsymptoticCoeffs:
@@ -243,9 +243,8 @@ def low_freq_expansion(params: SystemParams) -> AsymptoticCoeffs:
     regime = params.regime
     a, l = params.a, params.l
     g1, g2 = params.gamma1, params.gamma2
-    roots, diag = _minus_L_root_split(params)
-    aux: dict = dict(diag)
-    aux["r_roots"] = roots
+    roots = _minus_L_roots(params)
+    aux: dict = {"r_roots": roots}
 
     if regime == "both_damped":
         sigma0 = a * a * l * l / (g1 * l * l + g2)

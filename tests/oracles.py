@@ -101,6 +101,7 @@ def trajectory_audit(params, consts, xi, horizon=5.0, n_random=100, seed=123):
     feasible c0, the smallest weight * E_hat that bounds c) over the audit's
     24 times, with its slack and its 1e-300 floor.
     """
+    from disspec.core_model import symbol_stack
     from disspec.lyapunov import _SLACK, _T_FIRST, _unit_states, lyapunov_sigma
     from disspec.propagator import SymbolPropagator
 
@@ -110,11 +111,12 @@ def trajectory_audit(params, consts, xi, horizon=5.0, n_random=100, seed=123):
     kind, sigma = lyapunov_sigma(params, xi)
     weight = xi**2 if kind == "L1" else xi**2 / sigma
     prop = SymbolPropagator(params, xi)
+    Phi = symbol_stack(params, xi)
     block = np.broadcast_to(states.T, (len(xi), 6, len(states)))
     per_freq = np.empty(len(xi))
     count, c0, floor = 0, np.inf, np.inf
     for rows, U in prop.states(block, np.linspace(_T_FIRST, horizon, 24)):
-        PhiU = (prop.Phi[rows] @ U.reshape(len(rows), 6, -1)).reshape(U.shape)
+        PhiU = (Phi[rows] @ U.reshape(len(rows), 6, -1)).reshape(U.shape)
         U, PhiU = np.moveaxis(U, 1, -1), np.moveaxis(PhiU, 1, -1)   # (k, c, nt, 6)
         at = (rows, None, None)
         dE, dF, dK, dP = rates(U, PhiU, xi[at], params)

@@ -93,7 +93,7 @@ def test_criterion_2_putzer_vs_pade():
             xi = 0.0 if i % 2 else rng.uniform(-1e-8, 1e-8)
         t = rng.uniform(0, 10)
         prop = SymbolPropagator(p, np.array([xi]))
-        lam = prop.lambdas[0]
+        lam = prop.nodes[0]
         gaps = np.abs(lam[:, None] - lam[None, :])[np.triu_indices(6, 1)]
         if gaps.min() < _GAP_AMBIGUOUS:
             n_clustered += 1

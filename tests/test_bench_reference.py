@@ -82,6 +82,12 @@ def test_traced_tiny_job_keeps_the_claims(workloads, name, tmp_path):
         tracer.uninstall()
     assert work.claims(work.outputs(raw, tmp_path)) == []
     tracing.job_metrics(spans)
+    if name == "decay":
+        # the per-|xi| eigen solve books to the spectral layer, as a child of
+        # the propagator's construction
+        assert any(span[0].startswith("spectral.") and span[3] >= 0
+                   and spans[span[3]][0] == "propagator.SymbolPropagator.init"
+                   for span in spans)
     if name == "certify":
         names = {span[0] for span in spans}
         assert {"propagator.SymbolPropagator.operator_norms", "artifacts.write_csv"} <= names

@@ -347,7 +347,7 @@ class TestBounds:
 
 
 class TestCsvRows:
-    """The row builders hand write_csv Python floats; the bytes equal those
+    """The row builders hand write_csv a float64 table; the bytes equal those
     of the per-element writer on numpy scalars."""
 
     SPECIAL = [0.0, -0.0, 5e-324, -2.2e-308, 1e-310, 1e308, -1e308, np.nan,
@@ -368,7 +368,8 @@ class TestCsvRows:
         return grid, values
 
     def check(self, tmp_path, header, rows, reference_rows):
-        assert all(type(x) is float for row in rows for x in row)
+        assert isinstance(rows, np.ndarray) and rows.dtype == np.float64
+        assert rows.shape == (len(reference_rows), len(header))
         path = tmp_path / "table.csv"
         artifacts.write_csv(path, header, rows)
         assert path.read_bytes() == csv_text_per_element(header, reference_rows).encode()
@@ -404,12 +405,11 @@ class TestCsvRows:
         assert list(tmp_path.iterdir()) == []
 
     def test_ragged_state_rows_exit_1(self, tmp_path, monkeypatch, capsys):
-        # a row narrower than the header is an internal error: exit 1 and no
-        # state.csv
+        # a table narrower than the header is an internal error: exit 1 and
+        # no state.csv
         def narrow(grid, values):
             header, rows = state_rows(grid, values)
-            rows[-1].pop()
-            return header, rows
+            return header, rows[:, :-1]
 
         state_rows = artifacts.state_csv_rows
         monkeypatch.setattr(artifacts, "state_csv_rows", narrow)
@@ -420,6 +420,7 @@ class TestCsvRows:
         assert code == 1
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["error"] == "ValueError"
+        assert "do not fit 13 header columns" in payload["message"]
         assert not (out / "state.csv").exists()
 
 

@@ -44,6 +44,29 @@ class TestProfiles:
         with pytest.raises(PreconditionError):
             Profile(kind="gaussian", component="w").vector()
 
+    @pytest.mark.parametrize("grid", ["default", "packet"])
+    @pytest.mark.parametrize("kind", ["gaussian", "box", "high_freq_packet",
+                                      "conservative_mode"])
+    def test_every_profile_folds(self, kind, grid):
+        # the propagator takes only data that are Hermitian as floats; every
+        # profile must build such data on the symmetric grids of the CLI and
+        # of packet_decay_time
+        p = SystemParams(1, 1, 1, 1, 0.0 if kind == "conservative_mode" else 1)
+        grid = default_grid() if grid == "default" else packet_grid(10.0, 2.0)
+        prof = Profile(kind=kind, width=0.7, center=10.0, component="all")
+        vals = build_initial_state(p, prof, grid).values
+        # xi = 0 is a spectrum of its own, so its row need not be real
+        off = grid != 0
+        assert np.array_equal(vals[off], vals[::-1][off].conj())
+        prop = SymbolPropagator(p, grid)
+        times = np.array([0.0, 1.0])
+        traj = prop.propagate_many(vals, times)
+        assert np.array_equal(traj[0], vals)
+        norms = propagator.sobolev_norms(prop, vals, times, (0, 1), check_tail=False)
+        # a contraction; the undamped conservative mode keeps its norm
+        assert np.all(np.isfinite(norms))
+        assert np.all(norms[:, 1] <= norms[:, 0] * (1 + 1e-12))
+
     def test_conservative_profile_requires_gamma2_zero(self):
         p = SystemParams(1, 1, 1, 1, 1)
         with pytest.raises(RegimeError):
@@ -423,12 +446,14 @@ class TestSynthesis:
                 built.append(len(grid))
                 super().__init__(params, grid)
 
+        solve = propagator.distinct_spectra
+
         def eigen_spy(params, xi):
             solved.append(len(xi))
-            return eigenvalues_batch(params, xi)
+            return solve(params, xi)
 
         monkeypatch.setattr(decay_lab, "SymbolPropagator", Spy)
-        monkeypatch.setattr(propagator, "eigenvalues_batch", eigen_spy)
+        monkeypatch.setattr(propagator, "distinct_spectra", eigen_spy)
         exp = self.make_exp(SystemParams(1, 1, 0.5, 0, 1))
         rep = three_region_synthesis(exp, FrequencyPartition(nu=0.05, N=50))
         assert rep["bound_dominates"]
@@ -449,14 +474,14 @@ class TestSynthesis:
             inside.append(True)
             out = norms(prop, times, rows)
             inside.pop()
-            calls.append((prop.params, prop.grid, times, rows, out))
+            calls.append((prop, times, rows, out))
             return out
 
         def stream_spy(prop, *args, **kwargs):
-            # the frequencies whose spectra the norms propagate
+            # the spectra that the norms propagate
             for idx, V in stream(prop, *args, **kwargs):
                 if inside:
-                    streamed.append(prop.grid[prop._first[idx]])
+                    streamed.append(idx)
                 yield idx, V
 
         monkeypatch.setattr(SymbolPropagator, "operator_norms", norms_spy)
@@ -465,14 +490,14 @@ class TestSynthesis:
                          profile=Profile(kind="gaussian", width=1.0),
                          times=np.geomspace(1.0, 1000.0, 10), j_orders=(0,), grid=grid)
         assert three_region_synthesis(exp, FrequencyPartition(nu=0.05, N=20.0))["bound_dominates"]
-        [(params, prop_grid, times, rows, out)] = calls
-        assert np.array_equal(prop_grid, grid)
+        [(prop, times, rows, out)] = calls
+        assert np.array_equal(prop.grid, grid)
         monkeypatch.undo()
-        alone = SymbolPropagator(params, grid[rows]).operator_norms(times)
+        alone = SymbolPropagator(prop.params, grid[rows]).operator_norms(times)
         assert np.array_equal(out.view(np.uint64), alone.view(np.uint64))
-        evaluated = np.abs(np.concatenate(streamed))
+        evaluated = np.concatenate(streamed)
         assert len(evaluated) == thinned_spectra
-        assert np.array_equal(np.sort(evaluated), np.unique(np.abs(grid[rows])))
+        assert np.array_equal(evaluated, np.unique(prop.row[rows]))
 
     def test_low_region_past_the_exponent_floor(self):
         # c2_hat xi^2 t reaches 5625 in the low region and the middle region's

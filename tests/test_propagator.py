@@ -6,11 +6,13 @@ from scipy.linalg import expm
 
 from disspec import (FourierState, PreconditionError, SolverError,
                      SystemParams, TailMassError, build_symbol, default_grid,
-                     eigenvalues_batch, sobolev_norms)
+                     eigenvalues_batch, sobolev_norms, symbol_stack)
 from disspec import propagator as propagator_module
+from disspec import spectral as spectral_module
 from disspec.decay_lab import _conservative_vector
 from disspec.propagator import (_EXP_FLOOR, SymbolPropagator, _ambiguous, _basis,
                                 _newton_weights, _partners, _q_chain, _r_bidiag)
+from disspec.lyapunov import audit_inequality, search_constants
 from oracles import (density, dissipation, energy, energy_audit, plancherel_norms,
                      r_chain_mp, six_exp_table)
 
@@ -43,6 +45,18 @@ def bidiag_r(lam, t):
 def p_chain(Phi, lam):
     """P_0..P_5 of one symbol: the Q chain of the identity block."""
     return _q_chain(Phi[None], np.asarray(lam, dtype=complex)[None], np.eye(6)[None])[0]
+
+
+def hermitian_data(grid, cols=(), seed=11):
+    """Random complex data of shape (len(grid), 6, *cols) that fold onto the
+    spectra of ``grid`` bit for bit: X(-xi) = conj X(xi), and equal data at
+    a repeated xi."""
+    rng = np.random.default_rng(seed)
+    _, row = np.unique(np.abs(grid), return_inverse=True)
+    shape = (row.max() + 1, 6, *cols)
+    vals = (rng.normal(size=shape) + 1j * rng.normal(size=shape))[row]
+    vals[grid < 0] = vals[grid < 0].conj()
+    return vals
 
 
 def exp_many(p, xi, times):
@@ -100,7 +114,8 @@ class TestPutzerR:
         # the solve returns the double root 0 either as the exactly equal
         # adjacent 0j, -0j or as -0j and -4.7e-17 apart; both take the
         # bidiagonal route
-        prop = SymbolPropagator(SystemParams(*p), np.array([0.0]))
+        params = SystemParams(*p)
+        prop = SymbolPropagator(params, np.array([0.0]))
         lam = prop.nodes[0]
         assert np.any(lam[1:] == lam[:-1]) == adjacent
         assert np.all(np.sort(np.abs(lam))[:2] <= 1e-16)
@@ -108,7 +123,7 @@ class TestPutzerR:
         times = np.array([0.3, 1.7, 20.0])
         E = prop.propagate_many(np.eye(6)[None], times)[:, 0]
         for q, t in enumerate(times):
-            assert np.max(np.abs(E[q] - expm(prop.Phi[0] * t))) <= 1e-10
+            assert np.max(np.abs(E[q] - expm(build_symbol(params, 0.0).Phi * t))) <= 1e-10
 
     def test_one_ambiguity_rule(self):
         base = np.array([-1.0, -2.0, -3.0, -4.0, -5.0, -6.0], dtype=complex)
@@ -232,7 +247,7 @@ class TestConjugateMirror:
         # weights and the table cancel there at small t and close nodes
         prop = SymbolPropagator(SystemParams(*p), default_grid())
         ok = ~prop.ambiguous
-        lam = prop.lambdas[ok]
+        lam = prop.nodes[prop.row][ok]
         ref = np.moveaxis(six_exp_table(lam, self.TIMES), 0, -1)        # (n, nt, 6)
         with np.errstate(under="ignore"):
             phi = np.exp(lam[..., None] * self.TIMES)
@@ -473,13 +488,13 @@ class TestPointwiseRateShape:
         from disspec import fit_pointwise_rate
 
         calls = []
-        batch = propagator_module.eigenvalues_batch
+        solve = propagator_module.distinct_spectra
 
         def spy(params, xi):
             calls.append(len(xi))
-            return batch(params, xi)
+            return solve(params, xi)
 
-        monkeypatch.setattr(propagator_module, "eigenvalues_batch", spy)
+        monkeypatch.setattr(propagator_module, "distinct_spectra", spy)
         p = SystemParams(1, 1, 0.5, 1, 1)
         xi = np.geomspace(0.01, 100, 12)
         out = fit_pointwise_rate(p, xi)
@@ -523,15 +538,16 @@ class TestVectorizedPropagator:
             assert prop.ambiguous.tolist() == [False, False, undamped, False, False, False]
             eye = np.broadcast_to(np.eye(6, dtype=complex), (len(grid), 6, 6))
             E = prop.propagate_many(eye, times)
+            Phi = symbol_stack(params, grid)
             for i in range(len(grid)):
                 for q, t in enumerate(times):
-                    assert np.max(np.abs(E[q, i] - expm(prop.Phi[i] * t))) <= 1e-10
+                    assert np.max(np.abs(E[q, i] - expm(Phi[i] * t))) <= 1e-10
 
     def test_no_per_frequency_solves(self, monkeypatch):
         import disspec.core_model as core_model
         import disspec.spectral as spectral
 
-        calls = {"build_symbol": 0, "eigenvalues_batch": 0}
+        calls = {"build_symbol": 0, "distinct_spectra": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -543,11 +559,11 @@ class TestVectorizedPropagator:
         assert not hasattr(propagator_module, "eigenvalues")
         monkeypatch.setattr(core_model, "build_symbol",
                             counting("build_symbol", core_model.build_symbol))
-        monkeypatch.setattr(propagator_module, "eigenvalues_batch",
-                            counting("eigenvalues_batch", spectral.eigenvalues_batch))
+        monkeypatch.setattr(propagator_module, "distinct_spectra",
+                            counting("distinct_spectra", spectral.distinct_spectra))
         prop = SymbolPropagator(SystemParams(1, 1, 0.5, 1, 1), default_grid())
-        assert prop.lambdas.shape == (4097, 6)
-        assert calls == {"build_symbol": 0, "eigenvalues_batch": 1}
+        assert prop.row.shape == (4097,) and prop.nodes.shape == (2049, 6)
+        assert calls == {"build_symbol": 0, "distinct_spectra": 1}
 
 
 class TestSharedTable:
@@ -559,11 +575,6 @@ class TestSharedTable:
     REGIMES = [(1, 1, 0.5, 1, 1), (2, 1, 1, 0, 1), (1.3, 0.8, 1.1, 1, 0),
                (1, 1, 1, 0, 0), (1, 1, np.sqrt(8.0), 0, np.sqrt(27.0))]
 
-    @staticmethod
-    def data(n, seed=5):
-        rng = np.random.default_rng(seed)
-        return rng.normal(size=(n, 6)) + 1j * rng.normal(size=(n, 6))
-
     @pytest.mark.parametrize("p", REGIMES)
     def test_propagate_many_matches_expm(self, p):
         params = SystemParams(*p)
@@ -571,11 +582,12 @@ class TestSharedTable:
         prop = SymbolPropagator(params, grid)
         assert prop.ambiguous[2] == (params.regime == "undamped" or params.l == np.sqrt(8.0))
         times = np.array([0.4, 3.0, 11.0])
-        vals = self.data(len(grid))
+        vals = hermitian_data(grid, seed=5)
         traj = prop.propagate_many(vals, times)
+        Phi = symbol_stack(params, grid)
         for i in range(len(grid)):
             for q, t in enumerate(times):
-                ref = expm(prop.Phi[i] * t) @ vals[i]
+                ref = expm(Phi[i] * t) @ vals[i]
                 assert np.max(np.abs(traj[q, i] - ref)) <= 1e-10
 
     @pytest.mark.parametrize("p", REGIMES)
@@ -585,12 +597,13 @@ class TestSharedTable:
         prop = SymbolPropagator(params, grid)
         assert prop.ambiguous[2] == (params.regime == "undamped" or params.l == np.sqrt(8.0))
         times = np.array([0.4, 3.0, 11.0])
-        block = self.data(3 * len(grid)).reshape(len(grid), 6, 3)
+        block = hermitian_data(grid, (3,), seed=5)
         traj = prop.propagate_many(block, times)
         assert traj.shape == (len(times), len(grid), 6, 3)
+        Phi = symbol_stack(params, grid)
         for i in range(len(grid)):
             for q, t in enumerate(times):
-                ref = expm(prop.Phi[i] * t) @ block[i]
+                ref = expm(Phi[i] * t) @ block[i]
                 assert np.max(np.abs(traj[q, i] - ref)) <= 1e-10
         # the reduction of each block column, one weight column per row
         for col in range(block.shape[2]):
@@ -605,9 +618,10 @@ class TestSharedTable:
         assert prop.ambiguous.tolist() == [False, True, False, False]
         times = np.array([0.0, 0.5, 8.6, 50.0])
         nrm = prop.operator_norms(times)
+        Phi = symbol_stack(params, grid)
         for i in range(len(grid)):
             for q, t in enumerate(times):
-                ref = np.linalg.norm(expm(prop.Phi[i] * t), 2)
+                ref = np.linalg.norm(expm(Phi[i] * t), 2)
                 assert abs(nrm[i, q] - ref) <= 1e-10
 
     @pytest.mark.parametrize("p", [REGIMES[0], REGIMES[-1]])
@@ -616,7 +630,7 @@ class TestSharedTable:
         grid = default_grid(xi_max=8.0, n_geo=64, n_lin=64)
         prop = SymbolPropagator(params, grid)
         assert prop.ambiguous.any() == (params.l == np.sqrt(8.0))
-        vals = self.data(len(grid))
+        vals = hermitian_data(grid, seed=5)
         times = np.geomspace(0.1, 50.0, 9)
         ref = np.sum(np.abs(prop.propagate_many(vals, times)) ** 2, axis=2).T
         # several chunks, each with its own slice of the table; one weight
@@ -636,7 +650,7 @@ class TestSharedTable:
         grid = np.concatenate([-pos[::3][::-1], [0.0], pos])
         prop = SymbolPropagator(params, grid)
         assert len(prop.nodes) == len(np.unique(np.abs(grid))) == 41
-        assert np.array_equal(prop.nodes[prop.row], prop.lambdas)
+        assert np.array_equal(prop.nodes[prop.row], eigenvalues_batch(params, grid)[0])
 
     def test_one_table_row_per_spectrum(self, monkeypatch):
         eigvals = np.linalg.eigvals
@@ -654,12 +668,30 @@ class TestSharedTable:
         # row per spectrum
         assert solved == [(2049, 6, 6)]
         assert prop.nodes.shape == (2049, 6)
-        assert np.array_equal(prop.nodes[prop.row], prop.lambdas)
         # +-xi rows agree bitwise
         lam, _ = eigenvalues_batch(p, grid)
+        assert np.array_equal(prop.nodes[prop.row], lam)
         assert np.array_equal(lam, lam[::-1])
         r = prop.r_many(np.geomspace(0.01, 100.0, 5))
         assert np.array_equal(r, r[::-1])
+
+    def test_one_symbol_stack(self, monkeypatch):
+        # the eigen solve's real stack, one matrix per distinct |xi|, is the
+        # propagator's; no second stack over the rows is built
+        import disspec.core_model as core_model
+
+        stack, built = core_model.real_symbol_stack, []
+
+        def spy(params, xi):
+            built.append(np.shape(xi))
+            return stack(params, xi)
+
+        for module in (core_model, spectral_module, propagator_module):
+            if hasattr(module, "real_symbol_stack"):
+                monkeypatch.setattr(module, "real_symbol_stack", spy)
+        prop = SymbolPropagator(SystemParams(1, 1, 0.5, 1, 1), default_grid())
+        assert built == [(2049,)]
+        assert prop.Phi_r.shape == (2049, 6, 6)
 
     def test_no_stored_chain(self):
         import tracemalloc
@@ -690,9 +722,10 @@ class TestSharedTable:
 
 
 class TestOncePerAbsXi:
-    """Operator norms, and densities of Hermitian data, are even in xi: the
-    stream runs on one row per distinct |xi| and the mirrored rows copy it.
-    Any other data evaluate every row."""
+    """The propagator works on one spectrum per distinct |xi|: operator norms
+    and Hermitian data are even in xi, the stream runs on the spectra, and
+    the mirrored rows are exact conjugates.  Data that do not fold onto the
+    spectra bit for bit are refused."""
 
     P = SystemParams(1, 1, 0.5, 1, 1)
     GRID = default_grid(xi_max=8.0, n_geo=64, n_lin=64)
@@ -710,23 +743,6 @@ class TestOncePerAbsXi:
 
         monkeypatch.setattr(propagator_module, "_q_chain", counting)
         return rows
-
-    @staticmethod
-    def hermitian(grid, seed=11):
-        """Random data with X(-xi) = conj X(xi) bit for bit on a symmetric grid."""
-        rng = np.random.default_rng(seed)
-        vals = rng.normal(size=(len(grid), 6)) + 1j * rng.normal(size=(len(grid), 6))
-        vals[grid < 0] = vals[grid > 0][::-1].conj()
-        vals[grid == 0] = vals[grid == 0].real
-        return vals
-
-    @staticmethod
-    def per_row(p, grid, vals, times):
-        """The density evaluated by a one-frequency propagator per row."""
-        return np.concatenate([
-            SymbolPropagator(p, grid[i:i + 1]).plancherel_sums(vals[i:i + 1], times,
-                                                               np.ones((1, 1)))[0]
-            for i in range(len(grid))])
 
     def test_operator_norms_match_svd(self):
         # a symmetric grid about the defective point's ambiguous xi = 0 row,
@@ -755,7 +771,8 @@ class TestOncePerAbsXi:
         prop.operator_norms(self.TIMES)
         assert sum(rows) == len(prop.nodes)
         rows.clear()
-        prop.plancherel_sums(self.hermitian(self.GRID), self.TIMES, np.ones((len(self.GRID), 1)))
+        prop.plancherel_sums(hermitian_data(self.GRID), self.TIMES,
+                             np.ones((len(self.GRID), 1)))
         assert sum(rows) == len(prop.nodes)
 
     def test_operator_norms_of_rows(self, monkeypatch):
@@ -776,34 +793,69 @@ class TestOncePerAbsXi:
         assert nrm.shape == (len(rows), len(times))
         assert np.array_equal(nrm.view(np.uint64), whole[rows].view(np.uint64))
 
+    @pytest.mark.parametrize("method", ["states", "propagate_many", "plancherel_sums"])
     @pytest.mark.parametrize("kind", ["ulp", "complex", "asymmetric"])
-    def test_other_data_take_every_row(self, monkeypatch, kind):
+    def test_other_data_refused(self, kind, method):
         grid = self.GRID.copy()
-        vals = self.hermitian(grid)
+        vals = hermitian_data(grid)
         if kind == "ulp":
             # one mirrored row off by one ulp
             vals[3, 2] = complex(np.nextafter(vals[3, 2].real, np.inf), vals[3, 2].imag)
         elif kind == "complex":
             vals = np.random.default_rng(12).normal(size=(len(grid), 6)) * (1 + 2j)
         else:
-            # -xi replaced by xi: the row repeats |xi| without mirroring it
+            # -xi replaced by xi: the row repeats xi with other data
             grid[3] = -grid[3]
         prop = SymbolPropagator(self.P, grid)
-        assert len(prop.nodes) < len(grid)
-        rows = self.spy(monkeypatch)
-        dens = prop.plancherel_sums(vals, self.TIMES, np.eye(len(grid)))[0]
-        assert sum(rows) == len(grid)
-        monkeypatch.undo()
-        ref = self.per_row(self.P, grid, vals, self.TIMES)
-        assert np.max(np.abs(dens - ref) / ref) <= 1e-14
+        args = (vals, self.TIMES)
+        if method == "plancherel_sums":
+            args += (np.ones((len(grid), 1)),)
+        with pytest.raises(PreconditionError, match="must be Hermitian, equal as floats"):
+            # states is a generator: the refusal comes with its first chunk
+            next(iter(getattr(prop, method)(*args)))
+
+    def test_refusal_exits_2(self, monkeypatch, tmp_path):
+        # evolve on data one ulp off Hermitian: a machine-readable refusal
+        import json
+
+        from disspec import cli
+
+        build = cli.build_initial_state
+
+        def off_by_one_ulp(*args):
+            state = build(*args)
+            state.values[0, 2] = np.nextafter(state.values[0, 2].real, np.inf)
+            return state
+
+        monkeypatch.setattr(cli, "build_initial_state", off_by_one_ulp)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "command": "evolve", "params": self.P.to_dict(), "t": 1.0,
+            "profile": {"kind": "gaussian", "width": 1.0, "component": "z"},
+            "grid": {"xi_max": 8.0, "n_geo": 16, "n_lin": 16}}))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(config), "--out", str(out)]) == 2
+        payload = json.loads((out / "error.json").read_text())
+        assert payload["error"] == "PreconditionError"
+        assert "must be Hermitian, equal as floats" in payload["message"]
+        assert not (out / "state.csv").exists()
+
+    def test_repeated_frequencies_with_equal_data(self):
+        # a repeated xi with equal data folds onto its one spectrum
+        c = search_constants(self.P)
+        rep = audit_inequality(self.P, c, [1.0, 0.5, 1.0])
+        ref = audit_inequality(self.P, c, [0.5, 1.0])
+        assert np.array_equal(rep.per_frequency_violation,
+                              ref.per_frequency_violation[[1, 0, 1]])
+        assert rep.c0_feasible == ref.c0_feasible
 
     def test_hermitian_states_once_per_abs_xi(self, monkeypatch):
         prop = SymbolPropagator(self.P, self.GRID)
-        vals = self.hermitian(self.GRID)
+        vals = hermitian_data(self.GRID)
         rows = self.spy(monkeypatch)
         traj = prop.propagate_many(vals, self.TIMES)
         assert sum(rows) == len(prop.nodes)
-        # the mirrored rows are the exact conjugates of the first rows
+        # the mirrored rows are the exact conjugates of the rows at +xi
         pos, neg = self.GRID > 0, self.GRID < 0
         assert np.array_equal(traj[:, pos], traj[:, neg][:, ::-1].conj())
         monkeypatch.undo()
@@ -813,20 +865,22 @@ class TestOncePerAbsXi:
             assert np.max(np.abs(traj[:, i] - ref)) <= 1e-14 * np.abs(ref).max()
 
     def test_hermitian_density_is_the_positive_half(self):
-        vals = self.hermitian(self.GRID)
+        vals = hermitian_data(self.GRID)
         dens = SymbolPropagator(self.P, self.GRID).plancherel_sums(
             vals, self.TIMES, np.eye(len(self.GRID)))[0]
         half = self.GRID >= 0
         ref = SymbolPropagator(self.P, self.GRID[half]).plancherel_sums(
             vals[half], self.TIMES, np.eye(half.sum()))[0]
-        # the full grid evaluates the first row of each |xi|, on the negative side
+        # the full grid evaluates one spectrum per |xi|, on the positive side
         for side in (self.GRID[half], -self.GRID[half]):
             got = dens[np.searchsorted(self.GRID, side)]
             assert np.max(np.abs(got - ref) / ref) <= 1e-14
 
 
 class TestPlancherelSums:
-    """Sobolev norms reduced inside the stream against the trajectory."""
+    """Sobolev norms reduced inside the stream against the trajectory, for
+    Hermitian data on a symmetric grid (``hermitian``) and for any complex
+    data on the positive half of it, where no two rows share a |xi|."""
 
     GRID = default_grid(xi_max=12.0, n_geo=96, n_lin=96)
     TIMES = np.geomspace(0.1, 50.0, 9)
@@ -834,25 +888,25 @@ class TestPlancherelSums:
               SystemParams(1, 1, np.sqrt(8.0), 0, np.sqrt(27.0))]   # ambiguous xi = 0
 
     @staticmethod
-    def data(grid, hermitian, seed=4):
-        rng = np.random.default_rng(seed)
-        vals = rng.normal(size=(len(grid), 6)) + 1j * rng.normal(size=(len(grid), 6))
-        if hermitian:
-            vals[grid < 0] = vals[grid > 0][::-1].conj()
-            vals[grid == 0] = vals[grid == 0].real
-        return np.exp(-0.5 * grid**2)[:, None] * vals
+    def data(grid, hermitian, center=0.0, seed=4):
+        """(grid, data): random complex data times exp(-(|xi| - center)^2),
+        Hermitian on the symmetric ``grid``, or on its positive half."""
+        if not hermitian:
+            grid = grid[grid > 0]
+        vals = hermitian_data(grid, seed=seed)
+        return grid, np.exp(-(np.abs(grid) - center) ** 2)[:, None] * vals
 
     @pytest.mark.parametrize("hermitian", [True, False])
     @pytest.mark.parametrize("params", PARAMS)
     def test_matches_trajectory_quadrature(self, params, hermitian):
-        prop = SymbolPropagator(params, self.GRID)
-        assert prop.ambiguous.any() == (params.gamma1 == 0)
-        vals = self.data(self.GRID, hermitian)
-        assert prop._hermitian(vals[..., None]) == hermitian
+        # the positive half carries its mass about xi = 6, off both edges
+        grid, vals = self.data(self.GRID, hermitian, center=0.0 if hermitian else 6.0)
+        prop = SymbolPropagator(params, grid)
+        assert prop.ambiguous.any() == (params.gamma1 == 0 and hermitian)
         got = sobolev_norms(prop, vals, self.TIMES, (0, 1, 2))
         dens = density(prop, vals, self.TIMES)
         for row, j in zip(got, (0, 1, 2)):
-            ref = plancherel_norms(self.GRID, dens, j)
+            ref = plancherel_norms(grid, dens, j)
             assert np.max(np.abs(row - ref) / ref) <= 1e-13
 
     @pytest.mark.parametrize("hermitian", [True, False])
@@ -868,7 +922,7 @@ class TestPlancherelSums:
             vals = build_initial_state(params, Profile(kind="high_freq_packet", center=10.0,
                                                        width=2.0, component="v"), grid).values
         else:
-            vals = self.data(grid - 10.0 * np.sign(grid), hermitian=False)
+            grid, vals = self.data(grid, hermitian=False, center=10.0)
         prop = SymbolPropagator(params, grid)
         times = np.geomspace(1e-2, 1e6, 400)
         full = sobolev_norms(prop, vals, times, (0, 1, 2), check_tail=False)
@@ -916,8 +970,7 @@ class TestUndampedGrid:
         import time
 
         grid = default_grid()
-        rng = np.random.default_rng(9)
-        vals = rng.normal(size=(len(grid), 6)) + 1j * rng.normal(size=(len(grid), 6))
+        vals = hermitian_data(grid, seed=9)
         times = np.geomspace(0.01, 1e4, 40)
         t0 = time.perf_counter()
         prop = SymbolPropagator(self.p, grid)
@@ -935,12 +988,13 @@ class TestUndampedGrid:
         sample = grid[amb[::29]]
         prop = SymbolPropagator(self.p, sample)
         assert prop.ambiguous.all()
-        vals = TestSharedTable.data(len(sample))
+        vals = hermitian_data(sample, seed=5)
         times = np.geomspace(0.01, 1e4, 7)
         traj = prop.propagate_many(vals, times)
+        Phi = symbol_stack(self.p, sample)
         for i in range(len(sample)):
             for q, t in enumerate(times):
-                ref = expm(prop.Phi[i] * t) @ vals[i]
+                ref = expm(Phi[i] * t) @ vals[i]
                 assert np.max(np.abs(traj[q, i] - ref)) <= 1e-9
 
 

@@ -179,6 +179,36 @@ def test_real_frame_matches_expm(case, times, seed):
     assert np.all(np.abs(dens - dens[::-1]) <= 1e-13 * dens)
 
 
+@PROPERTY
+@given(params(), st.lists(st.floats(0.0, 30.0), min_size=1, max_size=6),
+       st.lists(st.floats(31.0, 60.0), max_size=3), st.integers(0, 2**32 - 1))
+def test_rows_fold_onto_spectra(p, half, tail, seed):
+    # a symmetric grid with an unpaired tail at -xi, and random Hermitian
+    # data: one spectrum per distinct |xi|, whose state the rows at -xi read
+    # as exact conjugates
+    half = np.unique(half)
+    grid = np.unique(np.concatenate([-np.asarray(tail), -half, half]))
+    rng = np.random.default_rng(seed)
+    _, row = np.unique(np.abs(grid), return_inverse=True)
+    shape = (row.max() + 1, 6)
+    vals = (rng.normal(size=shape) + 1j * rng.normal(size=shape))[row]
+    vals[grid < 0] = vals[grid < 0].conj()
+    times = np.array([0.0, 0.3, 4.0, 50.0])
+    prop = SymbolPropagator(p, grid)
+    traj = prop.propagate_many(vals, times)
+    paired = np.isin(-grid, grid) & (grid > 0)
+    mirror = np.searchsorted(grid, -grid[paired])
+    assert np.array_equal(traj[:, mirror], traj[:, paired].conj())
+    for i in range(len(grid)):
+        ref = SymbolPropagator(p, grid[i:i + 1]).propagate_many(vals[i:i + 1], times)[:, 0]
+        assert np.all(np.abs(traj[:, i] - ref) <= 1e-13 * np.abs(ref).max(axis=1)[:, None])
+    # the norms of some rows, repeats and +-xi included, are the whole grid's
+    rows = rng.integers(0, len(grid), size=5)
+    whole = prop.operator_norms(times)
+    assert np.array_equal(prop.operator_norms(times, rows=rows).view(np.uint64),
+                          whole[rows].view(np.uint64))
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 2**64 - 1), min_size=3, max_size=3), max_size=8))
 # a quiet NaN with a payload, a negative signalling NaN, -5e-324

@@ -193,10 +193,15 @@ class TestLowFrequency:
             low_freq_expansion(p)
 
     def test_cubic_variant_diagnosis(self):
-        aux = low_freq_expansion(SystemParams(1, 1, 0.5, 1.5, 0.7)).auxiliary
-        assert aux["cubic_variant_matched"] == "product_coupling"
-        assert aux["cubic_residual_product_coupling"] < 1e-10
+        # the roots besides {0, +-i k l} solve the product-coupling cubic
+        # Z^3 + (g1 + g2) Z^2 + (l^2 + 1 + g1 g2) Z + g1 l^2 + g2, the
+        # factor of det(Z I + L) besides Z (Z^2 + k^2 l^2)
+        p = SystemParams(1, 1, 0.5, 1.5, 0.7)
+        aux = low_freq_expansion(p).auxiliary
         roots = aux["r_roots"]
+        g1, g2, l = p.gamma1, p.gamma2, p.l
+        cubic = [1.0, g1 + g2, l * l + 1.0 + g1 * g2, g1 * l * l + g2]
+        assert np.max(np.abs(np.polyval(cubic, roots))) < 1e-10
         assert np.all(roots.real < 0)
 
     def test_regime_guard(self):
