@@ -12,6 +12,7 @@ internal errors.  DISSPEC_LOG controls logging verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -329,18 +330,6 @@ def _times_from(spec: dict) -> np.ndarray:
     return np.geomspace(spec["t_min"], spec["t_max"], spec["n"])
 
 
-def _grid_from(spec: dict | None) -> np.ndarray:
-    if spec is None:
-        return default_grid()
-    return default_grid(**spec)
-
-
-def _profile_from(spec: dict) -> Profile:
-    return Profile(kind=spec["kind"], width=spec.get("width", 1.0),
-                   center=spec.get("center", 0.0),
-                   component=spec.get("component", "z"))
-
-
 def _branch_table(coeffs) -> list[dict]:
     """Branch rows for JSON; a constant the table leaves NaN is null."""
     return [{"label": b.label,
@@ -409,8 +398,8 @@ def dispatch(config: dict, out_dir: Path, seed: int = 0) -> dict:
         return {"command": cmd, "artifacts": [str(path)], "gap": cert.gap}
 
     if cmd == "evolve":
-        grid = _grid_from(config.get("grid"))
-        state0 = build_initial_state(params, _profile_from(config["profile"]), grid)
+        grid = default_grid(**config.get("grid", {}))
+        state0 = build_initial_state(params, Profile(**config["profile"]), grid)
         prop = SymbolPropagator(params, grid)
         values = prop.apply(state0.values, config["t"])
         header, rows = artifacts.state_csv_rows(grid, values)
@@ -434,9 +423,7 @@ def dispatch(config: dict, out_dir: Path, seed: int = 0) -> dict:
                               n_states=2000, seed=seed)
         payload = {
             "params": params.to_dict(),
-            "constants": {f: getattr(consts, f) for f in
-                          ("d0", "d1", "d2", "eps1", "eps1p", "eps2", "eps2p",
-                           "eps3", "eps4")},
+            "constants": dataclasses.asdict(consts),
             "weight_kind": rep.weight_kind,
             "frequencies": list(map(float, rep.frequencies)),
             "horizon": float(rep.horizon),
@@ -456,10 +443,10 @@ def dispatch(config: dict, out_dir: Path, seed: int = 0) -> dict:
                 "c0_feasible": rep.c0_feasible}
 
     if cmd == "decay":
-        exp = Experiment(params=params, profile=_profile_from(config["profile"]),
+        exp = Experiment(params=params, profile=Profile(**config["profile"]),
                          times=_times_from(config["times"]),
                          j_orders=tuple(config["j_orders"]),
-                         grid=_grid_from(config.get("grid")))
+                         grid=default_grid(**config.get("grid", {})))
         window = tuple(config["fit_window"]) if "fit_window" in config else None
         fits = run_decay(exp, fit_window=window)
         fit_payload = {
@@ -484,12 +471,11 @@ def dispatch(config: dict, out_dir: Path, seed: int = 0) -> dict:
                 "fits": fit_payload}
 
     if cmd == "synthesize":
-        exp = Experiment(params=params, profile=_profile_from(config["profile"]),
+        exp = Experiment(params=params, profile=Profile(**config["profile"]),
                          times=_times_from(config["times"]),
                          j_orders=(config.get("j", 0),),
-                         grid=_grid_from(config.get("grid")))
-        part = FrequencyPartition(nu=config["partition"]["nu"],
-                                  N=config["partition"]["N"])
+                         grid=default_grid(**config.get("grid", {})))
+        part = FrequencyPartition(**config["partition"])
         rep = three_region_synthesis(exp, part, ell=config.get("ell", 1))
         payload = {k: (list(map(float, v)) if isinstance(v, np.ndarray) else v)
                    for k, v in rep.items()}

@@ -7,7 +7,8 @@ computes Sobolev seminorms by Plancherel quadrature, and fits decay laws:
   regimes (expected exponent -1/4 - j/2 from the heat-like low-frequency
   branch);
 * non-decay certification for gamma2 = 0 by evolving data concentrated on
-  the conservative (purely imaginary) eigenvalue branch;
+  the conservative (purely imaginary) eigenvalue branch, along its
+  closed-form eigenvector;
 * per-frequency worst-case rates in operator norm against the reference
   shapes rho1 = xi^2/(1+xi^2) and rho2 = xi^2/(1+xi^2+xi^4);
 * the low/middle/high frequency synthesis for the single-damping regime,
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_model import SystemParams, symbol_stack
+from .core_model import SystemParams
 from .errors import PreconditionError, RegimeError, SolverError
 from .lyapunov import audit_inequality, lyapunov_sigma, sandwich_fit, search_constants
 from .propagator import (FourierState, SymbolPropagator, _sobolev_weights,
@@ -160,24 +161,22 @@ class FrequencyPartition:
 
 
 def _conservative_vector(params: SystemParams, xi) -> np.ndarray:
-    """Unit eigenvectors of the purely imaginary eigenvalue (gamma2 = 0).
+    """Unit eigenvectors of the undamped pair (gamma2 = 0), in closed form.
 
-    The undamped pair sits at +- i k sqrt(l^2 + xi^2); two batched
-    inverse-iteration steps from a fixed start vector at the polished
-    eigenvalue recover its eigenvector to solver precision.  Returns one
-    row per frequency of ``xi``: shape (n, 6).
+    With rho = sqrt(l^2 + xi^2), w = (0, -i l sgn(xi) / rho, 0, 0, 1,
+    |xi| / rho), normalized, is an eigenvector of i k rho sgn(xi) at
+    xi != 0, and w(-xi) = conj w(xi) bit for bit.  At xi = 0 it is the real
+    e_phi = sqrt(2) Re v, v the eigenvector of i k l: Re v and Im v are
+    orthogonal with equal norms, so its modulus is conserved too.  Returns
+    one row per frequency of ``xi``: shape (n, 6).
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    lam_target = 1j * params.k * np.sqrt(params.l**2 + xi**2)
-    spec, _ = eigenvalues_batch(params, xi)
-    lam = np.take_along_axis(
-        spec, np.argmin(np.abs(spec - lam_target[:, None]), axis=1)[:, None], axis=1)
-    M = symbol_stack(params, xi) - (lam + 1e-13 * (1.0 + np.abs(lam)))[..., None] * np.eye(6)
-    vec = np.full((len(xi), 6, 1), 1.0 + 0.0j) / np.sqrt(6.0)
-    for _ in range(2):
-        vec = np.linalg.solve(M, vec)
-        vec /= np.linalg.norm(vec, axis=1, keepdims=True)
-    return vec[..., 0]
+    rho = np.sqrt(params.l**2 + xi**2)
+    w = np.zeros((len(xi), 6), dtype=complex)
+    w[:, 1] = -1j * params.l * np.sign(xi) / rho
+    w[:, 4] = 1.0
+    w[:, 5] = np.abs(xi) / rho
+    return w / np.linalg.norm(w, axis=1, keepdims=True)
 
 
 def build_initial_state(params: SystemParams, profile: Profile,
@@ -187,18 +186,7 @@ def build_initial_state(params: SystemParams, profile: Profile,
     if profile.kind == "conservative_mode":
         if params.gamma2 != 0.0:
             raise RegimeError("conservative_mode data requires gamma2 = 0")
-        values = np.zeros((len(grid), 6), dtype=complex)
-        sig = amp > 1e-14 * amp.max()
-        pos = np.flatnonzero(sig & (grid >= 0))
-        values[pos] = amp[pos, None] * _conservative_vector(params, grid[pos])
-        # Hermitian completion on the negative half: the nearest grid point
-        # to -xi (ties to the lower index) carries the conjugate
-        neg = np.flatnonzero(sig & (grid < 0))
-        right = np.clip(np.searchsorted(grid, -grid[neg]), 1, len(grid) - 1)
-        left = right - 1
-        mirror = np.where(np.abs(grid[left] + grid[neg]) <= np.abs(grid[right] + grid[neg]),
-                          left, right)
-        values[neg] = np.conj(values[mirror])
+        values = amp[:, None] * _conservative_vector(params, grid)
     else:
         values = amp[:, None] * profile.vector()[None, :].astype(complex)
     return FourierState(params=params, grid=np.asarray(grid, float), values=values)
@@ -385,15 +373,16 @@ def three_region_synthesis(exp: Experiment, part: FrequencyPartition,
     * middle:          s = (1 + |xi|^{2m} t^m) exp(-gap t)      (constant c5_hat)
     * high |xi| > N:   s = |xi|^p exp(-c4_hat |xi|^{-q} t)      (constant c3_hat)
 
-    gap comes from a gap certificate and m from the multiplicity scan (the
-    first factor of the middle shape is exactly 1 when m = 0).  The tail
+    gap comes from a gap certificate and m from the largest eigenvalue
+    cluster among the middle region's spectra, less one (the first factor of
+    the middle shape is exactly 1 when m = 0).  The tail
     power q is taken from the validated high-frequency table (the most
     slowly decaying branch).  Each constant is the largest
     ||e^{Phi t}||_2 / s over the region's frequencies, thinned to at most 160,
     and all times; these are operator norms, so the constants bound every
     admissible datum, not just the experiment's profile.  One propagator
-    over the grid gives both the norms, evaluated only for the spectra of
-    the thinned rows, and the measured integrals.  The amplification power
+    over the grid gives m, the norms, evaluated only for the spectra of the
+    thinned rows, and the measured integrals.  The amplification power
     p is *fitted* first, not assumed: it is the log-log slope in |xi| of
     sup_t ||e^{Phi t}||_2 / s over the high region with p = 0.  Because the
     semigroup is an exact L^2 contraction, the honest p comes out near zero;
@@ -438,10 +427,12 @@ def three_region_synthesis(exp: Experiment, part: FrequencyPartition,
     # c2_hat sits slightly inside it
     c2_hat = 0.9 * min(-b.re_coefficient for b in low_freq_expansion(params).low_freq
                        if b.xi_power == 2)
-    # middle region: gap certificate + multiplicity scan
+    # middle region: the gap certificate, then one propagator over the grid
+    # for the multiplicity of the region's spectra, the operator norms of
+    # the thinned rows and the Plancherel sums of the data
     cert = gap_scan(params, part.nu, part.N, initial_points=257)
-    scan, _ = eigenvalues_batch(params, np.linspace(part.nu, part.N, 33))
-    m = int(_cluster_tags(scan).max()) - 1
+    prop = SymbolPropagator(params, grid)
+    m = int(_cluster_tags(prop.nodes[np.unique(prop.row[masks["mid"]])]).max()) - 1
     p = 0.0   # the high region's amplification power, fitted below
 
     def shape(region: str, x: np.ndarray) -> np.ndarray:
@@ -453,9 +444,6 @@ def three_region_synthesis(exp: Experiment, part: FrequencyPartition,
             return growth * _floored_exp(cert.gap * times)[:, None]
         return x**p * _floored_exp(c4_hat * np.outer(times, x ** float(-q)))
 
-    # one propagator over the grid: the operator norms of the thinned rows,
-    # then the Plancherel sums of the data
-    prop = SymbolPropagator(params, grid)
     # ||e^{Phi t}||_2 on each region thinned to at most 160 frequencies, for
     # the spectra of those rows only
     thinned = {}

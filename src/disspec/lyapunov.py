@@ -10,13 +10,16 @@ through the y and eta components.  Three auxiliary functionals F, K, P
 
 which satisfy d/dt L1 + c0 xi^2 E_hat <= 0, respectively
 d/dt L2 + c4 xi^2/(1+xi^2+xi^4) E_hat <= 0, once the weights are fixed in
-the documented order.  The audit takes dL/dt as a Hermitian form.  The
-cross part d1 F + d2 K + P is Re U* M_G U, M_G polarized from the
-functionals, so along U' = Phi U
+the documented order.  Both L and dL/dt are Hermitian forms.  The cross
+part d1 F + d2 K + P is Re U* M_G U, M_G polarized from the functionals,
+so L = U* M U with M = d0 sigma I / 2 + M_G, the one matrix the sandwich
+reads, and along U' = Phi U
 
     dL/dt = U* D U,   D = Phi* M_G + M_G Phi - d0 sigma diag(0,0,0,gamma1,0,gamma2),
 
-the last term being the dissipation identity of E_hat.  On the trajectory
+the last term being the dissipation identity of E_hat (not Phi* M + M Phi,
+whose d0 sigma-sized terms would cancel to rounding well above the audit's
+1e-10 slack).  On the trajectory
 U(t) = E_t s, E_t = e^{t Phi}, that is s* (E_t* D E_t) s, so propagating the
 6 columns of the identity serves every audited state s.
 
@@ -220,16 +223,6 @@ def _cross_matrix(xi: np.ndarray, params: SystemParams,
     return M
 
 
-def _functionals_arrays(values: np.ndarray, xi, params: SystemParams,
-                        consts: LyapunovConstants):
-    """Vectorized F, K, P, L1, L2, E for values of shape (..., 6)."""
-    F, K, P = _cross_terms(values, xi, params)
-    E = 0.5 * np.sum(np.abs(values) ** 2, axis=-1)
-    L1 = consts.d0 * (1.0 + xi**2) * E + consts.d1 * F + consts.d2 * K + P
-    L2 = consts.d0 * (1.0 + xi**2 + xi**4) * E + consts.d1 * F + consts.d2 * K + P
-    return F, K, P, L1, L2, E
-
-
 def _unit_states(rng: np.random.Generator, n_freq: int, n_states: int) -> np.ndarray:
     """(n_freq, n_states, 6) random unit states, real parts drawn first."""
     draw = rng.normal(size=(n_freq, 2, n_states, 6))
@@ -332,15 +325,24 @@ def sandwich_fit(params: SystemParams, consts: LyapunovConstants,
                  xi, n_states: int = 10_000, seed: int = 7):
     """Empirical constants of c1 sigma(xi) E <= L <= c2 sigma(xi) E.
 
-    sigma and the functional come from :func:`lyapunov_sigma`.  Returns
-    (c1, c2) fitted over ``n_states`` random unit states per frequency.
+    sigma comes from :func:`lyapunov_sigma`, and L is one Hermitian form per
+    frequency, L = Re s* M s with M = M_G + d0 sigma I / 2 (module
+    docstring).  Returns (c1, c2) fitted over ``n_states`` random unit
+    states per frequency.  No frequency or ``n_states < 1`` is a
+    :class:`PreconditionError`.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if xi.size == 0 or n_states < 1:
+        raise PreconditionError(f"sandwich needs frequencies and n_states >= 1; got "
+                                f"{xi.size} frequencies, n_states = {n_states}")
     states = _unit_states(np.random.default_rng(seed), len(xi), n_states)
-    kind, sigma = lyapunov_sigma(params, xi[:, None])
-    _, _, _, L1, L2, E = _functionals_arrays(states, xi[:, None], params, consts)
-    ratio = (L1 if kind == "L1" else L2) / (sigma * E)
-    return float(ratio.min(initial=np.inf)), float(ratio.max(initial=-np.inf))
+    _, sigma = lyapunov_sigma(params, xi)
+    M = _cross_matrix(xi, params, consts)
+    M[:, np.arange(6), np.arange(6)] += consts.d0 * sigma[:, None] / 2.0
+    L = np.sum((states @ M.swapaxes(-1, -2)) * states.conj(), axis=-1).real
+    E = 0.5 * np.sum(np.abs(states) ** 2, axis=-1)
+    ratio = L / (sigma[:, None] * E)
+    return float(ratio.min()), float(ratio.max())
 
 
 def gronwall_check(params: SystemParams, consts: LyapunovConstants,

@@ -3,7 +3,10 @@
 Provides the eigenvalue solver, the low/high-frequency expansion tables of
 the real parts, the Cardano classification of the cubic that governs the
 zero-frequency limit when gamma1 = 0, and spectral-gap scans on
-middle-frequency bands.  The gap is *sampled*: the largest Re lambda on an
+middle-frequency bands.  At xi = 0 the spectrum is closed-form: 0,
++-i k l and the roots of Z^3 + (gamma1 + gamma2) Z^2 + (l^2 + 1 +
+gamma1 gamma2) Z + gamma1 l^2 + gamma2, so the low-frequency table makes
+no eigen solve.  The gap is *sampled*: the largest Re lambda on an
 adaptively refined grid, with no bound between the grid points.
 
 The solver treats the frequency axis as a batch dimension whose unit is the
@@ -221,15 +224,13 @@ def _beta_delta_hat(params: SystemParams) -> tuple[float, float]:
 
 
 def _minus_L_roots(params: SystemParams) -> np.ndarray:
-    """The three eigenvalues of -L besides {0, +-i k l}: the roots of the
-    cubic, taken from the numerically computed spectrum of -L."""
-    ev = eigenvalues_batch(params, [0.0])[0][0]
-    kl = params.k * params.l
-    remaining = list(ev)
-    for target in (0.0, 1j * kl, -1j * kl):
-        i = int(np.argmin(np.abs(np.array(remaining) - target)))
-        remaining.pop(i)
-    return np.array(remaining)
+    """The three eigenvalues of -L besides {0, +-i k l}, in Putzer order:
+    the roots of Z^3 + (gamma1 + gamma2) Z^2 + (l^2 + 1 + gamma1 gamma2) Z
+    + gamma1 l^2 + gamma2, which with lambda (lambda^2 + k^2 l^2) factors
+    the characteristic polynomial at xi = 0."""
+    l2, g1, g2 = params.l**2, params.gamma1, params.gamma2
+    cubic = [1.0, g1 + g2, l2 + 1.0 + g1 * g2, g1 * l2 + g2]
+    return _putzer_order(np.roots(cubic).astype(complex))
 
 
 def low_freq_expansion(params: SystemParams) -> AsymptoticCoeffs:

@@ -92,6 +92,19 @@ def rates(U, PhiU, xi, params):
     return (dE,) + tuple(0.5 * (p - m) for p, m in zip(plus, minus))
 
 
+def functionals(values, xi, params, consts):
+    """F, K, P, L1, L2, E_hat state by state for values of shape (..., 6); xi
+    broadcasts against (...).  L1 and L2 are the Lyapunov functionals with
+    sigma = 1 + xi^2 and 1 + xi^2 + xi^4."""
+    from disspec.lyapunov import _cross_terms
+
+    F, K, P = _cross_terms(values, xi, params)
+    E = 0.5 * np.sum(np.abs(values) ** 2, axis=-1)
+    L1 = consts.d0 * (1.0 + xi**2) * E + consts.d1 * F + consts.d2 * K + P
+    L2 = consts.d0 * (1.0 + xi**2 + xi**4) * E + consts.d1 * F + consts.d2 * K + P
+    return F, K, P, L1, L2, E
+
+
 def trajectory_audit(params, consts, xi, horizon=5.0, n_random=100, seed=123):
     """The Lyapunov audit state by state: the 6 basis vectors and the same
     seeded unit states as :func:`disspec.audit_inequality` are propagated

@@ -687,6 +687,55 @@ class TestCommands:
         assert "p_fitted" in payload
 
 
+class TestSolveCount:
+    """Eigen solves per command: the closed forms (the xi = 0 cubic and the
+    undamped eigenvector) make none of their own."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        from disspec import propagator, spectral
+        calls = []
+        solve = spectral.distinct_spectra
+
+        def spy(params, xi):
+            calls.append(np.size(xi))
+            return solve(params, xi)
+
+        monkeypatch.setattr(spectral, "distinct_spectra", spy)
+        monkeypatch.setattr(propagator, "distinct_spectra", spy)
+        return calls
+
+    def test_asymptotics_solves_nothing(self, tmp_path, solves):
+        for params in (PARAMS, G10_PARAMS):
+            code, _ = run_cli(tmp_path, {"command": "asymptotics", "params": params})
+            assert code == 0
+        assert solves == []
+
+    def test_conservative_evolve_solves_once(self, tmp_path, solves):
+        grid = {"xi_max": 8.0, "n_geo": 64, "n_lin": 64}
+        code, _ = run_cli(tmp_path, {
+            "command": "evolve", "params": {**PARAMS, "gamma2": 0.0},
+            "profile": {"kind": "conservative_mode", "center": 1.0, "width": 2.0},
+            "t": 3.0, "grid": grid})
+        assert code == 0
+        assert solves == [len(disspec.default_grid(**grid))]
+
+    def test_synthesize_solves_per_gap_level_and_once(self, tmp_path, solves):
+        grid = {"xi_max": 40.0, "n_geo": 96, "n_lin": 128}
+        params = disspec.SystemParams.from_dict(G10_PARAMS)
+        levels = disspec.gap_scan(params, 0.05, 20.0, initial_points=257).refinement_depth + 1
+        solves.clear()
+        code, _ = run_cli(tmp_path, {
+            "command": "synthesize", "params": G10_PARAMS,
+            "profile": {"kind": "gaussian", "width": 1.0},
+            "times": {"t_min": 1.0, "t_max": 1000.0, "n": 10},
+            "partition": {"nu": 0.05, "N": 20.0}, "grid": grid})
+        assert code == 0
+        # the gap scan's levels, then the one propagator over the grid
+        assert len(solves) == levels + 1
+        assert len(disspec.default_grid(**grid)) in solves
+
+
 class TestOverflowingInput:
     """Input whose arithmetic overflows is refused up front: exit 2 with
     error.json, and nothing on stderr even with warnings as errors."""

@@ -11,7 +11,7 @@ from disspec import (Experiment, FrequencyPartition,
                      default_grid, eigenvalues_batch, fit_pointwise_rate,
                      optimality_probe, run_decay, three_region_synthesis)
 from disspec import decay_lab, propagator
-from disspec.core_model import build_symbol
+from disspec.core_model import build_symbol, symbol_stack
 from disspec.decay_lab import _conservative_vector, packet_decay_time
 from disspec.errors import SolverError
 
@@ -55,9 +55,7 @@ class TestProfiles:
         grid = default_grid() if grid == "default" else packet_grid(10.0, 2.0)
         prof = Profile(kind=kind, width=0.7, center=10.0, component="all")
         vals = build_initial_state(p, prof, grid).values
-        # xi = 0 is a spectrum of its own, so its row need not be real
-        off = grid != 0
-        assert np.array_equal(vals[off], vals[::-1][off].conj())
+        assert np.array_equal(vals, vals[::-1].conj())
         prop = SymbolPropagator(p, grid)
         times = np.array([0.0, 1.0])
         traj = prop.propagate_many(vals, times)
@@ -94,29 +92,58 @@ class TestConservativeMode:
     @pytest.mark.parametrize("params", [SystemParams(1, 1, 1, 1, 0),
                                         SystemParams(1.2, 0.9, 0.6, 1.0, 0.0)])
     def test_batched_vectors_match_scalar_oracle(self, params):
+        # phase-free off xi = 0; there the real e_phi is sqrt 2 Re v of the
+        # eigenvector v whose phi component is real and positive
         xi = np.concatenate([[0.0], np.geomspace(1e-4, 40.0, 60)])
         vec = _conservative_vector(params, xi)
         ref = np.array([conservative_vector_oracle(params, x) for x in xi])
         assert vec.shape == (len(xi), 6)
-        assert np.max(np.abs(vec - ref)) <= 1e-12
+        overlap = np.abs(np.sum(ref[1:].conj() * vec[1:], axis=1))
+        assert np.all(overlap >= 1 - 1e-12)
+        v0 = ref[0] * np.exp(-1j * np.angle(ref[0, 4]))
+        assert np.max(np.abs(vec[0] - np.sqrt(2.0) * v0.real)) <= 1e-12
 
-    def test_negative_half_is_the_conjugate_of_the_nearest_mirror(self):
-        # an asymmetric grid: each negative point takes the conjugate of the
-        # point nearest to its mirror, ties to the lower index (-2.5 is as
-        # far from 2 as from 3 and takes 2)
-        rng = np.random.default_rng(3)
-        pos = rng.uniform(0, 6, 70)
-        grid = np.unique(np.concatenate([-rng.uniform(0, 6, 80), pos[np.abs(pos - 2.5) > 0.6],
-                                         [-2.5, -1.0, 0.0, 1.0, 2.0, 3.0]]))
-        prof = Profile(kind="conservative_mode", center=2.0, width=0.5)
+    def test_data_are_exactly_hermitian(self):
+        # the closed form is odd in sgn(xi) where it is imaginary, so every
+        # pair +-xi holds exact conjugates and the xi = 0 row is real
+        grid = default_grid(n_geo=160, n_lin=160)
+        prof = Profile(kind="conservative_mode", center=1.0, width=2.0)
         st = build_initial_state(self.p, prof, grid)
-        amp = prof.amplitude(grid)
-        for i in np.flatnonzero((grid < 0) & (amp > 1e-14 * amp.max())):
-            mirror = np.argmin(np.abs(grid + grid[i]))
-            assert np.array_equal(st.values[i], np.conj(st.values[mirror]))
-        pos = grid >= 0
-        assert np.max(np.abs(st.values[pos] - amp[pos, None] * np.array(
-            [conservative_vector_oracle(self.p, x) for x in grid[pos]]))) <= 1e-12
+        assert np.array_equal(st.values, st.values[::-1].conj())
+        i0 = int(np.flatnonzero(grid == 0.0)[0])
+        assert np.all(st.values[i0].imag == 0) and st.values[i0, 4] > 0.2
+        assert np.array_equal(st.values, prof.amplitude(grid)[:, None]
+                              * _conservative_vector(self.p, grid))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(a=st.floats(0.3, 3.0), k=st.floats(0.3, 3.0), l=st.floats(0.1, 3.0),
+       g1=st.floats(0.0, 3.0), xi=st.lists(st.floats(1e-6, 60.0), min_size=1, max_size=12))
+def test_conservative_vector_property(a, k, l, g1, xi):
+    """The closed-form undamped eigenvector on random gamma2 = 0 parameters
+    and symmetric grids: eigen-residual at rounding, unit norm, exactly
+    Hermitian with a real xi = 0 row, and a conserved modulus."""
+    params = SystemParams(a, k, l, g1, 0.0)
+    pos = np.unique(xi)
+    grid = np.concatenate([-pos[::-1], [0.0], pos])
+    vec = _conservative_vector(params, grid)
+    rho = np.sqrt(l * l + grid**2)
+    scale = 1.0 + np.abs(grid) * max(1.0, a, k) + l * k + g1
+    lam = 1j * k * rho * np.sign(grid)
+    resid = np.abs(np.einsum("nij,nj->ni", symbol_stack(params, grid), vec)
+                   - lam[:, None] * vec).max(axis=1)
+    off = grid != 0.0
+    assert np.all(resid[off] <= 1e-13 * scale[off])
+    assert np.allclose(np.linalg.norm(vec, axis=1), 1.0, rtol=0, atol=4e-16)
+    assert np.array_equal(vec, vec[::-1].conj())
+    assert np.all(vec[~off].imag == 0)
+    times = np.array([0.0, 1.0, 10.0, 100.0])
+    traj = SymbolPropagator(params, grid).propagate_many(vec, times)
+    drift = np.abs(np.linalg.norm(traj, axis=2) - 1.0)
+    # the propagator's rounding: eps-sized per unit of the symbol's scale,
+    # and growing with the phase k rho t
+    eps = np.finfo(float).eps
+    assert np.all(drift <= 1e-13 * scale + 100 * eps * np.outer(times, k * rho))
 
 
 class TestExperimentValidation:

@@ -7,10 +7,9 @@ from disspec import (PreconditionError, RegimeError, SystemParams,
                      audit_inequality, gronwall_check, search_constants, symbol_stack)
 from disspec.core_model import build_symbol
 from disspec.lyapunov import (LyapunovConstants, _cross_matrix, _cross_terms,
-                              _functionals_arrays, _unit_states, lyapunov_sigma,
-                              sandwich_fit)
+                              _unit_states, lyapunov_sigma, sandwich_fit)
 from disspec.propagator import SymbolPropagator
-from oracles import density, rates, trajectory_audit
+from oracles import density, functionals, rates, trajectory_audit
 
 
 def unit_states(n, rng):
@@ -23,7 +22,7 @@ class TestFunctionals:
 
     def test_zero_state_all_zero(self):
         c = search_constants(self.p)
-        values = _functionals_arrays(np.zeros(6, complex), 1.0, self.p, c)
+        values = functionals(np.zeros(6, complex), 1.0, self.p, c)
         assert all(v == 0.0 for v in values)
 
     def test_real_vector_reduces_F(self):
@@ -32,7 +31,7 @@ class TestFunctionals:
         rng = np.random.default_rng(2)
         x = rng.normal(size=6)
         xi = 1.7
-        F, K, *_ = _functionals_arrays(x.astype(complex), xi, self.p, c)
+        F, K, *_ = functionals(x.astype(complex), xi, self.p, c)
         expected = -xi**2 * (x[0] * x[3] + self.p.a * x[2] * x[1])
         assert F == pytest.approx(expected, rel=1e-12)
         assert K == pytest.approx(0.0, abs=1e-12)
@@ -52,7 +51,7 @@ class TestDerivativeIdentities:
         prop = SymbolPropagator(params, np.array([xi]))
         ts = np.array([1.0 - 2 * h, 1.0 - h, 1.0, 1.0 + h, 1.0 + 2 * h])
         traj = prop.propagate_many(np.asarray(vec, complex)[None, :], ts)[:, 0, :]
-        vals = _functionals_arrays(traj, xi, params, dummy)[{"F": 0, "K": 1, "P": 2, "E": 5}[name]]
+        vals = functionals(traj, xi, params, dummy)[{"F": 0, "K": 1, "P": 2, "E": 5}[name]]
         d = (vals[0] - 8 * vals[1] + 8 * vals[3] - vals[4]) / (12 * h)
         v = traj[2]
         exact = rates(v, build_symbol(params, xi).Phi @ v, xi, params)["EFKP".index(name)]
@@ -207,7 +206,7 @@ class TestAudit:
         states = unit_states(16, rng)
         times = np.linspace(0.0, 5.0, 60)
         traj = prop.propagate_many(states.T[None], times)[:, 0].transpose(0, 2, 1)
-        L1 = _functionals_arrays(traj, 1.0, self.p, c)[3]
+        L1 = functionals(traj, 1.0, self.p, c)[3]
         assert np.all(np.diff(L1, axis=0) <= 1e-10)
 
 
@@ -226,7 +225,7 @@ def stencil_rate(params, consts, xi, states, times):
     prop = SymbolPropagator(params, np.array([xi]))
     traj = prop.propagate_many(states.T[None], grid)[:, 0].transpose(0, 2, 1)
     which = 3 if lyapunov_sigma(params, xi)[0] == "L1" else 4
-    L = _functionals_arrays(traj, xi, params, consts)[which].reshape(len(times), 5, -1)
+    L = functionals(traj, xi, params, consts)[which].reshape(len(times), 5, -1)
     dL = (L[:, 0] - 8.0 * L[:, 1] + 8.0 * L[:, 3] - L[:, 4]) / (12.0 * h)
     rounding = 32.0 * np.finfo(float).eps * np.abs(L).max() / h
     return traj.reshape(len(times), 5, len(states), 6)[:, 2], dL, rounding
@@ -376,6 +375,19 @@ class TestSandwichAndGronwall:
         c1, c2 = sandwich_fit(self.p, c, [0.1, 1.0, 10.0], n_states=10_000)
         assert 0 < c1 <= c2
 
+    @pytest.mark.parametrize("xi, n_states", [([], 100), ([1.0], 0), ([1.0], -1)])
+    def test_sandwich_over_nothing_refused(self, xi, n_states):
+        # before: (inf, -inf) over no state, and a raw ValueError at -1
+        c = search_constants(self.p)
+        with pytest.raises(PreconditionError, match="sandwich needs frequencies"):
+            sandwich_fit(self.p, c, xi, n_states=n_states)
+
+    def test_gronwall_over_no_frequency_refused(self):
+        # before: a "pass" with worst ratio 0.0
+        c = search_constants(self.p)
+        with pytest.raises(PreconditionError, match="sandwich needs frequencies"):
+            gronwall_check(self.p, c, [], np.linspace(0.0, 1.0, 5), c0=1.0)
+
     def test_draws_match_per_frequency_loop(self):
         # the batched draw keeps the stream of one (real, imag) pair of
         # draws per frequency, bit for bit
@@ -391,11 +403,13 @@ class TestSandwichAndGronwall:
         rng = np.random.default_rng(7)
         c1, c2 = np.inf, -np.inf
         for x in xi:
-            L1, L2, E = _functionals_arrays(unit_states(50, rng), x, params, c)[3:]
+            L1, L2, E = functionals(unit_states(50, rng), x, params, c)[3:]
             sigma = (1.0 + x * x) if params.a == 1 else (1.0 + x * x + x**4)
             ratio = (L1 if params.a == 1 else L2) / (sigma * E)
             c1, c2 = min(c1, ratio.min()), max(c2, ratio.max())
-        assert sandwich_fit(params, c, xi, n_states=50, seed=7) == (c1, c2)
+        # the form s* M s against the per-state functionals, to rounding
+        assert sandwich_fit(params, c, xi, n_states=50, seed=7) == pytest.approx(
+            (c1, c2), rel=1e-14)
 
     @pytest.mark.parametrize("params, xi", [(SystemParams(1, 1, 0.5, 1, 1), [0.1, 1.0, 10.0]),
                                             (SystemParams(2, 1, 0.5, 1, 1), [0.1, 1.0, 5.0])])

@@ -7,6 +7,7 @@ from disspec import (CertificateRefused, PreconditionError, RegimeError,
                      char_poly_coeffs, default_grid, eigenvalues_batch,
                      gap_scan, high_freq_expansion, low_freq_expansion,
                      real_symbol_stack)
+from disspec.spectral import _minus_L_roots, _putzer_order
 from oracles import eigenvalues_hp
 
 
@@ -203,6 +204,25 @@ class TestLowFrequency:
         cubic = [1.0, g1 + g2, l * l + 1.0 + g1 * g2, g1 * l * l + g2]
         assert np.max(np.abs(np.polyval(cubic, roots))) < 1e-10
         assert np.all(roots.real < 0)
+
+    @pytest.mark.parametrize("params", [
+        SystemParams(1, 1, 0.5, 1.5, 0.7), SystemParams(2, 3, 1.2, 0.0, 0.4),
+        SystemParams(0.7, 1.3, 3.5, 0.0, 4.0), SystemParams(1.4, 0.6, 0.9, 2.5, 0.0),
+        SystemParams(1, 1, 2.0, 0.0, 5.0), SystemParams(1, 1, 3.5, 0.0, 7.0)])
+    def test_cubic_roots_match_high_precision_spectrum(self, params):
+        # the cubic's roots with {0, +-i k l} are the 50-digit spectrum at
+        # xi = 0 (away from the defective triple root l^2 = 8, gamma2^2 = 27)
+        kl = params.k * params.l
+        cubic = _minus_L_roots(params)
+        want = np.concatenate([[0.0, 1j * kl, -1j * kl], cubic])
+        hp = eigenvalues_hp(params, 0.0)
+        gap = np.abs(want[:, None] - hp[None, :])
+        tol = 1e-12 * (1.0 + np.abs(want))
+        # each expected root has a 50-digit root within tolerance, and none
+        # is shared: a bijection
+        assert np.all(gap.min(axis=1) <= tol)
+        assert len(set(gap.argmin(axis=1))) == 6
+        assert np.array_equal(cubic, _putzer_order(cubic))
 
     def test_regime_guard(self):
         with pytest.raises(RegimeError):
