@@ -125,8 +125,8 @@ def spectrum_csv_rows(grid: np.ndarray, branches: np.ndarray):
 
 
 def state_csv_rows(grid: np.ndarray, values: np.ndarray):
-    """A FourierState CSV: its header and its float table of columns xi
-    plus 12 real columns."""
+    """A state CSV: its header and its float table of columns xi plus the
+    real and imaginary parts of the six components."""
     comps = ["v", "u", "z", "y", "phi", "eta"]
     header = (["xi"] + [f"re_{c}" for c in comps] + [f"im_{c}" for c in comps])
     return header, np.column_stack([grid, values.real, values.imag])

@@ -26,14 +26,13 @@ import numpy as np
 
 from . import artifacts
 from .core_model import SystemParams
-from .decay_lab import (Experiment, FrequencyPartition, Profile, run_decay,
-                        three_region_synthesis)
+from .decay_lab import (Experiment, FrequencyPartition, Profile, build_initial_state,
+                        run_decay, three_region_synthesis)
 from .errors import CertificateRefused, PreconditionError, SchemaError
 from .lyapunov import audit_inequality, sandwich_fit, search_constants
 from .propagator import default_grid, SymbolPropagator
 from .spectral import (branch_continuation, cardano_classify, gap_scan,
                        high_freq_expansion, low_freq_expansion)
-from .decay_lab import build_initial_state
 
 logger = logging.getLogger("disspec")
 
@@ -401,7 +400,7 @@ def dispatch(config: dict, out_dir: Path, seed: int = 0) -> dict:
         grid = default_grid(**config.get("grid", {}))
         state0 = build_initial_state(params, Profile(**config["profile"]), grid)
         prop = SymbolPropagator(params, grid)
-        values = prop.apply(state0.values, config["t"])
+        values = prop.apply(state0, config["t"])
         header, rows = artifacts.state_csv_rows(grid, values)
         csv_path = out_dir / "state.csv"
         artifacts.write_csv(csv_path, header, rows)

@@ -36,10 +36,10 @@ import numpy as np
 from .core_model import SystemParams
 from .errors import PreconditionError, RegimeError, SolverError
 from .lyapunov import audit_inequality, lyapunov_sigma, sandwich_fit, search_constants
-from .propagator import (FourierState, SymbolPropagator, _sobolev_weights,
-                         _trapezoid_weights, default_grid, sobolev_norms)
-from .spectral import (_cluster_tags, eigenvalues_batch, gap_scan,
-                       high_freq_expansion, low_freq_expansion)
+from .propagator import (SymbolPropagator, _sobolev_weights, _trapezoid_weights,
+                         default_grid, sobolev_norms)
+from .spectral import (_cluster_tags, gap_scan, high_freq_expansion,
+                       low_freq_expansion)
 
 __all__ = [
     "Profile",
@@ -128,8 +128,10 @@ class Experiment:
         if np.any(np.diff(t) <= 0):
             raise PreconditionError("times must be strictly increasing")
         object.__setattr__(self, "times", t)
-        if self.grid is None:
-            object.__setattr__(self, "grid", default_grid())
+        grid = default_grid() if self.grid is None else np.asarray(self.grid, dtype=float)
+        if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
+            raise PreconditionError("grid must be a 1-d strictly increasing array")
+        object.__setattr__(self, "grid", grid)
 
 
 @dataclass(frozen=True)
@@ -180,16 +182,16 @@ def _conservative_vector(params: SystemParams, xi) -> np.ndarray:
 
 
 def build_initial_state(params: SystemParams, profile: Profile,
-                        grid: np.ndarray) -> FourierState:
-    """Assemble the initial FourierState for a profile (Hermitian for real data)."""
+                        grid: np.ndarray) -> np.ndarray:
+    """The initial Fourier data of a profile on ``grid``: one row of the six
+    first-order unknowns per frequency, shape (len(grid), 6) (Hermitian for
+    real data)."""
     amp = profile.amplitude(grid)
     if profile.kind == "conservative_mode":
         if params.gamma2 != 0.0:
             raise RegimeError("conservative_mode data requires gamma2 = 0")
-        values = amp[:, None] * _conservative_vector(params, grid)
-    else:
-        values = amp[:, None] * profile.vector()[None, :].astype(complex)
-    return FourierState(params=params, grid=np.asarray(grid, float), values=values)
+        return amp[:, None] * _conservative_vector(params, grid)
+    return amp[:, None] * profile.vector()[None, :].astype(complex)
 
 
 def _fit_power_law(times: np.ndarray, norms: np.ndarray,
@@ -216,7 +218,7 @@ def run_decay(exp: Experiment,
     params = exp.params
     state0 = build_initial_state(params, exp.profile, exp.grid)
     prop = SymbolPropagator(params, exp.grid)
-    squared = sobolev_norms(prop, state0.values, exp.times, exp.j_orders)
+    squared = sobolev_norms(prop, state0, exp.times, exp.j_orders)
 
     if fit_window is None:
         fit_window = (exp.times[-1] / 10.0, exp.times[-1])
@@ -241,8 +243,8 @@ def fit_pointwise_rate(params: SystemParams, xi_grid, t_factor: float = 20.0):
     rate(xi) = -log ||e^{Phi(i xi) T}||_2^2 / T with T = t_factor divided by
     the expected rate shape, capped at 1e6 (so every frequency is measured
     deep in its own decay, not in the transient).  Returns a dict with the
-    rates, the reference shape values, and the fitted proportionality
-    interval [c, C].
+    rates, the reference shape values, the fitted proportionality
+    interval [c, C] and each frequency's max Re lambda from the same solve.
 
     Reference shape: rho1 = xi^2/(1+xi^2) for a = 1, rho2 with the extra
     xi^4 for a != 1 (both dampings); for gamma1 = 0 the shape uses the
@@ -267,8 +269,8 @@ def fit_pointwise_rate(params: SystemParams, xi_grid, t_factor: float = 20.0):
     # one propagator and one norm table over the distinct end times; each
     # frequency reads its own
     ends, which = np.unique(T, return_inverse=True)
-    nrm = SymbolPropagator(params, xi_grid).operator_norms(ends)
-    nrm = nrm[np.arange(len(xi_grid)), which]
+    prop = SymbolPropagator(params, xi_grid)
+    nrm = prop.operator_norms(ends)[np.arange(len(xi_grid)), which]
     rates = -2.0 * np.log(np.maximum(nrm, 1e-300)) / T
 
     ratio = rates / shp
@@ -278,6 +280,7 @@ def fit_pointwise_rate(params: SystemParams, xi_grid, t_factor: float = 20.0):
         "shape": shp,
         "ratio_min": float(ratio.min()),
         "ratio_max": float(ratio.max()),
+        "max_re": prop.nodes[prop.row].real.max(axis=1),
     }
 
 
@@ -306,6 +309,8 @@ def packet_decay_time(params: SystemParams, xi0: float, width: float = 2.0,
     """
     if xi0 <= 0:
         raise PreconditionError("packet center must be positive")
+    if not (math.isfinite(width) and width > 0):
+        raise PreconditionError(f"packet width must be finite and positive, got {width!r}")
     if not (isinstance(n_times, (int, np.integer)) and n_times >= 2):
         raise PreconditionError(f"n_times must be an integer >= 2, got {n_times!r}")
     if not t_max > 1e-2:
@@ -325,7 +330,7 @@ def packet_decay_time(params: SystemParams, xi0: float, width: float = 2.0,
     n2 = np.full(n_times, np.nan)
 
     def evaluate(idx: np.ndarray) -> None:
-        n2[idx] = sobolev_norms(prop, state.values, times[idx], (0,), check_tail=False)[0]
+        n2[idx] = sobolev_norms(prop, state, times[idx], (0,), check_tail=False)[0]
         seen = n2[~np.isnan(n2)]
         rise = seen - np.minimum.accumulate(seen)
         if rise.max() > 1e-12 * n2[0]:
@@ -413,7 +418,7 @@ def three_region_synthesis(exp: Experiment, part: FrequencyPartition,
 
     # |xi|^{2j} |U_hat(0)|^2, refused up front where the weight overflows
     state0 = build_initial_state(params, exp.profile, grid)
-    mass = np.sum(np.abs(state0.values) ** 2, axis=1)
+    mass = np.sum(np.abs(state0) ** 2, axis=1)
     trapezoid = _trapezoid_weights(grid)
     sobolev = _sobolev_weights(grid, (j,), trapezoid * mass)[:, 0]
     data_w = sobolev * mass
@@ -474,7 +479,7 @@ def three_region_synthesis(exp: Experiment, part: FrequencyPartition,
     # weight columns of one pass of the stream
     columns = [masks["low"], masks["mid"], masks["high"], np.ones(len(grid), dtype=bool)]
     weights = np.stack([np.where(col, trapezoid * sobolev, 0.0) for col in columns], axis=1)
-    sums, _, _ = prop.plancherel_sums(state0.values, times, weights)
+    sums, _, _ = prop.plancherel_sums(state0, times, weights)
     out["I_low"], out["I_mid"], out["I_high"], I_total = sums
     dominated = bounds >= I_total * (1.0 - 1e-9)
     if not np.all(dominated):
@@ -510,7 +515,7 @@ def optimality_probe(params: SystemParams, xi_grid=None) -> dict:
     c3 = max(audit.c0_feasible, 0.0) / c2
 
     emp = fit_pointwise_rate(params, xi_grid)
-    spectral_rate = -2.0 * eigenvalues_batch(params, xi_grid)[0].real.max(axis=1)
+    spectral_rate = -2.0 * emp["max_re"]
 
     rho = xi_grid**2 / lyapunov_sigma(params, xi_grid)[1]
     lyap_rate = c3 * rho

@@ -80,8 +80,6 @@ imaginary part; the assembled exponential is order-invariant (tested).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core_model import _REAL_SIMILARITY, SystemParams
@@ -89,7 +87,6 @@ from .errors import PreconditionError, SolverError, TailMassError
 from .spectral import distinct_spectra
 
 __all__ = [
-    "FourierState",
     "default_grid",
     "sobolev_norms",
     "SymbolPropagator",
@@ -244,13 +241,9 @@ def _real_columns(X: np.ndarray, keep=slice(None)) -> np.ndarray:
 
 def _nonzero_columns(X: np.ndarray) -> np.ndarray:
     """Index of the columns of :func:`_real_columns` that are nonzero
-    somewhere in X (the first if none is), found in slices of rows of about
-    ``_CHUNK_BYTES``."""
-    nonzero = np.zeros(2 * X.shape[2], dtype=bool)
-    step = max(1, _CHUNK_BYTES // (X[0].size * 32))
-    for lo in range(0, len(X), step):
-        nonzero |= _real_columns(X[lo:lo + step]).any(axis=(0, 1))
-    return np.flatnonzero(nonzero) if nonzero.any() else np.zeros(1, dtype=np.intp)
+    somewhere in X (the first if none is)."""
+    keep = np.flatnonzero(_real_columns(X).any(axis=(0, 1)))
+    return keep if keep.size else np.zeros(1, dtype=np.intp)
 
 
 def _r_bidiag(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -374,23 +367,6 @@ def _exp_bidiag(Phi: np.ndarray, lambdas: np.ndarray, t: np.ndarray,
         sl = slice(lo, lo + step)
         out[sl] = _putzer_sum(_q_chain(Phi[sl], lam[sl], X[sl]), r[sl])[..., 0]
     return out
-
-
-@dataclass(frozen=True)
-class FourierState:
-    """Per-frequency 6-component Fourier data of the first-order unknowns."""
-
-    params: SystemParams
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
-            raise PreconditionError("grid must be a 1-d strictly increasing array")
-        if self.values.shape != (len(grid), 6):
-            raise PreconditionError(
-                f"values must have shape (len(grid), 6), got {self.values.shape}")
 
 
 def default_grid(xi_min_pos: float = 1e-4, xi_max: float = 40.0,

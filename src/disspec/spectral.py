@@ -38,6 +38,7 @@ must sum to it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,10 @@ def _polyval_rows(coeffs: np.ndarray, lam: np.ndarray) -> np.ndarray:
         y = y * lam + coeffs[:, d, None]
     return y
 
+
+#: bytes of gathered costs per slice of the permutation search of
+#: :func:`branch_continuation`
+_SEARCH_BYTES = 2 ** 20
 
 #: largest supported symbol scale |xi| max(1, a, k) + 1 + l k + gamma1 + gamma2
 _SCALE_CAP = 2.0**38
@@ -162,17 +167,41 @@ def branch_continuation(params: SystemParams, grid: np.ndarray) -> np.ndarray:
     """Eigenvalue branches over a frequency grid, continuation-matched.
 
     Returns an array of shape (len(grid), 6); row i holds the eigenvalues at
-    grid[i], column order chosen by nearest-neighbor assignment against the
-    previous row so each column is a continuous branch.
-    """
-    from scipy.optimize import linear_sum_assignment
+    grid[i], row 0 in Putzer order and each later row in the column order
+    of a least-cost assignment against the previous row, the cost of a
+    pair being |lambda_old - lambda_new|, so each column is a continuous
+    branch.
 
-    out, _ = eigenvalues_batch(params, grid)
-    for i in range(1, len(out)):
-        cost = np.abs(out[i - 1][:, None] - out[i][None, :])
-        _, cols = linear_sum_assignment(cost)
-        out[i] = out[i][cols]
-    return out
+    All adjacent row pairs are matched at once, on the raw rows of one
+    batched solve.  Where the nearest new nodes of the six old nodes (the
+    first of equally near ones) are all different, they are the optimum:
+    they reach the lower bound sum_a min_b cost, and any other permutation
+    that does gives each old node one of its nearest nodes, of no smaller
+    index than the first, so it is the same permutation.  Every other pair takes the first minimum of the
+    total cost over ``itertools.permutations(range(6))`` of the raw rows,
+    in that (lexicographic) order: this is the tie rule.  An assignment does
+    not change when the old row is relabelled, so the matchings compose
+    into the column orders.
+    """
+    lam, _ = eigenvalues_batch(params, grid)
+    cost = np.abs(lam[:-1, :, None] - lam[1:, None, :])        # (n-1, 6, 6)
+    match = cost.argmin(axis=2)
+    hard = np.flatnonzero((np.sort(match, axis=1) != np.arange(6)).any(axis=1))
+    perms = np.array(list(itertools.permutations(range(6))))   # (720, 6)
+    step = max(1, _SEARCH_BYTES // (perms.size * 8))
+    for lo in range(0, len(hard), step):
+        rows = hard[lo:lo + step]
+        total = cost[rows[:, None, None], np.arange(6), perms].sum(axis=2)
+        match[rows] = perms[total.argmin(axis=1)]
+    # cols[i] = match[i-1][cols[i-1]] with cols[0] the identity, composed
+    # by doubling: after the step of d, cols[i] composes the matchings into
+    # the rows max(1, i - 2d + 1) .. i
+    cols = np.concatenate([np.arange(6)[None], match])[:len(lam)]
+    d = 1
+    while d < len(cols):
+        cols[d:] = np.take_along_axis(cols[d:], cols[:-d], axis=1)
+        d *= 2
+    return np.take_along_axis(lam, cols, axis=1)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Independent oracles shared by the tests; mpmath is a test dependency only."""
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -60,9 +61,9 @@ def dissipation(params, values):
             + params.gamma2 * np.abs(values[:, 5]) ** 2)
 
 
-def energy_audit(state, dt, propagator=None):
+def energy_audit(params, grid, values, dt, propagator=None):
     """Largest residual of the energy identity dE/dt = -(gamma1 |y|^2 +
-    gamma2 |eta|^2) over the grid of a FourierState.
+    gamma2 |eta|^2) over ``grid`` for the (nfreq, 6) data ``values``.
 
     Central difference of the energy across [0, dt] against the dissipation
     at the midpoint state; the residual is O(dt^2) thanks to the exact
@@ -73,11 +74,11 @@ def energy_audit(state, dt, propagator=None):
     if dt <= 0:
         raise PreconditionError("dt must be positive")
     if propagator is None:
-        propagator = SymbolPropagator(state.params, state.grid)
-    vals_half = propagator.apply(state.values, 0.5 * dt)
-    vals_full = propagator.apply(state.values, dt)
-    dE = (energy(vals_full) - energy(state.values)) / dt
-    diss = dissipation(state.params, vals_half)
+        propagator = SymbolPropagator(params, grid)
+    vals_half = propagator.apply(values, 0.5 * dt)
+    vals_full = propagator.apply(values, dt)
+    dE = (energy(vals_full) - energy(values)) / dt
+    diss = dissipation(params, vals_half)
     return float(np.max(np.abs(dE + diss)))
 
 
@@ -157,6 +158,25 @@ def r_chain_mp(lam, t):
                 J[i, i - 1] = t
         E = mp.expm(J)
         return np.array([complex(E[i, 0]) for i in range(n)])
+
+
+def branches_first_minimum(params, grid):
+    """Branch columns frequency by frequency, with no shortcut: each pair of
+    adjacent raw (Putzer-order) rows of the solve is matched by the first
+    permutation of ``itertools.permutations(range(6))`` with the least total
+    cost sum_a |lam_old[a] - lam_new[perm[a]]|, and the matchings are
+    composed row by row."""
+    from disspec.spectral import eigenvalues_batch
+
+    lam, _ = eigenvalues_batch(params, grid)
+    perms = np.array(list(itertools.permutations(range(6))))
+    out = lam.copy()
+    cols = np.arange(6)
+    for i in range(1, len(lam)):
+        cost = np.abs(lam[i - 1][:, None] - lam[i][None, :])
+        cols = perms[cost[np.arange(6), perms].sum(axis=1).argmin()][cols]
+        out[i] = lam[i][cols]
+    return out
 
 
 def eigenvalues_hp(params, xi, dps=50):
@@ -252,7 +272,7 @@ def packet_ratio_scan(params, xi0, width=2.0, component="v", t_max=1e6, n_times=
     prof = Profile(kind="high_freq_packet", center=xi0, width=width, component=component)
     state = build_initial_state(params, prof, grid)
     times = np.geomspace(1e-2, t_max, n_times)
-    n2 = sobolev_norms(SymbolPropagator(params, grid), state.values, times, (0,),
+    n2 = sobolev_norms(SymbolPropagator(params, grid), state, times, (0,),
                        check_tail=False)[0]
     return times, n2 / n2[0]
 
@@ -300,6 +320,6 @@ def spectrum_rows_per_element(grid, branches):
 
 
 def state_rows_per_element(grid, values):
-    """Rows of a FourierState CSV built frequency by frequency from numpy
+    """Rows of a state CSV built frequency by frequency from numpy
     scalars: xi plus the real and imaginary parts."""
     return [[xi] + list(v.real) + list(v.imag) for xi, v in zip(grid, values)]

@@ -528,8 +528,9 @@ class TestCommands:
 
     def test_defective_evolve_imports_no_fallback(self, tmp_path):
         # the clustered xi = 0 row takes the double-precision bidiagonal
-        # route, which needs neither an ODE solver nor 50-digit arithmetic;
-        # no command on the spectrum or propagation path needs the latter
+        # route, which needs neither an ODE solver nor 50-digit arithmetic,
+        # and the branch matching of spectrum needs no assignment solver:
+        # no command loads scipy or mpmath
         defective = {"command": "evolve",
                      "params": {"a": 1.0, "k": 1.0, "l": math.sqrt(8.0),
                                 "gamma1": 0.0, "gamma2": math.sqrt(27.0)},
@@ -555,8 +556,8 @@ class TestCommands:
                   "seen = []\n"
                   "for i, config in enumerate(json.loads(sys.argv[1])):\n"
                   "    cli.dispatch(config, Path(sys.argv[2]) / str(i))\n"
-                  "    seen.append([m for m in ('scipy.integrate', 'mpmath')"
-                  " if m in sys.modules])\n"
+                  "    seen.append(sorted(m for m in sys.modules"
+                  " if m.partition('.')[0] in ('scipy', 'mpmath')))\n"
                   "print(json.dumps(seen))\n")
         src = str(Path(disspec.__file__).resolve().parents[1])
         env = {**os.environ,
@@ -566,8 +567,7 @@ class TestCommands:
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout.splitlines()[-1])
-        assert seen[0] == []
-        assert [m for modules in seen for m in modules if m == "mpmath"] == []
+        assert seen == [[]] * len(configs)
         assert (tmp_path / "out" / "0" / "state.csv").exists()
 
     @pytest.mark.parametrize("profile", [
@@ -966,12 +966,20 @@ class TestStrictArtifacts:
         assert not (tmp_path / "x.json").exists()
 
 
-    # jsonschema is a test dependency: a stub that fails on import stands in
-    # for an install without it
+    # jsonschema and scipy are test dependencies: a stub that fails on
+    # import stands in for an install without them
     def test_no_command_imports_jsonschema(self, tmp_path):
-        stub = tmp_path / "stub" / "jsonschema"
+        self.run_without(tmp_path, "jsonschema")
+
+    def test_no_command_imports_scipy(self, tmp_path):
+        self.run_without(tmp_path, "scipy")
+
+    def run_without(self, tmp_path, module):
+        """Run every command, and a refusal, in one interpreter in which
+        importing ``module`` raises."""
+        stub = tmp_path / "stub" / module
         stub.mkdir(parents=True)
-        (stub / "__init__.py").write_text("raise ImportError('jsonschema is not installed')\n")
+        (stub / "__init__.py").write_text(f"raise ImportError('{module} is not installed')\n")
         configs = {**self.CONFIGS,
                    "report": {"command": "report",
                               "run_log": str(tmp_path / "decay" / "runs.jsonl")},
@@ -985,7 +993,7 @@ class TestStrictArtifacts:
                   "seen = []\n"
                   "for config, out in json.loads(sys.argv[1]):\n"
                   "    seen.append([cli.main(['--config', config, '--out', out]),"
-                  " 'jsonschema' in sys.modules])\n"
+                  f" {module!r} in sys.modules])\n"
                   "print(json.dumps(seen))\n")
         src = str(Path(disspec.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(

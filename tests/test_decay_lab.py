@@ -27,8 +27,7 @@ class TestProfiles:
         p = SystemParams(1, 1, 0.5, 1, 1)
         grid = small_grid()
         st = build_initial_state(p, Profile(kind="gaussian", width=1.0), grid)
-        flipped = np.conj(st.values[::-1])
-        assert np.allclose(st.values, flipped)
+        assert np.allclose(st, np.conj(st[::-1]))
 
     def test_box_profile_value_at_zero(self):
         prof = Profile(kind="box", width=0.7)
@@ -54,7 +53,7 @@ class TestProfiles:
         p = SystemParams(1, 1, 1, 1, 0.0 if kind == "conservative_mode" else 1)
         grid = default_grid() if grid == "default" else packet_grid(10.0, 2.0)
         prof = Profile(kind=kind, width=0.7, center=10.0, component="all")
-        vals = build_initial_state(p, prof, grid).values
+        vals = build_initial_state(p, prof, grid)
         assert np.array_equal(vals, vals[::-1].conj())
         prop = SymbolPropagator(p, grid)
         times = np.array([0.0, 1.0])
@@ -109,10 +108,10 @@ class TestConservativeMode:
         grid = default_grid(n_geo=160, n_lin=160)
         prof = Profile(kind="conservative_mode", center=1.0, width=2.0)
         st = build_initial_state(self.p, prof, grid)
-        assert np.array_equal(st.values, st.values[::-1].conj())
+        assert np.array_equal(st, st[::-1].conj())
         i0 = int(np.flatnonzero(grid == 0.0)[0])
-        assert np.all(st.values[i0].imag == 0) and st.values[i0, 4] > 0.2
-        assert np.array_equal(st.values, prof.amplitude(grid)[:, None]
+        assert np.all(st[i0].imag == 0) and st[i0, 4] > 0.2
+        assert np.array_equal(st, prof.amplitude(grid)[:, None]
                               * _conservative_vector(self.p, grid))
 
 
@@ -199,13 +198,20 @@ class TestFusedNorms:
         exp = self.readme_decay()
         fits = run_decay(exp, fit_window=(1e2, 1e4))
         state0 = build_initial_state(exp.params, exp.profile, exp.grid)
-        traj = SymbolPropagator(exp.params, exp.grid).propagate_many(
-            state0.values, exp.times)
+        traj = SymbolPropagator(exp.params, exp.grid).propagate_many(state0, exp.times)
         for j in exp.j_orders:
             ref = np.array([np.sqrt(plancherel_norms(
                 exp.grid, np.sum(np.abs(traj[i]) ** 2, axis=1)[:, None], j)[0])
                 for i in range(len(exp.times))])
             assert np.max(np.abs(fits[j].norms - ref) / ref) <= 1e-13
+
+    @pytest.mark.parametrize("grid", [np.linspace(1.0, -1.0, 11), np.array([-1.0, 0.0, 0.0, 1.0]),
+                                      np.zeros((3, 3))])
+    def test_grid_not_increasing_refused(self, grid):
+        with pytest.raises(PreconditionError, match="strictly increasing"):
+            run_decay(Experiment(params=SystemParams(1, 1, 0.5, 1, 1),
+                                 profile=Profile(kind="gaussian"), times=[1.0, 2.0, 3.0],
+                                 grid=grid))
 
     def test_narrow_grid_refused_with_edge_values(self):
         p = SystemParams(1, 1, 0.5, 1, 1)
@@ -216,7 +222,7 @@ class TestFusedNorms:
             run_decay(exp)
         # the first offending (j, t) is j = 0 at the first time
         state0 = build_initial_state(p, exp.profile, grid)
-        u = SymbolPropagator(p, grid).propagate_many(state0.values, exp.times[:1])[0]
+        u = SymbolPropagator(p, grid).propagate_many(state0, exp.times[:1])[0]
         integrand = np.sum(np.abs(u) ** 2, axis=1)
         assert info.value.edge_values == pytest.approx(
             (integrand[0], integrand[-1]), rel=1e-12)
@@ -368,6 +374,11 @@ class TestPacketBracket:
     def test_bad_time_grid_refused(self, kw, key):
         with pytest.raises(PreconditionError, match=key):
             packet_decay_time(PACKET_RUNS[1][0], 10.0, **kw)
+
+    @pytest.mark.parametrize("width", [0.0, -2.0, float("nan"), float("inf")])
+    def test_bad_width_refused(self, width):
+        with pytest.raises(PreconditionError, match="packet width must be finite and positive"):
+            packet_decay_time(PACKET_RUNS[1][0], 10.0, width=width)
 
     @pytest.mark.parametrize("rise_at", ["coarse", "fine"])
     def test_rising_norm_is_solver_error(self, monkeypatch, rise_at):
@@ -581,3 +592,23 @@ class TestOptimalityProbe:
     def test_requires_both_dampings(self):
         with pytest.raises(RegimeError):
             optimality_probe(SystemParams(1, 1, 1, 0, 1))
+
+    def test_one_solve_of_the_grid(self, monkeypatch):
+        # the audit's three frequencies, then the grid once: the spectral
+        # rate reads the pointwise fit's propagator
+        from disspec import propagator, spectral
+        calls = []
+        solve = spectral.distinct_spectra
+
+        def spy(params, xi):
+            calls.append(np.size(xi))
+            return solve(params, xi)
+
+        monkeypatch.setattr(spectral, "distinct_spectra", spy)
+        monkeypatch.setattr(propagator, "distinct_spectra", spy)
+        p = SystemParams(1, 1, 0.5, 1, 1)
+        rep = optimality_probe(p)
+        assert calls == [3, 25]
+        xi = np.geomspace(0.01, 100.0, 25)
+        assert np.array_equal(rep["spectral_rate"],
+                              -2.0 * eigenvalues_batch(p, xi)[0].real.max(axis=1))

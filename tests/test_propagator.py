@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from disspec import (FourierState, PreconditionError, SolverError,
+from disspec import (PreconditionError, SolverError,
                      SystemParams, TailMassError, build_symbol, default_grid,
                      eigenvalues_batch, sobolev_norms, symbol_stack)
 from disspec import propagator as propagator_module
@@ -17,10 +17,10 @@ from oracles import (density, dissipation, energy, energy_audit, plancherel_norm
                      r_chain_mp, six_exp_table)
 
 
-def plancherel_norm(state, j):
+def plancherel_norm(params, grid, values, j):
     """Squared Sobolev seminorm of one state: :func:`sobolev_norms` at t = 0."""
-    prop = SymbolPropagator(state.params, state.grid)
-    return float(sobolev_norms(prop, state.values, [0.0], (j,))[0, 0])
+    prop = SymbolPropagator(params, grid)
+    return float(sobolev_norms(prop, values, [0.0], (j,))[0, 0])
 
 
 def defective_nodes():
@@ -358,26 +358,28 @@ class TestMatrixExp:
             assert np.max(np.abs(E_perm - E_ref)) <= 1e-9
 
 
-class TestEvolve:
-    def make_state(self, params, xi_max=8.0):
-        grid = default_grid(xi_max=xi_max, n_geo=64, n_lin=64)
-        values = np.exp(-0.5 * grid**2)[:, None] * np.ones(6) / np.sqrt(6)
-        return FourierState(params=params, grid=grid, values=values.astype(complex))
+def gaussian_state(n):
+    """(grid, values) of an equal-mix Gaussian on a default grid of 2n + 1 points."""
+    grid = default_grid(xi_max=8.0, n_geo=n, n_lin=n)
+    values = np.exp(-0.5 * grid**2)[:, None] * np.ones(6) / np.sqrt(6)
+    return grid, values.astype(complex)
 
+
+class TestEvolve:
     def test_zero_step_unchanged(self):
-        st = self.make_state(SystemParams(1, 1, 0.5, 1, 1))
-        out = SymbolPropagator(st.params, st.grid).apply(st.values, 0.0)
-        assert np.array_equal(out, st.values)
+        grid, values = gaussian_state(64)
+        out = SymbolPropagator(SystemParams(1, 1, 0.5, 1, 1), grid).apply(values, 0.0)
+        assert np.array_equal(out, values)
 
     def test_backwards_rejected(self):
-        st = self.make_state(SystemParams(1, 1, 0.5, 1, 1))
+        grid, values = gaussian_state(64)
         with pytest.raises(PreconditionError):
-            SymbolPropagator(st.params, st.grid).apply(st.values, -1.0)
+            SymbolPropagator(SystemParams(1, 1, 0.5, 1, 1), grid).apply(values, -1.0)
 
     def test_undamped_norm_preserved(self):
-        st = self.make_state(SystemParams(1.3, 0.7, 1.0, 0, 0))
-        values = SymbolPropagator(st.params, st.grid).apply(st.values, 7.0)
-        n0 = np.linalg.norm(st.values, axis=1)
+        grid, values0 = gaussian_state(64)
+        values = SymbolPropagator(SystemParams(1.3, 0.7, 1.0, 0, 0), grid).apply(values0, 7.0)
+        n0 = np.linalg.norm(values0, axis=1)
         n1 = np.linalg.norm(values, axis=1)
         assert np.allclose(n0, n1, atol=1e-9)
 
@@ -393,17 +395,12 @@ class TestEvolve:
 
 
 class TestEnergyAudit:
-    def make_state(self, params):
-        grid = default_grid(xi_max=8.0, n_geo=96, n_lin=96)
-        values = np.exp(-0.5 * grid**2)[:, None] * np.ones(6) / np.sqrt(6)
-        return FourierState(params=params, grid=grid, values=values.astype(complex))
-
     def test_undamped_energy_conserved(self):
         p = SystemParams(1, 1, 1, 0, 0)
-        st = self.make_state(p)
-        assert energy_audit(st, 1e-3) <= 1e-9
-        values = SymbolPropagator(p, st.grid).apply(st.values, 3.0)
-        assert np.allclose(energy(values), energy(st.values), rtol=1e-9)
+        grid, values0 = gaussian_state(96)
+        assert energy_audit(p, grid, values0, 1e-3) <= 1e-9
+        values = SymbolPropagator(p, grid).apply(values0, 3.0)
+        assert np.allclose(energy(values), energy(values0), rtol=1e-9)
 
     def test_instantaneous_dissipation_of_pure_y(self):
         p = SystemParams(1, 1, 1, 1, 0.3)
@@ -414,26 +411,24 @@ class TestEnergyAudit:
 
     def test_residual_second_order_in_dt(self):
         p = SystemParams(1, 1, 0.5, 1, 1)
-        st = self.make_state(p)
+        grid, values = gaussian_state(96)
         resids = []
         dts = [4e-3, 2e-3, 1e-3, 5e-4]
         for dt in dts:
-            resids.append(energy_audit(st, dt))
+            resids.append(energy_audit(p, grid, values, dt))
         order = np.polyfit(np.log(dts), np.log(resids), 1)[0]
         assert order >= 1.9
 
     def test_residual_small_at_reference_dt(self):
-        st = self.make_state(SystemParams(1, 1, 0.5, 1, 1))
-        assert energy_audit(st, 1e-4) <= 1e-6
+        grid, values = gaussian_state(96)
+        assert energy_audit(SystemParams(1, 1, 0.5, 1, 1), grid, values, 1e-4) <= 1e-6
 
 
 class TestPlancherel:
     def test_zero_state(self):
         p = SystemParams(1, 1, 1, 1, 1)
         grid = np.linspace(-2, 2, 101)
-        st = FourierState(params=p, grid=grid,
-                          values=np.zeros((101, 6), dtype=complex))
-        assert plancherel_norm(st, 0) == 0.0
+        assert plancherel_norm(p, grid, np.zeros((101, 6), dtype=complex), 0) == 0.0
 
     def test_unit_profile_on_band(self):
         p = SystemParams(1, 1, 1, 1, 1)
@@ -441,30 +436,23 @@ class TestPlancherel:
         values = np.zeros((len(grid), 6), dtype=complex)
         inside = np.abs(grid) <= 1.0
         values[inside, :] = 1.0
-        st = FourierState(params=p, grid=grid, values=values)
         # integral of |U|^2 = 6 over [-1, 1] gives 12
-        assert plancherel_norm(st, 0) == pytest.approx(12.0, abs=1e-6 * 12 + 0.02)
+        assert plancherel_norm(p, grid, values, 0) == pytest.approx(12.0, abs=1e-6 * 12 + 0.02)
 
     def test_tail_mass_violation(self):
         p = SystemParams(1, 1, 1, 1, 1)
         grid = np.linspace(-1, 1, 101)
         values = np.ones((101, 6), dtype=complex)
-        st = FourierState(params=p, grid=grid, values=values)
         with pytest.raises(TailMassError):
-            plancherel_norm(st, 0)
+            plancherel_norm(p, grid, values, 0)
 
     def test_norm_monotone_under_damped_evolution(self):
         p = SystemParams(1, 1, 0.5, 1, 1)
-        grid = default_grid(xi_max=8.0, n_geo=64, n_lin=64)
-        values = (np.exp(-0.5 * grid**2)[:, None]
-                  * np.ones(6).astype(complex) / np.sqrt(6))
-        st = FourierState(params=p, grid=grid, values=values)
+        grid, values = gaussian_state(64)
         prop = SymbolPropagator(p, grid)
         times = np.linspace(0.0, 10.0, 21)
-        traj = prop.propagate_many(st.values, times)
-        norms = [plancherel_norm(
-            FourierState(params=p, grid=grid, values=traj[i]), 0)
-            for i in range(len(times))]
+        traj = prop.propagate_many(values, times)
+        norms = [plancherel_norm(p, grid, traj[i], 0) for i in range(len(times))]
         assert np.all(np.diff(norms) <= 1e-12)
 
 
@@ -824,7 +812,7 @@ class TestOncePerAbsXi:
 
         def off_by_one_ulp(*args):
             state = build(*args)
-            state.values[0, 2] = np.nextafter(state.values[0, 2].real, np.inf)
+            state[0, 2] = np.nextafter(state[0, 2].real, np.inf)
             return state
 
         monkeypatch.setattr(cli, "build_initial_state", off_by_one_ulp)
@@ -920,7 +908,7 @@ class TestPlancherelSums:
         grid = packet_grid(10.0, 2.0)
         if hermitian:
             vals = build_initial_state(params, Profile(kind="high_freq_packet", center=10.0,
-                                                       width=2.0, component="v"), grid).values
+                                                       width=2.0, component="v"), grid)
         else:
             grid, vals = self.data(grid, hermitian=False, center=10.0)
         prop = SymbolPropagator(params, grid)

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from disspec import (SymbolPropagator, SystemParams, artifacts, build_symbol,
-                     eigenvalues_batch, real_symbol_stack, symbol_stack)
+from disspec import (SymbolPropagator, SystemParams, artifacts, branch_continuation,
+                     build_symbol, eigenvalues_batch, real_symbol_stack, symbol_stack)
 from disspec import propagator as propagator_module
 from oracles import csv_text_per_element, read_csv
 
@@ -33,8 +33,36 @@ def params(draw):
 
 
 frequencies = st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=8)
+#: symmetric grids through xi = 0, increasing grids, and unsorted lists
+branch_grids = st.one_of(
+    st.builds(lambda x, m: np.linspace(-x, x, 2 * m + 1), st.floats(0.01, 20.0),
+              st.integers(1, 150)),
+    st.builds(lambda lo, span, n: np.linspace(lo, lo + span, n), st.floats(-20.0, 20.0),
+              st.floats(0.01, 40.0), st.integers(2, 300)),
+    st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=40).map(np.array))
 #: reaching past symbol scale 64 (scale >= |xi|), the matrix route's rows
 wide_frequencies = st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=8)
+
+
+@PROPERTY
+@given(params(), branch_grids)
+@example(SystemParams(1, 1, np.sqrt(8.0), 0, np.sqrt(27.0)), np.linspace(-1.0, 1.0, 201))
+@example(SystemParams(1, 2, 0.5, 0, 1), np.linspace(-10.0, 10.0, 401))
+@example(SystemParams(1, 1, 1, 1, 0), np.linspace(-10.0, 10.0, 41))
+def test_branch_matching_is_optimal(p, grid):
+    """Each row of branch_continuation is a permutation of the solve's row,
+    row 0 in Putzer order, and its matching to the previous row costs at
+    most scipy's optimal assignment of the same two rows."""
+    from scipy.optimize import linear_sum_assignment
+
+    out = branch_continuation(p, grid)
+    lam, _ = eigenvalues_batch(p, grid)
+    assert np.array_equal(out[0], lam[0])
+    assert np.array_equal(np.sort(out, axis=1), np.sort(lam, axis=1))
+    for prev, row in zip(out[:-1], out[1:]):
+        cost = np.abs(prev[:, None] - row[None, :])
+        best = cost[linear_sum_assignment(cost)].sum()
+        assert np.trace(cost) <= best + 1e-12 * (1.0 + best)
 
 
 @PROPERTY

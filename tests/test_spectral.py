@@ -7,8 +7,9 @@ from disspec import (CertificateRefused, PreconditionError, RegimeError,
                      char_poly_coeffs, default_grid, eigenvalues_batch,
                      gap_scan, high_freq_expansion, low_freq_expansion,
                      real_symbol_stack)
+from disspec import spectral as spectral_module
 from disspec.spectral import _minus_L_roots, _putzer_order
-from oracles import eigenvalues_hp
+from oracles import branches_first_minimum, eigenvalues_hp
 
 
 def lam_at(params, xi):
@@ -471,3 +472,19 @@ def test_branch_continuation_is_continuous():
     branches = branch_continuation(p, grid)
     jumps = np.abs(np.diff(branches, axis=0)).max(axis=0)
     assert np.all(jumps < 0.5)
+
+
+@pytest.mark.parametrize("p", [(1, 1, np.sqrt(8.0), 0, np.sqrt(27.0)), (1, 2, 0.5, 0, 1),
+                               (1, 1, 1, 1, 0), (1.3, 0.7, 1.0, 0, 0)])
+@pytest.mark.parametrize("search_bytes", [None, 1])
+def test_branch_tie_rule(monkeypatch, p, search_bytes):
+    # the symmetric grids hold tie rows at xi = 0 and at collisions on the
+    # real axis; the unsorted grid sends most row pairs to the permutation
+    # search, which one row per slice leaves unchanged
+    if search_bytes is not None:
+        monkeypatch.setattr(spectral_module, "_SEARCH_BYTES", search_bytes)
+    params = SystemParams(*p)
+    for grid in (np.linspace(-10.0, 10.0, 401), np.linspace(-1.0, 1.0, 201),
+                 np.random.default_rng(5).uniform(-20.0, 20.0, 300)):
+        assert np.array_equal(branch_continuation(params, grid),
+                              branches_first_minimum(params, grid))
