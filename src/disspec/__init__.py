@@ -18,7 +18,7 @@ from .errors import (CertificateRefused, DisspecError, PreconditionError,
                      UnsupportedRegimeError)
 from .lyapunov import (AuditReport, LyapunovConstants, audit_inequality,
                        gronwall_check, sandwich_fit, search_constants)
-from .propagator import SymbolPropagator, default_grid, sobolev_norms
+from .propagator import Rule, SymbolPropagator, default_grid
 from .spectral import (AsymptoticCoeffs, BranchRate, CardanoClass,
                        GapCertificate, branch_continuation, cardano_classify,
                        eigenvalues_batch, gap_scan, high_freq_expansion,

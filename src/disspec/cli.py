@@ -30,7 +30,7 @@ from .decay_lab import (Experiment, FrequencyPartition, Profile, build_initial_s
                         run_decay, three_region_synthesis)
 from .errors import CertificateRefused, PreconditionError, SchemaError
 from .lyapunov import audit_inequality, sandwich_fit, search_constants
-from .propagator import default_grid, SymbolPropagator
+from .propagator import Rule, SymbolPropagator, default_grid
 from .spectral import (branch_continuation, cardano_classify, gap_scan,
                        high_freq_expansion, low_freq_expansion)
 
@@ -445,7 +445,7 @@ def dispatch(config: dict, out_dir: Path, seed: int = 0) -> dict:
         exp = Experiment(params=params, profile=Profile(**config["profile"]),
                          times=_times_from(config["times"]),
                          j_orders=tuple(config["j_orders"]),
-                         grid=default_grid(**config.get("grid", {})))
+                         rule=Rule(default_grid(**config.get("grid", {}))))
         window = tuple(config["fit_window"]) if "fit_window" in config else None
         fits = run_decay(exp, fit_window=window)
         fit_payload = {
@@ -473,7 +473,7 @@ def dispatch(config: dict, out_dir: Path, seed: int = 0) -> dict:
         exp = Experiment(params=params, profile=Profile(**config["profile"]),
                          times=_times_from(config["times"]),
                          j_orders=(config.get("j", 0),),
-                         grid=default_grid(**config.get("grid", {})))
+                         rule=Rule(default_grid(**config.get("grid", {}))))
         part = FrequencyPartition(**config["partition"])
         rep = three_region_synthesis(exp, part, ell=config.get("ell", 1))
         payload = {k: (list(map(float, v)) if isinstance(v, np.ndarray) else v)

@@ -1,9 +1,25 @@
 """First-order model objects for the damped curved-beam (Bresse) system.
 
-The physical system couples vertical displacement, rotation angle and
-longitudinal displacement on the line, with frictional damping gamma1 on the
-angle equation and gamma2 on the longitudinal equation.  After the standard
-change of unknowns it becomes
+The physical system couples vertical displacement phi, rotation angle psi
+and longitudinal displacement w on the line, with frictional damping gamma1
+on the angle equation and gamma2 on the longitudinal equation:
+
+    phi_tt - (phi_x + psi + l w)_x + k^2 l (w_x + l phi) = 0,
+    psi_tt - a^2 psi_xx + (phi_x + psi + l w) + gamma1 psi_t = 0,
+    w_tt - k^2 (w_x + l phi)_x + l (phi_x + psi + l w) + gamma2 w_t = 0.
+
+The axial strain is w_x + l phi; Liu & Rao (ZAMP 60, 2009) write it with
+the other sign, w_x - l phi, which gives another spectrum.  In Fourier form
+the eigenvalues solve det(lambda^2 I + lambda diag(0, gamma1, gamma2) +
+K(xi)) = 0 with
+
+    K = [[xi^2 + k^2 l^2,        -i xi,         i xi l (k^2 - 1)],
+         [i xi,                  a^2 xi^2 + 1,  l               ],
+         [-i xi l (k^2 - 1),     l,             k^2 xi^2 + l^2  ]],
+
+which the test suite checks against the spectrum of Phi and against
+:func:`char_poly_coeffs`.  After the standard change of unknowns the system
+becomes
 
     U_t + A U_x + L U = 0,      U = (v, u, z, y, phi, eta),
 

@@ -16,11 +16,13 @@ computes Sobolev seminorms by Plancherel quadrature, and fits decay laws:
 * a probe comparing the Lyapunov decay prediction against the slowest
   spectral branch.
 
-The quadrature is a weighted sum over the grid that the propagator reduces
-while it evolves (:func:`propagator.sobolev_norms`): the derivative orders
-of ``run_decay``, the packet norm and the synthesis's four regional
-integrals are weight columns of one pass, and no (frequencies, times)
-density is held.
+Every integral is taken by one quadrature, the experiment's
+:class:`propagator.Rule`: it checks the grid, and its weights times a column
+are one weighted sum over the grid that the propagator reduces while it
+evolves.  The derivative orders of ``run_decay``, the packet norm and the
+synthesis's four regional integrals are columns of one pass, each past the
+rule's tail check (the packet run's rule has none), and no (frequencies,
+times) density is held.
 
 Grids are symmetric with geometric spacing near zero; all randomness is
 seeded.
@@ -36,8 +38,7 @@ import numpy as np
 from .core_model import SystemParams
 from .errors import PreconditionError, RegimeError, SolverError
 from .lyapunov import audit_inequality, lyapunov_sigma, sandwich_fit, search_constants
-from .propagator import (SymbolPropagator, _sobolev_weights, _trapezoid_weights,
-                         default_grid, sobolev_norms)
+from .propagator import Rule, SymbolPropagator, default_grid
 from .spectral import (_cluster_tags, gap_scan, high_freq_expansion,
                        low_freq_expansion)
 
@@ -115,23 +116,22 @@ class Profile:
 
 @dataclass(frozen=True)
 class Experiment:
-    """One decay experiment: parameters, data, sampling instants."""
+    """One decay experiment: parameters, data, sampling instants and the
+    quadrature over its frequency grid."""
 
     params: SystemParams
     profile: Profile
     times: np.ndarray
     j_orders: tuple[int, ...] = (0,)
-    grid: np.ndarray = field(default=None)
+    rule: Rule = field(default_factory=lambda: Rule(default_grid()))
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        if np.any(np.diff(t) <= 0):
-            raise PreconditionError("times must be strictly increasing")
+        if t.ndim != 1 or t.size == 0 or np.any(np.diff(t) <= 0):
+            raise PreconditionError("times must be a non-empty 1-d strictly increasing array")
+        if not self.j_orders:
+            raise PreconditionError("j_orders must name at least one derivative order")
         object.__setattr__(self, "times", t)
-        grid = default_grid() if self.grid is None else np.asarray(self.grid, dtype=float)
-        if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
-            raise PreconditionError("grid must be a 1-d strictly increasing array")
-        object.__setattr__(self, "grid", grid)
 
 
 @dataclass(frozen=True)
@@ -215,17 +215,16 @@ def run_decay(exp: Experiment,
     norm increase beyond 1e-6 is a :class:`SolverError`, a numerical
     breakdown (each Fourier mode's modulus is provably non-increasing).
     """
-    params = exp.params
-    state0 = build_initial_state(params, exp.profile, exp.grid)
-    prop = SymbolPropagator(params, exp.grid)
-    squared = sobolev_norms(prop, state0, exp.times, exp.j_orders)
+    state0 = build_initial_state(exp.params, exp.profile, exp.rule.grid)
+    prop = SymbolPropagator(exp.params, exp.rule.grid)
+    squared = exp.rule.integrate(prop, state0, exp.times, exp.rule.sobolev(state0, exp.j_orders))
 
     if fit_window is None:
         fit_window = (exp.times[-1] / 10.0, exp.times[-1])
 
     fits: dict[int, DecayFit] = {}
     for j, norms in zip(exp.j_orders, np.sqrt(squared)):
-        increase = np.max(norms[1:] / np.maximum(norms[:-1], 1e-300)) - 1.0
+        increase = np.max(norms[1:] / np.maximum(norms[:-1], 1e-300), initial=1.0) - 1.0
         if increase > 1e-6:
             raise SolverError(
                 f"norm for j={j} increased by {increase:.2e} along the run; "
@@ -325,12 +324,13 @@ def packet_decay_time(params: SystemParams, xi0: float, width: float = 2.0,
     prof = Profile(kind="high_freq_packet", center=xi0, width=width,
                    component=component)
     state = build_initial_state(params, prof, grid)
+    rule = Rule(grid, check_tail=False)
     prop = SymbolPropagator(params, grid)
     times = np.geomspace(1e-2, t_max, n_times)
     n2 = np.full(n_times, np.nan)
 
     def evaluate(idx: np.ndarray) -> None:
-        n2[idx] = sobolev_norms(prop, state, times[idx], (0,), check_tail=False)[0]
+        n2[idx] = rule.integrate(prop, state, times[idx], rule.sobolev(state, (0,)))[0]
         seen = n2[~np.isnan(n2)]
         rise = seen - np.minimum.accumulate(seen)
         if rise.max() > 1e-12 * n2[0]:
@@ -395,9 +395,10 @@ def three_region_synthesis(exp: Experiment, part: FrequencyPartition,
 
     Each region's bound term, for the experiment's first derivative order j,
     is the trapezoid of c^2 s^2 |xi|^{2j} |U_hat(0)|^2 over that region,
-    taken like the measured regional integrals I_low, I_mid and I_high.  The
-    assembled bound dominates the measured total by construction at every
-    sampled (xi, t); the report records that verification explicitly.
+    taken like the measured regional integrals I_low, I_mid and I_high, which
+    pass the experiment rule's tail check.  The assembled bound dominates
+    the measured total by construction at every sampled (xi, t); the report
+    records that verification explicitly.
     """
     params = exp.params
     if params.regime != "gamma1_zero":
@@ -405,7 +406,7 @@ def three_region_synthesis(exp: Experiment, part: FrequencyPartition,
     if abs(params.stability_defect) < 1e-12:
         raise RegimeError("synthesis requires (k^2 - 1) l^2 - 1 != 0")
     j = exp.j_orders[0]
-    grid, times = exp.grid, exp.times
+    grid, times = exp.rule.grid, exp.times
     ax = np.abs(grid)
     masks = {"low": ax < part.nu, "mid": (ax >= part.nu) & (ax <= part.N),
              "high": ax > part.N}
@@ -418,10 +419,8 @@ def three_region_synthesis(exp: Experiment, part: FrequencyPartition,
 
     # |xi|^{2j} |U_hat(0)|^2, refused up front where the weight overflows
     state0 = build_initial_state(params, exp.profile, grid)
-    mass = np.sum(np.abs(state0) ** 2, axis=1)
-    trapezoid = _trapezoid_weights(grid)
-    sobolev = _sobolev_weights(grid, (j,), trapezoid * mass)[:, 0]
-    data_w = sobolev * mass
+    sobolev = exp.rule.sobolev(state0, (j,))[:, 0]
+    data_w = sobolev * np.sum(np.abs(state0) ** 2, axis=1)
 
     hf = high_freq_expansion(params)
     validated = [b for b in hf.high_freq if np.isfinite(b.re_coefficient)]
@@ -473,13 +472,13 @@ def three_region_synthesis(exp: Experiment, part: FrequencyPartition,
             out["p_fitted"] = p
             out["high_xi_range"] = (float(x.min()), float(x.max()))
         c = out[key] = float(np.max(nrm / shape(region, x)))
-        bounds += (c**2 * shape(region, ax[mask]) ** 2 * data_w[mask]) @ trapezoid[mask]
+        bounds += (c**2 * shape(region, ax[mask]) ** 2 * data_w[mask]) @ exp.rule.weights[mask]
 
     # measured integrals of xi^{2j} |U_hat|^2, per region and in total: four
-    # weight columns of one pass of the stream
-    columns = [masks["low"], masks["mid"], masks["high"], np.ones(len(grid), dtype=bool)]
-    weights = np.stack([np.where(col, trapezoid * sobolev, 0.0) for col in columns], axis=1)
-    sums, _, _ = prop.plancherel_sums(state0, times, weights)
+    # columns of one pass of the stream
+    regions = [masks["low"], masks["mid"], masks["high"], np.ones(len(grid), dtype=bool)]
+    columns = np.stack([np.where(region, sobolev, 0.0) for region in regions], axis=1)
+    sums = exp.rule.integrate(prop, state0, times, columns)
     out["I_low"], out["I_mid"], out["I_high"], I_total = sums
     dominated = bounds >= I_total * (1.0 - 1e-9)
     if not np.all(dominated):

@@ -59,11 +59,13 @@ coefficients of its spectra by one real batched matmul per chunk.  Each
 evaluated with it.
 
 Plancherel norms are a weighted reduction of that stream
-(:meth:`SymbolPropagator.plancherel_sums`, :func:`sobolev_norms`): the
-trapezoid rule times |xi|^{2j} is one weight per row and order, the weights
-of the rows of a |xi| fold into one per spectrum, and each chunk's density
-sum_a |U_a|^2 is reduced at once into the per-time sums, the per-time peak
-and the two grid-edge values that the tail check needs.  Neither the
+(:meth:`SymbolPropagator.plancherel_sums`).  :class:`Rule` is the one place
+that knows the quadrature: it checks the grid, holds the trapezoid weights,
+builds the |xi|^{2j} columns and applies the tail check.  Its weights times
+a column are one weight per row and column, the weights of the rows of a
+|xi| fold into one per spectrum, and each chunk's density sum_a |U_a|^2 is
+reduced at once into the per-time sums, the per-time peak and the two
+grid-edge values that the tail check needs.  Neither the
 (times, frequencies, 6) trajectory nor a (frequencies, times) density is
 ever held.  Operator norms are even in xi too (the identity is Hermitian
 data) and come from one batched eigvalsh of the Gram matrices of the real
@@ -80,6 +82,8 @@ imaginary part; the assembled exponential is order-invariant (tested).
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .core_model import _REAL_SIMILARITY, SystemParams
@@ -88,7 +92,7 @@ from .spectral import distinct_spectra
 
 __all__ = [
     "default_grid",
-    "sobolev_norms",
+    "Rule",
     "SymbolPropagator",
 ]
 
@@ -660,71 +664,83 @@ class SymbolPropagator:
         return out[spectra]
 
 
-def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
-    """w with sum_i w_i f_i the trapezoid rule of f over the grid:
-    w_i = (xi_{i+1} - xi_{i-1}) / 2, one-sided at the two ends."""
-    d = 0.5 * np.diff(grid)
-    w = np.zeros(len(grid))
-    w[:-1] += d
-    w[1:] += d
-    return w
-
-
-def _sobolev_weights(grid: np.ndarray, j_orders, mass: np.ndarray) -> np.ndarray:
-    """|xi|^{2j} per grid row and order: shape (nfreq, len(j_orders)).
-
-    mass : (nfreq,) trapezoid weight times the density of the data at
-    t = 0.  e^{t Phi} is a contraction, so the density at t = 0 bounds it at
-    every time.  Refuses an order that is not a nonnegative integer, and one
-    whose weight times ``mass`` is not finite on the grid (|xi|^{2j}
-    overflows past 1.8e308, say j = 97 at |xi| = 40), naming the order and
-    the largest |xi|.
-    """
-    out = np.empty((len(grid), len(j_orders)))
-    for col, j in enumerate(j_orders):
-        if j < 0 or int(j) != j:
-            raise PreconditionError(f"derivative order must be a nonnegative integer, got {j}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[:, col] = np.abs(grid) ** (2 * j)
-            finite = np.all(np.isfinite(out[:, col] * mass))
-        if not finite:
-            raise PreconditionError(
-                f"derivative order j = {j} is too high for the grid: |xi|^(2j) times "
-                f"the density is not finite up to |xi| = {np.abs(grid).max():.6g}")
-    return out
-
-
 #: an integrand at a grid edge above this fraction of its peak refuses
 _TAIL_RTOL = 1e-12
 
 
-def sobolev_norms(prop: SymbolPropagator, values0: np.ndarray, times: np.ndarray,
-                  j_orders, check_tail: bool = True) -> np.ndarray:
-    """Squared Sobolev seminorms ||d_x^j U(t)||^2 of (nfreq, 6) data by
-    Plancherel: the trapezoid rule over the grid of |xi|^{2j} times the
-    density sum_a |U_a(xi, t)|^2.  Returns shape (len(j_orders), ntimes).
+@dataclass(frozen=True)
+class Rule:
+    """The Plancherel quadrature over a frequency grid: the trapezoid rule.
 
-    The trapezoid rule is a weighted sum: each row weighs its trapezoid
-    weight times |xi|^{2j} (:func:`_sobolev_weights`), one column per order,
-    and :meth:`SymbolPropagator.plancherel_sums` reduces every order in one
-    pass of the stream.  With ``check_tail`` it refuses (with the edge
-    values of the first offending (j, t), j-major) when the integrand at a
-    grid edge exceeds 1e-12 times its peak at that time, since the missing
-    tail mass would then pollute the value.
+    ``grid`` must be 1-d, finite and strictly increasing, with at least two
+    nodes.  ``weights`` w gives sum_i w_i f_i, the trapezoid rule of f over
+    the grid: w_i = (xi_{i+1} - xi_{i-1}) / 2, one-sided at the two ends.
+    With ``check_tail``, :meth:`integrate` refuses an integrand whose value
+    at a grid edge exceeds 1e-12 times its peak, since the tail mass beyond
+    the grid would then pollute the value.
     """
-    grid = prop.grid
-    trapezoid = _trapezoid_weights(grid)
-    mass = np.sum(values0.real ** 2 + values0.imag ** 2, axis=1)
-    scale = _sobolev_weights(grid, j_orders, trapezoid * mass)
-    sums, peak, edges = prop.plancherel_sums(values0, times, trapezoid[:, None] * scale,
-                                             scale if check_tail else None)
-    if check_tail:
-        edge = edges.max(axis=1)
-        bad = np.argwhere((peak > 0.0) & (edge > _TAIL_RTOL * peak))
-        if bad.size:
-            o, q = bad[0]
-            raise TailMassError(
-                f"integrand tail at grid edge = {edge[o, q]:.3e} exceeds "
-                f"{_TAIL_RTOL:.0e} x peak ({peak[o, q]:.3e}); widen the grid",
-                edge_values=(float(edges[o, 0, q]), float(edges[o, 1, q])))
-    return sums
+
+    grid: np.ndarray
+    check_tail: bool = True
+    weights: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        grid = np.atleast_1d(np.asarray(self.grid, dtype=float))
+        # finite steps from a first node leave every node finite
+        d = 0.5 * np.diff(grid)
+        if grid.ndim != 1 or grid.size < 2 or not np.all((d > 0.0) & (d < np.inf)):
+            raise PreconditionError("grid must be a 1-d finite strictly increasing array "
+                                    f"of at least two nodes, got shape {grid.shape}")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "weights", np.append(d, 0.0) + np.append(0.0, d))
+
+    def sobolev(self, values0: np.ndarray, j_orders) -> np.ndarray:
+        """|xi|^{2j} per grid row and order: shape (nfreq, len(j_orders)).
+
+        e^{t Phi} is a contraction, so the density of the (nfreq, 6) data
+        ``values0`` bounds it at every time.  Refuses an order that is not a
+        nonnegative integer, and one whose column times the weights and that
+        density is not finite on the grid (|xi|^{2j} overflows past
+        1.8e308, say j = 97 at |xi| = 40), naming the order and the largest
+        |xi|.
+        """
+        mass = self.weights * np.sum(values0.real ** 2 + values0.imag ** 2, axis=1)
+        out = np.empty((len(self.grid), len(j_orders)))
+        for col, j in enumerate(j_orders):
+            if j < 0 or int(j) != j:
+                raise PreconditionError(f"derivative order must be a nonnegative integer, got {j}")
+            with np.errstate(over="ignore", invalid="ignore"):
+                out[:, col] = np.abs(self.grid) ** (2 * j)
+                finite = np.all(np.isfinite(out[:, col] * mass))
+            if not finite:
+                raise PreconditionError(
+                    f"derivative order j = {j} is too high for the grid: |xi|^(2j) times "
+                    f"the density is not finite up to |xi| = {np.abs(self.grid).max():.6g}")
+        return out
+
+    def integrate(self, prop: SymbolPropagator, values0: np.ndarray, times: np.ndarray,
+                  columns: np.ndarray) -> np.ndarray:
+        """Integrals over the grid of each column of ``columns`` (nfreq, w)
+        times the density sum_a |U_a(xi, t)|^2 of the (nfreq, 6) data
+        evolved by ``prop``: shape (w, ntimes).
+
+        One pass of :meth:`SymbolPropagator.plancherel_sums` reduces every
+        column with the weights times it.  With ``check_tail`` it refuses
+        (with the edge values of the first offending (column, t),
+        column-major) where the integrand at a grid edge exceeds 1e-12 times
+        its peak at that time.  A propagator over another grid is refused.
+        """
+        if not np.array_equal(prop.grid, self.grid):
+            raise PreconditionError("the propagator was built over another grid than the rule's")
+        sums, peak, edges = prop.plancherel_sums(values0, times, self.weights[:, None] * columns,
+                                                 columns if self.check_tail else None)
+        if self.check_tail:
+            edge = edges.max(axis=1)
+            bad = np.argwhere((peak > 0.0) & (edge > _TAIL_RTOL * peak))
+            if bad.size:
+                o, q = bad[0]
+                raise TailMassError(
+                    f"integrand tail at grid edge = {edge[o, q]:.3e} exceeds "
+                    f"{_TAIL_RTOL:.0e} x peak ({peak[o, q]:.3e}); widen the grid",
+                    edge_values=(float(edges[o, 0, q]), float(edges[o, 1, q])))
+        return sums

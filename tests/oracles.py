@@ -265,15 +265,16 @@ def packet_ratio_scan(params, xi0, width=2.0, component="v", t_max=1e6, n_times=
     same grid (unless ``grid`` is given), data and propagator, with all the
     times in one call.  Returns (times, ratio)."""
     from disspec.decay_lab import Profile, build_initial_state
-    from disspec.propagator import SymbolPropagator, sobolev_norms
+    from disspec.propagator import Rule, SymbolPropagator
 
     if grid is None:
         grid = packet_grid(xi0, width)
     prof = Profile(kind="high_freq_packet", center=xi0, width=width, component=component)
     state = build_initial_state(params, prof, grid)
     times = np.geomspace(1e-2, t_max, n_times)
-    n2 = sobolev_norms(SymbolPropagator(params, grid), state, times, (0,),
-                       check_tail=False)[0]
+    rule = Rule(grid, check_tail=False)
+    n2 = rule.integrate(SymbolPropagator(params, grid), state, times,
+                        rule.sobolev(state, (0,)))[0]
     return times, n2 / n2[0]
 
 

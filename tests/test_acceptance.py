@@ -21,7 +21,7 @@ from disspec import (CertificateRefused, Experiment, FrequencyPartition,
                      high_freq_expansion, run_decay, search_constants,
                      three_region_synthesis)
 from disspec.decay_lab import _conservative_vector, packet_decay_time
-from disspec.propagator import SymbolPropagator
+from disspec.propagator import Rule, SymbolPropagator
 from oracles import char_poly_value, eigenvalues_hp, energy_audit
 
 pytestmark = pytest.mark.acceptance
@@ -319,7 +319,7 @@ def test_criterion_10_loss_power_readoff():
             ("a=k=1", SystemParams(1, 1, 0.5, 0, 1), 2.0),
             ("a!=1", SystemParams(2, 1, 0.5, 0, 1), 6.0)):
         exp = Experiment(params=params, profile=Profile(kind="gaussian", width=1.0),
-                         times=np.geomspace(1.0, 1e4, 20), j_orders=(0,), grid=grid)
+                         times=np.geomspace(1.0, 1e4, 20), j_orders=(0,), rule=Rule(grid))
         rep = three_region_synthesis(exp, part, ell=1)
         fitted[name] = (rep["p_fitted"], target)
     ok = all(abs(p - target) <= 0.2 for p, target in fitted.values())

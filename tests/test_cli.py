@@ -609,6 +609,21 @@ class TestCommands:
         assert payload["error"] == "PreconditionError" and "'high'" in payload["message"]
         assert not (out / "synthesis.json").exists()
 
+    def test_synthesize_narrow_grid_exit_2(self, tmp_path):
+        # a width-0.1 Gaussian still holds 1e-7 of its peak at |xi| = 40: the
+        # measured integrals pass the same tail check as decay's norms
+        code, out = run_cli(tmp_path, {
+            "command": "synthesize", "params": G10_PARAMS,
+            "profile": {"kind": "gaussian", "width": 0.1, "component": "z"},
+            "times": {"t_min": 1.0, "t_max": 1000.0, "n": 10},
+            "partition": {"nu": 0.05, "N": 20.0}, "j": 0, "ell": 1,
+            "grid": {"xi_max": 40.0, "n_geo": 96, "n_lin": 128}})
+        assert code == 2
+        payload = json.loads((out / "error.json").read_text())
+        assert payload["error"] == "TailMassError"
+        assert payload["edge_values"] == pytest.approx([1.125e-7, 1.125e-7], rel=1e-3)
+        assert not (out / "synthesis.json").exists()
+
     @pytest.mark.parametrize("t", [float("nan"), float("inf")])
     @pytest.mark.parametrize("params", [PARAMS, {"a": 1.0, "k": 1.0, "l": math.sqrt(8.0),
                                                  "gamma1": 0.0, "gamma2": math.sqrt(27.0)}])

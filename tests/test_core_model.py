@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from disspec import (PreconditionError, RegimeError, SystemParams,
                      build_matrices, build_symbol, char_poly_coeffs)
@@ -113,6 +114,75 @@ def test_char_poly_determinant_oracle_all_regimes():
         ref = char_poly_value(p, 1j * xi, lam)
         val = char_poly(p, 1j * xi, lam)
         assert abs(val - ref) <= 1e-10 * (1.0 + abs(ref))
+
+
+def bresse_qep(p, xi, axial=1.0):
+    """(K, D) of det(lambda^2 I + lambda D + K(xi)) = 0, the Fourier form of
+    the Bresse system in (phi, psi, w) with axial strain w_x + axial l phi
+    (axial = 1 is the module's convention, -1 that of Liu & Rao)."""
+    a, k, l = p.a, p.k, p.l
+    c = 1j * xi * l * (k**2 - axial)
+    K = np.array([[xi**2 + k**2 * l**2, -1j * xi, axial * c],
+                  [1j * xi, a**2 * xi**2 + 1, l],
+                  [-axial * c, l, k**2 * xi**2 + l**2]])
+    return K, np.diag([0.0, p.gamma1, p.gamma2])
+
+
+def random_params_and_xi(rng):
+    params = SystemParams(*rng.uniform(0.2, 3.0, size=3), *rng.uniform(0, 2, size=2))
+    return params, rng.uniform(-10, 10)
+
+
+def nearest_root_gap(roots, ref):
+    """The largest distance from a root to its nearest unused root of ``ref``."""
+    free, gap = list(ref), 0.0
+    for r in roots:
+        i = int(np.argmin(np.abs(np.array(free) - r)))
+        gap = max(gap, abs(free.pop(i) - r))
+    return gap
+
+
+def test_symbol_solves_the_bresse_system():
+    # eig(Phi) are the companion roots of the quadratic eigenproblem; the
+    # other sign of the axial coupling gives another spectrum
+    rng = np.random.default_rng(16)
+    other = 0.0
+    for _ in range(300):
+        p, xi = random_params_and_xi(rng)
+        lam = np.linalg.eigvals(build_symbol(p, xi).Phi)
+        scale = np.abs(lam).max()
+        for axial in (1.0, -1.0):
+            K, D = bresse_qep(p, xi, axial)
+            companion = np.block([[np.zeros((3, 3)), np.eye(3)], [-K, -D]])
+            gap = nearest_root_gap(lam, np.linalg.eigvals(companion)) / scale
+            if axial == 1.0:
+                assert gap <= 1e-12
+            else:
+                other = max(other, gap)
+    assert other > 0.1
+
+
+def test_char_poly_is_the_expanded_determinant():
+    # det(lambda^2 I + lambda D + K) expanded over the six permutations; each
+    # coefficient is compared on the scale of its own terms (the expansion
+    # with absolute values)
+    rng = np.random.default_rng(17)
+    perms = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+             ((2, 1, 0), -1), ((0, 2, 1), -1), ((1, 0, 2), -1)]
+    for _ in range(300):
+        p, xi = random_params_and_xi(rng)
+        K, D = bresse_qep(p, xi)
+        M = [[np.array([K[i, j], D[i, j], float(i == j)]) for j in range(3)] for i in range(3)]
+        det, terms = np.zeros(7, dtype=complex), np.zeros(7)
+        for cols, sign in perms:
+            first, second, third = (M[row][col] for row, col in enumerate(cols))
+            # polymul trims trailing zero coefficients
+            prod = P.polymul(P.polymul(first, second), third)
+            det[:len(prod)] += sign * prod
+            prod = P.polymul(P.polymul(np.abs(first), np.abs(second)), np.abs(third))
+            terms[:len(prod)] += prod
+        ref = char_poly_coeffs(p, 1j * xi)
+        assert np.all(np.abs(det - ref) <= 1e-13 * terms)
 
 
 def test_trace_consistency():

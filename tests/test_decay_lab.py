@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disspec import (Experiment, FrequencyPartition,
-                     PreconditionError, Profile, RegimeError, SymbolPropagator,
+                     PreconditionError, Profile, RegimeError, Rule, SymbolPropagator,
                      SystemParams, TailMassError, build_initial_state,
                      default_grid, eigenvalues_batch, fit_pointwise_rate,
                      optimality_probe, run_decay, three_region_synthesis)
@@ -59,7 +59,8 @@ class TestProfiles:
         times = np.array([0.0, 1.0])
         traj = prop.propagate_many(vals, times)
         assert np.array_equal(traj[0], vals)
-        norms = propagator.sobolev_norms(prop, vals, times, (0, 1), check_tail=False)
+        rule = Rule(grid, check_tail=False)
+        norms = rule.integrate(prop, vals, times, rule.sobolev(vals, (0, 1)))
         # a contraction; the undamped conservative mode keeps its norm
         assert np.all(np.isfinite(norms))
         assert np.all(norms[:, 1] <= norms[:, 0] * (1 + 1e-12))
@@ -152,13 +153,25 @@ class TestExperimentValidation:
                        profile=Profile(kind="gaussian"),
                        times=np.array([1.0, 1.0, 2.0]))
 
+    @pytest.mark.parametrize("times, j_orders, match", [
+        ([5.0], (0,), "fewer than 3 usable samples"),
+        ([], (0,), "non-empty 1-d"),
+        ([[1.0, 2.0], [3.0, 4.0]], (0,), "non-empty 1-d"),
+        ([1.0, 2.0, 3.0], (), "at least one derivative order")])
+    def test_malformed_experiment_refused(self, times, j_orders, match):
+        # one time passes the rise check and then fails the fit
+        with pytest.raises(PreconditionError, match=match):
+            run_decay(Experiment(params=SystemParams(1, 1, 0.5, 1, 1),
+                                 profile=Profile(kind="gaussian"), times=times,
+                                 j_orders=j_orders, rule=Rule(small_grid())))
+
 
 class TestRunDecay:
     def test_heat_like_exponent_j0(self):
         p = SystemParams(1, 1, 0.5, 1, 1)
         exp = Experiment(params=p, profile=Profile(kind="gaussian", width=1.0),
                          times=np.geomspace(1, 1e4, 28), j_orders=(0,),
-                         grid=default_grid(xi_max=12.0, n_geo=512, n_lin=256))
+                         rule=Rule(default_grid(xi_max=12.0, n_geo=512, n_lin=256)))
         fits = run_decay(exp, fit_window=(1e2, 1e4))
         assert fits[0].exponent == pytest.approx(-0.25, rel=0.10)
 
@@ -167,7 +180,7 @@ class TestRunDecay:
         exp = Experiment(params=p,
                          profile=Profile(kind="conservative_mode", center=1.0, width=2.0),
                          times=np.geomspace(1, 1e3, 20), j_orders=(0,),
-                         grid=default_grid(xi_max=8.0, n_geo=128, n_lin=128))
+                         rule=Rule(default_grid(xi_max=8.0, n_geo=128, n_lin=128)))
         fits = run_decay(exp, fit_window=(10, 1e3))
         assert fits[0].exponent >= -0.02
         ratios = fits[0].norms / fits[0].norms[0]
@@ -178,7 +191,7 @@ class TestRunDecay:
         p = SystemParams(1.2, 0.8, 0.9, 1.0, 0)
         exp = Experiment(params=p, profile=Profile(kind="gaussian", width=1.0),
                          times=np.geomspace(0.5, 1e3, 15), j_orders=(0,),
-                         grid=default_grid(xi_max=8.0, n_geo=96, n_lin=96))
+                         rule=Rule(default_grid(xi_max=8.0, n_geo=96, n_lin=96)))
         fits = run_decay(exp, fit_window=(1.0, 1e3))
         ratios = fits[0].norms / fits[0].norms[0]
         assert np.all(ratios <= 1.0 + 1e-6)
@@ -197,27 +210,29 @@ class TestFusedNorms:
     def test_matches_per_time_plancherel_loop(self):
         exp = self.readme_decay()
         fits = run_decay(exp, fit_window=(1e2, 1e4))
-        state0 = build_initial_state(exp.params, exp.profile, exp.grid)
-        traj = SymbolPropagator(exp.params, exp.grid).propagate_many(state0, exp.times)
+        state0 = build_initial_state(exp.params, exp.profile, exp.rule.grid)
+        traj = SymbolPropagator(exp.params, exp.rule.grid).propagate_many(state0, exp.times)
         for j in exp.j_orders:
             ref = np.array([np.sqrt(plancherel_norms(
-                exp.grid, np.sum(np.abs(traj[i]) ** 2, axis=1)[:, None], j)[0])
+                exp.rule.grid, np.sum(np.abs(traj[i]) ** 2, axis=1)[:, None], j)[0])
                 for i in range(len(exp.times))])
             assert np.max(np.abs(fits[j].norms - ref) / ref) <= 1e-13
 
     @pytest.mark.parametrize("grid", [np.linspace(1.0, -1.0, 11), np.array([-1.0, 0.0, 0.0, 1.0]),
-                                      np.zeros((3, 3))])
+                                      np.zeros((3, 3)), np.array([-1.0, np.nan, 1.0]),
+                                      np.array([-np.inf, 0.0, 1.0]), np.array([0.0]),
+                                      np.array([])])
     def test_grid_not_increasing_refused(self, grid):
+        # a decreasing grid would give negative trapezoid weights and norms;
+        # one node (or none) spans no interval
         with pytest.raises(PreconditionError, match="strictly increasing"):
-            run_decay(Experiment(params=SystemParams(1, 1, 0.5, 1, 1),
-                                 profile=Profile(kind="gaussian"), times=[1.0, 2.0, 3.0],
-                                 grid=grid))
+            Rule(grid)
 
     def test_narrow_grid_refused_with_edge_values(self):
         p = SystemParams(1, 1, 0.5, 1, 1)
         grid = np.linspace(-1.0, 1.0, 201)
         exp = Experiment(params=p, profile=Profile(kind="gaussian", width=1.0),
-                         times=np.geomspace(1.0, 10.0, 5), j_orders=(0, 1), grid=grid)
+                         times=np.geomspace(1.0, 10.0, 5), j_orders=(0, 1), rule=Rule(grid))
         with pytest.raises(TailMassError) as info:
             run_decay(exp)
         # the first offending (j, t) is j = 0 at the first time
@@ -238,7 +253,7 @@ class TestFusedNorms:
         exp = Experiment(params=SystemParams(1, 1, 0.5, 1, 1),
                          profile=Profile(kind="gaussian", width=1.0),
                          times=np.geomspace(1.0, 10.0, 5), j_orders=(0,),
-                         grid=small_grid())
+                         rule=Rule(small_grid()))
         with pytest.raises(SolverError, match="increased"):
             run_decay(exp)
 
@@ -433,7 +448,7 @@ class TestSynthesis:
         return Experiment(params=params,
                           profile=Profile(kind="gaussian", width=1.0),
                           times=np.geomspace(1, 1e4, 20), j_orders=(0,),
-                          grid=default_grid(xi_max=xi_max, n_geo=256, n_lin=512))
+                          rule=Rule(default_grid(xi_max=xi_max, n_geo=256, n_lin=512)))
 
     def test_regime_guards(self):
         exp = self.make_exp(SystemParams(1, 1, 0.5, 1, 1))
@@ -458,7 +473,7 @@ class TestSynthesis:
         exp = Experiment(params=SystemParams(1, 1, 0.5, 0, 1),
                          profile=Profile(kind="gaussian", width=1.0),
                          times=np.geomspace(10.0, 1e5, 22), j_orders=(0,),
-                         grid=default_grid(xi_max=120.0, n_geo=384, n_lin=384))
+                         rule=Rule(default_grid(xi_max=120.0, n_geo=384, n_lin=384)))
         rep = three_region_synthesis(exp, FrequencyPartition(nu=0.05, N=50))
         # the -1/2 law needs t well past 1/(2 c2 nu^2) ~ 1e3
         sel = rep["times"] >= 5e3
@@ -495,7 +510,7 @@ class TestSynthesis:
         exp = self.make_exp(SystemParams(1, 1, 0.5, 0, 1))
         rep = three_region_synthesis(exp, FrequencyPartition(nu=0.05, N=50))
         assert rep["bound_dominates"]
-        assert built == [len(exp.grid)] and solved == [len(exp.grid)]
+        assert built == [len(exp.rule.grid)] and solved == [len(exp.rule.grid)]
 
     # certify's synthesize grid and times, and the default grid
     @pytest.mark.parametrize("grid, thinned_spectra", [
@@ -526,7 +541,7 @@ class TestSynthesis:
         monkeypatch.setattr(SymbolPropagator, "_real_states", stream_spy)
         exp = Experiment(params=SystemParams(1, 1, 0.5, 0, 1),
                          profile=Profile(kind="gaussian", width=1.0),
-                         times=np.geomspace(1.0, 1000.0, 10), j_orders=(0,), grid=grid)
+                         times=np.geomspace(1.0, 1000.0, 10), j_orders=(0,), rule=Rule(grid))
         assert three_region_synthesis(exp, FrequencyPartition(nu=0.05, N=20.0))["bound_dominates"]
         [(prop, times, rows, out)] = calls
         assert np.array_equal(prop.grid, grid)
@@ -544,7 +559,7 @@ class TestSynthesis:
         exp = Experiment(params=SystemParams(1, 1, 0.5, 0, 1),
                          profile=Profile(kind="gaussian", width=1.0),
                          times=np.geomspace(1, 1e7, 15), j_orders=(0,),
-                         grid=default_grid(xi_max=60.0, n_geo=64, n_lin=128))
+                         rule=Rule(default_grid(xi_max=60.0, n_geo=64, n_lin=128)))
         part = FrequencyPartition(nu=0.05, N=20)
         rep = three_region_synthesis(exp, part)
         assert rep["c2_hat"] * part.nu**2 * exp.times[-1] > 700

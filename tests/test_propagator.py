@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from disspec import (PreconditionError, SolverError,
+from disspec import (PreconditionError, Rule, SolverError,
                      SystemParams, TailMassError, build_symbol, default_grid,
-                     eigenvalues_batch, sobolev_norms, symbol_stack)
+                     eigenvalues_batch, symbol_stack)
 from disspec import propagator as propagator_module
 from disspec import spectral as spectral_module
 from disspec.decay_lab import _conservative_vector
@@ -18,9 +18,9 @@ from oracles import (density, dissipation, energy, energy_audit, plancherel_norm
 
 
 def plancherel_norm(params, grid, values, j):
-    """Squared Sobolev seminorm of one state: :func:`sobolev_norms` at t = 0."""
-    prop = SymbolPropagator(params, grid)
-    return float(sobolev_norms(prop, values, [0.0], (j,))[0, 0])
+    """Squared Sobolev seminorm of one state: :meth:`Rule.integrate` at t = 0."""
+    prop, rule = SymbolPropagator(params, grid), Rule(grid)
+    return float(rule.integrate(prop, values, [0.0], rule.sobolev(values, (j,)))[0, 0])
 
 
 def defective_nodes():
@@ -700,9 +700,11 @@ class TestSharedTable:
         prop = SymbolPropagator(SystemParams(1, 1, 0.5, 1, 1), grid)
         vals = np.exp(-0.5 * grid**2)[:, None] * np.ones(6, dtype=complex)
         times = np.geomspace(1.0, 1e4, 40)
+        rule = Rule(grid)
+        columns = rule.sobolev(vals, (0, 1, 2))
         tracemalloc.start()
         try:
-            sobolev_norms(prop, vals, times, (0, 1, 2))
+            rule.integrate(prop, vals, times, columns)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -891,7 +893,8 @@ class TestPlancherelSums:
         grid, vals = self.data(self.GRID, hermitian, center=0.0 if hermitian else 6.0)
         prop = SymbolPropagator(params, grid)
         assert prop.ambiguous.any() == (params.gamma1 == 0 and hermitian)
-        got = sobolev_norms(prop, vals, self.TIMES, (0, 1, 2))
+        rule = Rule(grid)
+        got = rule.integrate(prop, vals, self.TIMES, rule.sobolev(vals, (0, 1, 2)))
         dens = density(prop, vals, self.TIMES)
         for row, j in zip(got, (0, 1, 2)):
             ref = plancherel_norms(grid, dens, j)
@@ -913,12 +916,14 @@ class TestPlancherelSums:
             grid, vals = self.data(grid, hermitian=False, center=10.0)
         prop = SymbolPropagator(params, grid)
         times = np.geomspace(1e-2, 1e6, 400)
-        full = sobolev_norms(prop, vals, times, (0, 1, 2), check_tail=False)
+        rule = Rule(grid, check_tail=False)
+        columns = rule.sobolev(vals, (0, 1, 2))
+        full = rule.integrate(prop, vals, times, columns)
         for subset in [[q] for q in range(0, 400, 7)] + [list(range(0, 399, 20)) + [399],
                                                         list(range(41, 60)), [5, 17, 399]]:
-            part = sobolev_norms(prop, vals, times[subset], (0, 1, 2), check_tail=False)
+            part = rule.integrate(prop, vals, times[subset], columns)
             assert np.array_equal(part, full[:, subset])
-        alone = [sobolev_norms(prop, vals, times[q:q + 1], (0,), check_tail=False)[0, 0]
+        alone = [rule.integrate(prop, vals, times[q:q + 1], columns[:, :1])[0, 0]
                  for q in range(400)]
         assert np.array_equal(alone, full[0])
 
@@ -929,13 +934,22 @@ class TestPlancherelSums:
         prop = SymbolPropagator(self.PARAMS[0], grid)
         vals = np.exp(-grid**2)[:, None] * np.ones(6)
         times = np.array([0.0, 1.0, 2.0])
+        rule = Rule(grid)
         with pytest.raises(TailMassError) as info:
-            sobolev_norms(prop, vals, times, (0, 2))
+            rule.integrate(prop, vals, times, rule.sobolev(vals, (0, 2)))
         dens = density(prop, vals, times)
         with pytest.raises(TailMassError) as oracle:
             plancherel_norms(grid, dens, 2)
         assert info.value.edge_values == pytest.approx(oracle.value.edge_values, rel=1e-12)
         plancherel_norms(grid, dens, 0)     # j = 0 alone passes
+
+    def test_propagator_over_another_grid_refused(self):
+        grid = np.linspace(-4.0, 4.0, 161)
+        rule = Rule(grid)
+        vals = np.exp(-grid**2)[:, None] * np.ones(6)
+        prop = SymbolPropagator(self.PARAMS[0], grid[::2])
+        with pytest.raises(PreconditionError, match="another grid"):
+            rule.integrate(prop, vals, [0.0], rule.sobolev(vals, (0,)))
 
     @pytest.mark.parametrize("j, grid", [(97, np.linspace(-40.0, 40.0, 81)),
                                          (15, np.array([-1e10, 0.0, 1e10]))])
@@ -943,9 +957,8 @@ class TestPlancherelSums:
     def test_overflowing_order_refused(self, j, grid):
         # |xi|^(2j) overflows at |xi| = 40 for j = 97; at j = 15 it is 1e300
         # on the coarse grid, whose trapezoid weight 5e9 overflows the sum
-        prop = SymbolPropagator(self.PARAMS[0], grid)
         with pytest.raises(PreconditionError, match=f"j = {j} is too high"):
-            sobolev_norms(prop, np.ones((len(grid), 6)), [0.0], (0, j))
+            Rule(grid).sobolev(np.ones((len(grid), 6)), (0, j))
 
 
 class TestUndampedGrid:
