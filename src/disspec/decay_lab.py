@@ -21,7 +21,7 @@ Every integral is taken by one quadrature, the experiment's
 are one weighted sum over the grid that the propagator reduces while it
 evolves.  The derivative orders of ``run_decay``, the packet norm and the
 synthesis's four regional integrals are columns of one pass, each past the
-rule's tail check (the packet run's rule has none), and no (frequencies,
+rule's tail check (the packet run skips it), and no (frequencies,
 times) density is held.
 
 Grids are symmetric with geometric spacing near zero; all randomness is
@@ -324,13 +324,14 @@ def packet_decay_time(params: SystemParams, xi0: float, width: float = 2.0,
     prof = Profile(kind="high_freq_packet", center=xi0, width=width,
                    component=component)
     state = build_initial_state(params, prof, grid)
-    rule = Rule(grid, check_tail=False)
+    rule = Rule(grid)
+    columns = rule.sobolev(state, (0,))
     prop = SymbolPropagator(params, grid)
     times = np.geomspace(1e-2, t_max, n_times)
     n2 = np.full(n_times, np.nan)
 
     def evaluate(idx: np.ndarray) -> None:
-        n2[idx] = rule.integrate(prop, state, times[idx], rule.sobolev(state, (0,)))[0]
+        n2[idx] = rule.integrate(prop, state, times[idx], columns, check_tail=False)[0]
         seen = n2[~np.isnan(n2)]
         rise = seen - np.minimum.accumulate(seen)
         if rise.max() > 1e-12 * n2[0]:

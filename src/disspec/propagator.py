@@ -675,13 +675,12 @@ class Rule:
     ``grid`` must be 1-d, finite and strictly increasing, with at least two
     nodes.  ``weights`` w gives sum_i w_i f_i, the trapezoid rule of f over
     the grid: w_i = (xi_{i+1} - xi_{i-1}) / 2, one-sided at the two ends.
-    With ``check_tail``, :meth:`integrate` refuses an integrand whose value
-    at a grid edge exceeds 1e-12 times its peak, since the tail mass beyond
-    the grid would then pollute the value.
+    :meth:`integrate` refuses, unless told not to check the tail, an
+    integrand whose value at a grid edge exceeds 1e-12 times its peak,
+    since the tail mass beyond the grid would then pollute the value.
     """
 
     grid: np.ndarray
-    check_tail: bool = True
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -719,22 +718,23 @@ class Rule:
         return out
 
     def integrate(self, prop: SymbolPropagator, values0: np.ndarray, times: np.ndarray,
-                  columns: np.ndarray) -> np.ndarray:
+                  columns: np.ndarray, check_tail: bool = True) -> np.ndarray:
         """Integrals over the grid of each column of ``columns`` (nfreq, w)
         times the density sum_a |U_a(xi, t)|^2 of the (nfreq, 6) data
         evolved by ``prop``: shape (w, ntimes).
 
         One pass of :meth:`SymbolPropagator.plancherel_sums` reduces every
-        column with the weights times it.  With ``check_tail`` it refuses
-        (with the edge values of the first offending (column, t),
-        column-major) where the integrand at a grid edge exceeds 1e-12 times
-        its peak at that time.  A propagator over another grid is refused.
+        column with the weights times it.  With ``check_tail`` (the
+        default) it refuses (with the edge values of the first offending
+        (column, t), column-major) where the integrand at a grid edge
+        exceeds 1e-12 times its peak at that time.  A propagator over
+        another grid is refused.
         """
         if not np.array_equal(prop.grid, self.grid):
             raise PreconditionError("the propagator was built over another grid than the rule's")
         sums, peak, edges = prop.plancherel_sums(values0, times, self.weights[:, None] * columns,
-                                                 columns if self.check_tail else None)
-        if self.check_tail:
+                                                 columns if check_tail else None)
+        if check_tail:
             edge = edges.max(axis=1)
             bad = np.argwhere((peak > 0.0) & (edge > _TAIL_RTOL * peak))
             if bad.size:

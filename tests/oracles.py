@@ -272,9 +272,9 @@ def packet_ratio_scan(params, xi0, width=2.0, component="v", t_max=1e6, n_times=
     prof = Profile(kind="high_freq_packet", center=xi0, width=width, component=component)
     state = build_initial_state(params, prof, grid)
     times = np.geomspace(1e-2, t_max, n_times)
-    rule = Rule(grid, check_tail=False)
+    rule = Rule(grid)
     n2 = rule.integrate(SymbolPropagator(params, grid), state, times,
-                        rule.sobolev(state, (0,)))[0]
+                        rule.sobolev(state, (0,)), check_tail=False)[0]
     return times, n2 / n2[0]
 
 
