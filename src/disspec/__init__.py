@@ -10,8 +10,7 @@ from .core_model import (SymbolMatrix, SystemParams, build_matrices,
                          build_symbol, char_poly_coeffs, real_symbol_stack,
                          symbol_stack)
 from .decay_lab import (DecayFit, Experiment, FrequencyPartition, Profile,
-                        build_initial_state, fit_pointwise_rate,
-                        optimality_probe, packet_decay_time, run_decay,
+                        build_initial_state, packet_decay_time, run_decay,
                         three_region_synthesis)
 from .errors import (CertificateRefused, DisspecError, PreconditionError,
                      RegimeError, SchemaError, SolverError, TailMassError,

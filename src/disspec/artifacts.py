@@ -103,14 +103,15 @@ def append_jsonl(path, record: dict, wall_time_s: float | None = None) -> None:
 
 
 def read_jsonl(path):
-    """Parse a run log; malformed lines are counted, not fatal."""
+    """Parse a run log; malformed lines, and lines nested past the recursion
+    limit, are counted, not fatal."""
     records, skipped = [], 0
     for line in Path(path).read_text(encoding="utf-8").split("\n"):
         if not line.strip():
             continue
         try:
             records.append(json.loads(line))
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             skipped += 1
     return records, skipped
 

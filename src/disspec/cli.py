@@ -475,10 +475,11 @@ def dispatch(config: dict, out_dir: Path, seed: int = 0) -> dict:
                          j_orders=(config.get("j", 0),),
                          rule=Rule(default_grid(**config.get("grid", {}))))
         part = FrequencyPartition(**config["partition"])
-        rep = three_region_synthesis(exp, part, ell=config.get("ell", 1))
+        rep = three_region_synthesis(exp, part)
         payload = {k: (list(map(float, v)) if isinstance(v, np.ndarray) else v)
                    for k, v in rep.items()}
         payload["params"] = params.to_dict()
+        payload["ell"] = config.get("ell", 1)
         path = out_dir / "synthesis.json"
         artifacts.write_json(path, payload)
         return {"command": cmd, "artifacts": [str(path)],
@@ -574,9 +575,10 @@ def main(argv=None) -> int:
 
     out_dir = Path(args.out)
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:
+        # ValueError covers both a JSON and a UTF-8 decode error
         print(json.dumps({"error": "SchemaError", "message": str(e)}))
         return 2
 

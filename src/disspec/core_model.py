@@ -208,14 +208,16 @@ def _sextic_coeffs(a, k, l, g1, g2, z2) -> tuple:
     """c_0..c_6 of det(lambda I - Phi(zeta)) from z2 = zeta^2.
 
     Generic over the number type: floats with numpy arrays for
-    :func:`char_poly_coeffs`, mpmath numbers for 50-digit roots.
+    :func:`char_poly_coeffs`, mpmath numbers for the tests' 50-digit
+    roots.  The literals are integers, so rational inputs give exact
+    coefficients.
     """
     lz = l * l - z2
-    c6 = 1.0
+    c6 = 1
     c5 = g1 + g2
-    c4 = (k**2 + 1.0) * lz + g1 * g2 + 1.0 - a**2 * z2
-    c3 = g1 * (k**2 + 1.0) * lz + g2 * ((k**2 * l**2 + 1.0) - (1.0 + a**2) * z2)
-    c2 = g1 * g2 * (k**2 * l**2 - z2) + lz * (k**2 * lz + (k**2 - a**2 * (k**2 + 1.0) * z2))
+    c4 = (k**2 + 1) * lz + g1 * g2 + 1 - a**2 * z2
+    c3 = g1 * (k**2 + 1) * lz + g2 * ((k**2 * l**2 + 1) - (1 + a**2) * z2)
+    c2 = g1 * g2 * (k**2 * l**2 - z2) + lz * (k**2 * lz + (k**2 - a**2 * (k**2 + 1) * z2))
     c1 = g1 * k**2 * lz**2 + k**2 * l**2 * g2 - a**2 * k**2 * l**2 * g2 * z2 + a**2 * g2 * z2 * z2
     c0 = -(a**2) * k**2 * z2 * lz**2
     return c0, c1, c2, c3, c4, c5, c6

@@ -9,12 +9,8 @@ computes Sobolev seminorms by Plancherel quadrature, and fits decay laws:
 * non-decay certification for gamma2 = 0 by evolving data concentrated on
   the conservative (purely imaginary) eigenvalue branch, along its
   closed-form eigenvector;
-* per-frequency worst-case rates in operator norm against the reference
-  shapes rho1 = xi^2/(1+xi^2) and rho2 = xi^2/(1+xi^2+xi^4);
 * the low/middle/high frequency synthesis for the single-damping regime,
-  with per-region fitted constants;
-* a probe comparing the Lyapunov decay prediction against the slowest
-  spectral branch.
+  with per-region fitted constants.
 
 Every integral is taken by one quadrature, the experiment's
 :class:`propagator.Rule`: it checks the grid, and its weights times a column
@@ -24,8 +20,7 @@ synthesis's four regional integrals are columns of one pass, each past the
 rule's tail check (the packet run skips it), and no (frequencies,
 times) density is held.
 
-Grids are symmetric with geometric spacing near zero; all randomness is
-seeded.
+Grids are symmetric with geometric spacing near zero.
 """
 
 from __future__ import annotations
@@ -37,7 +32,6 @@ import numpy as np
 
 from .core_model import SystemParams
 from .errors import PreconditionError, RegimeError, SolverError
-from .lyapunov import audit_inequality, lyapunov_sigma, sandwich_fit, search_constants
 from .propagator import Rule, SymbolPropagator, default_grid
 from .spectral import (_cluster_tags, gap_scan, high_freq_expansion,
                        low_freq_expansion)
@@ -49,10 +43,8 @@ __all__ = [
     "FrequencyPartition",
     "build_initial_state",
     "run_decay",
-    "fit_pointwise_rate",
     "packet_decay_time",
     "three_region_synthesis",
-    "optimality_probe",
 ]
 
 _COMPONENTS = {"v": 0, "u": 1, "z": 2, "y": 3, "phi": 4, "eta": 5}
@@ -236,53 +228,6 @@ def run_decay(exp: Experiment,
     return fits
 
 
-def fit_pointwise_rate(params: SystemParams, xi_grid, t_factor: float = 20.0):
-    """Worst-case per-frequency decay rates in operator norm.
-
-    rate(xi) = -log ||e^{Phi(i xi) T}||_2^2 / T with T = t_factor divided by
-    the expected rate shape, capped at 1e6 (so every frequency is measured
-    deep in its own decay, not in the transient).  Returns a dict with the
-    rates, the reference shape values, the fitted proportionality
-    interval [c, C] and each frequency's max Re lambda from the same solve.
-
-    Reference shape: rho1 = xi^2/(1+xi^2) for a = 1, rho2 with the extra
-    xi^4 for a != 1 (both dampings); for gamma1 = 0 the shape uses the
-    high-frequency table's slow power; for gamma2 = 0 the rate itself is
-    reported (it should vanish on the conservative pair).
-    """
-    xi_grid = np.atleast_1d(np.asarray(xi_grid, dtype=float))
-    regime = params.regime
-
-    def shape(x: np.ndarray) -> np.ndarray:
-        x2 = x * x
-        if regime == "both_damped":
-            return x2 / lyapunov_sigma(params, x)[1]
-        if regime == "gamma1_zero":
-            hf = high_freq_expansion(params)
-            slow_pow = min(b.xi_power for b in hf.high_freq)
-            return x2 / (1.0 + x2 + x ** (2 - slow_pow))
-        return np.ones_like(x)
-
-    shp = shape(xi_grid)
-    T = np.minimum(t_factor / np.maximum(shp, 1e-12), 1e6)
-    # one propagator and one norm table over the distinct end times; each
-    # frequency reads its own
-    ends, which = np.unique(T, return_inverse=True)
-    prop = SymbolPropagator(params, xi_grid)
-    nrm = prop.operator_norms(ends)[np.arange(len(xi_grid)), which]
-    rates = -2.0 * np.log(np.maximum(nrm, 1e-300)) / T
-
-    ratio = rates / shp
-    return {
-        "xi": xi_grid,
-        "rate": rates,
-        "shape": shp,
-        "ratio_min": float(ratio.min()),
-        "ratio_max": float(ratio.max()),
-        "max_re": prop.nodes[prop.row].real.max(axis=1),
-    }
-
-
 def packet_decay_time(params: SystemParams, xi0: float, width: float = 2.0,
                       component: str = "v", level: float = math.exp(-2.0),
                       t_max: float = 1e6, n_times: int = 400) -> float:
@@ -368,8 +313,7 @@ def _floored_exp(rate: np.ndarray) -> np.ndarray:
     return np.exp(np.maximum(-rate, -700.0))
 
 
-def three_region_synthesis(exp: Experiment, part: FrequencyPartition,
-                           ell: int = 1) -> dict:
+def three_region_synthesis(exp: Experiment, part: FrequencyPartition) -> dict:
     """Decompose the squared Sobolev norm into the three-region integrals and
     fit each region's pointwise bound ||e^{Phi(i xi) t}||_2 <= c s(|xi|, t).
 
@@ -460,7 +404,7 @@ def three_region_synthesis(exp: Experiment, part: FrequencyPartition,
     opnorm = np.empty((len(times), len(grid)))
     opnorm[:, union] = prop.operator_norms(times, rows=union).T
 
-    out: dict = {"j": j, "ell": ell, "q_tail": q, "c4_hat": c4_hat, "c2_hat": c2_hat,
+    out: dict = {"j": j, "q_tail": q, "c4_hat": c4_hat, "c2_hat": c2_hat,
                  "gap": cert.gap, "m_detected": m}
     bounds = np.zeros(len(times))
     for region, key in (("low", "c1_hat"), ("mid", "c5_hat"), ("high", "c3_hat")):
@@ -492,43 +436,3 @@ def three_region_synthesis(exp: Experiment, part: FrequencyPartition,
     out["times"] = times
     return out
 
-
-def optimality_probe(params: SystemParams, xi_grid=None) -> dict:
-    """Compare the Lyapunov-certified decay rate against the slowest branch.
-
-    Runs both pipelines independently: the energy route (searched constants,
-    trajectory audit, Gronwall rate c3 * rho(xi)) and the spectral route
-    (empirical per-frequency operator-norm rate, which converges to
-    -2 max Re lambda(i xi)).  Reports the pointwise ratio of the two rates
-    over the grid; bounded ratios mean the energy method captures the true
-    decay shape.
-    """
-    if params.gamma1 <= 0.0 or params.gamma2 <= 0.0:
-        raise RegimeError("optimality probe requires both dampings")
-    if xi_grid is None:
-        xi_grid = np.geomspace(0.01, 100.0, 25)
-    xi_grid = np.asarray(xi_grid, dtype=float)
-
-    consts = search_constants(params)
-    audit = audit_inequality(params, consts, xi=[0.1, 1.0, 10.0], n_random=32)
-    c1, c2 = sandwich_fit(params, consts, xi=[0.1, 1.0, 10.0], n_states=2000, seed=11)
-    c3 = max(audit.c0_feasible, 0.0) / c2
-
-    emp = fit_pointwise_rate(params, xi_grid)
-    spectral_rate = -2.0 * emp["max_re"]
-
-    rho = xi_grid**2 / lyapunov_sigma(params, xi_grid)[1]
-    lyap_rate = c3 * rho
-    ratio_emp = emp["rate"] / spectral_rate
-    ratio_lyap = lyap_rate / spectral_rate
-    return {
-        "xi": xi_grid,
-        "empirical_rate": emp["rate"],
-        "spectral_rate": spectral_rate,
-        "lyapunov_rate": lyap_rate,
-        "c3": c3,
-        "ratio_empirical": ratio_emp,
-        "ratio_lyapunov": ratio_lyap,
-        "ratio_empirical_bounds": (float(ratio_emp.min()), float(ratio_emp.max())),
-        "ratio_lyapunov_bounds": (float(ratio_lyap.min()), float(ratio_lyap.max())),
-    }

@@ -320,7 +320,7 @@ def test_criterion_10_loss_power_readoff():
             ("a!=1", SystemParams(2, 1, 0.5, 0, 1), 6.0)):
         exp = Experiment(params=params, profile=Profile(kind="gaussian", width=1.0),
                          times=np.geomspace(1.0, 1e4, 20), j_orders=(0,), rule=Rule(grid))
-        rep = three_region_synthesis(exp, part, ell=1)
+        rep = three_region_synthesis(exp, part)
         fitted[name] = (rep["p_fitted"], target)
     ok = all(abs(p - target) <= 0.2 for p, target in fitted.values())
     report(10, ok, f"fitted powers {fitted} (targets within +-0.2)")

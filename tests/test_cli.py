@@ -66,6 +66,24 @@ class TestSchema:
         code, _ = run_cli(tmp_path, {})
         assert code == 2
 
+    @pytest.mark.parametrize("raw", [b'{"command": "classify"\xff}',
+                                     b"[" * 100000 + b"]" * 100000],
+                             ids=["not-utf8", "nested-past-recursion-limit"])
+    def test_undecodable_config_exit_2(self, tmp_path, raw):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(raw)
+        src = str(Path(disspec.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "disspec.cli", "--config", str(cfg),
+                               "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "SchemaError"
+
     @pytest.mark.parametrize("cmd", sorted(_COMMAND_SCHEMAS))
     def test_command_schema_passes_meta_schema(self, cmd):
         import jsonschema
@@ -886,6 +904,17 @@ class TestDecayAndReport:
         assert code == 0
         md = (rep / "report.md").read_text()
         assert f"_{len(bad)} malformed record(s) skipped._" in md
+        assert md.count(f"| {good['config_hash']} | 0 |") == 1
+
+        # a line nested past the recursion limit is skipped like any line
+        # that does not parse
+        deep = tmp_path / "deep.jsonl"
+        deep.write_text(json.dumps(good) + "\n" + "[" * 100000 + "]" * 100000 + "\n")
+        (tmp_path / "deep").mkdir()
+        code, rep = run_cli(tmp_path / "deep", {"command": "report", "run_log": str(deep)})
+        assert code == 0
+        md = (rep / "report.md").read_text()
+        assert "_1 malformed record(s) skipped._" in md
         assert md.count(f"| {good['config_hash']} | 0 |") == 1
 
     def test_report_empty_log(self, tmp_path):

@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
 from disspec import (PreconditionError, RegimeError, SystemParams,
                      build_matrices, build_symbol, char_poly_coeffs)
+from disspec.core_model import _sextic_coeffs
 from oracles import char_poly_value, factor_check_gamma2_zero
 
 
@@ -183,6 +186,41 @@ def test_char_poly_is_the_expanded_determinant():
             terms[:len(prod)] += prod
         ref = char_poly_coeffs(p, 1j * xi)
         assert np.all(np.abs(det - ref) <= 1e-13 * terms)
+
+
+def test_sextic_is_the_exact_determinant():
+    # the same expansion in exact arithmetic, zeta = i xi carried as a
+    # formal variable: -i xi -> -zeta and xi^2 -> -zeta^2 make every entry
+    # rational, and the identity is polynomial in zeta, so rational zeta and
+    # parameters check it exactly, coefficient by coefficient
+    def polymul(p, q):
+        out = [Fraction(0)] * (len(p) + len(q) - 1)
+        for i, x in enumerate(p):
+            for j, y in enumerate(q):
+                out[i + j] += x * y
+        return out
+
+    rng = np.random.default_rng(18)
+    perms = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+             ((2, 1, 0), -1), ((0, 2, 1), -1), ((1, 0, 2), -1)]
+    for _ in range(200):
+        num, den = rng.integers(1, 30, size=6), rng.integers(1, 10, size=6)
+        num[3:5] -= 1                      # either damping may vanish
+        num[5] -= 15                       # zeta of either sign
+        a, k, l, g1, g2, z = map(Fraction, num.tolist(), den.tolist())
+        c = z * l * (k**2 - 1)
+        K = [[k**2 * l**2 - z * z, -z, c],
+             [z, 1 - a**2 * z * z, l],
+             [-c, l, l**2 - k**2 * z * z]]
+        D = [0, g1, g2]
+        M = [[[K[i][j], D[i] if i == j else 0, int(i == j)] for j in range(3)]
+             for i in range(3)]
+        det = [Fraction(0)] * 7
+        for cols, sign in perms:
+            first, second, third = (M[row][col] for row, col in enumerate(cols))
+            for n, term in enumerate(polymul(polymul(first, second), third)):
+                det[n] += sign * term
+        assert det == list(_sextic_coeffs(a, k, l, g1, g2, z * z))
 
 
 def test_trace_consistency():

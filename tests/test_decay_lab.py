@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from disspec import (Experiment, FrequencyPartition,
                      PreconditionError, Profile, RegimeError, Rule, SymbolPropagator,
-                     SystemParams, TailMassError, build_initial_state,
-                     default_grid, eigenvalues_batch, fit_pointwise_rate,
-                     optimality_probe, run_decay, three_region_synthesis)
+                     SystemParams, TailMassError, audit_inequality, build_initial_state,
+                     default_grid, eigenvalues_batch, run_decay, sandwich_fit,
+                     search_constants, three_region_synthesis)
 from disspec import decay_lab, propagator
 from disspec.core_model import build_symbol, symbol_stack
 from disspec.decay_lab import _conservative_vector, packet_decay_time
@@ -273,16 +273,23 @@ class TestFusedNorms:
 
 
 class TestPointwiseRates:
+    """Worst-case rates -2 log ||e^{T Phi}||_2 / T, each frequency at a T
+    deep in its decay."""
+
     def test_conservative_mode_rate_vanishes(self):
         p = SystemParams(1, 1, 1, 1, 0)
-        out = fit_pointwise_rate(p, [1.0], t_factor=100.0)
+        T = 100.0
+        nrm = SymbolPropagator(p, [1.0]).operator_norms([T])[0, 0]
         # worst-case rate includes the undamped pair: essentially zero
-        assert out["rate"][0] <= 1e-8
+        assert -2.0 * np.log(nrm) / T <= 1e-8
 
     def test_shape_sandwich_a1(self):
         p = SystemParams(1, 1, 0.5, 1, 1)
-        out = fit_pointwise_rate(p, np.geomspace(0.01, 100, 12))
-        assert out["ratio_min"] > 0
+        xi = np.geomspace(0.01, 100, 12)
+        rho = xi**2 / (1.0 + xi**2)
+        T = np.minimum(20.0 / rho, 1e6)
+        rate = -2.0 * np.log(np.diagonal(SymbolPropagator(p, xi).operator_norms(T))) / T
+        assert np.min(rate / rho) > 0
 
 
 class TestPacketTiming:
@@ -582,11 +589,22 @@ class TestSynthesis:
 
 class TestOptimalityProbe:
     def test_ratios_bounded_low_frequency(self):
+        # the operator-norm rate at T = min(20 / rho, 1e6) against the slowest
+        # branch -2 max Re lambda, and the Lyapunov rate c3 rho against it
         p = SystemParams(1, 1, 0.5, 1, 1)
-        rep = optimality_probe(p, xi_grid=np.geomspace(0.01, 0.1, 8))
-        lo, hi = rep["ratio_empirical_bounds"]
-        assert 0.5 <= lo <= hi <= 2.0
-        assert rep["ratio_lyapunov_bounds"][0] > 0
+        xi = np.geomspace(0.01, 0.1, 8)
+        rho = xi**2 / (1.0 + xi**2)
+        T = np.minimum(20.0 / rho, 1e6)
+        empirical = -2.0 * np.log(np.diagonal(SymbolPropagator(p, xi).operator_norms(T))) / T
+        spectral = -2.0 * eigenvalues_batch(p, xi)[0].real.max(axis=1)
+        ratio = empirical / spectral
+        assert 0.5 <= ratio.min() <= ratio.max() <= 2.0
+
+        consts = search_constants(p)
+        audit = audit_inequality(p, consts, xi=[0.1, 1.0, 10.0], n_random=32)
+        _, c2 = sandwich_fit(p, consts, xi=[0.1, 1.0, 10.0], n_states=2000, seed=11)
+        c3 = max(audit.c0_feasible, 0.0) / c2
+        assert np.min(c3 * rho / spectral) > 0
 
     def test_high_frequency_rate_floor_a1(self):
         # a = 1: the spectral rate stays bounded below by a constant of the
@@ -603,27 +621,3 @@ class TestOptimalityProbe:
         for xi in (50.0, 100.0, 200.0):
             scaled.append(-2.0 * eigenvalues_batch(p, [xi])[0][0].real.max() * xi**2)
         assert max(scaled) / min(scaled) < 1.2
-
-    def test_requires_both_dampings(self):
-        with pytest.raises(RegimeError):
-            optimality_probe(SystemParams(1, 1, 1, 0, 1))
-
-    def test_one_solve_of_the_grid(self, monkeypatch):
-        # the audit's three frequencies, then the grid once: the spectral
-        # rate reads the pointwise fit's propagator
-        from disspec import propagator, spectral
-        calls = []
-        solve = spectral.distinct_spectra
-
-        def spy(params, xi):
-            calls.append(np.size(xi))
-            return solve(params, xi)
-
-        monkeypatch.setattr(spectral, "distinct_spectra", spy)
-        monkeypatch.setattr(propagator, "distinct_spectra", spy)
-        p = SystemParams(1, 1, 0.5, 1, 1)
-        rep = optimality_probe(p)
-        assert calls == [3, 25]
-        xi = np.geomspace(0.01, 100.0, 25)
-        assert np.array_equal(rep["spectral_rate"],
-                              -2.0 * eigenvalues_batch(p, xi)[0].real.max(axis=1))
