@@ -36,169 +36,98 @@ from .spectral import (branch_continuation, cardano_classify, gap_scan,
 
 logger = logging.getLogger("disspec")
 
-_PARAMS_SCHEMA = {
-    "type": "object",
-    "properties": {name: {"type": "number"} for name in
-                   ("a", "k", "l", "gamma1", "gamma2")},
-    "required": ["a", "k", "l", "gamma1", "gamma2"],
-    "additionalProperties": False,
-}
+_NUMBER = {"type": "number"}
+_PARAM_NAMES = ("a", "k", "l", "gamma1", "gamma2")
 
-_PROFILE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["gaussian", "box", "high_freq_packet", "conservative_mode"]},
-        "width": {"type": "number", "exclusiveMinimum": 0},
-        "center": {"type": "number"},
-        "component": {"type": "string"},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
 
-_GRID_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "xi_min_pos": {"type": "number"},
-        "xi_max": {"type": "number", "exclusiveMinimum": 1},
-        "n_geo": {"type": "integer", "minimum": 1},
-        "n_lin": {"type": "integer", "minimum": 1},
-    },
-    "additionalProperties": False,
-}
+def _object(properties: dict, required=()) -> dict:
+    """The schema of an object with the keys ``properties`` and no other,
+    of which those in ``required`` (if any) must be present."""
+    return {"type": "object", "properties": properties,
+            **({"required": list(required)} if required else {}),
+            "additionalProperties": False}
 
-_TIMES_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "t_min": {"type": "number", "exclusiveMinimum": 0},
-        "t_max": {"type": "number"},
-        "n": {"type": "integer", "minimum": 2},
-    },
-    "required": ["t_min", "t_max", "n"],
-    "additionalProperties": False,
-}
+
+def _command(name: str, required: dict, **optional) -> dict:
+    """The schema of command ``name``: the ``command`` const, the keys of
+    ``required``, those of ``optional`` and an integer ``seed``, in that
+    order (the validator's best match reads it), with ``command`` and the
+    keys of ``required`` required."""
+    return _object({"command": {"const": name}, **required, **optional,
+                    "seed": {"type": "integer"}},
+                   ["command", *required])
+
+
+_PARAMS_SCHEMA = _object(dict.fromkeys(_PARAM_NAMES, _NUMBER), _PARAM_NAMES)
+
+_PROFILE_SCHEMA = _object({
+    "kind": {"enum": ["gaussian", "box", "high_freq_packet", "conservative_mode"]},
+    "width": {"type": "number", "exclusiveMinimum": 0},
+    "center": _NUMBER,
+    "component": {"type": "string"},
+}, ["kind"])
+
+_GRID_SCHEMA = _object({
+    "xi_min_pos": _NUMBER,
+    "xi_max": {"type": "number", "exclusiveMinimum": 1},
+    "n_geo": {"type": "integer", "minimum": 1},
+    "n_lin": {"type": "integer", "minimum": 1},
+})
+
+_TIMES_SCHEMA = _object({
+    "t_min": {"type": "number", "exclusiveMinimum": 0},
+    "t_max": _NUMBER,
+    "n": {"type": "integer", "minimum": 2},
+}, ["t_min", "t_max", "n"])
 
 _COMMAND_SCHEMAS = {
-    "spectrum": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "spectrum"},
-            "params": _PARAMS_SCHEMA,
-            "xi_min": {"type": "number"},
-            "xi_max": {"type": "number"},
-            "n_points": {"type": "integer", "minimum": 2},
-            "seed": {"type": "integer"},
-        },
-        "required": ["command", "params", "xi_min", "xi_max", "n_points"],
-        "additionalProperties": False,
-    },
-    "asymptotics": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "asymptotics"},
-            "params": _PARAMS_SCHEMA,
-            "seed": {"type": "integer"},
-        },
-        "required": ["command", "params"],
-        "additionalProperties": False,
-    },
-    "classify": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "classify"},
-            "params": _PARAMS_SCHEMA,
-            "seed": {"type": "integer"},
-        },
-        "required": ["command", "params"],
-        "additionalProperties": False,
-    },
-    "gap": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "gap"},
-            "params": _PARAMS_SCHEMA,
-            "nu": {"type": "number"},
-            "N": {"type": "number"},
-            "initial_points": {"type": "integer", "minimum": 2},
-            "seed": {"type": "integer"},
-        },
-        "required": ["command", "params", "nu", "N"],
-        "additionalProperties": False,
-    },
-    "evolve": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "evolve"},
-            "params": _PARAMS_SCHEMA,
-            "profile": _PROFILE_SCHEMA,
-            "t": {"type": "number", "minimum": 0},
-            "grid": _GRID_SCHEMA,
-            "seed": {"type": "integer"},
-        },
-        "required": ["command", "params", "profile", "t"],
-        "additionalProperties": False,
-    },
-    "lyapunov-audit": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "lyapunov-audit"},
-            "params": _PARAMS_SCHEMA,
-            "frequencies": {"type": "array", "minItems": 1, "items": {"type": "number"}},
-            "horizon": {"type": "number"},
-            "n_random": {"type": "integer", "minimum": 0},
-            "seed": {"type": "integer"},
-        },
-        "required": ["command", "params"],
-        "additionalProperties": False,
-    },
-    "decay": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "decay"},
+    "spectrum": _command("spectrum", {
+        "params": _PARAMS_SCHEMA,
+        "xi_min": _NUMBER,
+        "xi_max": _NUMBER,
+        "n_points": {"type": "integer", "minimum": 2},
+    }),
+    "asymptotics": _command("asymptotics", {"params": _PARAMS_SCHEMA}),
+    "classify": _command("classify", {"params": _PARAMS_SCHEMA}),
+    "gap": _command("gap", {
+        "params": _PARAMS_SCHEMA,
+        "nu": _NUMBER,
+        "N": _NUMBER,
+    }, initial_points={"type": "integer", "minimum": 2}),
+    "evolve": _command("evolve", {
+        "params": _PARAMS_SCHEMA,
+        "profile": _PROFILE_SCHEMA,
+        "t": {"type": "number", "minimum": 0},
+    }, grid=_GRID_SCHEMA),
+    "lyapunov-audit": _command(
+        "lyapunov-audit", {"params": _PARAMS_SCHEMA},
+        frequencies={"type": "array", "minItems": 1, "items": _NUMBER},
+        horizon=_NUMBER,
+        n_random={"type": "integer", "minimum": 0},
+    ),
+    "decay": _command(
+        "decay", {
             "params": _PARAMS_SCHEMA,
             "profile": _PROFILE_SCHEMA,
             "times": _TIMES_SCHEMA,
             "j_orders": {"type": "array", "minItems": 1,
                          "items": {"type": "integer", "minimum": 0}},
-            "grid": _GRID_SCHEMA,
-            "fit_window": {"type": "array", "items": {"type": "number"},
-                           "minItems": 2, "maxItems": 2},
-            "seed": {"type": "integer"},
         },
-        "required": ["command", "params", "profile", "times", "j_orders"],
-        "additionalProperties": False,
-    },
-    "synthesize": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "synthesize"},
+        grid=_GRID_SCHEMA,
+        fit_window={"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2},
+    ),
+    "synthesize": _command(
+        "synthesize", {
             "params": _PARAMS_SCHEMA,
             "profile": _PROFILE_SCHEMA,
             "times": _TIMES_SCHEMA,
-            "partition": {
-                "type": "object",
-                "properties": {"nu": {"type": "number"}, "N": {"type": "number"}},
-                "required": ["nu", "N"],
-                "additionalProperties": False,
-            },
-            "j": {"type": "integer", "minimum": 0},
-            "ell": {"type": "integer", "minimum": 0},
-            "grid": _GRID_SCHEMA,
-            "seed": {"type": "integer"},
+            "partition": _object({"nu": _NUMBER, "N": _NUMBER}, ["nu", "N"]),
         },
-        "required": ["command", "params", "profile", "times", "partition"],
-        "additionalProperties": False,
-    },
-    "report": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "report"},
-            "run_log": {"type": "string"},
-            "seed": {"type": "integer"},
-        },
-        "required": ["command", "run_log"],
-        "additionalProperties": False,
-    },
+        j={"type": "integer", "minimum": 0},
+        ell={"type": "integer", "minimum": 0},
+        grid=_GRID_SCHEMA,
+    ),
+    "report": _command("report", {"run_log": {"type": "string"}}),
 }
 
 #: per command, (low, high) key paths that the schema cannot relate: both
@@ -325,8 +254,13 @@ def _lookup(config: dict, key: str):
     return config
 
 
-def _times_from(spec: dict) -> np.ndarray:
-    return np.geomspace(spec["t_min"], spec["t_max"], spec["n"])
+def _experiment(config: dict, params: SystemParams, j_orders: tuple) -> Experiment:
+    """The experiment of a ``decay`` or ``synthesize`` config: its profile,
+    its geometric times and the rule over its grid."""
+    times = config["times"]
+    return Experiment(params=params, profile=Profile(**config["profile"]),
+                      times=np.geomspace(times["t_min"], times["t_max"], times["n"]),
+                      j_orders=j_orders, rule=Rule(default_grid(**config.get("grid", {}))))
 
 
 def _branch_table(coeffs) -> list[dict]:
@@ -442,10 +376,7 @@ def dispatch(config: dict, out_dir: Path, seed: int = 0) -> dict:
                 "c0_feasible": rep.c0_feasible}
 
     if cmd == "decay":
-        exp = Experiment(params=params, profile=Profile(**config["profile"]),
-                         times=_times_from(config["times"]),
-                         j_orders=tuple(config["j_orders"]),
-                         rule=Rule(default_grid(**config.get("grid", {}))))
+        exp = _experiment(config, params, tuple(config["j_orders"]))
         window = tuple(config["fit_window"]) if "fit_window" in config else None
         fits = run_decay(exp, fit_window=window)
         fit_payload = {
@@ -470,10 +401,7 @@ def dispatch(config: dict, out_dir: Path, seed: int = 0) -> dict:
                 "fits": fit_payload}
 
     if cmd == "synthesize":
-        exp = Experiment(params=params, profile=Profile(**config["profile"]),
-                         times=_times_from(config["times"]),
-                         j_orders=(config.get("j", 0),),
-                         rule=Rule(default_grid(**config.get("grid", {}))))
+        exp = _experiment(config, params, (config.get("j", 0),))
         part = FrequencyPartition(**config["partition"])
         rep = three_region_synthesis(exp, part)
         payload = {k: (list(map(float, v)) if isinstance(v, np.ndarray) else v)

@@ -33,6 +33,12 @@ the closed-form coefficients of the characteristic polynomial of Phi(zeta)
 (the test suite checks them against an LU determinant and against the
 quadratic-times-quartic splitting that holds when gamma2 = 0).
 
+The real symbol Phi_r = S^-1 Phi S couples (v, z, phi) only to (u, y, eta),
+with skew couplings, and damps only (u, y, eta).  So J Phi_r is exactly
+symmetric for J = diag(1, -1, 1, -1, 1, -1), hence so is J e^{t Phi_r}, and
+||e^{t Phi}||_2 is the largest |eigenvalue| of J e^{t Phi_r} (the test suite
+checks the symmetry bit for bit).
+
 Component order is fixed project-wide: indices 0..5 = (v, u, z, y, phi, eta).
 The single longitudinal speed k is used throughout.
 """
@@ -77,12 +83,11 @@ class SystemParams:
     gamma2: float
 
     def __post_init__(self):
-        for name in ("a", "k", "l"):
-            if not np.isfinite(getattr(self, name)) or getattr(self, name) <= 0:
-                raise PreconditionError(f"parameter {name} must be positive, got {getattr(self, name)!r}")
-        for name in ("gamma1", "gamma2"):
-            if not np.isfinite(getattr(self, name)) or getattr(self, name) < 0:
-                raise PreconditionError(f"parameter {name} must be nonnegative, got {getattr(self, name)!r}")
+        for name in ("a", "k", "l", "gamma1", "gamma2"):
+            value, damping = getattr(self, name), name.startswith("gamma")
+            if not (np.isfinite(value) and (value >= 0 if damping else value > 0)):
+                bound = "nonnegative" if damping else "positive"
+                raise PreconditionError(f"parameter {name} must be finite and {bound}, got {value!r}")
 
     @property
     def stability_defect(self) -> float:

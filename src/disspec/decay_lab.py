@@ -355,7 +355,10 @@ def three_region_synthesis(exp: Experiment, part: FrequencyPartition) -> dict:
     ax = np.abs(grid)
     masks = {"low": ax < part.nu, "mid": (ax >= part.nu) & (ax <= part.N),
              "high": ax > part.N}
-    distinct = {region: np.unique(ax[mask]).size for region, mask in masks.items()}
+    # the sorted |xi| that differ from their predecessor, the first from the
+    # -1 put before it (np.unique without return_* would import numpy.ma)
+    distinct = {region: int(np.count_nonzero(np.diff(np.sort(ax[mask]), prepend=-1.0)))
+                for region, mask in masks.items()}
     if min(distinct.values()) < 1 or distinct["high"] < 2:
         # an empty region bounds nothing, and fitting p takes two |xi|
         raise PreconditionError(
@@ -381,7 +384,8 @@ def three_region_synthesis(exp: Experiment, part: FrequencyPartition) -> dict:
     # the thinned rows and the Plancherel sums of the data
     cert = gap_scan(params, part.nu, part.N, initial_points=257)
     prop = SymbolPropagator(params, grid)
-    m = int(_cluster_tags(prop.nodes[np.unique(prop.row[masks["mid"]])]).max()) - 1
+    mid_spectra = np.flatnonzero(np.bincount(prop.row[masks["mid"]]))
+    m = int(_cluster_tags(prop.nodes[mid_spectra]).max()) - 1
     p = 0.0   # the high region's amplification power, fitted below
 
     def shape(region: str, x: np.ndarray) -> np.ndarray:

@@ -68,8 +68,9 @@ reduced at once into the per-time sums, the per-time peak and the two
 grid-edge values that the tail check needs.  Neither the
 (times, frequencies, 6) trajectory nor a (frequencies, times) density is
 ever held.  Operator norms are even in xi too (the identity is Hermitian
-data) and come from one batched eigvalsh of the Gram matrices of the real
-6x6 e^{t Phi_r}, each scaled by its largest entry.
+data).  J Phi_r is symmetric for J = diag(1, -1, 1, -1, 1, -1), so
+J e^{t Phi_r} is symmetric, and the norm is its largest |eigenvalue|, from
+one batched eigvalsh of the real 6x6 J e^{t Phi_r}.
 
 :class:`SymbolPropagator` is the only entry point to e^{t Phi}, and the
 route rule is consulted only there.  One frequency is a grid of one, and
@@ -111,6 +112,9 @@ _EXP_FLOOR = -745.0
 #: eps |Im lambda| t above this refuses: lambda carries a relative rounding
 #: of eps, so the phase of e^{lambda t} is off by up to that many radians
 _PHASE_LOSS = 1e-6
+#: J = diag(1, -1, 1, -1, 1, -1): J Phi_r is symmetric (:mod:`core_model`),
+#: so J Phi_r^n = (Phi_r^T)^n J and J e^{t Phi_r} is symmetric too
+_J = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 #: bytes of basis plus Q chains and states per chunk of the SymbolPropagator
 #: contraction; the Q chains of the ambiguous (frequency, time) pairs are
 #: built in slices of this size
@@ -638,29 +642,21 @@ class SymbolPropagator:
         or (len(rows), ntimes) for the grid rows ``rows``, of which only the
         spectra are evaluated.
 
-        S is unitary, so it is the 2-norm of e^{Phi_r t}: the real columns
-        of the identity block are +-e_a, so the stream propagates the real
-        identity up to signs.  The identity is Hermitian data, so the norm is
-        one per spectrum.  Each 6x6 V is scaled by s = max|V| (1 where V is
-        exactly 0), so that its Gram matrix neither underflows nor
-        overflows, and ||V||_2 = s sqrt(lambda_max((V/s)^T (V/s))) by one
-        batched eigvalsh; the largest eigenvalue of a Gram matrix is
-        accurate to rounding relative to itself.
+        S is unitary, so it is the 2-norm of e^{Phi_r t}.  The data diag(S)
+        have S^-1 diag(S) = I, so the stream propagates the real identity in
+        its own order.  The identity is Hermitian data, so the norm is one per
+        spectrum.  J e^{Phi_r t} is symmetric (:data:`_J`) and J is
+        orthogonal, so the norm is the largest |eigenvalue| of J e^{Phi_r t},
+        by one batched eigvalsh.
         """
         times = self._times(times)
         spectra = self.row if rows is None else self.row[rows]
-        eye = np.eye(6, dtype=complex)[None]
-        keep = _nonzero_columns(eye)
-        distinct = np.unique(spectra)
-        eye = np.broadcast_to(eye, (len(distinct), 6, 6))
+        distinct = np.flatnonzero(np.bincount(spectra))
+        data = np.broadcast_to(np.diag(_REAL_SIMILARITY), (len(distinct), 6, 6))
         out = np.empty((len(self.nodes), len(times)))
-        for idx, V in self._real_states(eye, keep, times, distinct):
-            V = np.moveaxis(V, -1, 1)                        # (k, nt, 6, 6)
-            s = np.abs(V).max(axis=(2, 3), keepdims=True)
-            s[s == 0.0] = 1.0
-            V = V / s
-            gram = np.linalg.eigvalsh(np.swapaxes(V, 2, 3) @ V)[..., -1]
-            out[idx] = s[..., 0, 0] * np.sqrt(np.maximum(gram, 0.0))
+        for idx, V in self._real_states(data, np.arange(6), times, distinct):
+            JV = _J[:, None] * np.moveaxis(V, -1, 1)                 # (k, nt, 6, 6)
+            out[idx] = np.abs(np.linalg.eigvalsh(JV)).max(axis=-1)
         return out[spectra]
 
 

@@ -548,7 +548,8 @@ class TestCommands:
         # the clustered xi = 0 row takes the double-precision bidiagonal
         # route, which needs neither an ODE solver nor 50-digit arithmetic,
         # and the branch matching of spectrum needs no assignment solver:
-        # no command loads scipy or mpmath
+        # no command loads scipy or mpmath; nor numpy.ma, which np.unique
+        # without a return_* option imports
         defective = {"command": "evolve",
                      "params": {"a": 1.0, "k": 1.0, "l": math.sqrt(8.0),
                                 "gamma1": 0.0, "gamma2": math.sqrt(27.0)},
@@ -567,6 +568,10 @@ class TestCommands:
              "times": {"t_min": 1.0, "t_max": 1000.0, "n": 10},
              "partition": {"nu": 0.05, "N": 20.0}, "j": 0, "ell": 1,
              "grid": {"xi_max": 40.0, "n_geo": 96, "n_lin": 128}},
+            {"command": "classify", "params": G10_PARAMS},
+            {"command": "lyapunov-audit", "params": PARAMS, "frequencies": [0.5, 2.0],
+             "n_random": 10},
+            {"command": "report", "run_log": str(tmp_path / "out" / "4" / "runs.jsonl")},
         ]
         script = ("import json, sys\n"
                   "from pathlib import Path\n"
@@ -575,7 +580,8 @@ class TestCommands:
                   "for i, config in enumerate(json.loads(sys.argv[1])):\n"
                   "    cli.dispatch(config, Path(sys.argv[2]) / str(i))\n"
                   "    seen.append(sorted(m for m in sys.modules"
-                  " if m.partition('.')[0] in ('scipy', 'mpmath')))\n"
+                  " if m.partition('.')[0] in ('scipy', 'mpmath')"
+                  " or m.split('.')[:2] == ['numpy', 'ma']))\n"
                   "print(json.dumps(seen))\n")
         src = str(Path(disspec.__file__).resolve().parents[1])
         env = {**os.environ,

@@ -5,7 +5,7 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from disspec import (PreconditionError, RegimeError, SystemParams,
-                     build_matrices, build_symbol, char_poly_coeffs)
+                     build_matrices, build_symbol, char_poly_coeffs, real_symbol_stack)
 from disspec.core_model import _sextic_coeffs
 from oracles import char_poly_value, factor_check_gamma2_zero
 
@@ -22,6 +22,12 @@ def test_params_reject_nonpositive_speeds():
             SystemParams(**kw)
     with pytest.raises(PreconditionError):
         SystemParams(1, 1, 1, -0.1, 1)
+    # a non-finite value is refused with a message that names finiteness
+    for name in ("k", "gamma2"):
+        for value in (np.inf, -np.inf, np.nan):
+            kw = {"a": 1.0, "k": 1.0, "l": 1.0, "gamma1": 1.0, "gamma2": 1.0, name: value}
+            with pytest.raises(PreconditionError, match=f"parameter {name} must be finite"):
+                SystemParams(**kw)
 
 
 def test_params_json_round_trip():
@@ -78,6 +84,19 @@ def test_symbol_entry_and_conjugation():
     assert sym.Phi[0][1] == 1j
     neg = build_symbol(p, -1.0)
     assert np.allclose(neg.Phi, np.conj(sym.Phi))
+
+
+def test_real_symbol_times_J_is_symmetric():
+    # the real symbol couples (v, z, phi) only to (u, y, eta) and damps only
+    # the latter, so J Phi_r is symmetric bit for bit for J = diag(1, -1, ...):
+    # the operator norm reads the eigenvalues of J e^{t Phi_r}
+    rng = np.random.default_rng(7)
+    J = np.diag([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    for _ in range(200):
+        a, k, l, g1, g2 = rng.uniform([0.1] * 3 + [0.0] * 2, [5.0] * 3 + [3.0] * 2)
+        xi = rng.uniform(0.0, 50.0) * rng.choice([-1.0, 1.0])
+        JP = J @ real_symbol_stack(SystemParams(a, k, l, g1, g2), xi)
+        assert np.array_equal(JP, JP.T)
 
 
 def test_char_poly_lambda5_coefficient():
