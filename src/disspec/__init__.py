@@ -18,9 +18,8 @@ from .errors import (CertificateRefused, DisspecError, PreconditionError,
 from .lyapunov import (AuditReport, LyapunovConstants, audit_inequality,
                        gronwall_check, sandwich_fit, search_constants)
 from .propagator import Rule, SymbolPropagator, default_grid
-from .spectral import (AsymptoticCoeffs, BranchRate, CardanoClass,
-                       GapCertificate, branch_continuation, cardano_classify,
-                       eigenvalues_batch, gap_scan, high_freq_expansion,
-                       low_freq_expansion)
+from .spectral import (BranchRate, CardanoClass, GapCertificate,
+                       branch_continuation, cardano_classify, eigenvalues_batch,
+                       gap_scan, high_freq_expansion, low_freq_expansion)
 
 __version__ = "0.1.0"

@@ -263,12 +263,12 @@ def _experiment(config: dict, params: SystemParams, j_orders: tuple) -> Experime
                       j_orders=j_orders, rule=Rule(default_grid(**config.get("grid", {}))))
 
 
-def _branch_table(coeffs) -> list[dict]:
+def _branch_table(branches) -> list[dict]:
     """Branch rows for JSON; a constant the table leaves NaN is null."""
     return [{"label": b.label,
              "re_coefficient": b.re_coefficient if math.isfinite(b.re_coefficient) else None,
              "xi_power": b.xi_power, "multiplicity": b.multiplicity}
-            for b in coeffs]
+            for b in branches]
 
 
 def dispatch(config: dict, out_dir: Path, seed: int = 0) -> dict:
@@ -276,9 +276,7 @@ def dispatch(config: dict, out_dir: Path, seed: int = 0) -> dict:
     config = validate_config(config)
     cmd = config["command"]
     seed = int(config.get("seed", seed))
-    t0 = time.perf_counter()
     out_dir.mkdir(parents=True, exist_ok=True)
-    chash = artifacts.config_hash({**config, "seed": seed})
 
     if cmd == "report":
         md = render_report(config["run_log"])
@@ -301,9 +299,9 @@ def dispatch(config: dict, out_dir: Path, seed: int = 0) -> dict:
         high = high_freq_expansion(params)
         payload = {
             "params": params.to_dict(),
-            "regime": low.regime,
-            "low_freq": _branch_table(low.low_freq),
-            "high_freq": _branch_table(high.high_freq),
+            "regime": params.regime,
+            "low_freq": _branch_table(low),
+            "high_freq": _branch_table(high),
             "stability_defect": params.stability_defect,
         }
         path = out_dir / "asymptotics.json"
@@ -376,6 +374,7 @@ def dispatch(config: dict, out_dir: Path, seed: int = 0) -> dict:
                 "c0_feasible": rep.c0_feasible}
 
     if cmd == "decay":
+        t0 = time.perf_counter()
         exp = _experiment(config, params, tuple(config["j_orders"]))
         window = tuple(config["fit_window"]) if "fit_window" in config else None
         fits = run_decay(exp, fit_window=window)
@@ -386,8 +385,8 @@ def dispatch(config: dict, out_dir: Path, seed: int = 0) -> dict:
             for j, f in fits.items()
         }
         record = {
-            "command": cmd, "config_hash": chash, "seed": seed,
-            "params": params.to_dict(), "regime": params.regime,
+            "command": cmd, "config_hash": artifacts.config_hash({**config, "seed": seed}),
+            "seed": seed, "params": params.to_dict(), "regime": params.regime,
             "profile": config["profile"],
             "fits": fit_payload,
             "residuals": {str(j): f.max_residual for j, f in fits.items()},

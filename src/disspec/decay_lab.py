@@ -130,7 +130,6 @@ class Experiment:
 class DecayFit:
     """Least-squares power law ||.|| ~ amplitude * (1+t)^exponent."""
 
-    j: int
     exponent: float
     amplitude: float
     fit_window: tuple[float, float]
@@ -222,23 +221,23 @@ def run_decay(exp: Experiment,
                 f"norm for j={j} increased by {increase:.2e} along the run; "
                 "mode-wise moduli are non-increasing, so this is an inconsistency")
         exponent, amplitude, resid = _fit_power_law(exp.times, norms, fit_window)
-        fits[j] = DecayFit(j=j, exponent=exponent, amplitude=amplitude,
+        fits[j] = DecayFit(exponent=exponent, amplitude=amplitude,
                            fit_window=fit_window, max_residual=resid,
                            norms=norms, times=exp.times)
     return fits
 
 
 def packet_decay_time(params: SystemParams, xi0: float, width: float = 2.0,
-                      component: str = "v", level: float = math.exp(-2.0),
+                      level: float = math.exp(-2.0),
                       t_max: float = 1e6, n_times: int = 400) -> float:
     """Time at which a packet's squared norm falls to ``level`` of its start.
 
-    Builds a Hermitian Gaussian packet at +-xi0, evolves it exactly, and
-    log-interpolates the first crossing of ``level`` by the squared norm,
-    relative to its value at t = 1e-2, on ``np.geomspace(1e-2, t_max,
-    n_times)``.  For one mild damping the decay time grows like xi0^2
-    (regularity loss); when every branch keeps a uniform spectral gap it is
-    xi0-independent.
+    Builds a Hermitian Gaussian packet at +-xi0 in the v component, evolves
+    it exactly, and log-interpolates the first crossing of ``level`` by the
+    squared norm, relative to its value at t = 1e-2, on
+    ``np.geomspace(1e-2, t_max, n_times)``.  For one mild damping the decay
+    time grows like xi0^2 (regularity loss); when every branch keeps a
+    uniform spectral gap it is xi0-independent.
 
     e^{t Phi} is a contraction (sym(L) >= 0), so the norm is nonincreasing
     in t and the crossing is bracketed rather than scanned: the norm is
@@ -266,8 +265,7 @@ def packet_decay_time(params: SystemParams, xi0: float, width: float = 2.0,
     span = max(8.0 / width, 4.0 * width)
     half = np.linspace(max(xi0 - span, 0.05), xi0 + span, 161)
     grid = np.concatenate([-half[::-1], half])
-    prof = Profile(kind="high_freq_packet", center=xi0, width=width,
-                   component=component)
+    prof = Profile(kind="high_freq_packet", center=xi0, width=width, component="v")
     state = build_initial_state(params, prof, grid)
     rule = Rule(grid)
     columns = rule.sobolev(state, (0,))
@@ -370,14 +368,13 @@ def three_region_synthesis(exp: Experiment, part: FrequencyPartition) -> dict:
     sobolev = exp.rule.sobolev(state0, (j,))[:, 0]
     data_w = sobolev * np.sum(np.abs(state0) ** 2, axis=1)
 
-    hf = high_freq_expansion(params)
-    validated = [b for b in hf.high_freq if np.isfinite(b.re_coefficient)]
+    validated = [b for b in high_freq_expansion(params) if np.isfinite(b.re_coefficient)]
     slow = min(validated, key=lambda b: b.xi_power)
     q = -slow.xi_power
     c4_hat = -slow.re_coefficient  # per-branch rate constant (of xi^-q)
     # the slowest xi^2-order branch governs the uniform low-frequency rate;
     # c2_hat sits slightly inside it
-    c2_hat = 0.9 * min(-b.re_coefficient for b in low_freq_expansion(params).low_freq
+    c2_hat = 0.9 * min(-b.re_coefficient for b in low_freq_expansion(params)
                        if b.xi_power == 2)
     # middle region: the gap certificate, then one propagator over the grid
     # for the multiplicity of the region's spectra, the operator norms of

@@ -233,8 +233,6 @@ def _unit_states(rng: np.random.Generator, n_freq: int, n_states: int) -> np.nda
 
 @dataclass(frozen=True)
 class AuditReport:
-    params: SystemParams
-    constants: LyapunovConstants
     frequencies: np.ndarray
     weight_kind: str
     max_violation: float
@@ -315,9 +313,8 @@ def audit_inequality(params: SystemParams, consts: LyapunovConstants,
                                 "is at most 1e-300 at every frequency, time and state")
 
     return AuditReport(
-        params=params, constants=consts, frequencies=xi, weight_kind=kind,
-        max_violation=float(per_freq.max()), violation_count=count,
-        c0_feasible=float(c0), per_frequency_violation=per_freq,
+        frequencies=xi, weight_kind=kind, max_violation=float(per_freq.max()),
+        violation_count=count, c0_feasible=float(c0), per_frequency_violation=per_freq,
         n_states=len(states), horizon=horizon, slack=_SLACK)
 
 

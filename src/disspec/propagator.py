@@ -564,8 +564,6 @@ class SymbolPropagator:
 
     def apply(self, values: np.ndarray, dt: float) -> np.ndarray:
         """Propagate a (nfreq, 6) state matrix by time dt."""
-        if dt == 0.0:
-            return values.copy()
         return self.propagate_many(values, np.array([dt]))[0]
 
     def propagate_many(self, values0: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -24,7 +24,8 @@ S = diag(1, i, -i, 1, -i, 1) makes the symbol real at real frequencies
 conjugation exactly, complex roots coming in pairs that are conjugate bit
 for bit, which the propagator's r table exploits.
 
-The expansion tables are *numerically grounded*: every coefficient returned
+The expansion tables return their branches, one :class:`BranchRate` per
+branch family, and are *numerically grounded*: every coefficient returned
 here has been validated against eigenvalue fits (see tests).  Where commonly
 quoted branch tables disagree with the spectrum of the symbol itself (they
 do in the degenerate equal-speed cases), the tables returned here follow
@@ -32,8 +33,8 @@ the spectrum.  The exact trace identity
 
     sum_j lambda_j(i xi) = -(gamma1 + gamma2)   for every xi
 
-is the quick sanity check: the constant terms of the six branch expansions
-must sum to it.
+is the quick sanity check: the constant terms of the six high-frequency
+branches must sum to it, and the tests assert that they do.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .errors import (CertificateRefused, PreconditionError, RegimeError,
 
 __all__ = [
     "BranchRate",
-    "AsymptoticCoeffs",
     "CardanoClass",
     "GapCertificate",
     "distinct_spectra",
@@ -219,17 +219,11 @@ class BranchRate:
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class AsymptoticCoeffs:
-    regime: str
-    low_freq: tuple[BranchRate, ...] | None
-    high_freq: tuple[BranchRate, ...] | None
-    auxiliary: dict
-
-
-def _abcd_constants(params: SystemParams) -> dict:
-    """Constants of the linear equation fixing the second-order correction of
-    the oscillatory branch pair at zero frequency (both dampings)."""
+def _abcd_constants(params: SystemParams) -> tuple[complex, float]:
+    """``(beta, K)`` of the linear equation (A + i B) + (C + i D) beta = 0
+    fixing the second-order correction of the oscillatory branch pair at
+    zero frequency (both dampings): lambda = i k l - beta xi^2 + ... and its
+    conjugate.  K = A C + B D, so Re beta = -K / |C + i D|^2."""
     a, k, l, g1, g2 = params.a, params.k, params.l, params.gamma1, params.gamma2
     A_ = k**2 * l**2 * (k**2 * (1 + l**2) - k**4 * l**2 + g1 * g2)
     B_ = k**3 * l**3 * (g1 * (k**2 - 1) + g2)
@@ -238,8 +232,7 @@ def _abcd_constants(params: SystemParams) -> dict:
     if C_ == 0.0 and D_ == 0.0:
         raise RegimeError("degenerate parameters: the branch-correction equation "
                           "has vanishing coefficients (C = D = 0)")
-    beta = -(A_ + 1j * B_) / (C_ + 1j * D_)
-    return {"A": A_, "B": B_, "C": C_, "D": D_, "K": A_ * C_ + B_ * D_, "beta": beta}
+    return -(A_ + 1j * B_) / (C_ + 1j * D_), A_ * C_ + B_ * D_
 
 
 def _beta_delta_hat(params: SystemParams) -> tuple[float, float]:
@@ -262,56 +255,50 @@ def _minus_L_roots(params: SystemParams) -> np.ndarray:
     return _putzer_order(np.roots(cubic).astype(complex))
 
 
-def low_freq_expansion(params: SystemParams) -> AsymptoticCoeffs:
+def low_freq_expansion(params: SystemParams) -> tuple[BranchRate, ...]:
     """Leading real-part coefficients of the six branches as xi -> 0.
 
     Branch families: one branch emanating from eigenvalue 0 of -L with
-    Re ~ -sigma0 xi^2; a conjugate pair from +-i k l with Re ~ -Re(beta) xi^2;
-    three branches from the cubic roots of -L with constant negative real
-    parts.
+    Re ~ -sigma0 xi^2; a conjugate pair from +-i k l with Re ~ -Re(beta) xi^2
+    (beta of :func:`_abcd_constants`, or beta_hat of :func:`_beta_delta_hat`
+    when gamma1 = 0); three branches from the cubic roots of -L
+    (:func:`_minus_L_roots`) with constant negative real parts.
     """
     regime = params.regime
     a, l = params.a, params.l
     g1, g2 = params.gamma1, params.gamma2
     roots = _minus_L_roots(params)
-    aux: dict = {"r_roots": roots}
 
     if regime == "both_damped":
         sigma0 = a * a * l * l / (g1 * l * l + g2)
-        abcd = _abcd_constants(params)
-        aux.update(abcd)
-        pair_coeff = -float(abcd["beta"].real)
+        pair_coeff = -float(_abcd_constants(params)[0].real)
     elif regime == "gamma1_zero":
         if abs(params.stability_defect) < 1e-12:
             raise RegimeError(
                 "low-frequency expansion invalid: (k^2-1) l^2 - 1 = 0 "
                 "(the oscillatory pair loses its damping at this order)")
         sigma0 = a * a * l * l / g2
-        beta_hat, delta_hat = _beta_delta_hat(params)
-        aux["beta_hat"] = beta_hat
-        aux["delta_hat"] = delta_hat
-        pair_coeff = -beta_hat
+        pair_coeff = -_beta_delta_hat(params)[0]
     else:
         raise RegimeError(f"low_freq_expansion requires damping regime "
                           f"both_damped or gamma1_zero, got {regime}")
 
-    branches = (
+    return (
         BranchRate("zero-branch", -sigma0, 2, 1),
         BranchRate("oscillatory-pair", pair_coeff, 2, 2),
         BranchRate("cubic-root-1", float(roots[0].real), 0, 1),
         BranchRate("cubic-root-2", float(roots[1].real), 0, 1),
         BranchRate("cubic-root-3", float(roots[2].real), 0, 1),
     )
-    aux["sigma0"] = sigma0
-    return AsymptoticCoeffs(regime=regime, low_freq=branches, high_freq=None, auxiliary=aux)
 
 
-def high_freq_expansion(params: SystemParams) -> AsymptoticCoeffs:
+def high_freq_expansion(params: SystemParams) -> tuple[BranchRate, ...]:
     """Leading real-part behavior of the six branches as xi -> +inf.
 
     The table depends on which propagation speeds coincide.  All entries are
-    validated against eigenvalue fits; the constant terms always sum to
-    -(gamma1 + gamma2) (trace identity).
+    validated against eigenvalue fits; the constant terms (the rows of
+    xi_power 0, times their multiplicities) sum to -(gamma1 + gamma2), the
+    trace identity, which the tests assert.
 
     both_damped:
       a = 1 (any k)        : Re delta_+ and Re delta_- twice each, -gamma2/2 twice,
@@ -328,84 +315,63 @@ def high_freq_expansion(params: SystemParams) -> AsymptoticCoeffs:
                              two branches -gamma2/2
       a = 1, k != 1; a = k != 1 : unsupported (no validated table)
     """
-    regime = params.regime
     a, k, l = params.a, params.k, params.l
     g1, g2 = params.gamma1, params.gamma2
-    aux: dict = {}
-
     a_is_1 = abs(a - 1.0) < _SPEED_TOL
     k_is_1 = abs(k - 1.0) < _SPEED_TOL
-    a_eq_k = abs(a - k) < _SPEED_TOL
 
-    if regime == "both_damped":
+    if params.regime == "both_damped":
         if a_is_1:
             disc = np.sqrt(complex(g1 * g1 - 4.0))
             dplus = (-g1 + disc) / 4.0
             dminus = (-g1 - disc) / 4.0
-            aux["delta_plus"] = dplus
-            aux["delta_minus"] = dminus
-            branches = (
+            return (
                 BranchRate("delta-plus-pair", float(dplus.real), 0, 2),
                 BranchRate("delta-minus-pair", float(dminus.real), 0, 2),
                 BranchRate("eta-damped-pair", -g2 / 2.0, 0, 2),
             )
+        if k_is_1:
+            kappa = g1 / (2.0 * (a * a - 1.0) ** 2)
         else:
-            if k_is_1:
-                kappa = g1 / (2.0 * (a * a - 1.0) ** 2)
-                aux["kappa_k1_degenerate"] = True
-            else:
-                kappa = ((a * a - 1.0) ** 2 * l * l * g2 + g1) / (2.0 * (a * a - 1.0) ** 2)
-            aux["kappa"] = kappa
-            branches = (
-                BranchRate("slow-pair", -kappa, -2, 2),
-                BranchRate("angle-damped-pair", -g1 / 2.0, 0, 2),
-                BranchRate("eta-damped-pair", -g2 / 2.0, 0, 2),
-            )
-    elif regime == "gamma1_zero":
-        if abs(params.stability_defect) < 1e-12:
-            raise RegimeError("high-frequency expansion invalid: (k^2-1) l^2 - 1 = 0")
-        if a_is_1 and k_is_1:
-            c_slow = l * l * g2 / (4.0 * (1.0 + g2 * g2))
-            aux["c_slow"] = c_slow
-            branches = (
-                BranchRate("slow-quadruple", -c_slow, -2, 4),
-                BranchRate("eta-damped-pair", -g2 / 2.0, 0, 2),
-            )
-        elif a_is_1:
-            raise UnsupportedRegimeError(
-                "gamma1 = 0 with a = 1, k != 1 has no validated high-frequency table")
-        elif a_eq_k:
-            raise UnsupportedRegimeError(
-                "gamma1 = 0 with a = k != 1 has no validated high-frequency table "
-                "(the angle pair decays faster than xi^-4, below fit resolution)")
-        else:
-            c34 = l * l * g2 / (2.0 * (a - 1.0) ** 2 * (a + 1.0) ** 2)
-            aux["c34"] = c34
-            if k_is_1:
-                # the wave pair (degenerate with the longitudinal pair at
-                # speed 1) also decays like xi^-4, but its constant has no
-                # validated closed form; the angle pair keeps the c34 law
-                aux["wave_pair_note"] = ("xi^-4 exponent verified; constant "
-                                         "has no validated closed form")
-                branches = (
-                    BranchRate("angle-pair", -c34, -4, 2),
-                    BranchRate("wave-pair-degenerate", float("nan"), -4, 2),
-                    BranchRate("eta-damped-pair", -g2 / 2.0, 0, 2),
-                )
-            else:
-                aux["c12"] = l * l * g2 / 2.0
-                branches = (
-                    BranchRate("wave-pair", -l * l * g2 / 2.0, -2, 2),
-                    BranchRate("angle-pair", -c34, -4, 2),
-                    BranchRate("eta-damped-pair", -g2 / 2.0, 0, 2),
-                )
-    else:
+            kappa = ((a * a - 1.0) ** 2 * l * l * g2 + g1) / (2.0 * (a * a - 1.0) ** 2)
+        return (
+            BranchRate("slow-pair", -kappa, -2, 2),
+            BranchRate("angle-damped-pair", -g1 / 2.0, 0, 2),
+            BranchRate("eta-damped-pair", -g2 / 2.0, 0, 2),
+        )
+    if params.regime != "gamma1_zero":
         raise RegimeError(f"high_freq_expansion requires damping regime "
-                          f"both_damped or gamma1_zero, got {regime}")
-
-    const_sum = sum(b.re_coefficient * b.multiplicity for b in branches if b.xi_power == 0)
-    aux["constant_sum"] = const_sum   # must equal -(g1+g2); asserted in tests
-    return AsymptoticCoeffs(regime=regime, low_freq=None, high_freq=branches, auxiliary=aux)
+                          f"both_damped or gamma1_zero, got {params.regime}")
+    if abs(params.stability_defect) < 1e-12:
+        raise RegimeError("high-frequency expansion invalid: (k^2-1) l^2 - 1 = 0")
+    if a_is_1 and k_is_1:
+        c_slow = l * l * g2 / (4.0 * (1.0 + g2 * g2))
+        return (
+            BranchRate("slow-quadruple", -c_slow, -2, 4),
+            BranchRate("eta-damped-pair", -g2 / 2.0, 0, 2),
+        )
+    if a_is_1:
+        raise UnsupportedRegimeError(
+            "gamma1 = 0 with a = 1, k != 1 has no validated high-frequency table")
+    if abs(a - k) < _SPEED_TOL:
+        raise UnsupportedRegimeError(
+            "gamma1 = 0 with a = k != 1 has no validated high-frequency table "
+            "(the angle pair decays faster than xi^-4, below fit resolution)")
+    c34 = l * l * g2 / (2.0 * (a - 1.0) ** 2 * (a + 1.0) ** 2)
+    if k_is_1:
+        # the wave pair (degenerate with the longitudinal pair at speed 1)
+        # also decays like xi^-4, but its constant has no validated closed
+        # form; the angle pair keeps the c34 law
+        return (
+            BranchRate("angle-pair", -c34, -4, 2),
+            BranchRate("wave-pair-degenerate", float("nan"), -4, 2),
+            BranchRate("eta-damped-pair", -g2 / 2.0, 0, 2),
+        )
+    return (
+        BranchRate("wave-pair", -l * l * g2 / 2.0, -2, 2),
+        BranchRate("angle-pair", -c34, -4, 2),
+        BranchRate("eta-damped-pair", -g2 / 2.0, 0, 2),
+    )
 
 
 @dataclass(frozen=True)

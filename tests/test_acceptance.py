@@ -127,7 +127,7 @@ def _branch_constants(params, hp=False):
     decaying rows by sorted position among the slow branches, except in the
     degenerate k = 1 single-damping case where the two xi^-4 pairs are
     separated by their group speed (|Im lambda| / xi)."""
-    table = high_freq_expansion(params).high_freq
+    table = high_freq_expansion(params)
     xis = np.geomspace(100.0, 1000.0, 7)
     solver = (lambda p, x: eigenvalues_hp(p, x)) if hp \
         else (lambda p, x: eigenvalues_batch(p, [x])[0][0])
@@ -181,7 +181,7 @@ def test_criterion_4_high_frequency_limits():
         (SystemParams(2, 3, 0.5, 0, 1), True),      # gamma1 = 0, generic
     ]
     for params, hp in cases:
-        table = high_freq_expansion(params).high_freq
+        table = high_freq_expansion(params)
         for kind, label, c_pred, c_fit, expo in _branch_constants(params, hp=hp):
             if kind == "const":
                 good = abs(c_fit - c_pred) <= 0.05 * abs(c_pred)

@@ -889,6 +889,19 @@ class TestDecayAndReport:
         assert "malformed" in md
         assert "Two dampings" in md
 
+    def test_report_gamma2_zero_expects_no_decay(self, tmp_path):
+        # without gamma2 nothing decays: the expected exponent is 0, and a
+        # fit passes down to -0.02
+        log = tmp_path / "runs.jsonl"
+        log.write_text("".join(
+            json.dumps({"command": "decay", "config_hash": name, "regime": "gamma2_zero",
+                        "fits": {"0": {"exponent": exponent}}}) + "\n"
+            for name, exponent in (("flat", -0.01), ("decaying", -0.05))))
+        md = render_report(str(log))
+        assert "## No decay (gamma2 = 0)" in md
+        assert "| flat | 0 | +0.000 | -0.0100 | PASS |" in md
+        assert "| decaying | 0 | +0.000 | -0.0500 | FAIL |" in md
+
     def test_report_skips_unreadable_records(self, tmp_path):
         # each of these parses as JSON; each used to end the report in exit 1
         _, out = run_cli(tmp_path, decay_config())

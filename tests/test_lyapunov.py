@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +192,18 @@ class TestAudit:
         bad = LyapunovConstants(d0=100, d1=0.5, d2=1, eps1=10, eps1p=0.1,
                                 eps2=0.1, eps2p=0.0, eps3=0.5, eps4=0.1)
         with pytest.raises(RegimeError):
+            audit_inequality(self.p, bad, [1.0])
+
+    @pytest.mark.parametrize("name, value, constraint", [
+        ("eps2", 0.5, "eps2 must lie in (0, a^2 l^2): 0.5"),
+        ("eps3", 1.5, "eps3 must lie in (0, 1): 1.5"),
+        ("eps4", 0.5, "eps4 must lie in (0, l^2): 0.5"),
+        ("eps1p", 1.0, "eps1p must lie in (0, (1 - eps3)/d2)"),
+    ])
+    def test_bad_ordering_names_the_constraint(self, name, value, constraint):
+        # a^2 l^2 = l^2 = 0.25 here; one constant moved out of its interval
+        bad = dataclasses.replace(search_constants(self.p), **{name: value})
+        with pytest.raises(RegimeError, match=re.escape(constraint)):
             audit_inequality(self.p, bad, [1.0])
 
     def test_a_not_one_uses_L2(self):

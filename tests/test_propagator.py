@@ -11,7 +11,8 @@ from disspec import propagator as propagator_module
 from disspec import spectral as spectral_module
 from disspec.decay_lab import _conservative_vector
 from disspec.propagator import (_EXP_FLOOR, SymbolPropagator, _ambiguous, _basis,
-                                _newton_weights, _partners, _q_chain, _r_bidiag)
+                                _newton_weights, _partners, _q_chain, _r_bidiag,
+                                _snap_clusters)
 from disspec.lyapunov import audit_inequality, search_constants
 from oracles import (density, dissipation, energy, energy_audit, plancherel_norms,
                      r_chain_mp, six_exp_table)
@@ -134,6 +135,17 @@ class TestPutzerR:
         unpaired[5] = -6.0 + 1.0j
         rows = np.array([base, near, adjacent, apart, unpaired])
         assert _ambiguous(rows).tolist() == [False, True, True, True, True]
+
+    def test_snap_closes_a_chain(self):
+        # 0 and 1.2e-3 are farther apart than tol = 1e-3, but each is within
+        # tol of 6e-4: the transitive closure snaps all three to their mean
+        lam = np.array([[0.0, 6e-4, 1.2e-3, -1.0, -2.0, -3.0]])
+        out = _snap_clusters(lam, 1e-3, lam.sum(axis=1))
+        assert out[0, 0] == out[0, 1] == out[0, 2] == pytest.approx(6e-4, rel=1e-12)
+        assert np.array_equal(out[0, 3:], lam[0, 3:])
+        # without the middle node the ends stay apart
+        apart = np.array([[0.0, 1.2e-3, -1.0, -2.0, -3.0, -4.0]])
+        assert np.array_equal(_snap_clusters(apart, 1e-3, apart.sum(axis=1)), apart)
 
     def test_negative_time_rejected(self):
         prop = SymbolPropagator(SystemParams(1, 1, 0.5, 1, 1), np.array([0.5]))
@@ -370,6 +382,18 @@ class TestEvolve:
         grid, values = gaussian_state(64)
         out = SymbolPropagator(SystemParams(1, 1, 0.5, 1, 1), grid).apply(values, 0.0)
         assert np.array_equal(out, values)
+
+    @pytest.mark.parametrize("kind", ["complex", "nan"])
+    def test_zero_step_checks_the_data(self, kind):
+        # t = 0 refuses what every other time refuses
+        grid, values = gaussian_state(64)
+        if kind == "complex":
+            values = values * (1 + 2j)
+        else:
+            values[3, 2] = np.nan
+        prop = SymbolPropagator(SystemParams(1, 1, 0.5, 1, 1), grid)
+        with pytest.raises(PreconditionError, match="Hermitian" if kind == "complex" else "NaN"):
+            prop.apply(values, 0.0)
 
     def test_backwards_rejected(self):
         grid, values = gaussian_state(64)

@@ -8,7 +8,7 @@ from disspec import (CertificateRefused, PreconditionError, RegimeError,
                      gap_scan, high_freq_expansion, low_freq_expansion,
                      real_symbol_stack)
 from disspec import spectral as spectral_module
-from disspec.spectral import _minus_L_roots, _putzer_order
+from disspec.spectral import _abcd_constants, _beta_delta_hat, _minus_L_roots, _putzer_order
 from oracles import branches_first_minimum, eigenvalues_hp
 
 
@@ -146,8 +146,7 @@ class TestEigenvalues:
 class TestLowFrequency:
     def test_zero_branch_coefficient_fit(self):
         p = SystemParams(1, 1, 0.5, 1, 1)
-        coeffs = low_freq_expansion(p)
-        c_pred = coeffs.low_freq[0].re_coefficient
+        c_pred = low_freq_expansion(p)[0].re_coefficient
         assert c_pred == pytest.approx(-0.2, abs=1e-15)
         xis = np.geomspace(1e-3, 1e-2, 8)
         vals = []
@@ -162,10 +161,10 @@ class TestLowFrequency:
         rng = np.random.default_rng(9)
         for _ in range(4):
             p = SystemParams(*rng.uniform(0.4, 2.2, 3), *rng.uniform(0.2, 1.8, 2))
-            coeffs = low_freq_expansion(p)
-            beta = coeffs.auxiliary["beta"]
+            beta, K = _abcd_constants(p)
+            assert low_freq_expansion(p)[1].re_coefficient == -beta.real
             assert beta.real > 0
-            assert coeffs.auxiliary["K"] < 0
+            assert K < 0
             xi = 1e-3
             lam = lam_at(p, xi)
             t = lam[np.argmin(np.abs(lam - 1j * p.k * p.l))]
@@ -173,13 +172,12 @@ class TestLowFrequency:
             assert fitted.real == pytest.approx(beta.real, rel=1e-3)
 
     def test_K_negative_for_unit_params(self):
-        aux = low_freq_expansion(SystemParams(1, 1, 1, 1, 1)).auxiliary
-        assert aux["K"] < 0
+        assert _abcd_constants(SystemParams(1, 1, 1, 1, 1))[1] < 0
 
     def test_gamma1_zero_closed_forms(self):
         p = SystemParams(1.3, 0.8, 1.1, 0, 0.6)
-        coeffs = low_freq_expansion(p)
-        bh, dh = coeffs.auxiliary["beta_hat"], coeffs.auxiliary["delta_hat"]
+        bh, dh = _beta_delta_hat(p)
+        assert low_freq_expansion(p)[1].re_coefficient == -bh
         assert bh > 0
         xi = 1e-3
         lam = lam_at(p, xi)
@@ -199,8 +197,8 @@ class TestLowFrequency:
         # Z^3 + (g1 + g2) Z^2 + (l^2 + 1 + g1 g2) Z + g1 l^2 + g2, the
         # factor of det(Z I + L) besides Z (Z^2 + k^2 l^2)
         p = SystemParams(1, 1, 0.5, 1.5, 0.7)
-        aux = low_freq_expansion(p).auxiliary
-        roots = aux["r_roots"]
+        roots = _minus_L_roots(p)
+        assert [b.re_coefficient for b in low_freq_expansion(p)[2:]] == list(roots.real)
         g1, g2, l = p.gamma1, p.gamma2, p.l
         cubic = [1.0, g1 + g2, l * l + 1.0 + g1 * g2, g1 * l * l + g2]
         assert np.max(np.abs(np.polyval(cubic, roots))) < 1e-10
@@ -230,6 +228,19 @@ class TestLowFrequency:
             low_freq_expansion(SystemParams(1, 1, 1, 1, 0))
 
 
+def constant_sum(table):
+    """The constant terms of a high-frequency table, each times its
+    multiplicity: the trace -(gamma1 + gamma2) when the table is right."""
+    return sum(b.re_coefficient * b.multiplicity for b in table if b.xi_power == 0)
+
+
+def slow_pair(table):
+    """The both-damped table's -kappa xi^-2 row."""
+    (row,) = [b for b in table if b.label == "slow-pair"]
+    assert (row.xi_power, row.multiplicity) == (-2, 2)
+    return row
+
+
 def _fitted_constants(params, xi_ref=1e3, hp=False):
     solver = eigenvalues_hp if hp else lam_at
     lam = solver(params, xi_ref)
@@ -242,26 +253,24 @@ class TestHighFrequency:
         p = SystemParams(1, 2, 1, 3, 0.8)
         table = high_freq_expansion(p)
         predicted = sorted(
-            sum(([b.re_coefficient] * b.multiplicity for b in table.high_freq), []))
+            sum(([b.re_coefficient] * b.multiplicity for b in table), []))
         measured = sorted(_fitted_constants(p))
         assert np.allclose(measured, predicted, rtol=5e-4)
-        assert table.auxiliary["constant_sum"] == pytest.approx(
-            -(p.gamma1 + p.gamma2), abs=1e-12)
+        assert constant_sum(table) == pytest.approx(-(p.gamma1 + p.gamma2), abs=1e-12)
 
     def test_a1_complex_delta_real_parts(self):
         p = SystemParams(1, 1, 1, 1, 1)
         table = high_freq_expansion(p)
-        vals = sorted(b.re_coefficient for b in table.high_freq)
+        vals = sorted(b.re_coefficient for b in table)
         assert vals == pytest.approx([-0.5, -0.25, -0.25])
         measured = sorted(_fitted_constants(p, xi_ref=1e4))
         predicted = sorted(
-            sum(([b.re_coefficient] * b.multiplicity for b in table.high_freq), []))
+            sum(([b.re_coefficient] * b.multiplicity for b in table), []))
         assert np.allclose(measured, predicted, atol=5e-4)
 
     def test_generic_kappa_branch(self):
         p = SystemParams(2, 3, 1, 1, 0.5)
-        table = high_freq_expansion(p)
-        kappa = table.auxiliary["kappa"]
+        kappa = -slow_pair(high_freq_expansion(p)).re_coefficient
         assert kappa == pytest.approx((9 * 1 * 0.5 + 1) / 18)
         xis = np.geomspace(100, 1000, 6)
         slow = np.array([np.sort(lam_at(p, x).real)[-2:].mean() for x in xis])
@@ -271,9 +280,10 @@ class TestHighFrequency:
 
     def test_k1_degenerate_kappa(self):
         p = SystemParams(2, 1, 0.8, 0.5, 1.3)
-        table = high_freq_expansion(p)
-        assert table.auxiliary.get("kappa_k1_degenerate")
-        kappa = table.auxiliary["kappa"]
+        kappa = -slow_pair(high_freq_expansion(p)).re_coefficient
+        # the k = 1 law gamma1 / (2 (a^2 - 1)^2), not the generic
+        # ((a^2 - 1)^2 l^2 gamma2 + gamma1) / (2 (a^2 - 1)^2)
+        assert kappa == p.gamma1 / (2.0 * (p.a**2 - 1.0) ** 2)
         assert kappa == pytest.approx(0.5 / 18)
         xi = 2e3
         slow = np.sort(lam_at(p, xi).real)[-2:]
@@ -282,7 +292,7 @@ class TestHighFrequency:
     def test_gamma1_zero_equal_speeds_quadruple(self):
         p = SystemParams(1, 1, 0.8, 0, 1.5)
         table = high_freq_expansion(p)
-        slow = [b for b in table.high_freq if b.xi_power == -2]
+        slow = [b for b in table if b.xi_power == -2]
         assert len(slow) == 1 and slow[0].multiplicity == 4
         c = -slow[0].re_coefficient
         assert c == pytest.approx(0.8**2 * 1.5 / (4 * (1 + 1.5**2)))
@@ -293,19 +303,19 @@ class TestHighFrequency:
     def test_gamma1_zero_generic_three_pairs(self):
         p = SystemParams(2, 3, 0.5, 0, 1)
         table = high_freq_expansion(p)
-        powers = sorted((b.xi_power, b.multiplicity) for b in table.high_freq)
+        powers = sorted((b.xi_power, b.multiplicity) for b in table)
         assert powers == [(-4, 2), (-2, 2), (0, 2)]
         xi = 50.0
         re = np.sort(lam_at(p, xi).real)
         assert re[:2] == pytest.approx(-0.5, rel=1e-3)
         assert (-re[2:4] * xi**2).mean() == pytest.approx(0.5**2 * 1 / 2, rel=0.01)
-        assert (-re[4:] * xi**4).mean() == pytest.approx(
-            table.auxiliary["c34"], rel=0.01)
+        c34 = next(b for b in table if b.xi_power == -4).re_coefficient
+        assert (-re[4:] * xi**4).mean() == pytest.approx(-c34, rel=0.01)
 
     def test_gamma1_zero_k1_two_xi4_pairs(self):
         p = SystemParams(2, 1, 1, 0, 1)
         table = high_freq_expansion(p)
-        slow = [b for b in table.high_freq if b.xi_power == -4]
+        slow = [b for b in table if b.xi_power == -4]
         assert sum(b.multiplicity for b in slow) == 4
         angle = next(b for b in slow if np.isfinite(b.re_coefficient))
         assert -angle.re_coefficient == pytest.approx(1 / 18)
@@ -352,10 +362,10 @@ class TestHighFrequency:
             table = high_freq_expansion(p)
             xi = 2e3
             re = np.sort(lam_at(p, xi).real)
-            consts = sorted(b.re_coefficient for b in table.high_freq if b.xi_power == 0)
+            consts = sorted(b.re_coefficient for b in table if b.xi_power == 0)
             assert re[0] == pytest.approx(min(consts), rel=5e-3)
             assert re[2] == pytest.approx(max(consts), rel=5e-3)
-            kappa = table.auxiliary["kappa"]
+            kappa = -slow_pair(table).re_coefficient
             assert (-re[-2:] * xi**2).mean() == pytest.approx(kappa, rel=0.02)
             done += 1
 
@@ -366,8 +376,7 @@ class TestHighFrequency:
                   SystemParams(2, 1, 0.8, 0.5, 1.3), SystemParams(1, 1, 0.8, 0, 1.5),
                   SystemParams(2, 3, 0.5, 0, 1), SystemParams(2, 1, 1, 0, 1),
                   SystemParams(1, 2, 1, 3, 0.8)):
-            table = high_freq_expansion(p)
-            assert table.auxiliary["constant_sum"] == pytest.approx(
+            assert constant_sum(high_freq_expansion(p)) == pytest.approx(
                 -(p.gamma1 + p.gamma2), abs=1e-12)
 
 
@@ -460,6 +469,16 @@ class TestGapScan:
                 terms = coeffs * lam[:, None] ** np.arange(7)
                 residual = np.abs(terms.sum(axis=1)) / np.abs(terms).sum(axis=1)
                 assert residual.max() <= 1e-15
+
+    @pytest.mark.parametrize("nu, N", [(1 / 3, 2.0), (0.05, 1 / 3)])
+    def test_scanned_undamped_pair_refused(self, nu, N):
+        # gamma1 = 0 with (k^2 - 1) l^2 - 1 != 0 still has an undamped pair
+        # at xi0 = 1/3 for these parameters; a scanned grid point on it
+        # refuses the certificate with that witness
+        with pytest.raises(CertificateRefused) as exc:
+            gap_scan(SystemParams(1, 2, 0.5, 0, 1), nu, N)
+        assert exc.value.witness_xi == 1 / 3
+        assert -1e-15 < exc.value.max_real_part <= 0.0
 
     def test_bad_interval(self):
         with pytest.raises(PreconditionError):
