@@ -70,9 +70,11 @@ class LyapunovConstants:
     eps4: float
 
     def ordering_violations(self, params: SystemParams) -> list[str]:
-        """The selection-order constraints; empty list means admissible."""
+        """The selection-order constraints; empty list means admissible.
+        The intervals are tested first: the ledger and the d1 bound divide
+        by eps1, eps1p, eps2, eps3, eps4 and a^2 l^2 - eps2, so they are
+        read only once every constant lies inside its interval."""
         a, k, l = params.a, params.k, params.l
-        ledger = _constants_ledger(params, self)
         out = []
         if not (0 < self.eps1 < k):
             out.append(f"eps1 must lie in (0, k): {self.eps1} vs k={k}")
@@ -82,14 +84,17 @@ class LyapunovConstants:
             out.append(f"eps3 must lie in (0, 1): {self.eps3}")
         if not (0 < self.eps4 < l * l):
             out.append(f"eps4 must lie in (0, l^2): {self.eps4}")
+        if not (self.d2 > 0 and 0 < self.eps1p < (1.0 - self.eps3) / self.d2):
+            out.append("eps1p must lie in (0, (1 - eps3)/d2)")
+        if out:
+            return out
+        ledger = _constants_ledger(params, self)
         if not self.d2 * (k - self.eps1) > ledger["C_P2"]:
             out.append("d2 (k - eps1) must exceed C_P2 = 2 (k l)^2 / eps4")
         # d1/2 must beat the xi^2 |v|^2 loss of the P-identity (the other
         # half of the F budget absorbs the gamma1 cross term)
         if not self.d1 > max(2.0, self.d2 * ledger["C_K2"] / (a * a * l * l - self.eps2)):
             out.append("d1 must exceed max(2, d2 C_K2 / (a^2 l^2 - eps2))")
-        if not (0 < self.eps1p < (1.0 - self.eps3) / self.d2):
-            out.append("eps1p must lie in (0, (1 - eps3)/d2)")
         return out
 
 

@@ -6,8 +6,13 @@ zero-frequency limit when gamma1 = 0, and spectral-gap scans on
 middle-frequency bands.  At xi = 0 the spectrum is closed-form: 0,
 +-i k l and the roots of Z^3 + (gamma1 + gamma2) Z^2 + (l^2 + 1 +
 gamma1 gamma2) Z + gamma1 l^2 + gamma2, so the low-frequency table makes
-no eigen solve.  The gap is *sampled*: the largest Re lambda on an
-adaptively refined grid, with no bound between the grid points.
+no eigen solve.  Its two xi^2 rows come from the symbol by Kato's
+second-order formula: for lambda0 = 0 and i k l, with w the closed-form
+unit eigenvector of -L and x the reduced resolvent of -L at lambda0
+applied to -i A w (one bordered 7x7 solve), the branch is lambda0 - d xi^2
++ ... with d = x* sym(L) x = gamma1 |x_y|^2 + gamma2 |x_eta|^2.  The gap
+is *sampled*: the largest Re lambda on an adaptively refined grid, with no
+bound between the grid points.
 
 The solver treats the frequency axis as a batch dimension whose unit is the
 distinct |xi|: :func:`distinct_spectra` solves a whole array of frequencies
@@ -44,7 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import SystemParams, char_poly_coeffs, real_symbol_stack
+from .core_model import (ETA, PHI, U, Y, Z, SystemParams, build_matrices,
+                         char_poly_coeffs, real_symbol_stack)
 from .errors import (CertificateRefused, PreconditionError, RegimeError,
                      SolverError, UnsupportedRegimeError)
 
@@ -219,30 +225,33 @@ class BranchRate:
     multiplicity: int
 
 
-def _abcd_constants(params: SystemParams) -> tuple[complex, float]:
-    """``(beta, K)`` of the linear equation (A + i B) + (C + i D) beta = 0
-    fixing the second-order correction of the oscillatory branch pair at
-    zero frequency (both dampings): lambda = i k l - beta xi^2 + ... and its
-    conjugate.  K = A C + B D, so Re beta = -K / |C + i D|^2."""
-    a, k, l, g1, g2 = params.a, params.k, params.l, params.gamma1, params.gamma2
-    A_ = k**2 * l**2 * (k**2 * (1 + l**2) - k**4 * l**2 + g1 * g2)
-    B_ = k**3 * l**3 * (g1 * (k**2 - 1) + g2)
-    C_ = 2 * k**2 * l**2 * (g1 * l**2 * (k**2 - 1) + g2 * (k**2 * l**2 - 1))
-    D_ = 2 * k**3 * l**3 * (l**2 * (k**2 - 1) - 1 - g1 * g2)
-    if C_ == 0.0 and D_ == 0.0:
-        raise RegimeError("degenerate parameters: the branch-correction equation "
-                          "has vanishing coefficients (C = D = 0)")
-    return -(A_ + 1j * B_) / (C_ + 1j * D_), A_ * C_ + B_ * D_
+def _slow_rates(params: SystemParams) -> list[float]:
+    """The xi^2 rates d of the zero branch and of the oscillatory pair, from
+    the symbol: lambda(xi) = lambda0 - d xi^2 + ... for lambda0 = 0 and
+    i k l, eigenvalues of -L.
 
-
-def _beta_delta_hat(params: SystemParams) -> tuple[float, float]:
-    """Closed-form second-order corrections for gamma1 = 0 at low frequency."""
-    k, l, g2 = params.k, params.l, params.gamma2
-    defect = params.stability_defect
-    den = 2.0 * (g2**2 * (k**2 * l**2 - 1.0) ** 2 + k**2 * l**2 * defect**2)
-    beta_hat = g2 * k**2 * defect**2 / den
-    delta_hat = -k * l * (g2**2 * (k**2 * l**2 - 1.0) + (k - k * (k**2 - 1.0) * l**2) ** 2) / den
-    return beta_hat, delta_hat
+    The unit eigenvectors w of -L are e_z and (e_u + i e_phi)/sqrt 2.  Both
+    lie in ker sym(L), sym(L) = diag(0, 0, 0, gamma1, 0, gamma2), so w is a
+    left eigenvector too and the first-order term w* (-i A) w vanishes.  The
+    bordered system [[lambda0 I + L, w], [w*, 0]] [x; mu] = [b - w (w* b); 0],
+    b = -i A w, gives x, the reduced resolvent of -L at lambda0 applied to
+    b (Kato, Perturbation Theory for Linear Operators, ch. II), and
+    d = x* sym(L) x = gamma1 |x_y|^2 + gamma2 |x_eta|^2, the dissipation of
+    the first-order corrector of the eigenvector: a sum of nonnegative
+    terms.  The system is singular only where lambda0 is a multiple
+    eigenvalue of -L, that is, where it is also a root of the cubic of
+    :func:`_minus_L_roots`: never for l > 0 with a positive damping.
+    """
+    A, L = build_matrices(params)
+    e = np.eye(6)
+    lam0 = np.array([0.0, 1j * params.k * params.l])[:, None, None]
+    w = np.stack([e[Z], (e[U] + 1j * e[PHI]) / np.sqrt(2.0)])
+    b = -1j * w @ A   # -i A w per row, A symmetric
+    border = np.block([[lam0 * e + L, w[:, :, None]], [w.conj()[:, None], np.zeros((2, 1, 1))]])
+    rhs = np.append(b - w * np.sum(w.conj() * b, axis=1, keepdims=True), np.zeros((2, 1)), axis=1)
+    x = np.linalg.solve(border, rhs[..., None])[:, :6, 0]
+    d = params.gamma1 * np.abs(x[:, Y]) ** 2 + params.gamma2 * np.abs(x[:, ETA]) ** 2
+    return d.tolist()
 
 
 def _minus_L_roots(params: SystemParams) -> np.ndarray:
@@ -258,34 +267,33 @@ def _minus_L_roots(params: SystemParams) -> np.ndarray:
 def low_freq_expansion(params: SystemParams) -> tuple[BranchRate, ...]:
     """Leading real-part coefficients of the six branches as xi -> 0.
 
-    Branch families: one branch emanating from eigenvalue 0 of -L with
-    Re ~ -sigma0 xi^2; a conjugate pair from +-i k l with Re ~ -Re(beta) xi^2
-    (beta of :func:`_abcd_constants`, or beta_hat of :func:`_beta_delta_hat`
-    when gamma1 = 0); three branches from the cubic roots of -L
-    (:func:`_minus_L_roots`) with constant negative real parts.
+    Branch families: one branch emanating from eigenvalue 0 of -L and a
+    conjugate pair from +-i k l, each with Re ~ -d xi^2, d from
+    :func:`_slow_rates` (one bordered solve per family, in both regimes);
+    three branches from the cubic roots of -L (:func:`_minus_L_roots`) with
+    constant negative real parts.
+
+    The rates agree with the hand-derived closed forms (the tests keep them
+    as oracles) to about 1e-13 relative.  For gamma1 = 0 the pair's rate is
+    proportional to the squared stability defect (k^2 - 1) l^2 - 1, which
+    cancels in rounding: the rate loses about eps / |defect| relative (4e-5
+    at a defect of 1e-11), as the closed form does; a defect below 1e-12 is
+    refused.
     """
     regime = params.regime
-    a, l = params.a, params.l
-    g1, g2 = params.gamma1, params.gamma2
     roots = _minus_L_roots(params)
-
-    if regime == "both_damped":
-        sigma0 = a * a * l * l / (g1 * l * l + g2)
-        pair_coeff = -float(_abcd_constants(params)[0].real)
-    elif regime == "gamma1_zero":
-        if abs(params.stability_defect) < 1e-12:
-            raise RegimeError(
-                "low-frequency expansion invalid: (k^2-1) l^2 - 1 = 0 "
-                "(the oscillatory pair loses its damping at this order)")
-        sigma0 = a * a * l * l / g2
-        pair_coeff = -_beta_delta_hat(params)[0]
-    else:
+    if regime not in ("both_damped", "gamma1_zero"):
         raise RegimeError(f"low_freq_expansion requires damping regime "
                           f"both_damped or gamma1_zero, got {regime}")
+    if regime == "gamma1_zero" and abs(params.stability_defect) < 1e-12:
+        raise RegimeError(
+            "low-frequency expansion invalid: (k^2-1) l^2 - 1 = 0 "
+            "(the oscillatory pair loses its damping at this order)")
+    d_zero, d_pair = _slow_rates(params)
 
     return (
-        BranchRate("zero-branch", -sigma0, 2, 1),
-        BranchRate("oscillatory-pair", pair_coeff, 2, 2),
+        BranchRate("zero-branch", -d_zero, 2, 1),
+        BranchRate("oscillatory-pair", -d_pair, 2, 2),
         BranchRate("cubic-root-1", float(roots[0].real), 0, 1),
         BranchRate("cubic-root-2", float(roots[1].real), 0, 1),
         BranchRate("cubic-root-3", float(roots[2].real), 0, 1),

@@ -50,6 +50,45 @@ def factor_check_gamma2_zero(params, zeta, n_samples=12, rtol=1e-10, rng=None):
     return bool(np.all(np.abs(p_fac - p_ref) / scale <= rtol))
 
 
+def abcd_constants(params):
+    """``(beta, K)`` of the linear equation (A + i B) + (C + i D) beta = 0
+    fixing the second-order correction of the oscillatory branch pair at
+    zero frequency (both dampings), hand-derived: lambda = i k l - beta xi^2
+    + ... and its conjugate.  K = A C + B D, so Re beta = -K / |C + i D|^2.
+    C = D = 0 would need i k l to be a root of the cubic of -L too, which
+    no l > 0 with a positive damping allows."""
+    k, l, g1, g2 = params.k, params.l, params.gamma1, params.gamma2
+    A_ = k**2 * l**2 * (k**2 * (1 + l**2) - k**4 * l**2 + g1 * g2)
+    B_ = k**3 * l**3 * (g1 * (k**2 - 1) + g2)
+    C_ = 2 * k**2 * l**2 * (g1 * l**2 * (k**2 - 1) + g2 * (k**2 * l**2 - 1))
+    D_ = 2 * k**3 * l**3 * (l**2 * (k**2 - 1) - 1 - g1 * g2)
+    return -(A_ + 1j * B_) / (C_ + 1j * D_), A_ * C_ + B_ * D_
+
+
+def beta_delta_hat(params):
+    """Closed-form second-order correction -beta_hat + i delta_hat of the
+    oscillatory pair at low frequency for gamma1 = 0, hand-derived.  Reads
+    only ``k``, ``l`` and ``gamma2``, in any number type (mpmath numbers
+    give a 50-digit value)."""
+    k, l, g2 = params.k, params.l, params.gamma2
+    defect = (k**2 - 1.0) * l**2 - 1.0
+    den = 2.0 * (g2**2 * (k**2 * l**2 - 1.0) ** 2 + k**2 * l**2 * defect**2)
+    beta_hat = g2 * k**2 * defect**2 / den
+    delta_hat = -k * l * (g2**2 * (k**2 * l**2 - 1.0) + (k - k * (k**2 - 1.0) * l**2) ** 2) / den
+    return beta_hat, delta_hat
+
+
+def slow_rates_closed_form(params):
+    """The hand-derived xi^2 rates (sigma0, pair) of the zero branch and of
+    the oscillatory pair: a^2 l^2 / (gamma1 l^2 + gamma2) and Re beta of
+    :func:`abcd_constants` for both dampings, a^2 l^2 / gamma2 and beta_hat
+    of :func:`beta_delta_hat` for gamma1 = 0."""
+    a, l, g1, g2 = params.a, params.l, params.gamma1, params.gamma2
+    if g1 == 0.0:
+        return a * a * l * l / g2, beta_delta_hat(params)[0]
+    return a * a * l * l / (g1 * l * l + g2), float(abcd_constants(params)[0].real)
+
+
 def energy(values):
     """Per-frequency energy 0.5 |U_hat|^2 of a (nfreq, 6) state."""
     return 0.5 * np.sum(np.abs(values) ** 2, axis=1)

@@ -902,6 +902,18 @@ class TestDecayAndReport:
         assert "| flat | 0 | +0.000 | -0.0100 | PASS |" in md
         assert "| decaying | 0 | +0.000 | -0.0500 | FAIL |" in md
 
+    def test_report_exponent_tolerance(self, tmp_path):
+        # two dampings: j = 0 expects -1/4, and a fit 20% off it fails
+        log = tmp_path / "runs.jsonl"
+        log.write_text("".join(
+            json.dumps({"command": "decay", "config_hash": name, "regime": "both_damped",
+                        "fits": {"0": {"exponent": exponent}}}) + "\n"
+            for name, exponent in (("near", -0.24), ("slow", -0.2), ("fast", -0.3))))
+        md = render_report(str(log))
+        assert "| near | 0 | -0.250 | -0.2400 | PASS |" in md
+        assert "| slow | 0 | -0.250 | -0.2000 | FAIL |" in md
+        assert "| fast | 0 | -0.250 | -0.3000 | FAIL |" in md
+
     def test_report_skips_unreadable_records(self, tmp_path):
         # each of these parses as JSON; each used to end the report in exit 1
         _, out = run_cli(tmp_path, decay_config())
@@ -1129,7 +1141,9 @@ class TestPhaseLoss:
 
     UNDAMPED = {"a": 1.0, "k": 1.0, "l": 1.0, "gamma1": 0.0, "gamma2": 0.0}
 
-    @pytest.mark.parametrize("t, code", [(1e3, 0), (1e15, 2)])
+    # the grid's largest |Im lambda| is 8.55: eps |Im lambda| t is 1.9e-12
+    # at t = 1e3, 1.9e-6 at t = 1e9 and 1.9 at t = 1e15
+    @pytest.mark.parametrize("t, code", [(1e3, 0), (1e15, 2), (1e9, 2)])
     def test_evolve(self, tmp_path, t, code):
         got, out = run_cli(tmp_path, {
             "command": "evolve", "params": self.UNDAMPED,

@@ -175,6 +175,15 @@ class TestRunDecay:
         fits = run_decay(exp, fit_window=(1e2, 1e4))
         assert fits[0].exponent == pytest.approx(-0.25, rel=0.10)
 
+    def test_default_window_is_the_last_decade(self):
+        p = SystemParams(1, 1, 0.5, 1, 1)
+        exp = Experiment(params=p, profile=Profile(kind="gaussian", width=1.0),
+                         times=np.geomspace(1, 1e4, 28), j_orders=(0,),
+                         rule=Rule(small_grid(12.0)))
+        fit, last_decade = run_decay(exp)[0], run_decay(exp, fit_window=(1e3, 1e4))[0]
+        assert fit.fit_window == last_decade.fit_window
+        assert fit.exponent == last_decade.exponent
+
     def test_non_decay_with_conservative_data(self):
         p = SystemParams(1, 1, 1, 1, 0)
         exp = Experiment(params=p,
@@ -255,6 +264,24 @@ class TestFusedNorms:
                          times=np.geomspace(1.0, 10.0, 5), j_orders=(0,),
                          rule=Rule(small_grid()))
         with pytest.raises(SolverError, match="increased"):
+            run_decay(exp)
+
+    def test_small_norm_rise_refused(self, monkeypatch):
+        # the norm at the last time rises by 1e-4 relative: far above
+        # rounding, where a mode-wise modulus never rises at all
+        true_integrate = Rule.integrate
+
+        def rising(self, prop, values0, times, columns, check_tail=True):
+            sums = true_integrate(self, prop, values0, times, columns, check_tail)
+            sums[:, -1] = sums[:, -2] * (1.0 + 1e-4) ** 2
+            return sums
+
+        monkeypatch.setattr(Rule, "integrate", rising)
+        exp = Experiment(params=SystemParams(1, 1, 0.5, 1, 1),
+                         profile=Profile(kind="gaussian", width=1.0),
+                         times=np.geomspace(1.0, 10.0, 5), j_orders=(0,),
+                         rule=Rule(small_grid()))
+        with pytest.raises(SolverError, match="increased by 1.00e-04"):
             run_decay(exp)
 
     def test_memory_below_one_density(self):

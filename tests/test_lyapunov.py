@@ -199,10 +199,17 @@ class TestAudit:
         ("eps3", 1.5, "eps3 must lie in (0, 1): 1.5"),
         ("eps4", 0.5, "eps4 must lie in (0, l^2): 0.5"),
         ("eps1p", 1.0, "eps1p must lie in (0, (1 - eps3)/d2)"),
+        # on the edge of the interval, where the ledger would divide by 0
+        ("eps1p", 0.0, "eps1p must lie in (0, (1 - eps3)/d2)"),
+        ("eps4", 0.0, "eps4 must lie in (0, l^2): 0.0"),
+        ("eps2", 0.25, "eps2 must lie in (0, a^2 l^2): 0.25"),
+        # d2 = 0 leaves eps1p no interval, and the bound would divide by it
+        ("d2", 0.0, "eps1p must lie in (0, (1 - eps3)/d2)"),
     ])
     def test_bad_ordering_names_the_constraint(self, name, value, constraint):
         # a^2 l^2 = l^2 = 0.25 here; one constant moved out of its interval
         bad = dataclasses.replace(search_constants(self.p), **{name: value})
+        assert constraint in bad.ordering_violations(self.p)
         with pytest.raises(RegimeError, match=re.escape(constraint)):
             audit_inequality(self.p, bad, [1.0])
 

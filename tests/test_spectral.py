@@ -8,8 +8,9 @@ from disspec import (CertificateRefused, PreconditionError, RegimeError,
                      gap_scan, high_freq_expansion, low_freq_expansion,
                      real_symbol_stack)
 from disspec import spectral as spectral_module
-from disspec.spectral import _abcd_constants, _beta_delta_hat, _minus_L_roots, _putzer_order
-from oracles import branches_first_minimum, eigenvalues_hp
+from disspec.spectral import _minus_L_roots, _putzer_order
+from oracles import (abcd_constants, beta_delta_hat, branches_first_minimum, eigenvalues_hp,
+                     slow_rates_closed_form)
 
 
 def lam_at(params, xi):
@@ -161,8 +162,8 @@ class TestLowFrequency:
         rng = np.random.default_rng(9)
         for _ in range(4):
             p = SystemParams(*rng.uniform(0.4, 2.2, 3), *rng.uniform(0.2, 1.8, 2))
-            beta, K = _abcd_constants(p)
-            assert low_freq_expansion(p)[1].re_coefficient == -beta.real
+            beta, K = abcd_constants(p)
+            assert low_freq_expansion(p)[1].re_coefficient == pytest.approx(-beta.real, rel=1e-12)
             assert beta.real > 0
             assert K < 0
             xi = 1e-3
@@ -172,12 +173,14 @@ class TestLowFrequency:
             assert fitted.real == pytest.approx(beta.real, rel=1e-3)
 
     def test_K_negative_for_unit_params(self):
-        assert _abcd_constants(SystemParams(1, 1, 1, 1, 1))[1] < 0
+        p = SystemParams(1, 1, 1, 1, 1)
+        assert abcd_constants(p)[1] < 0
+        assert low_freq_expansion(p)[1].re_coefficient < 0
 
     def test_gamma1_zero_closed_forms(self):
         p = SystemParams(1.3, 0.8, 1.1, 0, 0.6)
-        bh, dh = _beta_delta_hat(p)
-        assert low_freq_expansion(p)[1].re_coefficient == -bh
+        bh, dh = beta_delta_hat(p)
+        assert low_freq_expansion(p)[1].re_coefficient == pytest.approx(-bh, rel=1e-12)
         assert bh > 0
         xi = 1e-3
         lam = lam_at(p, xi)
@@ -185,6 +188,51 @@ class TestLowFrequency:
         lam2 = (t - 1j * p.k * p.l) / (1j * xi) ** 2
         assert lam2.real == pytest.approx(bh, rel=1e-3)
         assert lam2.imag == pytest.approx(dh, rel=1e-3)
+
+    @staticmethod
+    def slow_rows_error(p):
+        """Worst relative error of the zero-branch and pair rows against the
+        hand-derived closed forms."""
+        table = low_freq_expansion(p)
+        return max(abs(-row.re_coefficient - want) / want
+                   for row, want in zip(table[:2], slow_rates_closed_form(p)))
+
+    def test_slow_rows_match_closed_forms(self):
+        # the five sets of the asymptotic-profile prototype, then random sets
+        # of both regimes away from a vanishing gamma1 = 0 defect
+        for p in [(1, 1, 0.5, 1, 1), (2, 1, 1, 1, 1), (2, 1.5, 0.5, 0, 1),
+                  (1, 1.5, 0.5, 0, 1), (3, 0.7, 2, 0.3, 2)]:
+            assert self.slow_rows_error(SystemParams(*p)) <= 1e-12
+        rng = np.random.default_rng(24)
+        errors = []
+        for i in range(1200):
+            p = SystemParams(*rng.uniform(0.05, 5.0, 3), rng.uniform(0.05, 5.0) * (i % 2),
+                             rng.uniform(0.05, 5.0))
+            if abs(p.stability_defect) >= 1e-2:
+                errors.append(self.slow_rows_error(p))
+        assert len(errors) >= 1000
+        assert max(errors) <= 1e-12
+
+    @pytest.mark.parametrize("defect", [1e-4, 1e-6, 1e-8, 1e-11])
+    def test_near_degenerate_pair_rate(self, defect):
+        # gamma1 = 0: the pair's rate is proportional to defect^2, and the
+        # defect (k^2 - 1) l^2 - 1 cancels to a relative rounding error of
+        # about eps k^2 l^2 / |defect| (k^2 l^2 ~ 2 here) in the solve and
+        # in the closed form alike; squared, each is off by ~4 eps / |defect|
+        import mpmath as mp
+        from types import SimpleNamespace
+
+        eps = np.finfo(float).eps
+        for a in (0.7, 1.0, 2.0):
+            for g2 in (0.3, 1.0, 3.0):
+                p = SystemParams(a, np.sqrt(2.0 + defect), 1.0, 0.0, g2)
+                bound = 8 * eps / abs(p.stability_defect)
+                got = -low_freq_expansion(p)[1].re_coefficient
+                assert abs(got - beta_delta_hat(p)[0]) <= bound * got
+                with mp.workdps(50):
+                    exact = beta_delta_hat(SimpleNamespace(
+                        k=mp.mpf(p.k), l=mp.mpf(p.l), gamma2=mp.mpf(g2)))[0]
+                    assert abs(got - exact) <= bound * exact
 
     def test_degenerate_defect_rejected(self):
         p = SystemParams(1, np.sqrt(2.0), 1, 0, 1)
